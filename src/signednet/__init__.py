@@ -45,6 +45,7 @@ from .spectral import (
     Spectrum,
     balance_measures,
     eigendecompose_symmetric,
+    eigenvalues_symmetric,
     leading_eigenpair_pattern,
     perron_vectors_balanced,
     perturbation_estimate,

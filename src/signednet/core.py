@@ -4,7 +4,11 @@ A :class:`SignedGraph` is an undirected, connected, weighted graph whose edge
 weights carry a sign.  All matrix constructions used elsewhere in the package
 (adjacency, Laplacians, transition matrices and their doubled two-species
 variants) are built here as dense numpy arrays; the intended scale is a few
-thousand nodes at most.
+thousand nodes at most.  :mod:`signednet.spectral` solves them: the balance
+measures and spectral radii take eigenvalues only, and eigenvectors are
+computed only where a caller reads them (heuristic frustration, the spectral
+theorem check, eigenvector bipartitions, right eigenvectors of P and the
+rank-1 approximation).  Edge weights must be finite and nonzero.
 
 State convention: dynamics elsewhere use row vectors and left multiplication,
 ``x(t+1) = x(t) @ M``.  The matrices returned here are oriented for that.
@@ -12,6 +16,7 @@ State convention: dynamics elsewhere use row vectors and left multiplication,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -22,6 +27,7 @@ from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
     IdOutOfRangeError,
+    NonFiniteWeightError,
     SelfLoopError,
     ZeroWeightError,
 )
@@ -97,6 +103,8 @@ def _normalize_edges(n: int, edges: Iterable[tuple]) -> list[Edge]:
             raise IdOutOfRangeError(f"edge ({i}, {j}) uses a node id outside [0, {n})")
         if i == j:
             raise SelfLoopError(f"self-loop at node {i} is not allowed")
+        if not math.isfinite(w):
+            raise NonFiniteWeightError(f"edge ({i}, {j}) has non-finite weight {w!r}")
         if abs(w) < WEIGHT_TOLERANCE:
             raise ZeroWeightError(f"edge ({i}, {j}) has weight {w!r}; |w| must exceed {WEIGHT_TOLERANCE}")
         key = (min(i, j), max(i, j))

@@ -27,6 +27,10 @@ class ZeroWeightError(GraphConstructionError):
     pass
 
 
+class NonFiniteWeightError(GraphConstructionError):
+    """Edge weight is nan or infinite."""
+
+
 class IdOutOfRangeError(GraphConstructionError):
     pass
 

@@ -206,7 +206,7 @@ def frustration_to_json(report) -> dict:
 
 
 def dump_json(doc, out: Union[PathLike, TextIO, None] = None) -> str:
-    text = json.dumps(doc, indent=2, sort_keys=False)
+    text = json.dumps(doc, indent=2, sort_keys=False, allow_nan=False)
     if out is None:
         return text
     if hasattr(out, "write"):

@@ -1,8 +1,22 @@
-"""Symmetric eigendecomposition and the spectral balance characterizations.
+"""Symmetric eigensolves and the spectral balance characterizations.
 
 Eigenvalues of the (nonsymmetric) transition matrix P are always obtained
 through its symmetric similarity P_sym = D^-1/2 W D^-1/2, never through a
-general nonsymmetric solver.  The two distance measures live here:
+general nonsymmetric solver.
+
+Two entry points do every eigensolve, sharing one symmetry check:
+
+* :func:`eigenvalues_symmetric` returns eigenvalues only.  It serves every
+  caller that reads no eigenvector: :func:`balance_measures`,
+  :func:`spectral_radius`, :func:`perturbation_estimate` and the walk
+  horizons of verification criterion 6.
+* :func:`eigendecompose_symmetric` returns eigenvalues with sign-normalised
+  eigenvectors.  Only callers that read eigenvectors use it: heuristic
+  frustration, :func:`verify_spectral_theorem`,
+  :func:`leading_eigenpair_pattern`, :func:`transition_right_eigenvectors`
+  and the rank-1 approximation in :mod:`signednet.dynamics`.
+
+The two distance measures live here:
 
 * ``d_b``: smallest eigenvalue of the random-walk Laplacian, zero exactly on
   balanced graphs;
@@ -81,25 +95,37 @@ class Spectrum:
         return groups
 
 
-def eigendecompose_symmetric(M: np.ndarray) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix, descending eigenvalues.
-
-    Raises :class:`NotSymmetricError` when max |M - M^T| exceeds 1e-12.
-    """
+def _checked_symmetric(M: np.ndarray) -> np.ndarray:
+    """Exactly symmetric float copy of M, or :class:`NotSymmetricError`."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {M.shape}")
     asym = float(np.max(np.abs(M - M.T))) if M.size else 0.0
     if asym > SYMMETRY_TOLERANCE:
         raise NotSymmetricError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
-    vals, vecs = np.linalg.eigh((M + M.T) / 2.0)
+    return (M + M.T) / 2.0
+
+
+def eigenvalues_symmetric(M: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix in descending order, no eigenvectors.
+
+    Raises :class:`NotSymmetricError` when max |M - M^T| exceeds 1e-12.
+    """
+    return np.linalg.eigvalsh(_checked_symmetric(M))[::-1].copy()
+
+
+def eigendecompose_symmetric(M: np.ndarray) -> Spectrum:
+    """Full eigendecomposition of a symmetric matrix, descending eigenvalues.
+
+    Raises :class:`NotSymmetricError` when max |M - M^T| exceeds 1e-12.
+    """
+    vals, vecs = np.linalg.eigh(_checked_symmetric(M))
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            vecs[:, k] = -col
+    if vecs.size:
+        # argmax picks the first entry on exact ties, as the convention requires
+        lead = np.argmax(np.abs(vecs), axis=0)
+        vecs *= np.where(vecs[lead, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
@@ -119,8 +145,15 @@ def transition_right_eigenvectors(G: SignedGraph) -> tuple[np.ndarray, np.ndarra
     return spec.eigenvalues, inv_sqrt[:, None] * spec.eigenvectors
 
 
+def transition_eigenvalues(G: SignedGraph) -> np.ndarray:
+    """Eigenvalues of P in descending order, via P_sym, without eigenvectors."""
+    return eigenvalues_symmetric(symmetrized_transition(G))
+
+
 def spectral_radius(G: SignedGraph) -> float:
-    return adjacency_spectrum(G).spectral_radius
+    """rho(W) = max(lambda_max, -lambda_min) of the signed adjacency matrix."""
+    vals = eigenvalues_symmetric(G.weight_matrix)
+    return float(max(vals[0], -vals[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +276,16 @@ def balance_measures(G: SignedGraph) -> BalanceMeasures:
     """d_b, d_a and the signed/unsigned spectral radii of W.
 
     d_b = lambda_min(L_rw) and d_a = 2 - lambda_max(L_rw), both computed from
-    the symmetric similarity of P.
+    the symmetric similarity of P.  |W| is nonnegative, so by Perron-Frobenius
+    its spectral radius is its largest eigenvalue.  Three value-only solves;
+    no eigenvector is computed.
     """
-    p_vals = transition_spectrum(G).eigenvalues
+    p_vals = transition_eigenvalues(G)
     return BalanceMeasures(
         d_b=float(1.0 - p_vals[0]),
         d_a=float(1.0 + p_vals[-1]),
         spectral_radius_signed=spectral_radius(G),
-        spectral_radius_unsigned=spectral_radius(unsigned_counterpart(G)),
+        spectral_radius_unsigned=float(eigenvalues_symmetric(np.abs(G.weight_matrix))[0]),
     )
 
 
@@ -304,7 +339,7 @@ def perturbation_estimate(G_b: SignedGraph, flip_set) -> PerturbationEstimate:
     m = float(G_b.degrees.sum()) / 2.0
     delta = -2.0 * flipped_weight / m
     flipped = apply_flip_set(G_b, flip_set)
-    realized = float(transition_spectrum(flipped).eigenvalues[0] - 1.0)
+    realized = float(transition_eigenvalues(flipped)[0] - 1.0)
     return PerturbationEstimate(
         delta_max=delta,
         delta_min=-delta,

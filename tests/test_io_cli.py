@@ -5,8 +5,9 @@ import pytest
 
 import signednet as sn
 from signednet.cli import main
-from signednet.errors import EdgeListParseError
+from signednet.errors import EdgeListParseError, NonFiniteWeightError
 from signednet.io import (
+    dump_json,
     format_edge_list,
     load_graph,
     parse_edge_list,
@@ -198,6 +199,27 @@ class TestCLI:
         assert main(["verify", "elt", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert [r["passed"] for r in doc] == [True, True]
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
+    def test_build_graph_rejects(self, w):
+        with pytest.raises(NonFiniteWeightError, match=r"\(1, 2\)"):
+            sn.build_graph(3, [(0, 1, 1.0), (1, 2, w), (0, 2, 1.0)])
+
+    @pytest.mark.parametrize("command", ["measure", "classify"])
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_cli_exits_with_data_error(self, tmp_path, capsys, command, token):
+        path = tmp_path / "bad.edges"
+        path.write_text(f"0 1 1\n1 2 {token}\n0 2 -1\n")
+        assert main([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite weight" in captured.err
+
+    def test_dump_json_refuses_nan(self):
+        with pytest.raises(ValueError):
+            dump_json({"d_b": float("nan")})
 
 
 class TestInitialStateSpecs:

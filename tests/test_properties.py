@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 import signednet as sn
 from signednet.balance import Bipartition
 
+from helpers import nonsymmetric_eigenvalues
+
 
 @st.composite
 def connected_signed_graphs(draw, max_n=8):
@@ -74,6 +76,32 @@ def test_switching_preserves_verdict_and_measures(gb):
 def test_negation_swaps_the_two_measures(G):
     m, mn = sn.balance_measures(G), sn.balance_measures(sn.negate(G))
     assert abs(m.d_b - mn.d_a) < 1e-10 and abs(m.d_a - mn.d_b) < 1e-10
+
+
+@given(connected_signed_graphs())
+def test_balance_measures_match_nonsymmetric_oracle(G):
+    # trees are bipartite, so the +/- rho pair of W is exercised too
+    m = sn.balance_measures(G)
+    p = nonsymmetric_eigenvalues(sn.transition_matrix(G))
+    w = nonsymmetric_eigenvalues(G.weight_matrix)
+    a = nonsymmetric_eigenvalues(np.abs(G.weight_matrix))
+    assert abs(m.d_b - (1.0 - p[0])) < 1e-10
+    assert abs(m.d_a - (1.0 + p[-1])) < 1e-10
+    assert abs(m.spectral_radius_signed - np.max(np.abs(w))) < 1e-10
+    assert abs(m.spectral_radius_unsigned - np.max(np.abs(a))) < 1e-10
+
+
+def test_measures_and_perturbation_compute_no_eigenvectors(monkeypatch):
+    G = sn.ssbm(sn.SSBMParams(n1=6, n2=6, p_in=0.8, p_out=0.3, eta=0.0, alpha=0.5, seed=1))
+    e = G.edges[0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called: eigenvectors were computed")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    m = sn.balance_measures(G)
+    est = sn.perturbation_estimate(G, [(e.i, e.j)])
+    assert abs(m.d_b) < 1e-10 and est.realized_shift_max < 0
 
 
 @given(connected_signed_graphs(), st.integers(min_value=0, max_value=6))

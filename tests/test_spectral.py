@@ -52,6 +52,37 @@ class TestEigendecomposeSymmetric:
             col = a.eigenvectors[:, k]
             assert col[int(np.argmax(np.abs(col)))] > 0
 
+    def test_sign_convention_first_entry_decides_exact_ties(self):
+        # (1, -1)/sqrt(2) ties exactly in magnitude: the first entry is made positive
+        spec = sn.eigendecompose_symmetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.abs(spec.eigenvectors[0, 1]) == np.abs(spec.eigenvectors[1, 1])
+        assert spec.eigenvectors[0, 1] > 0 > spec.eigenvectors[1, 1]
+
+    def test_sign_convention_matches_per_column_rule(self, rng):
+        for _ in range(50):
+            M = random_symmetric_matrix(rng, int(rng.integers(1, 40)))
+            spec = sn.eigendecompose_symmetric(M)
+            _, raw = np.linalg.eigh(M)
+            for k, col in enumerate(raw[:, ::-1].T):
+                expected = -col if col[int(np.argmax(np.abs(col)))] < 0 else col
+                assert np.array_equal(spec.eigenvectors[:, k], expected)
+
+
+class TestEigenvaluesSymmetric:
+    def test_matches_full_decomposition(self, rng):
+        for _ in range(200):
+            M = random_symmetric_matrix(rng, int(rng.integers(1, 65)))
+            vals = sn.eigenvalues_symmetric(M)
+            full = sn.eigendecompose_symmetric(M).eigenvalues
+            assert np.all(np.diff(vals) <= 1e-12)
+            assert np.max(np.abs(vals - full)) <= 1e-12 * max(1.0, np.abs(full).max())
+
+    def test_not_symmetric_rejected(self):
+        with pytest.raises(NotSymmetricError):
+            sn.eigenvalues_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        with pytest.raises(NotSymmetricError, match="square"):
+            sn.eigenvalues_symmetric(np.zeros((2, 3)))
+
 
 class TestSpectralTheorem:
     def test_balanced_graph_matches_unsigned_spectrum(self, triangle_two_negative):
