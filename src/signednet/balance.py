@@ -51,13 +51,6 @@ class Bipartition:
     def n(self) -> int:
         return self.s.shape[0]
 
-    def indicator_matrix(self) -> np.ndarray:
-        return np.diag(self.s.astype(float))
-
-    def sides(self) -> tuple[list[int], list[int]]:
-        return ([i for i, v in enumerate(self.s) if v > 0],
-                [i for i, v in enumerate(self.s) if v < 0])
-
     def normalized(self) -> "Bipartition":
         """Fix the global sign so that node 0 lands in the first part."""
         return self if self.s[0] > 0 else Bipartition(-self.s)
@@ -292,12 +285,15 @@ def frustration(G: SignedGraph, target: FrustrationTarget = "balanced",
                 mode: Literal["exact", "heuristic"] = "exact") -> FrustrationReport:
     """Edges disturbing the balanced (or antibalanced) structure.
 
-    Exact mode scans all 2^(n-1) bipartitions (node-sign assignments with the
-    sign of node 0 fixed) and returns the minimum number of edges violating
-    the target condition; that minimum equals the least number of edge-sign
-    flips reaching the target.  Capped at 25 edges.  Heuristic mode reads the
-    bipartition off the leading (balanced) or trailing (antibalanced)
-    eigenvector of W and reports the violation count as an upper bound.
+    Exact mode finds a bipartition (node-sign assignment with node 0 at +1)
+    violating the fewest edges under the target condition; that minimum
+    equals the least number of edge-sign flips reaching the target.  It peels
+    leaves and contracts degree-2 chains first, then scans every signing of
+    the remaining kernel, whose nodes all have degree >= 3 (at most 16 nodes
+    under the 25-edge cap).  A violated chain is flipped at its lightest edge.
+    Capped at 25 edges.  Heuristic mode reads the bipartition off the leading
+    (balanced) or trailing (antibalanced) eigenvector of W and reports the
+    violation count as an upper bound.
 
     Both the edge count and the total flipped absolute weight are reported.
     """
@@ -332,28 +328,92 @@ def frustration(G: SignedGraph, target: FrustrationTarget = "balanced",
 
 
 def _exact_min_violation_signs(G: SignedGraph, target: FrustrationTarget) -> np.ndarray:
-    """Vectorized scan over all sign assignments with s_0 = +1.
+    """Node signs with s[0] = +1 that violate the fewest edges, by kernel reduction.
 
-    Assignment k encodes s_i = -1 iff bit i of k is set (bit 0 unused), so
-    np.argmin's first-minimum rule picks the lexicographically smallest
-    vector under the order +1 < -1 on ties.
+    Edge k is satisfied when s_i s_j = sigma_k, with sigma_k = sign(w_k) for
+    the balanced target and -sign(w_k) for the antibalanced one.
+
+    1. Leaves are peeled repeatedly; a leaf can always satisfy its one edge.
+    2. The remaining 2-core is cut at its nodes of degree >= 3 (the kernel
+       nodes) into chains of degree-2 nodes.  A chain costs one violation
+       exactly when the product of its sigmas disagrees with its end signs,
+       so it becomes one kernel edge carrying that product.  Kernel edges may
+       be parallel; a cycle through a single kernel node is a self-loop, and
+       a core that is one plain cycle keeps its smallest node as anchor.
+    3. Every kernel signing with the first kernel node at +1 is scanned at
+       once; np.argmin's first-minimum rule picks the lexicographically
+       smallest one (+1 < -1, last kernel node most significant) on ties.
+       Each kernel node has degree >= 3, so 25 edges leave at most 16 kernel
+       nodes and 2^15 rows.
+    4. Signs are propagated back along the chains, and then out to the leaves
+       in reverse peeling order.  A violated chain breaks at its lightest
+       edge, ties going to the largest (i, j).
     """
     n = G.n
-    ks = np.arange(1 << max(n - 1, 0), dtype=np.uint32)
-    counts = np.zeros(ks.shape[0], dtype=np.uint16)
-    for i, j, w in G.edges:
-        if i == 0:
-            differs = (ks >> np.uint32(j - 1)) & 1
-        else:
-            differs = ((ks >> np.uint32(i - 1)) ^ (ks >> np.uint32(j - 1))) & 1
-        bad_when_same = (w > 0) == (target == "antibalanced")
-        counts += (differs == 0).astype(np.uint16) if bad_when_same else (differs == 1).astype(np.uint16)
+    want = 1 if target == "balanced" else -1
+    sigma = [want * (1 if e.w > 0 else -1) for e in G.edges]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, (i, j, _) in enumerate(G.edges):
+        adj[i].append((j, k))
+        adj[j].append((i, k))
+
+    deg = [len(a) for a in adj]
+    peeled: list[tuple[int, int, int]] = []  # (leaf, neighbour, edge)
+    stack = [v for v in range(n) if deg[v] == 1]
+    while stack:
+        v = stack.pop()
+        if deg[v] != 1:  # peeled already, or its last neighbour was peeled first
+            continue
+        u, k = next((u, k) for u, k in adj[v] if deg[u] >= 0)
+        peeled.append((v, u, k))
+        deg[v] = -1
+        deg[u] -= 1
+        if deg[u] == 1:
+            stack.append(u)
+    core = [v for v in range(n) if deg[v] >= 0]
+    kernel = [v for v in core if deg[v] != 2] or core[:1]
+    index = {v: t for t, v in enumerate(kernel)}
+
+    chains: list[tuple[list[int], list[int], int]] = []  # (nodes, edges, sigma product)
+    used = [False] * G.num_edges
+    for a in kernel:
+        for u, k in adj[a]:
+            if used[k] or deg[u] < 0:
+                continue
+            nodes, ks, product = [a], [], 1
+            while True:
+                used[k] = True
+                nodes.append(u)
+                ks.append(k)
+                product *= sigma[k]
+                if u in index:
+                    break
+                u, k = next((x, kk) for x, kk in adj[u] if deg[x] >= 0 and not used[kk])
+            chains.append((nodes, ks, product))
+
+    rows = np.arange(1 << (len(kernel) - 1), dtype=np.uint32)
+    bits = [np.zeros_like(rows)] + [(rows >> np.uint32(t)) & 1 for t in range(len(kernel) - 1)]
+    counts = np.zeros(rows.shape[0], dtype=np.uint16)
+    for nodes, _, product in chains:
+        differs = bits[index[nodes[0]]] ^ bits[index[nodes[-1]]]
+        counts += (differs == (product > 0)).astype(np.uint16)
     best = int(np.argmin(counts))
-    s = np.ones(n, dtype=np.int8)
-    for i in range(1, n):
-        if (best >> (i - 1)) & 1:
-            s[i] = -1
-    return s
+
+    s = np.zeros(n, dtype=np.int8)
+    s[kernel] = [1] + [-1 if (best >> t) & 1 else 1 for t in range(len(kernel) - 1)]
+    for nodes, ks, product in chains:
+        last = len(ks) - 1
+        if s[nodes[0]] * s[nodes[-1]] == product:
+            cut = last + 1
+        else:
+            cut = max(range(len(ks)), key=lambda t: (-abs(G.edges[ks[t]].w), G.edges[ks[t]][:2]))
+        for t in range(min(cut, last)):
+            s[nodes[t + 1]] = sigma[ks[t]] * s[nodes[t]]
+        for t in range(last, cut, -1):
+            s[nodes[t]] = sigma[ks[t]] * s[nodes[t + 1]]
+    for v, u, k in reversed(peeled):
+        s[v] = sigma[k] * s[u]
+    return s if s[0] > 0 else -s
 
 
 def apply_flip_set(G: SignedGraph, flip_set) -> SignedGraph:

@@ -24,7 +24,13 @@ from .dynamics import (
     predict_stationary,
     simulate_walk_until_stationary,
 )
-from .errors import BipartiteUnsupportedError, SignedNetError, VerificationFailure
+from .errors import (
+    BipartiteUnsupportedError,
+    IdOutOfRangeError,
+    ParamOutOfRangeError,
+    SignedNetError,
+    VerificationFailure,
+)
 from .generate import (
     LatticeParams,
     SSBMParams,
@@ -98,6 +104,17 @@ def build_parser() -> argparse.ArgumentParser:
 # initial-state mini-language
 # ---------------------------------------------------------------------------
 
+def _spec_node(text: str, G: SignedGraph, spec: str) -> int:
+    """A node id named in an initial-state spec, range-checked against G."""
+    try:
+        node = int(text)
+    except ValueError:
+        raise SignedNetError(f"initial-state spec {spec!r}: node id {text!r} is not an integer") from None
+    if not 0 <= node < G.n:
+        raise IdOutOfRangeError(f"initial-state spec {spec!r}: node {node} is outside [0, {G.n})")
+    return node
+
+
 def initial_state(spec: str, G: SignedGraph, l0: float, seed: int) -> np.ndarray:
     """Resolve an initial-state spec.
 
@@ -124,10 +141,16 @@ def initial_state(spec: str, G: SignedGraph, l0: float, seed: int) -> np.ndarray
         x = np.zeros(G.n)
         for item in rest.split(","):
             node, _, value = item.partition("=")
-            x[int(node)] = float(value) if value else l0
+            i = _spec_node(node, G, spec)
+            try:
+                x[i] = float(value) if value else l0
+            except ValueError:
+                raise SignedNetError(f"initial-state spec {spec!r}: value {value!r} is not a number") from None
+            if not np.isfinite(x[i]):
+                raise SignedNetError(f"initial-state spec {spec!r}: value {value!r} is not finite")
         return x
     if head == "neighbourhood" and rest:
-        center = int(rest)
+        center = _spec_node(rest, G, spec)
         x = np.zeros(G.n)
         x[center] = l0
         W = G.weight_matrix
@@ -190,7 +213,12 @@ def _cmd_generate(args) -> int:
 def _cmd_simulate(args) -> int:
     G = load_graph(args.input)
     config = json.loads(Path(args.config).read_text())
-    horizon = int(config.get("horizon", 50))
+    try:
+        horizon = int(config.get("horizon", 50))
+    except ValueError:
+        horizon = -1
+    if horizon < 0:
+        raise ParamOutOfRangeError(f"horizon must be a nonnegative integer, got {config['horizon']!r}")
     l0 = float(config.get("l0", 1.0))
     x0 = initial_state(config.get("init", "uniform"), G, l0, args.seed)
 

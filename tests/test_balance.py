@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,28 @@ class TestFrustration:
             heuristic = sn.frustration(G, "balanced", mode="heuristic")
             assert not heuristic.exact
             assert heuristic.flip_count >= exact
+
+    def test_worst_case_tree_and_cycle_are_fast(self):
+        tree = sn.random_signed_tree(26, 0.5, seed=4)
+        cycle = sn.build_graph(25, [(i, (i + 1) % 25, -1.0 if i % 4 == 0 else 1.5) for i in range(25)])
+        assert tree.num_edges == cycle.num_edges == 25
+        negatives = sum(e.w < 0 for e in cycle.edges)
+        expected = {(tree, "balanced"): 0, (tree, "antibalanced"): 0,
+                    (cycle, "balanced"): negatives % 2, (cycle, "antibalanced"): (25 - negatives) % 2}
+        for (G, target), flips in expected.items():
+            start = time.perf_counter()
+            rep = sn.frustration(G, target)
+            assert time.perf_counter() - start < 1.0
+            assert rep.exact and rep.flip_count == flips
+
+    def test_violated_chain_flips_its_lightest_edge(self):
+        # kernel nodes 0 and 1 joined by an edge, a 2-edge chain and a 4-edge
+        # chain whose sign product is negative; only the long chain is violated
+        G = sn.build_graph(6, [(0, 1, 3.0), (0, 2, 2.5), (2, 1, 2.0),
+                               (0, 3, 1.5), (3, 4, 0.7), (4, 5, -1.2), (5, 1, 0.9)])
+        rep = sn.frustration(G, "balanced")
+        assert [(e.i, e.j) for e in rep.flip_set] == [(3, 4)]
+        assert rep.flipped_weight == 0.7
 
     def test_exact_mode_cap(self):
         G = sn.ring_lattice(sn.LatticeParams(n=14, dbar=4, alpha=1.0, sign_plan=sn.BalancedPlan()))

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 import signednet as sn
-from signednet.cli import main
-from signednet.errors import EdgeListParseError, NonFiniteWeightError
+from signednet.cli import initial_state, main
+from signednet.errors import (
+    EdgeListParseError,
+    IdOutOfRangeError,
+    NonFiniteWeightError,
+    SignedNetError,
+)
 from signednet.io import (
     dump_json,
     format_edge_list,
@@ -243,3 +248,51 @@ class TestInitialStateSpecs:
         b = initial_state("random", triangle_positive, 1.0, 7)
         assert np.array_equal(a, b)
         assert np.abs(a).sum() == pytest.approx(1.0)
+
+
+class TestSimulateInputBoundary:
+    """Bad initial-state specs and horizons are data errors (exit 2) on every model."""
+
+    def run(self, tmp_path, capsys, config):
+        net = tmp_path / "tri.edges"
+        net.write_text("0 1 1\n1 2 -1\n0 2 1\n")
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps(config))
+        codes = [main(["simulate", model, "--input", str(net), "--config", str(sim),
+                       "--output", str(tmp_path / "traj.csv")]) for model in ("linear", "rw", "elt")]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return codes, err
+
+    def test_non_integer_node_id(self, tmp_path, capsys, triangle_positive):
+        codes, err = self.run(tmp_path, capsys, {"init": "node:abc"})
+        assert codes == [2, 2, 2] and "'abc' is not an integer" in err
+        with pytest.raises(SignedNetError):
+            initial_state("node:abc", triangle_positive, 1.0, 0)
+
+    def test_node_id_beyond_last_node(self, tmp_path, capsys, triangle_positive):
+        codes, err = self.run(tmp_path, capsys, {"init": "node:5=1"})
+        assert codes == [2, 2, 2] and "node 5 is outside [0, 3)" in err
+        with pytest.raises(IdOutOfRangeError):
+            initial_state("node:5=1", triangle_positive, 1.0, 0)
+
+    def test_neighbourhood_center_beyond_last_node(self, tmp_path, capsys, triangle_positive):
+        codes, err = self.run(tmp_path, capsys, {"init": "neighbourhood:7"})
+        assert codes == [2, 2, 2] and "node 7 is outside [0, 3)" in err
+        with pytest.raises(IdOutOfRangeError):
+            initial_state("neighbourhood:7", triangle_positive, 1.0, 0)
+
+    def test_negative_node_id_does_not_wrap_to_last_node(self, tmp_path, capsys, triangle_positive):
+        codes, err = self.run(tmp_path, capsys, {"init": "node:-1=2"})
+        assert codes == [2, 2, 2] and "node -1 is outside [0, 3)" in err
+        with pytest.raises(IdOutOfRangeError):
+            initial_state("node:-1=2", triangle_positive, 1.0, 0)
+
+    def test_negative_horizon(self, tmp_path, capsys):
+        codes, err = self.run(tmp_path, capsys, {"horizon": -2})
+        assert codes == [2, 2, 2] and "horizon must be a nonnegative integer, got -2" in err
+
+    def test_bad_node_values(self, tmp_path, capsys):
+        for value in ("zz", "nan"):
+            codes, err = self.run(tmp_path, capsys, {"init": f"node:1={value}"})
+            assert codes == [2, 2, 2] and f"value '{value}'" in err

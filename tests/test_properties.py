@@ -1,12 +1,12 @@
 """Property tests for the structural invariants."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import signednet as sn
-from signednet.balance import Bipartition
+from signednet.balance import Bipartition, apply_flip_set
 
-from helpers import nonsymmetric_eigenvalues
+from helpers import frustration_by_edge_subsets, frustration_by_node_signings, nonsymmetric_eigenvalues
 
 
 @st.composite
@@ -124,3 +124,50 @@ def test_elt_is_homogeneous_under_dyadic_scaling(seed, scale):
     base, _ = sn.elt_simulate(G, x0, sn.ELTConfig(theta_l=2.0, alpha=0.5, l0=1.0, horizon=6))
     scaled, _ = sn.elt_simulate(G, scale * x0, sn.ELTConfig(theta_l=2.0, alpha=0.5, l0=scale, horizon=6))
     assert np.array_equal(scaled.states, scale * base.states)
+
+
+@st.composite
+def chained_signed_graphs(draw):
+    """A path of up to three skeleton nodes plus one to three extra skeleton
+    edges, parallel ones and loops included; every skeleton edge becomes a
+    chain of up to three edges, pendant trees hang off anywhere, and node ids
+    are shuffled.  These are the shapes the kernel reduction of exact
+    frustration distinguishes."""
+    k = draw(st.integers(1, 3))
+    skeleton = [(a, a + 1) for a in range(k - 1)]
+    skeleton += draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), min_size=1, max_size=3))
+    n, pairs, seen = k, [], set()
+    for a, b in skeleton:
+        # a loop needs two inner nodes and a repeated pair one, to stay simple
+        fewest = 2 if a == b else int((min(a, b), max(a, b)) in seen)
+        seen.add((min(a, b), max(a, b)))
+        inner = list(range(n, n + draw(st.integers(fewest, 2))))
+        n += len(inner)
+        path = [a, *inner, b]
+        pairs += zip(path, path[1:])
+    for _ in range(draw(st.integers(0, 3))):
+        pairs.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    perm = draw(st.permutations(range(n)))
+    weights = draw(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+                            min_size=len(pairs), max_size=len(pairs)))
+    return sn.build_graph(n, [(perm[a], perm[b], w) for (a, b), w in zip(pairs, weights)])
+
+
+@given(chained_signed_graphs())
+@example(sn.build_graph(5, [(3, 1, 1.0), (1, 4, -1.0), (4, 0, 2.0), (0, 2, 1.0), (2, 3, 0.5)]))  # pure cycle
+@example(sn.build_graph(5, [(0, 1, -1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 1, -1.0), (3, 4, 1.0)]))  # node 0 a leaf
+@example(sn.build_graph(5, [(1, 2, 1.0), (1, 3, 1.0), (2, 3, -1.0), (2, 0, 1.0), (0, 4, -1.0),
+                            (4, 3, 1.0)]))  # node 0 inside a chain
+@example(sn.build_graph(6, [(1, 2, 1.0), (1, 3, -1.0), (3, 2, 1.0), (1, 4, 1.0), (4, 5, 1.0), (5, 2, 1.0),
+                            (1, 0, -1.0), (0, 2, -1.0)]))  # parallel chains between two kernel nodes
+@example(sn.build_graph(7, [(0, 1, 1.0), (1, 2, -1.0), (2, 0, 1.0), (0, 3, -1.0), (3, 4, -1.0), (4, 0, -1.0),
+                            (0, 5, 1.0), (5, 6, 1.0), (6, 0, -1.0)]))  # self-loop chains at node 0
+@settings(max_examples=100, deadline=None)
+def test_kernel_reduced_frustration_matches_both_references(G):
+    for target in ("balanced", "antibalanced"):
+        rep = sn.frustration(G, target)
+        assert rep.flip_count == frustration_by_node_signings(G, target) == frustration_by_edge_subsets(G, target)
+        assert rep.partition.s[0] == 1
+        fixed = sn.classify(apply_flip_set(G, [(e.i, e.j) for e in rep.flip_set]))
+        assert fixed.is_balanced if target == "balanced" else fixed.is_antibalanced
