@@ -4,8 +4,14 @@ A connected signed graph is *balanced* when a bipartition exists with every
 positive edge inside a part and every negative edge across parts, and
 *antibalanced* when the sign-negated graph is balanced.  Graphs satisfying
 both are exactly the trees and the balanced bipartite graphs; everything else
-is *strictly unbalanced*.  The classifier works by sign-propagating a
-spanning traversal and checking every non-tree edge, so the verdict is exact.
+is *strictly unbalanced*.  The classifier reads one cached breadth-first
+spanning tree from node 0 (:class:`~signednet.core.SignedGraph`): the
+tree-path sign products are the balance candidate, those times
+``(-1)^depth`` the antibalance candidate and ``(-1)^depth`` alone the
+bipartite colouring.  A candidate certifies its structure exactly when
+every edge agrees with it (Harary 1953), which is checked in one array pass
+over the cached edge endpoints and signs, so the verdict is exact and no
+negated copy of the graph is built.
 """
 
 from __future__ import annotations
@@ -88,35 +94,21 @@ class BalanceClassification:
         return self.antibalanced_partition is not None
 
 
-def _propagate_signs(G: SignedGraph) -> Optional[Bipartition]:
-    """Spanning-traversal sign assignment; None when some edge refutes it.
+def _parity(depth: np.ndarray) -> np.ndarray:
+    """(-1)^depth as int8 signs."""
+    return (1 - 2 * (depth & 1)).astype(np.int8)
 
-    Forces s_j = sign(W_ij) * s_i along a BFS tree from node 0, then checks
-    the constraint on every edge.
-    """
-    n = G.n
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for i, j, w in G.edges:
-        adj[i].append((j, w))
-        adj[j].append((i, w))
-    for lst in adj:
-        lst.sort()
-    s = np.zeros(n, dtype=np.int8)
-    s[0] = 1
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v, w in adj[u]:
-            forced = s[u] * (1 if w > 0 else -1)
-            if s[v] == 0:
-                s[v] = forced
-                queue.append(v)
-    for i, j, w in G.edges:
-        if s[i] * s[j] != (1 if w > 0 else -1):
-            return None
-    return Bipartition(s).normalized()
+
+def _edge_holds(G: SignedGraph, s: np.ndarray, required) -> np.ndarray:
+    """Per edge, whether its endpoint signs multiply to ``required``: the edge
+    sign for balance, its negation for antibalance, -1 for a 2-coloring."""
+    e = G._edge_arrays
+    return s[e.i] * s[e.j] == required
+
+
+def _certificate(G: SignedGraph, s: np.ndarray, required) -> Optional[Bipartition]:
+    """The candidate signs s as a bipartition if every edge agrees with them."""
+    return Bipartition(s) if _edge_holds(G, s, required).all() else None
 
 
 def negate(G: SignedGraph) -> SignedGraph:
@@ -134,8 +126,9 @@ def classify(G: SignedGraph) -> BalanceClassification:
     Certificates are normalized so node 0 is in the first part (bipartitions
     are only defined up to global negation).
     """
-    balanced = _propagate_signs(G)
-    antibalanced = _propagate_signs(negate(G))
+    tree, sign = G._traversal, G._edge_arrays.sign
+    balanced = _certificate(G, tree.sign, sign)
+    antibalanced = _certificate(G, tree.sign * _parity(tree.depth), -sign)
     if balanced is not None and antibalanced is not None:
         verdict = Verdict.BOTH
     elif balanced is not None:
@@ -166,25 +159,7 @@ def switch(G: SignedGraph, b: Bipartition) -> SignedGraph:
 
 def bipartite_partition(G: SignedGraph) -> Optional[Bipartition]:
     """Proper 2-coloring of the underlying topology, or None if non-bipartite."""
-    n = G.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _ in G.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    color = np.zeros(n, dtype=np.int8)
-    color[0] = 1
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v in adj[u]:
-            if color[v] == 0:
-                color[v] = -color[u]
-                queue.append(v)
-            elif color[v] == color[u]:
-                return None
-    return Bipartition(color).normalized()
+    return _certificate(G, _parity(G._traversal.depth), -1)
 
 
 def is_tree(G: SignedGraph) -> bool:
@@ -200,29 +175,20 @@ def antibalanced_partition_from_bipartite(
     certificate: nodes keeping their color across both partitions form one
     side.  Raises when either input fails to certify its property.
     """
-    if not _is_proper_two_coloring(G, b_bipartite):
+    if b_bipartite.n != G.n or not _edge_holds(G, b_bipartite.s, -1).all():
         raise NotBipartiteError("the given partition is not a proper 2-coloring of the graph")
     if not certifies_balance(G, b_balanced):
         raise NotBalancedError("the given partition does not certify balance")
     return Bipartition(b_bipartite.s * b_balanced.s).normalized()
 
 
-def _is_proper_two_coloring(G: SignedGraph, b: Bipartition) -> bool:
-    if b.n != G.n:
-        return False
-    return all(b.s[i] != b.s[j] for i, j, _ in G.edges)
-
-
 def certifies_balance(G: SignedGraph, b: Bipartition) -> bool:
     """True when every edge satisfies the balance condition under b."""
-    if b.n != G.n:
-        return False
-    s = b.s
-    return all(s[i] * s[j] == (1 if w > 0 else -1) for i, j, w in G.edges)
+    return b.n == G.n and bool(_edge_holds(G, b.s, G._edge_arrays.sign).all())
 
 
 def certifies_antibalance(G: SignedGraph, b: Bipartition) -> bool:
-    return certifies_balance(negate(G), b)
+    return b.n == G.n and bool(_edge_holds(G, b.s, -G._edge_arrays.sign).all())
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +243,9 @@ FrustrationTarget = Literal["balanced", "antibalanced"]
 
 
 def _violations(G: SignedGraph, s: np.ndarray, target: FrustrationTarget) -> list[Edge]:
-    want = 1 if target == "balanced" else -1
-    return [e for e in G.edges if s[e.i] * s[e.j] * (1 if e.w > 0 else -1) != want]
+    sign = G._edge_arrays.sign
+    broken = ~_edge_holds(G, s, sign if target == "balanced" else -sign)
+    return [G.edges[k] for k in np.flatnonzero(broken)]
 
 
 def frustration(G: SignedGraph, target: FrustrationTarget = "balanced",
@@ -351,20 +318,16 @@ def _exact_min_violation_signs(G: SignedGraph, target: FrustrationTarget) -> np.
     """
     n = G.n
     want = 1 if target == "balanced" else -1
-    sigma = [want * (1 if e.w > 0 else -1) for e in G.edges]
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k, (i, j, _) in enumerate(G.edges):
-        adj[i].append((j, k))
-        adj[j].append((i, k))
-
-    deg = [len(a) for a in adj]
+    sigma = (want * G._edge_arrays.sign).tolist()
+    nbrs, eids = G._adjacency
+    deg = [len(a) for a in nbrs]
     peeled: list[tuple[int, int, int]] = []  # (leaf, neighbour, edge)
     stack = [v for v in range(n) if deg[v] == 1]
     while stack:
         v = stack.pop()
         if deg[v] != 1:  # peeled already, or its last neighbour was peeled first
             continue
-        u, k = next((u, k) for u, k in adj[v] if deg[u] >= 0)
+        u, k = next((u, k) for u, k in zip(nbrs[v], eids[v]) if deg[u] >= 0)
         peeled.append((v, u, k))
         deg[v] = -1
         deg[u] -= 1
@@ -377,7 +340,7 @@ def _exact_min_violation_signs(G: SignedGraph, target: FrustrationTarget) -> np.
     chains: list[tuple[list[int], list[int], int]] = []  # (nodes, edges, sigma product)
     used = [False] * G.num_edges
     for a in kernel:
-        for u, k in adj[a]:
+        for u, k in zip(nbrs[a], eids[a]):
             if used[k] or deg[u] < 0:
                 continue
             nodes, ks, product = [a], [], 1
@@ -388,7 +351,7 @@ def _exact_min_violation_signs(G: SignedGraph, target: FrustrationTarget) -> np.
                 product *= sigma[k]
                 if u in index:
                     break
-                u, k = next((x, kk) for x, kk in adj[u] if deg[x] >= 0 and not used[kk])
+                u, k = next((x, kk) for x, kk in zip(nbrs[u], eids[u]) if deg[x] >= 0 and not used[kk])
             chains.append((nodes, ks, product))
 
     rows = np.arange(1 << (len(kernel) - 1), dtype=np.uint32)

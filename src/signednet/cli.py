@@ -7,7 +7,9 @@ All randomized commands take an explicit seed and are fully reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -19,6 +21,7 @@ from .balance import classify
 from .core import SignedGraph
 from .dynamics import (
     ELTConfig,
+    _closed_neighbourhood,
     elt_simulate,
     linear_adjacency_simulate,
     predict_stationary,
@@ -150,13 +153,8 @@ def initial_state(spec: str, G: SignedGraph, l0: float, seed: int) -> np.ndarray
                 raise SignedNetError(f"initial-state spec {spec!r}: value {value!r} is not finite")
         return x
     if head == "neighbourhood" and rest:
-        center = _spec_node(rest, G, spec)
-        x = np.zeros(G.n)
-        x[center] = l0
-        W = G.weight_matrix
-        for j in np.flatnonzero(W[center]):
-            x[j] = l0 * np.sign(W[center, j])
-        return x
+        seed = _closed_neighbourhood(G, _spec_node(rest, G, spec))
+        return np.where(seed != 0, l0 * seed, 0.0)  # +0.0 off the neighbourhood, also for l0 < 0
     raise SignedNetError(f"unknown initial-state spec {spec!r}")
 
 
@@ -210,17 +208,32 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _config_field(config: dict, key: str, default, kind: type):
+    """One simulate-config field of the given JSON type: a nonnegative ``int``
+    (integral floats accepted), a finite ``float``, a ``str``, or a ``list``
+    (or null).  Booleans are not numbers; any other value is a data error."""
+    value = config.get(key, default)
+    if kind in (int, float):
+        x = math.nan
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            with contextlib.suppress(OverflowError):  # integers beyond the float range
+                x = float(value)
+        if math.isfinite(x) and (kind is float or x >= 0 and x.is_integer()):
+            return kind(x)
+    elif isinstance(value, kind) or kind is list and value is None:
+        return value
+    what = {int: "a nonnegative integer", float: "a finite number", str: "a string"}.get(kind, "null or a list")
+    raise ParamOutOfRangeError(f"{key} must be {what}, got {value!r}")
+
+
 def _cmd_simulate(args) -> int:
     G = load_graph(args.input)
     config = json.loads(Path(args.config).read_text())
-    try:
-        horizon = int(config.get("horizon", 50))
-    except ValueError:
-        horizon = -1
-    if horizon < 0:
-        raise ParamOutOfRangeError(f"horizon must be a nonnegative integer, got {config['horizon']!r}")
-    l0 = float(config.get("l0", 1.0))
-    x0 = initial_state(config.get("init", "uniform"), G, l0, args.seed)
+    if not isinstance(config, dict):
+        raise ParamOutOfRangeError("the simulate config must be a JSON object")
+    horizon = _config_field(config, "horizon", 50, int)
+    l0 = _config_field(config, "l0", 1.0, float)
+    x0 = initial_state(_config_field(config, "init", "uniform", str), G, l0, args.seed)
 
     summary: dict = {"model": args.model, "horizon": horizon}
     if args.model == "linear":
@@ -239,11 +252,11 @@ def _cmd_simulate(args) -> int:
             summary["stationary_prediction"] = {"kind": "unsupported", "reason": str(exc)}
     else:
         cfg = ELTConfig(
-            theta_l=float(config.get("theta_l", 1.0)),
-            alpha=float(config.get("alpha", 1.0)),
+            theta_l=_config_field(config, "theta_l", 1.0, float),
+            alpha=_config_field(config, "alpha", 1.0, float),
             l0=l0,
             horizon=horizon,
-            general_thresholds=config.get("general_thresholds"),
+            general_thresholds=_config_field(config, "general_thresholds", None, list),
         )
         traj, acts = elt_simulate(G, x0, cfg)
         summary["activation_sets"] = activation_sets_to_json(acts)

@@ -10,6 +10,10 @@ computed only where a caller reads them (heuristic frustration, the spectral
 theorem check, eigenvector bipartitions, right eigenvectors of P and the
 rank-1 approximation).  Edge weights must be finite and nonzero.
 
+Each graph caches its edge arrays, its adjacency and one breadth-first
+spanning forest from node 0, which decides connectivity and components here
+and balance, antibalance and bipartiteness in :mod:`signednet.balance`.
+
 State convention: dynamics elsewhere use row vectors and left multiplication,
 ``x(t+1) = x(t) @ M``.  The matrices returned here are oriented for that.
 """
@@ -40,6 +44,24 @@ class Edge(NamedTuple):
     i: int
     j: int
     w: float
+
+
+class _EdgeArrays(NamedTuple):
+    """Edge endpoints and signs (+1/-1, int8), in edge order."""
+
+    i: np.ndarray
+    j: np.ndarray
+    sign: np.ndarray
+
+
+class _Traversal(NamedTuple):
+    """Breadth-first forest rooted at node 0, then at each smallest unreached
+    node: per node its component (numbered by smallest node), tree depth and
+    tree-path sign product (int8)."""
+
+    component: np.ndarray
+    depth: np.ndarray
+    sign: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,6 +97,45 @@ class SignedGraph:
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {(e.i, e.j): k for k, e in enumerate(self.edges)}
+
+    @cached_property
+    def _edge_arrays(self) -> _EdgeArrays:
+        i, j, w = zip(*self.edges) if self.edges else ((), (), ())
+        sign = np.where(np.array(w) > 0, 1, -1).astype(np.int8)
+        return _EdgeArrays(np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), sign)
+
+    @cached_property
+    def _adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Neighbours of every node and the indices of the edges to them, in edge order."""
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        eids: list[list[int]] = [[] for _ in range(self.n)]
+        for k, (i, j, _) in enumerate(self.edges):
+            nbrs[i].append(j)
+            eids[i].append(k)
+            nbrs[j].append(i)
+            eids[j].append(k)
+        return nbrs, eids
+
+    @cached_property
+    def _traversal(self) -> _Traversal:
+        (nbrs, eids), edges = self._adjacency, self.edges
+        comp, depth, sign = [-1] * self.n, [0] * self.n, [1] * self.n
+        c = -1
+        for root in range(self.n):
+            if comp[root] >= 0:
+                continue
+            c += 1
+            comp[root] = c
+            queue = [root]
+            for u in queue:  # the loop also visits the nodes appended below
+                for v, k in zip(nbrs[u], eids[u]):
+                    if comp[v] < 0:
+                        comp[v] = c
+                        depth[v] = depth[u] + 1
+                        sign[v] = sign[u] if edges[k].w > 0 else -sign[u]
+                        queue.append(v)
+        return _Traversal(np.array(comp, dtype=np.intp), np.array(depth, dtype=np.intp),
+                          np.array(sign, dtype=np.int8))
 
     @property
     def num_edges(self) -> int:
@@ -115,29 +176,6 @@ def _normalize_edges(n: int, edges: Iterable[tuple]) -> list[Edge]:
     return out
 
 
-def _adjacency_lists(n: int, edges: Sequence[Edge]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _ in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    return adj
-
-
-def _reachable_from_zero(n: int, adj: list[list[int]]) -> list[bool]:
-    seen = [False] * n
-    if n == 0:
-        return seen
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return seen
-
-
 def build_graph(n: int, edges: Iterable[tuple], labels: Optional[Sequence[str]] = None) -> SignedGraph:
     """Validate and build a connected signed graph.
 
@@ -148,16 +186,14 @@ def build_graph(n: int, edges: Iterable[tuple], labels: Optional[Sequence[str]] 
     """
     if n < 1:
         raise IdOutOfRangeError(f"node count must be positive, got {n}")
-    norm = _normalize_edges(n, edges)
-    seen = _reachable_from_zero(n, _adjacency_lists(n, norm))
-    if not all(seen):
-        missing = seen.index(False)
-        raise DisconnectedError(f"graph is disconnected: node {missing} is not reachable from node 0")
-    if labels is not None:
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != n:
-            raise IdOutOfRangeError(f"expected {n} labels, got {len(labels)}")
-    return SignedGraph(n=n, edges=tuple(norm), labels=labels)
+    G = SignedGraph(n=n, edges=tuple(_normalize_edges(n, edges)),
+                    labels=None if labels is None else tuple(str(x) for x in labels))
+    unreached = np.flatnonzero(G._traversal.component)
+    if unreached.size:
+        raise DisconnectedError(f"graph is disconnected: node {unreached[0]} is not reachable from node 0")
+    if G.labels is not None and len(G.labels) != n:
+        raise IdOutOfRangeError(f"expected {n} labels, got {len(G.labels)}")
+    return G
 
 
 def components(n: int, edges: Iterable[tuple]) -> list[tuple[SignedGraph, list[int]]]:
@@ -167,31 +203,17 @@ def components(n: int, edges: Iterable[tuple]) -> list[tuple[SignedGraph, list[i
     ``original_ids[k]`` is the input id of the component's node ``k``.
     Components are ordered by their smallest original node id.
     """
-    norm = _normalize_edges(n, edges)
-    adj = _adjacency_lists(n, norm)
-    comp = [-1] * n
-    order: list[list[int]] = []
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        cid = len(order)
-        stack = [start]
-        comp[start] = cid
-        members = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if comp[v] < 0:
-                    comp[v] = cid
-                    stack.append(v)
-                    members.append(v)
-        order.append(sorted(members))
-    out = []
-    for members in order:
-        remap = {orig: k for k, orig in enumerate(members)}
-        sub = [(remap[i], remap[j], w) for i, j, w in norm if comp[i] == comp[members[0]]]
-        out.append((build_graph(len(members), sub), members))
-    return out
+    whole = SignedGraph(n=n, edges=tuple(_normalize_edges(n, edges)))
+    comp = whole._traversal.component.tolist()
+    members: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
+    remap = [0] * n
+    for v, c in enumerate(comp):
+        remap[v] = len(members[c])
+        members[c].append(v)
+    sub: list[list[tuple[int, int, float]]] = [[] for _ in members]
+    for i, j, w in whole.edges:
+        sub[comp[i]].append((remap[i], remap[j], w))
+    return [(build_graph(len(ids), part), ids) for ids, part in zip(members, sub)]
 
 
 # ---------------------------------------------------------------------------

@@ -261,14 +261,17 @@ class ELTConfig:
     general_thresholds: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.theta_l <= 0 or self.alpha <= 0 or self.l0 <= 0:
-            raise NonpositiveThresholdError("theta_l, alpha and l0 must all be positive")
+        if not all(0 < v < np.inf for v in (self.theta_l, self.alpha, self.l0)):
+            raise NonpositiveThresholdError("theta_l, alpha and l0 must all be positive and finite")
         if self.horizon < 0:
             raise ParamOutOfRangeError("horizon must be nonnegative")
         if self.general_thresholds is not None:
-            table = np.array(self.general_thresholds, dtype=float, copy=True)
-            if np.any(table <= 0):
-                raise NonpositiveThresholdError("every threshold must be positive")
+            try:
+                table = np.array(self.general_thresholds, dtype=float, copy=True)
+            except (TypeError, ValueError):
+                raise ParamOutOfRangeError("general_thresholds must be a rectangular numeric table") from None
+            if not np.all((table > 0) & (table < np.inf)):
+                raise NonpositiveThresholdError("every threshold must be positive and finite")
             table.flags.writeable = False
             object.__setattr__(self, "general_thresholds", table)
 
@@ -393,6 +396,16 @@ def certain_propagation_check(G: SignedGraph, theta_l: float) -> bool:
     return theta_l <= dbar / 2.0
 
 
+def _closed_neighbourhood(G: SignedGraph, center: int, orientation: int = 1) -> np.ndarray:
+    """Closed-neighbourhood seed signs: +1 at the center, ``orientation`` times
+    the connecting edge's sign at each neighbour, 0 elsewhere."""
+    nbrs, eids = G._adjacency
+    seed = np.zeros(G.n, dtype=np.int64)
+    seed[center] = 1
+    seed[nbrs[center]] = orientation * G._edge_arrays.sign[eids[center]]
+    return seed
+
+
 LatticeMode = Literal["balanced", "antibalanced"]
 
 
@@ -428,12 +441,8 @@ def elt_lattice_simulate(G: SignedGraph, seed_center: int, cfg: ELTConfig,
     if mode not in ("balanced", "antibalanced"):
         raise ParamOutOfRangeError(f"unknown mode {mode!r}")
 
+    sigma = _closed_neighbourhood(G, seed_center, 1 if mode == "balanced" else -1)
     A = np.sign(G.weight_matrix).astype(np.int64)
-    sigma = np.zeros(G.n, dtype=np.int64)
-    sigma[seed_center] = 1
-    orientation = 1 if mode == "balanced" else -1
-    for j in np.flatnonzero(A[seed_center]):
-        sigma[j] = orientation * A[seed_center, j]
 
     levels = np.concatenate([[cfg.l0], cfg.l0 * np.cumprod(np.full(cfg.horizon, cfg.theta_l * cfg.alpha))])
     states = np.zeros((cfg.horizon + 1, G.n))

@@ -211,7 +211,7 @@ def random_signed_tree(n: int, sign_prob: float, seed: int = 0, alpha: float = 1
 
 
 # ---------------------------------------------------------------------------
-# JSON parameter round-trip (CLI surface)
+# JSON sign plans (CLI surface)
 # ---------------------------------------------------------------------------
 
 def sign_plan_from_json(doc: dict) -> SignPlan:
@@ -224,12 +224,3 @@ def sign_plan_from_json(doc: dict) -> SignPlan:
         return FlipKPlan(k=int(doc["k"]), seed=int(doc.get("seed", 0)), base_rule=doc.get("base_rule", "all"))
     raise ParamOutOfRangeError(f"unknown sign plan kind {kind!r}")
 
-
-def sign_plan_to_json(plan: SignPlan) -> dict:
-    if isinstance(plan, BalancedPlan):
-        return {"kind": "balanced", "rule": plan.rule}
-    if isinstance(plan, AntibalancedPlan):
-        return {"kind": "antibalanced", "rule": plan.rule}
-    if isinstance(plan, FlipKPlan):
-        return {"kind": "flip_k", "k": plan.k, "seed": plan.seed, "base_rule": plan.base_rule}
-    raise ParamOutOfRangeError(f"unknown sign plan {plan!r}")

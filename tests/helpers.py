@@ -1,27 +1,83 @@
 """Independent oracles and corpus builders shared across test modules.
 
 These deliberately avoid the code paths they are used to check: balance is
-decided by enumerating simple cycles, frustration by exhausting edge subsets
-or all node signings, and spectra come from numpy's nonsymmetric solver.
+decided by enumerating simple cycles or by a hand-written sign-propagating
+traversal with its own adjacency lists, frustration by exhausting edge subsets
+or all node signings, components by union-find, and spectra come from numpy's
+nonsymmetric solver.
 """
 
 import itertools
+from typing import Optional
 
 import numpy as np
 
-from signednet import SignedGraph, build_graph
-from signednet.balance import apply_flip_set, classify
+from signednet import SignedGraph
+from signednet.balance import Bipartition, apply_flip_set, negate
 from signednet.verify import cycle_sign_oracle, enumerate_simple_cycles, random_connected_corpus
 
 __all__ = [
     "cycle_sign_oracle",
     "enumerate_simple_cycles",
     "random_connected_corpus",
+    "propagate_signs",
+    "components_by_union_find",
     "frustration_by_edge_subsets",
     "frustration_by_node_signings",
     "nonsymmetric_eigenvalues",
     "random_symmetric_matrix",
 ]
+
+
+def propagate_signs(G: SignedGraph) -> Optional[Bipartition]:
+    """Balance certificate by a slow spanning traversal; None when some edge
+    refutes it.  Apply it to ``negate(G)`` for the antibalance certificate.
+
+    Forces s_j = sign(W_ij) * s_i along a BFS tree from node 0, visiting
+    neighbours in increasing order, then checks the constraint edge by edge.
+    """
+    n = G.n
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for i, j, w in G.edges:
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    for lst in adj:
+        lst.sort()
+    s = np.zeros(n, dtype=np.int8)
+    s[0] = 1
+    queue = [0]
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        for v, w in adj[u]:
+            forced = s[u] * (1 if w > 0 else -1)
+            if s[v] == 0:
+                s[v] = forced
+                queue.append(v)
+    for i, j, w in G.edges:
+        if s[i] * s[j] != (1 if w > 0 else -1):
+            return None
+    return Bipartition(s).normalized()
+
+
+def components_by_union_find(n: int, pairs) -> list[list[int]]:
+    """Node groups of the graph on n nodes with the given edges, each sorted,
+    ordered by smallest member."""
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i, j in pairs:
+        parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values())
 
 
 def frustration_by_edge_subsets(G: SignedGraph, target: str) -> int:
@@ -30,10 +86,7 @@ def frustration_by_edge_subsets(G: SignedGraph, target: str) -> int:
     for size in range(G.num_edges + 1):
         for subset in itertools.combinations(G.edges, size):
             flipped = apply_flip_set(G, [(e.i, e.j) for e in subset])
-            c = classify(flipped)
-            if target == "balanced" and c.is_balanced:
-                return size
-            if target == "antibalanced" and c.is_antibalanced:
+            if propagate_signs(flipped if target == "balanced" else negate(flipped)) is not None:
                 return size
     raise AssertionError("unreachable: flipping everything reaches some structure")
 

@@ -9,6 +9,7 @@ from signednet.errors import (
     EdgeListParseError,
     IdOutOfRangeError,
     NonFiniteWeightError,
+    NonpositiveThresholdError,
     SignedNetError,
 )
 from signednet.io import (
@@ -249,9 +250,18 @@ class TestInitialStateSpecs:
         assert np.array_equal(a, b)
         assert np.abs(a).sum() == pytest.approx(1.0)
 
+    def test_neighbourhood_spec_follows_the_edge_signs(self, strictly_unbalanced_4):
+        W = strictly_unbalanced_4.weight_matrix
+        for center in range(4):
+            for l0 in (0.5, -0.5):
+                x = initial_state(f"neighbourhood:{center}", strictly_unbalanced_4, l0, 0)
+                expected = l0 * np.sign(W[center]) + 0.0
+                expected[center] = l0
+                assert np.array_equal(x, expected) and not np.signbit(x[expected == 0]).any()
+
 
 class TestSimulateInputBoundary:
-    """Bad initial-state specs and horizons are data errors (exit 2) on every model."""
+    """Bad initial-state specs and config fields are data errors (exit 2)."""
 
     def run(self, tmp_path, capsys, config):
         net = tmp_path / "tri.edges"
@@ -296,3 +306,37 @@ class TestSimulateInputBoundary:
         for value in ("zz", "nan"):
             codes, err = self.run(tmp_path, capsys, {"init": f"node:1={value}"})
             assert codes == [2, 2, 2] and f"value '{value}'" in err
+
+    @pytest.mark.parametrize("config, expected, message", [
+        ({"l0": "abc"}, [2, 2, 2], "l0 must be a finite number, got 'abc'"),
+        ({"l0": float("nan")}, [2, 2, 2], "l0 must be a finite number, got nan"),
+        ({"l0": 10 ** 400}, [2, 2, 2], "l0 must be a finite number, got 1000"),  # beyond the float range
+        ({"init": 7}, [2, 2, 2], "init must be a string, got 7"),
+        ({"horizon": 2.5}, [2, 2, 2], "horizon must be a nonnegative integer, got 2.5"),
+        ({"horizon": True}, [2, 2, 2], "horizon must be a nonnegative integer, got True"),
+        ({"theta_l": "x"}, [0, 0, 2], "theta_l must be a finite number, got 'x'"),
+        ({"theta_l": float("inf")}, [0, 0, 2], "theta_l must be a finite number, got inf"),
+        ({"alpha": float("nan")}, [0, 0, 2], "alpha must be a finite number, got nan"),
+        ({"general_thresholds": "abc"}, [0, 0, 2], "general_thresholds must be null or a list, got 'abc'"),
+        ({"general_thresholds": [["x", 1, 1]]}, [0, 0, 2], "general_thresholds must be a rectangular numeric table"),
+        ({"horizon": 2, "general_thresholds": [[1, 1, 1], [1]]}, [0, 0, 2],
+         "general_thresholds must be a rectangular numeric table"),
+        ({"horizon": 1, "general_thresholds": [[float("nan"), 1, 1]]}, [0, 0, 2],
+         "every threshold must be positive and finite"),
+        ([1], [2, 2, 2], "the simulate config must be a JSON object"),
+    ])
+    def test_bad_config_fields(self, tmp_path, capsys, config, expected, message):
+        codes, err = self.run(tmp_path, capsys, config)
+        assert codes == expected and message in err
+
+    def test_integral_float_horizon_is_accepted(self, tmp_path, capsys):
+        codes, _ = self.run(tmp_path, capsys, {"horizon": 2.0})
+        assert codes == [0, 0, 0]
+        assert read_trajectory_csv(tmp_path / "traj.csv").shape[0] == 3
+
+    def test_elt_config_refuses_non_finite_values(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(NonpositiveThresholdError, match="positive and finite"):
+                sn.ELTConfig(theta_l=bad, alpha=1.0, l0=1.0, horizon=2)
+            with pytest.raises(NonpositiveThresholdError, match="positive and finite"):
+                sn.ELTConfig(theta_l=1.0, alpha=1.0, l0=1.0, horizon=1, general_thresholds=[[1.0, bad]])

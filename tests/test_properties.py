@@ -1,12 +1,21 @@
 """Property tests for the structural invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import signednet as sn
 from signednet.balance import Bipartition, apply_flip_set
+from signednet.errors import DisconnectedError
 
-from helpers import frustration_by_edge_subsets, frustration_by_node_signings, nonsymmetric_eigenvalues
+from helpers import (
+    components_by_union_find,
+    enumerate_simple_cycles,
+    frustration_by_edge_subsets,
+    frustration_by_node_signings,
+    nonsymmetric_eigenvalues,
+    propagate_signs,
+)
 
 
 @st.composite
@@ -171,3 +180,79 @@ def test_kernel_reduced_frustration_matches_both_references(G):
         assert rep.partition.s[0] == 1
         fixed = sn.classify(apply_flip_set(G, [(e.i, e.j) for e in rep.flip_set]))
         assert fixed.is_balanced if target == "balanced" else fixed.is_antibalanced
+
+
+# ---------------------------------------------------------------------------
+# the cached traversal against slow references
+# ---------------------------------------------------------------------------
+
+@st.composite
+def planted_signed_graphs(draw):
+    """A connected graph whose signs are kept, or re-planted from a node
+    signing so that it is balanced or antibalanced."""
+    G = draw(connected_signed_graphs())
+    plant = draw(st.sampled_from(["none", "balanced", "antibalanced"]))
+    if plant == "none":
+        return G
+    s = draw(st.lists(st.sampled_from([-1, 1]), min_size=G.n, max_size=G.n))
+    flip = 1 if plant == "balanced" else -1
+    return sn.build_graph(G.n, [(i, j, flip * s[i] * s[j] * abs(w)) for i, j, w in G.edges])
+
+
+@given(planted_signed_graphs())
+@example(sn.build_graph(1, []))
+@example(sn.build_graph(4, [(0, 1, 1.0), (1, 2, -1.0), (2, 3, 1.0), (0, 3, -1.0)]))  # balanced and bipartite
+def test_classify_matches_the_reference_traversal(G):
+    c = sn.classify(G)
+    ref_b, ref_a = propagate_signs(G), propagate_signs(sn.negate(G))
+    for got, ref in ((c.balanced_partition, ref_b), (c.antibalanced_partition, ref_a)):
+        assert (got is None) == (ref is None)
+        assert got is None or np.array_equal(got.s, ref.s)
+    verdicts = {(True, True): "both", (True, False): "balanced",
+                (False, True): "antibalanced", (False, False): "strictly_unbalanced"}
+    assert c.verdict.value == verdicts[ref_b is not None, ref_a is not None]
+
+
+@given(connected_signed_graphs())
+@example(sn.build_graph(6, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, -1.0), (3, 4, 1.0), (4, 5, 1.0), (0, 5, 1.0),
+                            (0, 3, -1.0)]))  # even cycle with a chord across it
+@example(sn.build_graph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (0, 4, 1.0)]))  # odd cycle
+def test_bipartite_partition_exists_exactly_without_odd_cycles(G):
+    b = sn.bipartite_partition(G)
+    assert (b is None) == any(len(cycle) % 2 for cycle in enumerate_simple_cycles(G))
+    if b is not None:
+        assert b.s[0] == 1 and all(b.s[i] != b.s[j] for i, j, _ in G.edges)
+
+
+@st.composite
+def signed_edge_sets(draw, max_n=9):
+    """Node count plus edges in any order and orientation, often disconnected."""
+    n = draw(st.integers(1, max_n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n + 1))
+    unique = {(min(i, j), max(i, j)): (i, j) for i, j in pairs if i != j}
+    weights = draw(st.lists(st.sampled_from([-2.0, -1.0, 0.5, 1.0]), min_size=len(unique), max_size=len(unique)))
+    edges = [(i, j, w) for (i, j), w in zip(unique.values(), weights)]
+    return n, draw(st.permutations(edges))
+
+
+@given(signed_edge_sets())
+def test_components_match_union_find(case):
+    n, edges = case
+    parts = sn.components(n, edges)
+    assert [ids for _, ids in parts] == components_by_union_find(n, [(i, j) for i, j, _ in edges])
+    back = sorted((ids[i], ids[j], w) for G, ids in parts for i, j, w in G.edges)
+    assert back == sorted((min(i, j), max(i, j), w) for i, j, w in edges)
+
+
+@given(signed_edge_sets())
+@example((3, [(0, 1, 1.0)]))
+@example((4, [(2, 3, -1.0), (0, 2, 1.0)]))
+def test_disconnected_error_names_the_smallest_unreached_node(case):
+    n, edges = case
+    reached = components_by_union_find(n, [(i, j) for i, j, _ in edges])[0]
+    missing = sorted(set(range(n)) - set(reached))
+    if not missing:
+        assert sn.build_graph(n, edges).n == n
+    else:
+        with pytest.raises(DisconnectedError, match=rf"node {missing[0]} is not reachable from node 0$"):
+            sn.build_graph(n, edges)
