@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -30,6 +31,7 @@ from .dynamics import (
 from .errors import (
     BipartiteUnsupportedError,
     IdOutOfRangeError,
+    NonFiniteStateError,
     ParamOutOfRangeError,
     SignedNetError,
     VerificationFailure,
@@ -65,6 +67,7 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="signednet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"signednet {__version__}")
@@ -240,13 +243,13 @@ def _cmd_simulate(args) -> int:
         traj = linear_adjacency_simulate(G, x0, horizon)
     elif args.model == "rw":
         traj = simulate_walk_until_stationary(G, x0, max_steps=horizon)
-        summary["realized_final_state"] = [float(v) for v in traj.final]
+        summary["realized_final_state"] = traj.final.tolist()
         summary["steps_run"] = traj.horizon
         try:
             pred = predict_stationary(G, x0)
             summary["stationary_prediction"] = {
                 "kind": pred.kind.value,
-                "vectors": [[float(v) for v in vec] for vec in pred.vectors],
+                "vectors": [vec.tolist() for vec in pred.vectors],
             }
         except BipartiteUnsupportedError as exc:
             summary["stationary_prediction"] = {"kind": "unsupported", "reason": str(exc)}
@@ -261,8 +264,13 @@ def _cmd_simulate(args) -> int:
         traj, acts = elt_simulate(G, x0, cfg)
         summary["activation_sets"] = activation_sets_to_json(acts)
 
+    finite = np.isfinite(traj.states).all(axis=1)
+    if not finite.all():
+        step = int(np.argmin(finite))
+        raise NonFiniteStateError(f"simulate {args.model}: the state is not finite from step {step} "
+                                  f"of {traj.horizon}; lower the horizon or rescale the weights")
     if args.format == "json":
-        doc = {"states": [[float(v) for v in row] for row in traj.states], **summary}
+        doc = {"states": traj.states.tolist(), **summary}
         dump_json(doc, args.output)
     else:
         write_trajectory_csv(traj.states, args.output)

@@ -105,6 +105,10 @@ class BipartiteUnsupportedError(SignedNetError):
     """No closed-form stationary state is available for bipartite graphs."""
 
 
+class NonFiniteStateError(SignedNetError):
+    """A simulated state overflowed to inf or nan; the message names the first such step."""
+
+
 # ---- generators -----------------------------------------------------------
 
 class ParamOutOfRangeError(SignedNetError):

@@ -6,6 +6,12 @@ whitespace separation.  Node tokens may all be integers (used directly as
 0-based ids, node count inferred as max id + 1 unless declared) or all be
 arbitrary labels, which are mapped to ids in order of first appearance with
 the label table retained on the graph.
+
+Trajectory CSV: a ``t,node,value`` header, then one row per step ``t`` and
+node, ``t``-major; every line ends in CRLF (``\\r\\n``, the ``csv`` module's
+default terminator); each value is ``repr`` of the state as a Python float,
+the shortest text that reads back to the same double (``nan``, ``inf`` and
+``-0.0`` included).
 """
 
 from __future__ import annotations
@@ -128,12 +134,26 @@ def write_trajectory_csv(states: np.ndarray, out: Union[PathLike, TextIO]) -> No
             _write_trajectory(states, fh)
 
 
+_BLOCK_VALUES = 2048  # values formatted per block; bounds the extra memory
+_T = "<t>"  # step placeholder in the row template
+
+
 def _write_trajectory(states: np.ndarray, fh: TextIO) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["t", "node", "value"])
-    for t, row in enumerate(np.asarray(states)):
-        for node, value in enumerate(row):
-            writer.writerow([t, node, repr(float(value))])
+    states = np.asarray(states)
+    n = states.shape[1]
+    fh.write("t,node,value\r\n")
+    template = "".join(f"{_T},{node},%s\r\n" for node in range(n))
+    step = max(1, _BLOCK_VALUES // max(n, 1))
+    for start in range(0, states.shape[0], step):
+        block = np.ascontiguousarray(states[start:start + step], dtype=np.float64)
+        # distinct values by bit pattern: float equality would merge -0.0 with 0.0
+        bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+        texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        values = texts[inverse].tolist()
+        fh.write("".join(
+            template.replace(_T, str(start + r)) % tuple(values[r * n:(r + 1) * n])
+            for r in range(block.shape[0])
+        ))
 
 
 def read_trajectory_csv(path: PathLike) -> np.ndarray:

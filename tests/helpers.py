@@ -3,12 +3,13 @@
 These deliberately avoid the code paths they are used to check: balance is
 decided by enumerating simple cycles or by a hand-written sign-propagating
 traversal with its own adjacency lists, frustration by exhausting edge subsets
-or all node signings, components by union-find, and spectra come from numpy's
-nonsymmetric solver.
+or all node signings, components by union-find, spectra come from numpy's
+nonsymmetric solver, and trajectory CSV from one ``csv.writer`` row per value.
 """
 
+import csv
 import itertools
-from typing import Optional
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "frustration_by_node_signings",
     "nonsymmetric_eigenvalues",
     "random_symmetric_matrix",
+    "write_trajectory_reference",
 ]
 
 
@@ -120,3 +122,14 @@ def nonsymmetric_eigenvalues(M: np.ndarray) -> np.ndarray:
 def random_symmetric_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     M = rng.standard_normal((n, n))
     return (M + M.T) / 2.0
+
+
+def write_trajectory_reference(states: np.ndarray, fh: TextIO) -> None:
+    """Trajectory CSV by one ``csv.writer`` row and one ``repr`` per value:
+    the slow writer that ``signednet.io.write_trajectory_csv`` must match
+    byte for byte."""
+    writer = csv.writer(fh)
+    writer.writerow(["t", "node", "value"])
+    for t, row in enumerate(np.asarray(states)):
+        for node, value in enumerate(row):
+            writer.writerow([t, node, repr(float(value))])

@@ -1,18 +1,27 @@
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import signednet as sn
-from signednet.cli import initial_state, main
+from signednet.cli import _cmd_simulate, build_parser, initial_state, main
 from signednet.errors import (
     EdgeListParseError,
     IdOutOfRangeError,
+    NonFiniteStateError,
     NonFiniteWeightError,
     NonpositiveThresholdError,
     SignedNetError,
 )
 from signednet.io import (
+    _BLOCK_VALUES,
     dump_json,
     format_edge_list,
     load_graph,
@@ -20,6 +29,8 @@ from signednet.io import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
+
+from helpers import write_trajectory_reference
 
 
 class TestEdgeListFormat:
@@ -61,6 +72,37 @@ class TestEdgeListFormat:
         assert again.labels == G.labels and again.edges == G.edges
 
 
+_SPECIAL_VALUES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
+                   1e300, -1e300, 1.0, -1.0, 0.1, 1 / 3]
+
+
+@st.composite
+def trajectories(draw):
+    """States mixing special and arbitrary floats, heavily repeated, in shapes
+    around the writer's block size: no rows, one node, a block boundary
+    inside the array, and rows wider than one block."""
+    block = _BLOCK_VALUES
+    n = draw(st.sampled_from([0, 1, 2, 3, 500, block - 1, block, block + 1]))
+    per_block = max(1, block // max(n, 1))
+    rows = draw(st.sampled_from([0, 1, 2, per_block - 1, per_block, per_block + 1, 2 * per_block + 1]))
+    pool = draw(st.lists(st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats(width=64)), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = np.array(pool)[rng.integers(len(pool), size=(rows, n))]
+    if draw(st.booleans()):  # also many distinct values, of every magnitude
+        distinct = rng.standard_normal(states.shape) * 10.0 ** rng.integers(-320, 300, states.shape)
+        states = np.where(rng.random(states.shape) < 0.5, distinct, states)
+    return states
+
+
+def assert_same_lines(actual, expected):
+    """Equal text or bytes; on failure names the first differing line, since
+    pytest's own diff of megabyte strings takes minutes."""
+    if actual != expected:
+        got, want = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+        k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"line {k}: {got[k:k + 1]!r} != {want[k:k + 1]!r} ({len(got)} vs {len(want)} lines)")
+
+
 class TestTrajectoryCSV:
     def test_round_trip(self, tmp_path):
         states = np.array([[0.0, 1.0], [0.5, -0.25], [0.125, 0.0]])
@@ -68,6 +110,21 @@ class TestTrajectoryCSV:
         write_trajectory_csv(states, path)
         assert path.read_text().splitlines()[0] == "t,node,value"
         assert np.array_equal(read_trajectory_csv(path), states)
+
+    @given(trajectories())
+    @example(np.array([[0.0, -0.0, np.nan, -np.nan], [-0.0, 0.0, np.inf, -np.inf]]))  # -0.0 == 0.0 as floats
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_the_csv_writer_reference(self, states):
+        expected, actual = io.StringIO(), io.StringIO()
+        write_trajectory_reference(states, expected)
+        write_trajectory_csv(states, actual)
+        assert_same_lines(actual.getvalue(), expected.getvalue())
+        with tempfile.TemporaryDirectory() as tmp:
+            ref_path, path = Path(tmp) / "ref.csv", Path(tmp) / "traj.csv"
+            with open(ref_path, "w", newline="") as fh:
+                write_trajectory_reference(states, fh)
+            write_trajectory_csv(states, path)
+            assert_same_lines(path.read_bytes(), ref_path.read_bytes())
 
 
 class TestCLI:
@@ -195,6 +252,33 @@ class TestCLI:
                      "--output", str(out), "--format", "json"]) == 0
         doc = json.loads(out.read_text())
         assert doc["states"][1] == [0.0, 1.0, 1.0]
+
+    def test_repeated_calls_in_one_process_match_separate_runs(self, tmp_path, capsys):
+        path = self.write_triangle(tmp_path, sign=-1.0)
+        calls = [
+            ["measure", "--input", str(path)],
+            ["classify"],  # usage error: missing --input
+            ["--version"],
+            ["classify", "--input", str(path), "--frustration", "balanced"],
+            ["nosuchcommand"],
+            ["measure", "--input", str(path)],
+        ]
+        in_process = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        env = {**os.environ, "PYTHONPATH": str(Path(sn.__file__).resolve().parents[1])}
+        separate = []
+        for argv in calls:
+            run = subprocess.run([sys.executable, "-m", "signednet.cli", *argv],
+                                 env=env, capture_output=True, text=True)
+            separate.append((run.returncode, run.stdout, run.stderr))
+        assert in_process == separate
+        assert [code for code, _, _ in in_process] == [0, 1, 0, 0, 1, 0]
 
     def test_verify_subcommand_runs_a_suite(self, capsys):
         assert main(["verify", "walks"]) == 0
@@ -328,6 +412,19 @@ class TestSimulateInputBoundary:
     def test_bad_config_fields(self, tmp_path, capsys, config, expected, message):
         codes, err = self.run(tmp_path, capsys, config)
         assert codes == expected and message in err
+
+    def test_overflowing_states_are_refused_before_writing(self, tmp_path, capsys):
+        codes, err = self.run(tmp_path, capsys, {"horizon": 2000})
+        assert codes == [2, 0, 0] and "simulate linear: the state is not finite from step 1026 of 2000" in err
+        for fmt in ("csv", "json"):
+            argv = ["simulate", "linear", "--input", str(tmp_path / "tri.edges"), "--config",
+                    str(tmp_path / "sim.json"), "--output", str(tmp_path / f"overflow.{fmt}"), "--format", fmt]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert not (tmp_path / f"overflow.{fmt}").exists()
+            with pytest.raises(NonFiniteStateError, match="from step 1026"):
+                _cmd_simulate(build_parser().parse_args(argv))
 
     def test_integral_float_horizon_is_accepted(self, tmp_path, capsys):
         codes, _ = self.run(tmp_path, capsys, {"horizon": 2.0})
