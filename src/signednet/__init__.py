@@ -11,16 +11,13 @@ all of it.  The ``signednet`` command line exposes the same functionality.
 """
 
 from .core import (
-    DegreeVector,
     Edge,
     SignedGraph,
     build_graph,
     components,
-    degree_vector,
     doubled_adjacency,
     doubled_transition,
     random_walk_laplacian,
-    sign_adjacency,
     signed_laplacian,
     symmetrized_transition,
     transition_matrix,

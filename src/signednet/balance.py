@@ -22,8 +22,9 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .core import Edge, SignedGraph, build_graph
+from .core import Edge, SignedGraph
 from .errors import (
+    EdgeNotPresentError,
     NotBalancedError,
     NotBipartiteError,
     TooLargeError,
@@ -102,8 +103,7 @@ def _parity(depth: np.ndarray) -> np.ndarray:
 def _edge_holds(G: SignedGraph, s: np.ndarray, required) -> np.ndarray:
     """Per edge, whether its endpoint signs multiply to ``required``: the edge
     sign for balance, its negation for antibalance, -1 for a 2-coloring."""
-    e = G._edge_arrays
-    return s[e.i] * s[e.j] == required
+    return s[G.i] * s[G.j] == required
 
 
 def _certificate(G: SignedGraph, s: np.ndarray, required) -> Optional[Bipartition]:
@@ -113,11 +113,7 @@ def _certificate(G: SignedGraph, s: np.ndarray, required) -> Optional[Bipartitio
 
 def negate(G: SignedGraph) -> SignedGraph:
     """Same topology with every edge sign flipped."""
-    return SignedGraph(
-        n=G.n,
-        edges=tuple(Edge(i, j, -w) for i, j, w in G.edges),
-        labels=G.labels,
-    )
+    return G._reweighted(-G.w)
 
 
 def classify(G: SignedGraph) -> BalanceClassification:
@@ -126,7 +122,7 @@ def classify(G: SignedGraph) -> BalanceClassification:
     Certificates are normalized so node 0 is in the first part (bipartitions
     are only defined up to global negation).
     """
-    tree, sign = G._traversal, G._edge_arrays.sign
+    tree, sign = G._traversal, G.sign
     balanced = _certificate(G, tree.sign, sign)
     antibalanced = _certificate(G, tree.sign * _parity(tree.depth), -sign)
     if balanced is not None and antibalanced is not None:
@@ -149,21 +145,12 @@ def switch(G: SignedGraph, b: Bipartition) -> SignedGraph:
     """
     if b.n != G.n:
         raise ValueError(f"bipartition covers {b.n} nodes, graph has {G.n}")
-    s = b.s
-    return SignedGraph(
-        n=G.n,
-        edges=tuple(Edge(i, j, float(s[i] * s[j]) * w) for i, j, w in G.edges),
-        labels=G.labels,
-    )
+    return G._reweighted(b.s[G.i] * b.s[G.j] * G.w)
 
 
 def bipartite_partition(G: SignedGraph) -> Optional[Bipartition]:
     """Proper 2-coloring of the underlying topology, or None if non-bipartite."""
     return _certificate(G, _parity(G._traversal.depth), -1)
-
-
-def is_tree(G: SignedGraph) -> bool:
-    return G.num_edges == G.n - 1
 
 
 def antibalanced_partition_from_bipartite(
@@ -184,11 +171,7 @@ def antibalanced_partition_from_bipartite(
 
 def certifies_balance(G: SignedGraph, b: Bipartition) -> bool:
     """True when every edge satisfies the balance condition under b."""
-    return b.n == G.n and bool(_edge_holds(G, b.s, G._edge_arrays.sign).all())
-
-
-def certifies_antibalance(G: SignedGraph, b: Bipartition) -> bool:
-    return b.n == G.n and bool(_edge_holds(G, b.s, -G._edge_arrays.sign).all())
+    return b.n == G.n and bool(_edge_holds(G, b.s, G.sign).all())
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +226,8 @@ FrustrationTarget = Literal["balanced", "antibalanced"]
 
 
 def _violations(G: SignedGraph, s: np.ndarray, target: FrustrationTarget) -> list[Edge]:
-    sign = G._edge_arrays.sign
-    broken = ~_edge_holds(G, s, sign if target == "balanced" else -sign)
-    return [G.edges[k] for k in np.flatnonzero(broken)]
+    broken = ~_edge_holds(G, s, G.sign if target == "balanced" else -G.sign)
+    return list(map(Edge, G.i[broken].tolist(), G.j[broken].tolist(), G.w[broken].tolist()))
 
 
 def frustration(G: SignedGraph, target: FrustrationTarget = "balanced",
@@ -318,7 +300,7 @@ def _exact_min_violation_signs(G: SignedGraph, target: FrustrationTarget) -> np.
     """
     n = G.n
     want = 1 if target == "balanced" else -1
-    sigma = (want * G._edge_arrays.sign).tolist()
+    sigma = (want * G.sign).tolist()
     nbrs, eids = G._adjacency
     deg = [len(a) for a in nbrs]
     peeled: list[tuple[int, int, int]] = []  # (leaf, neighbour, edge)
@@ -369,7 +351,7 @@ def _exact_min_violation_signs(G: SignedGraph, target: FrustrationTarget) -> np.
         if s[nodes[0]] * s[nodes[-1]] == product:
             cut = last + 1
         else:
-            cut = max(range(len(ks)), key=lambda t: (-abs(G.edges[ks[t]].w), G.edges[ks[t]][:2]))
+            cut = max(range(len(ks)), key=lambda t: (-abs(G.w[ks[t]]), G.i[ks[t]], G.j[ks[t]]))
         for t in range(min(cut, last)):
             s[nodes[t + 1]] = sigma[ks[t]] * s[nodes[t]]
         for t in range(last, cut, -1):
@@ -381,13 +363,11 @@ def _exact_min_violation_signs(G: SignedGraph, target: FrustrationTarget) -> np.
 
 def apply_flip_set(G: SignedGraph, flip_set) -> SignedGraph:
     """Flip the sign of the given edges (present edges only)."""
-    from .errors import EdgeNotPresentError
-
-    keys = set()
-    for e in flip_set:
-        key = (min(e[0], e[1]), max(e[0], e[1]))
-        if key not in G.edge_index:
-            raise EdgeNotPresentError(f"edge {key} is not present in the graph")
-        keys.add(key)
-    edges = [Edge(i, j, -w if (i, j) in keys else w) for i, j, w in G.edges]
-    return build_graph(G.n, edges, labels=G.labels)
+    pairs = [(e[0], e[1]) for e in flip_set]
+    ks = G._edge_ids([a for a, _ in pairs], [b for _, b in pairs])
+    if (ks < 0).any():
+        a, b = pairs[int(np.argmax(ks < 0))]
+        raise EdgeNotPresentError(f"edge {(min(a, b), max(a, b))} is not present in the graph")
+    w = G.w.copy()
+    w[ks] = -G.w[ks]
+    return G._reweighted(w)

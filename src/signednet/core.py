@@ -1,18 +1,22 @@
 """Signed graph representation and the matrices derived from it.
 
 A :class:`SignedGraph` is an undirected, connected, weighted graph whose edge
-weights carry a sign.  All matrix constructions used elsewhere in the package
-(adjacency, Laplacians, transition matrices and their doubled two-species
-variants) are built here as dense numpy arrays; the intended scale is a few
-thousand nodes at most.  :mod:`signednet.spectral` solves them: the balance
-measures and spectral radii take eigenvalues only, and eigenvectors are
-computed only where a caller reads them (heuristic frustration, the spectral
-theorem check, eigenvector bipartitions, right eigenvectors of P and the
-rank-1 approximation).  Edge weights must be finite and nonzero.
-
-Each graph caches its edge arrays, its adjacency and one breadth-first
+weights carry a sign.  It stores its edges as read-only arrays in input
+order: endpoints ``i < j`` and weights ``w``.  All else is cached on first
+access: edge signs, sorted edge keys ``i * n + j`` for lookups, adjacency
+lists, the dense matrices, the ``edges`` tuple view, and one breadth-first
 spanning forest from node 0, which decides connectivity and components here
 and balance, antibalance and bipartiteness in :mod:`signednet.balance`.
+Weights must be finite and nonzero.  A connected graph has n <= m + 1, and
+:func:`build_graph` checks that before it allocates anything of size n, so
+a far node id fails at once instead of allocating memory by id.
+
+Matrices are dense numpy arrays; the intended scale is a few thousand nodes
+at most.  :mod:`signednet.spectral` solves them: the balance measures and
+spectral radii take eigenvalues only, and eigenvectors are computed only
+where a caller reads them (heuristic frustration, the spectral theorem
+check, eigenvector bipartitions, right eigenvectors of P and the rank-1
+approximation).
 
 State convention: dynamics elsewhere use row vectors and left multiplication,
 ``x(t+1) = x(t) @ M``.  The matrices returned here are oriented for that.
@@ -30,6 +34,7 @@ import numpy as np
 from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
+    GraphConstructionError,
     IdOutOfRangeError,
     NonFiniteWeightError,
     SelfLoopError,
@@ -39,19 +44,13 @@ from .errors import (
 #: weights smaller than this in magnitude are rejected so sign(w) stays defined
 WEIGHT_TOLERANCE = 1e-15
 
+_INT64 = np.iinfo(np.int64)
+
 
 class Edge(NamedTuple):
     i: int
     j: int
     w: float
-
-
-class _EdgeArrays(NamedTuple):
-    """Edge endpoints and signs (+1/-1, int8), in edge order."""
-
-    i: np.ndarray
-    j: np.ndarray
-    sign: np.ndarray
 
 
 class _Traversal(NamedTuple):
@@ -64,52 +63,63 @@ class _Traversal(NamedTuple):
     sign: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedGraph:
     """Undirected connected signed graph with 0-based contiguous node ids.
 
-    Instances are immutable; every derived matrix is cached on first access
-    and safe to share across threads.  Use :func:`build_graph` to construct a
-    validated instance -- the constructor itself does not validate.
+    Edge k joins ``i[k] < j[k]`` with weight ``w[k]``.  Instances are
+    immutable; every derived array is cached on first access and safe to
+    share across threads.  Use :func:`build_graph` to construct a validated
+    instance -- the constructor itself does not validate.
     """
 
     n: int
-    edges: tuple[Edge, ...]
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
     labels: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self):
+        for a in (self.i, self.j, self.w):
+            a.flags.writeable = False
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as ``(i, j, w)`` records of Python numbers, in edge order."""
+        return tuple(map(Edge, self.i.tolist(), self.j.tolist(), self.w.tolist()))
+
+    @cached_property
+    def sign(self) -> np.ndarray:
+        """Edge signs, +1/-1 as int8, in edge order."""
+        return _readonly(np.where(self.w > 0, 1, -1).astype(np.int8))
 
     @cached_property
     def weight_matrix(self) -> np.ndarray:
         """Symmetric signed weighted adjacency matrix W."""
         W = np.zeros((self.n, self.n))
-        for i, j, w in self.edges:
-            W[i, j] = w
-            W[j, i] = w
-        W.flags.writeable = False
-        return W
+        W[self.i, self.j] = self.w
+        W[self.j, self.i] = self.w
+        return _readonly(W)
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Absolute-weight degree of every node, d_i = sum_j |W_ij|."""
-        d = np.abs(self.weight_matrix).sum(axis=1)
-        d.flags.writeable = False
-        return d
+        return _readonly(np.abs(self.weight_matrix).sum(axis=1))
 
     @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {(e.i, e.j): k for k, e in enumerate(self.edges)}
-
-    @cached_property
-    def _edge_arrays(self) -> _EdgeArrays:
-        i, j, w = zip(*self.edges) if self.edges else ((), (), ())
-        sign = np.where(np.array(w) > 0, 1, -1).astype(np.int8)
-        return _EdgeArrays(np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), sign)
+    def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge keys ``i * n + j`` in ascending order with the edge index of
+        each, both ending in a sentinel (int64 max, edge -1) that no key reaches."""
+        keys = self.i * self.n + self.j
+        order = np.argsort(keys)
+        return np.append(keys[order], _INT64.max), np.append(order, -1)
 
     @cached_property
     def _adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
         """Neighbours of every node and the indices of the edges to them, in edge order."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         eids: list[list[int]] = [[] for _ in range(self.n)]
-        for k, (i, j, _) in enumerate(self.edges):
+        for k, (i, j) in enumerate(zip(self.i.tolist(), self.j.tolist())):
             nbrs[i].append(j)
             eids[i].append(k)
             nbrs[j].append(i)
@@ -118,7 +128,7 @@ class SignedGraph:
 
     @cached_property
     def _traversal(self) -> _Traversal:
-        (nbrs, eids), edges = self._adjacency, self.edges
+        (nbrs, eids), edge_sign = self._adjacency, self.sign.tolist()
         comp, depth, sign = [-1] * self.n, [0] * self.n, [1] * self.n
         c = -1
         for root in range(self.n):
@@ -132,48 +142,95 @@ class SignedGraph:
                     if comp[v] < 0:
                         comp[v] = c
                         depth[v] = depth[u] + 1
-                        sign[v] = sign[u] if edges[k].w > 0 else -sign[u]
+                        sign[v] = sign[u] * edge_sign[k]
                         queue.append(v)
         return _Traversal(np.array(comp, dtype=np.intp), np.array(depth, dtype=np.intp),
                           np.array(sign, dtype=np.int8))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.w)
+
+    def _edge_ids(self, a, b) -> np.ndarray:
+        """Index of the edge joining ``a[t]`` and ``b[t]`` (either order), -1 where there is none."""
+        a, b = _id_array(a), _id_array(b)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keys, order = self._sorted_keys
+        key = np.where((lo >= 0) & (hi < self.n), lo * self.n + hi, -1)
+        pos = np.searchsorted(keys, key)
+        return np.where(keys[pos] == key, order[pos], -1)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edge_index
+        return bool(self._edge_ids([i], [j])[0] >= 0)
 
     def weight(self, i: int, j: int) -> float:
-        return self.edges[self.edge_index[(min(i, j), max(i, j))]].w
+        k = self._edge_ids([i], [j])[0]
+        if k < 0:
+            raise KeyError((min(i, j), max(i, j)))
+        return float(self.w[k])
+
+    def _reweighted(self, w: np.ndarray) -> "SignedGraph":
+        """Same topology and labels with the float array ``w`` as weights (not
+        validated; the new graph makes ``w`` read-only)."""
+        return SignedGraph(self.n, self.i, self.j, w, self.labels)
 
     def with_weights(self, new_weights: Sequence[float]) -> "SignedGraph":
         """Same topology with replaced weights (still validated for zeros)."""
-        if len(new_weights) != len(self.edges):
+        if len(new_weights) != self.num_edges:
             raise ValueError("expected one weight per edge")
-        edges = [Edge(e.i, e.j, float(w)) for e, w in zip(self.edges, new_weights)]
-        return build_graph(self.n, edges, labels=self.labels)
+        return self._reweighted(_checked_edges(self.n, self.i, self.j, new_weights)[2])
 
 
-def _normalize_edges(n: int, edges: Iterable[tuple]) -> list[Edge]:
-    out: list[Edge] = []
-    seen: set[tuple[int, int]] = set()
-    for raw in edges:
-        i, j, w = int(raw[0]), int(raw[1]), float(raw[2])
-        if not (0 <= i < n and 0 <= j < n):
-            raise IdOutOfRangeError(f"edge ({i}, {j}) uses a node id outside [0, {n})")
-        if i == j:
-            raise SelfLoopError(f"self-loop at node {i} is not allowed")
-        if not math.isfinite(w):
-            raise NonFiniteWeightError(f"edge ({i}, {j}) has non-finite weight {w!r}")
-        if abs(w) < WEIGHT_TOLERANCE:
-            raise ZeroWeightError(f"edge ({i}, {j}) has weight {w!r}; |w| must exceed {WEIGHT_TOLERANCE}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise DuplicateEdgeError(f"unordered pair ({key[0]}, {key[1]}) appears more than once")
-        seen.add(key)
-        out.append(Edge(key[0], key[1], w))
-    return out
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _id_array(ids) -> np.ndarray:
+    """Node ids as int64; ids beyond the int64 range become -1, which no range check admits."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array([v if _INT64.min <= v <= _INT64.max else -1 for v in map(int, ids)], dtype=np.int64)
+
+
+def _edge_error(n: int, i, j, w) -> GraphConstructionError:
+    """The error of one invalid edge, checked in the same order as :func:`_checked_edges`."""
+    i, j, w = int(i), int(j), float(w)
+    if not (0 <= i < n and 0 <= j < n):
+        return IdOutOfRangeError(f"edge ({i}, {j}) uses a node id outside [0, {n})")
+    if i == j:
+        return SelfLoopError(f"self-loop at node {i} is not allowed")
+    if not math.isfinite(w):
+        return NonFiniteWeightError(f"edge ({i}, {j}) has non-finite weight {w!r}")
+    if abs(w) < WEIGHT_TOLERANCE:
+        return ZeroWeightError(f"edge ({i}, {j}) has weight {w!r}; |w| must exceed {WEIGHT_TOLERANCE}")
+    return DuplicateEdgeError(f"unordered pair ({min(i, j)}, {max(i, j)}) appears more than once")
+
+
+def _checked_edges(n: int, i: Sequence, j: Sequence, w: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated edge arrays ``(lo, hi, w)`` in input order, with ``lo < hi``.
+
+    Every check runs as an array mask, repeated pairs through a stable
+    lexicographic sort (no key that could overflow); the first bad edge in
+    input order raises the error an edge-by-edge pass would.
+    """
+    a, b, weights = _id_array(i), _id_array(j), np.array(w, dtype=float)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    bad = (lo < 0) | (hi >= n) | (lo == hi) | ~np.isfinite(weights) | (np.abs(weights) < WEIGHT_TOLERANCE)
+    order = np.lexsort((hi, lo))
+    lo_s, hi_s = lo[order], hi[order]
+    bad[order[1:]] |= (lo_s[1:] == lo_s[:-1]) & (hi_s[1:] == hi_s[:-1])
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise _edge_error(n, i[k], j[k], w[k])
+    return lo, hi, weights
+
+
+def _columns(edges: Iterable[tuple]) -> tuple[list, list, list]:
+    """Ids and weights of ``(i, j, w)`` triples as three lists."""
+    edges = list(edges)
+    return [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges]
 
 
 def build_graph(n: int, edges: Iterable[tuple], labels: Optional[Sequence[str]] = None) -> SignedGraph:
@@ -184,13 +241,28 @@ def build_graph(n: int, edges: Iterable[tuple], labels: Optional[Sequence[str]] 
     the offending edge or node on invalid input, including when the graph is
     disconnected (use :func:`components` to split such input first).
     """
+    return _connected_graph(n, *_columns(edges), labels=labels)
+
+
+def _connected_graph(n: int, i: Sequence, j: Sequence, w: Sequence,
+                     labels: Optional[Sequence[str]] = None) -> SignedGraph:
+    """:func:`build_graph` on ids and weights given as three sequences."""
     if n < 1:
         raise IdOutOfRangeError(f"node count must be positive, got {n}")
-    G = SignedGraph(n=n, edges=tuple(_normalize_edges(n, edges)),
-                    labels=None if labels is None else tuple(str(x) for x in labels))
-    unreached = np.flatnonzero(G._traversal.component)
-    if unreached.size:
-        raise DisconnectedError(f"graph is disconnected: node {unreached[0]} is not reachable from node 0")
+    if n > _INT64.max:
+        raise IdOutOfRangeError(f"node ids must be below {_INT64.max}, got a node count of {n}")
+    lo, hi, w = _checked_edges(n, i, j, w)
+    G = SignedGraph(n, lo, hi, w, None if labels is None else tuple(str(x) for x in labels))
+    if n <= len(w) + 1:
+        ids, searched = np.arange(n), G
+    else:  # too few edges to connect n nodes: search node 0 and the ids in use only
+        ids, compact = np.unique(np.concatenate(([0], lo, hi)), return_inverse=True)
+        searched = SignedGraph(len(ids), compact[1:len(w) + 1], compact[len(w) + 1:], w)
+    reached = ids[searched._traversal.component == 0]
+    if len(reached) < n:
+        gaps = np.flatnonzero(reached != np.arange(len(reached)))
+        node = gaps[0] if gaps.size else len(reached)
+        raise DisconnectedError(f"graph is disconnected: node {node} is not reachable from node 0")
     if G.labels is not None and len(G.labels) != n:
         raise IdOutOfRangeError(f"expected {n} labels, got {len(G.labels)}")
     return G
@@ -203,48 +275,25 @@ def components(n: int, edges: Iterable[tuple]) -> list[tuple[SignedGraph, list[i
     ``original_ids[k]`` is the input id of the component's node ``k``.
     Components are ordered by their smallest original node id.
     """
-    whole = SignedGraph(n=n, edges=tuple(_normalize_edges(n, edges)))
-    comp = whole._traversal.component.tolist()
-    members: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
-    remap = [0] * n
-    for v, c in enumerate(comp):
-        remap[v] = len(members[c])
-        members[c].append(v)
-    sub: list[list[tuple[int, int, float]]] = [[] for _ in members]
-    for i, j, w in whole.edges:
-        sub[comp[i]].append((remap[i], remap[j], w))
-    return [(build_graph(len(ids), part), ids) for ids, part in zip(members, sub)]
+    lo, hi, w = _checked_edges(n, *_columns(edges))
+    comp = SignedGraph(n, lo, hi, w)._traversal.component
+    sizes = np.bincount(comp)
+    nodes = np.argsort(comp, kind="stable")  # grouped by component, ascending within each
+    local = np.empty(n, dtype=np.int64)
+    local[nodes] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    by_comp = np.argsort(comp[lo], kind="stable")  # edges grouped the same way, in input order
+    edge_ends = np.cumsum(np.bincount(comp[lo], minlength=len(sizes)))
+    return [(SignedGraph(len(ids), local[lo[ks]], local[hi[ks]], w[ks]), ids.tolist())
+            for ids, ks in zip(np.split(nodes, np.cumsum(sizes))[:-1], np.split(by_comp, edge_ends))]
 
 
 # ---------------------------------------------------------------------------
 # degree and matrix constructions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DegreeVector:
-    """Absolute-weight degrees plus their total (twice the total edge weight)."""
-
-    d: np.ndarray
-    total: float
-
-
-def degree_vector(G: SignedGraph) -> DegreeVector:
-    d = G.degrees
-    return DegreeVector(d=d, total=float(d.sum()))
-
-
 def unsigned_counterpart(G: SignedGraph) -> SignedGraph:
     """Same topology with all weights replaced by their absolute values."""
-    return SignedGraph(
-        n=G.n,
-        edges=tuple(Edge(i, j, abs(w)) for i, j, w in G.edges),
-        labels=G.labels,
-    )
-
-
-def sign_adjacency(G: SignedGraph) -> np.ndarray:
-    """Entrywise sign of the weight matrix, entries in {-1, 0, 1}."""
-    return np.sign(G.weight_matrix)
+    return G._reweighted(np.abs(G.w))
 
 
 def signed_laplacian(G: SignedGraph) -> np.ndarray:
@@ -283,15 +332,11 @@ def symmetrized_transition(G: SignedGraph) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-def positive_negative_split(G: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """W = W+ - W- with both parts entrywise nonnegative, disjoint supports."""
-    W = G.weight_matrix
-    return np.where(W > 0, W, 0.0), np.where(W < 0, -W, 0.0)
-
-
 def doubled_adjacency(G: SignedGraph) -> np.ndarray:
-    """2n x 2n block matrix [[W+, W-], [W-, W+]] of the two-species walk."""
-    Wp, Wm = positive_negative_split(G)
+    """2n x 2n block matrix [[W+, W-], [W-, W+]] of the two-species walk,
+    where W = W+ - W- with both parts entrywise nonnegative."""
+    W = G.weight_matrix
+    Wp, Wm = np.where(W > 0, W, 0.0), np.where(W < 0, -W, 0.0)
     return np.block([[Wp, Wm], [Wm, Wp]])
 
 

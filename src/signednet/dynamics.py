@@ -71,9 +71,10 @@ def _iterate(M: np.ndarray, x0: np.ndarray, horizon: int) -> np.ndarray:
     states = np.empty((horizon + 1, x0.shape[0]))
     states[0] = x0
     x = x0
-    for t in range(1, horizon + 1):
-        x = x @ M
-        states[t] = x
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check for non-finite states
+        for t in range(1, horizon + 1):
+            x = x @ M
+            states[t] = x
     return states
 
 
@@ -367,7 +368,7 @@ def ring_lattice_parameters(G: SignedGraph) -> tuple[int, float]:
     :class:`NotLatticeError`.
     """
     n = G.n
-    mags = np.array([abs(w) for _, _, w in G.edges])
+    mags = np.abs(G.w)
     if mags.size == 0:
         raise NotLatticeError("graph has no edges")
     alpha = float(mags[0])
@@ -379,9 +380,9 @@ def ring_lattice_parameters(G: SignedGraph) -> tuple[int, float]:
     dbar = 2 * half
     if not (2 <= dbar < n):
         raise NotLatticeError(f"degree {dbar} is not a valid ring-lattice degree for n={n}")
-    expected = {(min(i, (i + o) % n), max(i, (i + o) % n)) for i in range(n) for o in range(1, half + 1)}
-    actual = {(i, j) for i, j, _ in G.edges}
-    if expected != actual:
+    a = np.repeat(np.arange(n), half)
+    b = (a + np.tile(np.arange(1, half + 1), n)) % n  # offsets below n/2 give distinct pairs
+    if not np.array_equal(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), G._sorted_keys[0][:-1]):
         raise NotLatticeError("edge set is not a circulant nearest-neighbour ring")
     return dbar, alpha
 
@@ -402,7 +403,7 @@ def _closed_neighbourhood(G: SignedGraph, center: int, orientation: int = 1) -> 
     nbrs, eids = G._adjacency
     seed = np.zeros(G.n, dtype=np.int64)
     seed[center] = 1
-    seed[nbrs[center]] = orientation * G._edge_arrays.sign[eids[center]]
+    seed[nbrs[center]] = orientation * G.sign[eids[center]]
     return seed
 
 

@@ -16,14 +16,13 @@ the shortest text that reads back to the same double (``nan``, ``inf`` and
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Optional, TextIO, Union
 
 import numpy as np
 
-from .core import SignedGraph, build_graph
+from .core import SignedGraph, _connected_graph
 from .errors import EdgeListParseError
 
 PathLike = Union[str, Path]
@@ -40,9 +39,10 @@ def _data_lines(text: str):
 def parse_edge_list(text: str) -> SignedGraph:
     """Parse edge-list text into a validated :class:`SignedGraph`."""
     declared_n: Optional[int] = None
-    edges: list[tuple[int, int, float]] = []
-    labels: Optional[dict[str, int]] = None
-    int_mode: Optional[bool] = None
+    ids_i: list[int] = []
+    ids_j: list[int] = []
+    weights: list[float] = []
+    labels: Optional[dict[str, int]] = None  # set when the first edge line has a non-integer id
     first = True
 
     for line_no, line in _data_lines(text):
@@ -62,41 +62,31 @@ def parse_edge_list(text: str) -> SignedGraph:
             w = float(tok_w)
         except ValueError:
             raise EdgeListParseError(line_no, f"invalid weight {tok_w!r}")
-        if int_mode is None:
-            int_mode = _is_int(tok_i) and _is_int(tok_j)
-            if not int_mode:
+        if labels is None:
+            try:
+                i, j = int(tok_i), int(tok_j)
+            except ValueError:
+                if weights:
+                    raise EdgeListParseError(line_no, f"mixed integer ids and labels at {line!r}")
                 labels = {}
-        if int_mode:
-            if not (_is_int(tok_i) and _is_int(tok_j)):
-                raise EdgeListParseError(line_no, f"mixed integer ids and labels at {line!r}")
-            i, j = int(tok_i), int(tok_j)
-        else:
-            assert labels is not None
+        if labels is not None:
             i = labels.setdefault(tok_i, len(labels))
             j = labels.setdefault(tok_j, len(labels))
-        edges.append((i, j, w))
+        ids_i.append(i)
+        ids_j.append(j)
+        weights.append(w)
 
-    if not edges and declared_n is None:
+    if not weights and declared_n is None:
         raise EdgeListParseError(1, "no edges found")
-    inferred_n = 1 + max((max(i, j) for i, j, _ in edges), default=-1)
-    n = declared_n if declared_n is not None else inferred_n
     label_table = None
     if labels is not None:
-        label_table = [""] * len(labels)
-        for name, idx in labels.items():
-            label_table[idx] = name
+        label_table = list(labels)  # dicts keep insertion order, which is id order
         if declared_n is not None and declared_n != len(labels):
             raise EdgeListParseError(1, f"declared n {declared_n} does not match {len(labels)} labels")
         n = len(labels)
-    return build_graph(n, edges, labels=label_table)
-
-
-def _is_int(tok: str) -> bool:
-    try:
-        int(tok)
-        return True
-    except ValueError:
-        return False
+    else:
+        n = declared_n if declared_n is not None else 1 + max(max(ids_i), max(ids_j))
+    return _connected_graph(n, ids_i, ids_j, weights, labels=label_table)
 
 
 def load_graph(path: PathLike) -> SignedGraph:
@@ -109,11 +99,8 @@ def format_edge_list(G: SignedGraph, header: Optional[str] = None) -> str:
     if header:
         lines.extend(f"# {h}" for h in header.splitlines())
     lines.append(f"n {G.n}")
-    for i, j, w in G.edges:
-        if G.labels is not None:
-            lines.append(f"{G.labels[i]} {G.labels[j]} {w!r}")
-        else:
-            lines.append(f"{i} {j} {w!r}")
+    names = G.labels if G.labels is not None else range(G.n)
+    lines.extend(f"{names[i]} {names[j]} {w!r}" for i, j, w in zip(G.i.tolist(), G.j.tolist(), G.w.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -154,22 +141,6 @@ def _write_trajectory(states: np.ndarray, fh: TextIO) -> None:
             template.replace(_T, str(start + r)) % tuple(values[r * n:(r + 1) * n])
             for r in range(block.shape[0])
         ))
-
-
-def read_trajectory_csv(path: PathLike) -> np.ndarray:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append((int(rec["t"]), int(rec["node"]), float(rec["value"])))
-    if not rows:
-        return np.zeros((0, 0))
-    T = max(r[0] for r in rows)
-    n = max(r[1] for r in rows) + 1
-    states = np.zeros((T + 1, n))
-    for t, node, value in rows:
-        states[t, node] = value
-    return states
 
 
 def activation_sets_to_json(activations) -> list[dict]:

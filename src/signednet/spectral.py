@@ -133,14 +133,10 @@ def adjacency_spectrum(G: SignedGraph) -> Spectrum:
     return eigendecompose_symmetric(G.weight_matrix)
 
 
-def transition_spectrum(G: SignedGraph) -> Spectrum:
-    """Spectrum of P via P_sym; eigenvectors are those of P_sym, not P."""
-    return eigendecompose_symmetric(symmetrized_transition(G))
-
-
 def transition_right_eigenvectors(G: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of P (descending) with right eigenvectors of P itself."""
-    spec = transition_spectrum(G)
+    """Eigenvalues of P (descending) with right eigenvectors of P itself,
+    mapped from the eigenvectors of P_sym."""
+    spec = eigendecompose_symmetric(symmetrized_transition(G))
     inv_sqrt = 1.0 / np.sqrt(G.degrees)
     return spec.eigenvalues, inv_sqrt[:, None] * spec.eigenvectors
 

@@ -82,7 +82,7 @@ def enumerate_simple_cycles(G: SignedGraph) -> list[list[int]]:
     and reflection).  Exponential; intended for desk-scale oracles only."""
     n = G.n
     adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _ in G.edges:
+    for i, j in zip(G.i.tolist(), G.j.tolist()):
         adj[i].append(j)
         adj[j].append(i)
     cycles = []
@@ -220,7 +220,7 @@ def criterion_measures() -> CriterionResult:
     for G in balanced[:10] + antibalanced[:10] + strictly[:10]:
         m = balance_measures(G)
         for factor in (10.0, 0.01):
-            scaled = balance_measures(G.with_weights([e.w * factor for e in G.edges]))
+            scaled = balance_measures(G.with_weights(G.w * factor))
             worst_scale = max(worst_scale, abs(scaled.d_b - m.d_b), abs(scaled.d_a - m.d_a))
     ok &= worst_scale < 1e-10
     details.append(f"zero-iff over 250 draws, scale dev {worst_scale:.2e} (< 1e-10)")
@@ -254,7 +254,7 @@ def criterion_highland_tribes() -> CriterionResult:
     G = datasets.highland_tribes()
     m = balance_measures(G)
     verdict = classify(G).verdict
-    scaled = balance_measures(G.with_weights([10.0 * e.w for e in G.edges]))
+    scaled = balance_measures(G.with_weights(10.0 * G.w))
     scale_dev = max(abs(scaled.d_b - m.d_b), abs(scaled.d_a - m.d_a))
     problems = []
     if verdict is not Verdict.STRICTLY_UNBALANCED or G.n != 16:
@@ -352,10 +352,11 @@ def criterion_perturbation() -> CriterionResult:
         if not classify(G).is_balanced:
             continue
         rng = np.random.default_rng(1000 + trial)
-        e = G.edges[int(rng.integers(0, G.num_edges))]
-        est = perturbation_estimate(G, [(e.i, e.j)])
+        k = int(rng.integers(0, G.num_edges))
+        flip = [(G.i[k], G.j[k])]
+        est = perturbation_estimate(G, flip)
         predicted_db = -est.delta_max
-        measured_db = balance_measures(apply_flip_set(G, [(e.i, e.j)])).d_b
+        measured_db = balance_measures(apply_flip_set(G, flip)).d_b
         if abs(measured_db - predicted_db) / measured_db < 0.15:
             hits += 1
     passed = hits >= int(np.ceil(0.9 * trials))

@@ -4,17 +4,28 @@ These deliberately avoid the code paths they are used to check: balance is
 decided by enumerating simple cycles or by a hand-written sign-propagating
 traversal with its own adjacency lists, frustration by exhausting edge subsets
 or all node signings, components by union-find, spectra come from numpy's
-nonsymmetric solver, and trajectory CSV from one ``csv.writer`` row per value.
+nonsymmetric solver, edge validation from one Python pass over the edges, and
+trajectory CSV from one ``csv.writer`` row per value (read back by a strict
+``csv`` reader).
 """
 
 import csv
 import itertools
-from typing import Optional, TextIO
+import math
+from typing import Iterable, Optional, TextIO
 
 import numpy as np
 
 from signednet import SignedGraph
 from signednet.balance import Bipartition, apply_flip_set, negate
+from signednet.core import WEIGHT_TOLERANCE, Edge
+from signednet.errors import (
+    DuplicateEdgeError,
+    IdOutOfRangeError,
+    NonFiniteWeightError,
+    SelfLoopError,
+    ZeroWeightError,
+)
 from signednet.verify import cycle_sign_oracle, enumerate_simple_cycles, random_connected_corpus
 
 __all__ = [
@@ -27,6 +38,8 @@ __all__ = [
     "frustration_by_node_signings",
     "nonsymmetric_eigenvalues",
     "random_symmetric_matrix",
+    "normalize_edges_reference",
+    "read_trajectory_csv",
     "write_trajectory_reference",
 ]
 
@@ -133,3 +146,49 @@ def write_trajectory_reference(states: np.ndarray, fh: TextIO) -> None:
     for t, row in enumerate(np.asarray(states)):
         for node, value in enumerate(row):
             writer.writerow([t, node, repr(float(value))])
+
+
+def read_trajectory_csv(path) -> np.ndarray:
+    """The (T+1, n) states of a trajectory CSV.  Raises ValueError unless the
+    rows hold every ``(t, node)`` pair of the grid exactly once."""
+    with open(path, newline="") as fh:
+        rows = [(int(r["t"]), int(r["node"]), float(r["value"])) for r in csv.DictReader(fh)]
+    if not rows:
+        return np.zeros((0, 0))
+    steps = max(t for t, _, _ in rows) + 1
+    n = max(node for _, node, _ in rows) + 1
+    states = np.full((steps, n), np.nan)
+    seen = np.zeros((steps, n), dtype=bool)
+    for t, node, value in rows:
+        if seen[t, node]:
+            raise ValueError(f"row for t={t}, node={node} is repeated")
+        seen[t, node] = True
+        states[t, node] = value
+    if not seen.all():
+        t, node = np.argwhere(~seen)[0]
+        raise ValueError(f"row for t={t}, node={node} is missing")
+    return states
+
+
+def normalize_edges_reference(n: int, edges: Iterable[tuple]) -> list[Edge]:
+    """Edge-by-edge validation: the first bad edge raises, checked for range,
+    self-loop, finite weight, nonzero weight, then repeated pair.  Valid edges
+    come back as ``(min, max, w)`` records in input order."""
+    out: list[Edge] = []
+    seen: set[tuple[int, int]] = set()
+    for raw in edges:
+        i, j, w = int(raw[0]), int(raw[1]), float(raw[2])
+        if not (0 <= i < n and 0 <= j < n):
+            raise IdOutOfRangeError(f"edge ({i}, {j}) uses a node id outside [0, {n})")
+        if i == j:
+            raise SelfLoopError(f"self-loop at node {i} is not allowed")
+        if not math.isfinite(w):
+            raise NonFiniteWeightError(f"edge ({i}, {j}) has non-finite weight {w!r}")
+        if abs(w) < WEIGHT_TOLERANCE:
+            raise ZeroWeightError(f"edge ({i}, {j}) has weight {w!r}; |w| must exceed {WEIGHT_TOLERANCE}")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise DuplicateEdgeError(f"unordered pair ({key[0]}, {key[1]}) appears more than once")
+        seen.add(key)
+        out.append(Edge(key[0], key[1], w))
+    return out

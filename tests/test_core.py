@@ -56,19 +56,19 @@ class TestBuildGraph:
 
 class TestDegrees:
     def test_triangle_degrees(self, triangle_positive):
-        dv = sn.degree_vector(triangle_positive)
-        assert np.allclose(dv.d, [2, 2, 2]) and dv.total == 6
+        d = triangle_positive.degrees
+        assert np.allclose(d, [2, 2, 2]) and d.sum() == 6
 
     def test_dyad_negative_degree_uses_absolute_value(self, dyad_negative):
-        assert np.allclose(sn.degree_vector(dyad_negative).d, [1, 1])
+        assert np.allclose(dyad_negative.degrees, [1, 1])
 
     def test_four_cycle_small_weights(self):
         G = sn.build_graph(4, [(0, 1, -0.1), (1, 2, 0.1), (2, 3, -0.1), (0, 3, 0.1)])
-        assert np.allclose(sn.degree_vector(G).d, [0.2, 0.2, 0.2, 0.2])
+        assert np.allclose(G.degrees, [0.2, 0.2, 0.2, 0.2])
 
     def test_degrees_invariant_under_unsigned_counterpart(self):
         for G in random_connected_corpus(25, seed=5):
-            assert np.array_equal(sn.degree_vector(G).d, sn.degree_vector(sn.unsigned_counterpart(G)).d)
+            assert np.array_equal(G.degrees, sn.unsigned_counterpart(G).degrees)
 
 
 class TestUnsignedAndSignAdjacency:
@@ -82,22 +82,23 @@ class TestUnsignedAndSignAdjacency:
 
     def test_sign_adjacency_entries(self):
         G = sn.build_graph(3, [(0, 1, 0.1), (1, 2, -0.1), (0, 2, -3.0)])
-        A = sn.sign_adjacency(G)
+        A = np.sign(G.weight_matrix)
         assert A[0, 1] == 1 and A[1, 2] == -1 and A[0, 2] == -1 and A[0, 0] == 0
-        assert np.array_equal(np.abs(A), sn.sign_adjacency(sn.unsigned_counterpart(G)))
+        assert np.array_equal(A, A.T) and np.array_equal(G.sign, [1, -1, -1])
+        assert np.array_equal(np.abs(A), np.sign(sn.unsigned_counterpart(G).weight_matrix))
 
 
 class TestLaplacians:
     def test_positive_triangle_laplacian_row_sums_zero(self, triangle_positive):
         L = sn.signed_laplacian(triangle_positive)
-        A = sn.sign_adjacency(triangle_positive)
+        A = np.sign(triangle_positive.weight_matrix)
         assert np.allclose(L, 2 * np.eye(3) - A)
         assert np.allclose(L.sum(axis=1), 0)
 
     def test_negative_triangle_laplacian_row_sums(self, triangle_negative):
         # L = D - W = 2I + |A|: every row sums to 4
         L = sn.signed_laplacian(triangle_negative)
-        assert np.allclose(L, 2 * np.eye(3) + np.abs(sn.sign_adjacency(triangle_negative)))
+        assert np.allclose(L, 2 * np.eye(3) + np.abs(np.sign(triangle_negative.weight_matrix)))
         assert np.allclose(L.sum(axis=1), 4)
 
     def test_signed_laplacian_positive_semidefinite(self):
@@ -181,10 +182,10 @@ class TestDoubledSystem:
         assert np.allclose(P2.sum(axis=1), 1.0)
 
     def test_positive_negative_split_disjoint(self):
-        from signednet.core import positive_negative_split
-
         for G in random_connected_corpus(20, seed=31):
-            Wp, Wm = positive_negative_split(G)
+            W2 = sn.doubled_adjacency(G)
+            Wp, Wm = W2[:G.n, :G.n], W2[:G.n, G.n:]
+            assert np.array_equal(W2[G.n:, G.n:], Wp) and np.array_equal(W2[G.n:, :G.n], Wm)
             assert np.all(Wp >= 0) and np.all(Wm >= 0)
             assert not np.any((Wp > 0) & (Wm > 0))
             assert np.allclose(Wp - Wm, G.weight_matrix)

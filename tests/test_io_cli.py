@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import signednet as sn
 from signednet.cli import _cmd_simulate, build_parser, initial_state, main
 from signednet.errors import (
+    DisconnectedError,
     EdgeListParseError,
     IdOutOfRangeError,
     NonFiniteStateError,
@@ -26,11 +28,10 @@ from signednet.io import (
     format_edge_list,
     load_graph,
     parse_edge_list,
-    read_trajectory_csv,
     write_trajectory_csv,
 )
 
-from helpers import write_trajectory_reference
+from helpers import read_trajectory_csv, write_trajectory_reference
 
 
 class TestEdgeListFormat:
@@ -110,6 +111,16 @@ class TestTrajectoryCSV:
         write_trajectory_csv(states, path)
         assert path.read_text().splitlines()[0] == "t,node,value"
         assert np.array_equal(read_trajectory_csv(path), states)
+
+    @pytest.mark.parametrize("rows, problem", [
+        ("0,0,1.5\r\n0,1,2.5\r\n1,1,3.5\r\n", "t=1, node=0 is missing"),
+        ("0,0,1.5\r\n0,0,2.5\r\n", "t=0, node=0 is repeated"),
+    ])
+    def test_reference_reader_refuses_incomplete_grids(self, tmp_path, rows, problem):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,node,value\r\n" + rows, newline="")
+        with pytest.raises(ValueError, match=problem):
+            read_trajectory_csv(path)
 
     @given(trajectories())
     @example(np.array([[0.0, -0.0, np.nan, -np.nan], [-0.0, 0.0, np.inf, -np.inf]]))  # -0.0 == 0.0 as floats
@@ -312,6 +323,46 @@ class TestNonFiniteWeights:
             dump_json({"d_b": float("nan")})
 
 
+class TestFarNodeIds:
+    """Node ids far beyond the edge count fail fast: a connected graph has
+    n <= m + 1, and ids or node counts beyond int64 are refused outright."""
+
+    @pytest.mark.parametrize("text, error", [
+        ("99999999999999999999 1 1.0\n0 1 1\n",
+         "node ids must be below 9223372036854775807, got a node count of 100000000000000000000"),
+        ("0 9223372036854775807 1\n",
+         "node ids must be below 9223372036854775807, got a node count of 9223372036854775808"),
+        ("-99999999999999999999 1 1\n0 1 1\n",
+         "edge (-99999999999999999999, 1) uses a node id outside [0, 2)"),
+        ("0 1 1\n1 1000000 1\n", "graph is disconnected: node 2 is not reachable from node 0"),
+        ("n 1000000000000\n0 1 1\n", "graph is disconnected: node 2 is not reachable from node 0"),
+        ("0 5 1\n5 1000000 1\n1 2 1\n", "graph is disconnected: node 1 is not reachable from node 0"),
+    ])
+    def test_cli_exits_with_one_error_line(self, tmp_path, capsys, text, error):
+        path = tmp_path / "far.edges"
+        path.write_text(text)
+        for command in ("classify", "measure"):
+            assert main([command, "--input", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {error}\n"
+
+    def test_far_id_fails_without_allocating_by_id(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedError, match="node 2 is not reachable"):
+                parse_edge_list("0 1 1\n1 1000000 1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+    def test_ids_beyond_int64_are_out_of_range(self):
+        with pytest.raises(IdOutOfRangeError, match=r"edge \(0, 100000000000000000000\) uses a node id outside"):
+            sn.build_graph(3, [(0, 1, 1.0), (0, 10**20, 1.0)])
+        with pytest.raises(IdOutOfRangeError, match="node ids must be below"):
+            sn.build_graph(2**63, [(0, 1, 1.0)])
+
+
 class TestInitialStateSpecs:
     def test_uniform_and_node_spec(self, triangle_positive):
         from signednet.cli import initial_state
@@ -415,7 +466,14 @@ class TestSimulateInputBoundary:
 
     def test_overflowing_states_are_refused_before_writing(self, tmp_path, capsys):
         codes, err = self.run(tmp_path, capsys, {"horizon": 2000})
-        assert codes == [2, 0, 0] and "simulate linear: the state is not finite from step 1026 of 2000" in err
+        message = ("error: simulate linear: the state is not finite from step 1026 of 2000; "
+                   "lower the horizon or rescale the weights\n")
+        assert codes == [2, 0, 0] and err == message
+        env = {**os.environ, "PYTHONPATH": str(Path(sn.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-m", "signednet.cli", "simulate", "linear", "--input",
+                              str(tmp_path / "tri.edges"), "--config", str(tmp_path / "sim.json"),
+                              "--output", str(tmp_path / "overflow.csv")], env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stdout, run.stderr) == (2, "", message)  # no numpy overflow warnings
         for fmt in ("csv", "json"):
             argv = ["simulate", "linear", "--input", str(tmp_path / "tri.edges"), "--config",
                     str(tmp_path / "sim.json"), "--output", str(tmp_path / f"overflow.{fmt}"), "--format", fmt]

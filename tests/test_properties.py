@@ -1,12 +1,15 @@
 """Property tests for the structural invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import signednet as sn
 from signednet.balance import Bipartition, apply_flip_set
-from signednet.errors import DisconnectedError
+from signednet.core import SignedGraph, _checked_edges, _columns
+from signednet.errors import DisconnectedError, GraphConstructionError
 
 from helpers import (
     components_by_union_find,
@@ -14,6 +17,7 @@ from helpers import (
     frustration_by_edge_subsets,
     frustration_by_node_signings,
     nonsymmetric_eigenvalues,
+    normalize_edges_reference,
     propagate_signs,
 )
 
@@ -256,3 +260,64 @@ def test_disconnected_error_names_the_smallest_unreached_node(case):
     else:
         with pytest.raises(DisconnectedError, match=rf"node {missing[0]} is not reachable from node 0$"):
             sn.build_graph(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# array validation and edge lookup against the edge-by-edge reference
+# ---------------------------------------------------------------------------
+
+_FAR_IDS = [2**63 - 1, 2**63, -2**63 - 1, 10**20, -10**20]
+_SPECIAL_WEIGHTS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-16, -1e-16, 1e-15, 5e-324]
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """Node count plus valid triples with up to two bad ones inserted: ids
+    below 0, at or above n and beyond int64, self-loops, non-finite and
+    near-zero weights, and repeated pairs in either orientation."""
+    n = draw(st.integers(2, 6))
+    node = st.integers(0, n - 1)
+    pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+    weight = st.floats(-4.0, 4.0).filter(lambda w: abs(w) >= 1e-15)
+    edges = draw(st.lists(st.tuples(pair, weight).map(lambda e: (*e[0], e[1])), max_size=8,
+                          unique_by=lambda e: (min(e[:2]), max(e[:2]))))
+    for _ in range(draw(st.integers(0, 2))):
+        far = st.sampled_from([-1, n, *_FAR_IDS])
+        bad = draw(st.one_of(
+            st.tuples(far, node, weight),
+            st.tuples(node, far, weight),
+            st.tuples(node, weight).map(lambda e: (e[0], e[0], e[1])),
+            st.tuples(pair, st.sampled_from(_SPECIAL_WEIGHTS)).map(lambda e: (*e[0], e[1])),
+            st.sampled_from(edges).map(lambda e: (e[1], e[0], e[2])) if edges else st.nothing(),
+        ))
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, edges
+
+
+@given(raw_edge_lists())
+@example((3, [(0, 1, 1.0), (2, 1, 0.5), (1, 0, -1.0)]))  # reversed-pair duplicate
+@example((3, [(0, 1, -0.0), (1, 2, math.nan)]))
+@example((2, [(0, 1, 1.0), (1, 10**20, 1.0), (1, 1, 1.0)]))  # id beyond int64 before a self-loop
+@example((4, [(0, 1, 1.0), (3, 2, -2.0), (1, 3, 0.5)]))
+@example((1, []))
+@example((1, [(0, 0, 1.0)]))
+@settings(max_examples=200)
+def test_validation_and_lookup_match_the_edge_by_edge_reference(case):
+    n, edges = case
+    try:
+        expected = normalize_edges_reference(n, edges)
+    except GraphConstructionError as exc:
+        with pytest.raises(GraphConstructionError) as got:
+            _checked_edges(n, *_columns(edges))
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    G = SignedGraph(n, *_checked_edges(n, *_columns(edges)))
+    assert list(G.edges) == expected
+    lookup = {(e.i, e.j): e.w for e in G.edges}
+    for a in range(-1, 2 * n + 1):  # ids past n would alias real keys without the range check
+        for b in range(a, 2 * n + 1):
+            assert G.has_edge(a, b) == G.has_edge(b, a) == ((a, b) in lookup)
+            if (a, b) in lookup:
+                assert G.weight(b, a) == lookup[a, b]
+    with pytest.raises(KeyError):
+        G.weight(0, 0)
