@@ -94,6 +94,11 @@ class BalanceClassification:
     def is_antibalanced(self) -> bool:
         return self.antibalanced_partition is not None
 
+    @property
+    def certificate(self) -> Optional[Bipartition]:
+        """The balance certificate, else the antibalance one (None if neither)."""
+        return self.antibalanced_partition if self.balanced_partition is None else self.balanced_partition
+
 
 def _parity(depth: np.ndarray) -> np.ndarray:
     """(-1)^depth as int8 signs."""

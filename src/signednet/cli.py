@@ -41,6 +41,7 @@ from .generate import (
     SSBMParams,
     random_signed_tree,
     ring_lattice,
+    seeded_rng,
     sign_plan_from_json,
     ssbm,
 )
@@ -133,12 +134,10 @@ def initial_state(spec: str, G: SignedGraph, l0: float, seed: int) -> np.ndarray
     if spec == "uniform":
         return np.full(G.n, l0)
     if spec == "random":
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(G.n)
+        x = seeded_rng(seed).standard_normal(G.n)
         return x / np.abs(x).sum()
     if spec == "bipartition":
-        c = classify(G)
-        part = c.balanced_partition if c.balanced_partition is not None else c.antibalanced_partition
+        part = classify(G).certificate
         if part is None:
             raise SignedNetError("graph is strictly unbalanced: no certificate bipartition to seed from")
         return part.s.astype(float) * l0

@@ -103,8 +103,14 @@ class SignedGraph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        """Absolute-weight degree of every node, d_i = sum_j |W_ij|."""
-        return _readonly(np.abs(self.weight_matrix).sum(axis=1))
+        """Absolute-weight degree of every node, d_i = sum_j |W_ij|; one beyond
+        the float range is a :class:`NonFiniteWeightError`."""
+        with np.errstate(over="ignore"):
+            d = np.abs(self.weight_matrix).sum(axis=1)
+        if not np.isfinite(d).all():
+            raise NonFiniteWeightError(f"the weighted degree of node {np.argmin(np.isfinite(d))} exceeds "
+                                       f"the float range; rescale the weights")
+        return _readonly(d)
 
     @cached_property
     def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:

@@ -3,14 +3,16 @@ extended linear threshold (ELT) model, with closed-form stationary states.
 
 All simulators use row vectors and left multiplication: one step maps x to
 ``x @ M``.  States are never renormalized.  Trajectories are immutable
-records of every visited state including the initial one.
+records of every visited state including the initial one.  Every simulator
+steps through :func:`_run`, one loop over one preallocated array, which
+refuses a run storing more than :data:`MAX_STORED_VALUES` values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Literal, Optional
+from typing import Callable, Literal, Optional
 
 import numpy as np
 
@@ -32,7 +34,12 @@ from .errors import (
     ParamOutOfRangeError,
     WrongVerdictError,
 )
+from .generate import circulant_pairs
 from .spectral import adjacency_spectrum
+
+#: most values one simulation may store, (steps + 1) x state width: 2**26
+#: float64 values are 512 MiB
+MAX_STORED_VALUES = 2**26
 
 
 @dataclass(frozen=True)
@@ -40,8 +47,6 @@ class Trajectory:
     """Time-indexed states: row t is x(t), t = 0..T."""
 
     states: np.ndarray
-    model: str
-    config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         states = np.array(self.states, dtype=float, copy=True)
@@ -67,33 +72,48 @@ def _check_state(G: SignedGraph, x0) -> np.ndarray:
     return x
 
 
-def _iterate(M: np.ndarray, x0: np.ndarray, horizon: int) -> np.ndarray:
-    states = np.empty((horizon + 1, x0.shape[0]))
+def _check_stored(steps: int, width: int) -> None:
+    """Refuse a negative horizon, or one storing too many states of ``width`` values."""
+    if steps < 0:
+        raise ParamOutOfRangeError(f"horizon must be nonnegative, got {steps}")
+    if (steps + 1) * width > MAX_STORED_VALUES:
+        raise ParamOutOfRangeError(
+            f"{steps} steps of {width} values would store {(steps + 1) * width} values, above the cap of "
+            f"{MAX_STORED_VALUES}; lower the horizon"
+        )
+
+
+def _run(step: Callable[[np.ndarray, int], np.ndarray], x0: np.ndarray, steps: int,
+         settled: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None) -> np.ndarray:
+    """Rows x(0) = x0, x(t) = step(x(t-1), t) up to t = steps, or up to the first
+    t >= 2 with ``settled(x(t), x(t-2))``.  Callers check for overflow."""
+    _check_stored(steps, x0.shape[0])
+    states = np.empty((steps + 1, x0.shape[0]), dtype=x0.dtype)
     states[0] = x0
-    x = x0
-    with np.errstate(over="ignore", invalid="ignore"):  # callers check for non-finite states
-        for t in range(1, horizon + 1):
-            x = x @ M
-            states[t] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, steps + 1):
+            states[t] = step(states[t - 1], t)
+            if settled is not None and t >= 2 and settled(states[t], states[t - 2]):
+                return states[: t + 1]
     return states
 
 
 def linear_adjacency_simulate(G: SignedGraph, x0, horizon: int) -> Trajectory:
     """x(t) = x(0) W^t computed iteratively, no renormalization."""
     x = _check_state(G, x0)
-    return Trajectory(_iterate(G.weight_matrix, x, horizon), "linear", {"horizon": horizon})
+    W = G.weight_matrix
+    return Trajectory(_run(lambda y, t: y @ W, x, horizon))
 
 
 def random_walk_simulate(G: SignedGraph, x0, horizon: int) -> Trajectory:
     """Signed random walk x(t) = x(0) P^t.
 
     The closed-form stationary states assume sum_i |x_i(0)| = 1; this is not
-    enforced, only recorded in the trajectory config.
+    enforced.
     """
     x = _check_state(G, x0)
-    norm = float(np.abs(x).sum())
-    return Trajectory(_iterate(transition_matrix(G), x, horizon), "rw",
-                      {"horizon": horizon, "l1_norm_x0": norm})
+    P = transition_matrix(G)
+    return Trajectory(_run(lambda y, t: y @ P, x, horizon))
 
 
 def simulate_walk_until_stationary(G: SignedGraph, x0, max_steps: int = 100_000,
@@ -101,16 +121,14 @@ def simulate_walk_until_stationary(G: SignedGraph, x0, max_steps: int = 100_000,
     """Random walk run until period-2-aware convergence or ``max_steps``.
 
     Stops once max |x(t) - x(t-2)| < tol, which also detects the alternating
-    limit pair of antibalanced graphs.
+    limit pair of antibalanced graphs.  All ``max_steps`` steps count against
+    :data:`MAX_STORED_VALUES` before the walk starts, however early it
+    settles: the default admits graphs of up to 671 nodes.
     """
     x = _check_state(G, x0)
     P = transition_matrix(G)
-    states = [x]
-    for _ in range(max_steps):
-        states.append(states[-1] @ P)
-        if len(states) >= 3 and float(np.max(np.abs(states[-1] - states[-3]))) < tol:
-            break
-    return Trajectory(np.array(states), "rw", {"tol": tol, "max_steps": max_steps})
+    return Trajectory(_run(lambda y, t: y @ P, x, max_steps,
+                           lambda y, y2: float(np.max(np.abs(y - y2))) < tol))
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +179,9 @@ def predict_stationary(G: SignedGraph, x0) -> StationaryPrediction:
         raise BipartiteUnsupportedError(
             "graph is bipartite (balanced and antibalanced); no closed-form stationary state"
         )
-    if c.verdict == Verdict.STRICTLY_UNBALANCED:
+    if c.certificate is None:
         return StationaryPrediction(StationaryKind.ZERO, (np.zeros(G.n),))
-    part = c.balanced_partition if c.verdict == Verdict.BALANCED else c.antibalanced_partition
-    assert part is not None
-    s = part.s.astype(float)
+    s = c.certificate.s.astype(float)
     two_m = float(G.degrees.sum())
     base = (float(x @ s) / two_m) * s * G.degrees
     if c.verdict == Verdict.BALANCED:
@@ -183,15 +199,10 @@ def transition_power_sign_pattern(G: SignedGraph, t: int) -> np.ndarray:
     if t < 0:
         raise ParamOutOfRangeError("power must be nonnegative")
     c = classify(G)
-    if c.verdict == Verdict.STRICTLY_UNBALANCED:
+    if c.certificate is None:
         raise WrongVerdictError("P^t has no certified sign pattern on strictly unbalanced graphs")
-    if c.is_balanced:
-        s = c.balanced_partition.s.astype(np.int8)
-        flip = 1
-    else:
-        s = c.antibalanced_partition.s.astype(np.int8)
-        flip = -1 if t % 2 else 1
-    return flip * np.outer(s, s)
+    flip = -1 if t % 2 and not c.is_balanced else 1
+    return flip * np.outer(c.certificate.s, c.certificate.s)
 
 
 def rank1_approximation(G: SignedGraph, t: int) -> np.ndarray:
@@ -205,16 +216,14 @@ def rank1_approximation(G: SignedGraph, t: int) -> np.ndarray:
     if t < 0:
         raise ParamOutOfRangeError("power must be nonnegative")
     c = classify(G)
-    if c.verdict not in (Verdict.BALANCED, Verdict.ANTIBALANCED):
-        if c.verdict == Verdict.BOTH:
-            raise BipartiteGraphError("rank-1 approximation is degenerate on bipartite graphs")
+    if c.verdict == Verdict.BOTH:
+        raise BipartiteGraphError("rank-1 approximation is degenerate on bipartite graphs")
+    if c.certificate is None:
         raise WrongVerdictError("requires a balanced or antibalanced graph")
     unsigned = adjacency_spectrum(unsigned_counterpart(G))
     lam, u1 = unsigned.leading
-    part = c.balanced_partition if c.verdict == Verdict.BALANCED else c.antibalanced_partition
-    assert part is not None
-    signed_lead = lam if c.verdict == Verdict.BALANCED else -lam
-    v = part.s.astype(float) * u1
+    signed_lead = lam if c.is_balanced else -lam
+    v = c.certificate.s.astype(float) * u1
     return (signed_lead ** t) * np.outer(v, v)
 
 
@@ -233,13 +242,9 @@ def doubled_walk_simulate(G: SignedGraph, xplus0, xminus0, horizon: int) -> tupl
     xm = _check_state(G, xminus0)
     if np.any(xp < 0) or np.any(xm < 0):
         raise NegativeDensityError("walker densities must be nonnegative")
-    z = np.concatenate([xp, xm])
-    states = _iterate(doubled_transition(G), z, horizon)
-    cfg = {"horizon": horizon}
-    return (
-        Trajectory(states[:, : G.n], "doubled_rw_plus", cfg),
-        Trajectory(states[:, G.n :], "doubled_rw_minus", cfg),
-    )
+    M = doubled_transition(G)
+    states = _run(lambda z, t: z @ M, np.concatenate([xp, xm]), horizon)
+    return Trajectory(states[:, : G.n]), Trajectory(states[:, G.n :])
 
 
 # ---------------------------------------------------------------------------
@@ -276,29 +281,11 @@ class ELTConfig:
             table.flags.writeable = False
             object.__setattr__(self, "general_thresholds", table)
 
-    def threshold_matrix(self, n: int) -> np.ndarray:
-        """(horizon, n) table of theta_{j,t}, row t-1 for step t."""
-        if self.general_thresholds is not None:
-            table = self.general_thresholds
-            if table.shape != (self.horizon, n):
-                raise DimensionMismatchError(
-                    f"threshold table has shape {table.shape}, expected ({self.horizon}, {n})"
-                )
-            return table
-        # iterated products keep the geometric schedule consistent with the
-        # step-by-step field computation at exact-tie boundaries
-        ratio = self.theta_l * self.alpha
-        levels = self.l0 * np.cumprod(np.full(self.horizon, ratio))
-        return np.repeat(levels[:, None], n, axis=1)
-
-    def snapshot(self) -> dict:
-        return {
-            "theta_l": self.theta_l,
-            "alpha": self.alpha,
-            "l0": self.l0,
-            "horizon": self.horizon,
-            "schedule": "table" if self.general_thresholds is not None else "geometric",
-        }
+    def levels(self) -> np.ndarray:
+        """Geometric magnitudes l0 * (theta_l * alpha)^t for t = 0..horizon, as
+        iterated products (inf beyond the float range, which no field reaches)."""
+        with np.errstate(over="ignore"):
+            return self.l0 * np.cumprod(np.r_[1.0, np.full(self.horizon, self.theta_l * self.alpha)])
 
 
 class ActivationSets:
@@ -336,6 +323,11 @@ class ActivationSets:
         return iter(zip(self._plus, self._minus))
 
 
+def _activate(field: np.ndarray, theta, level) -> np.ndarray:
+    """The ELT rule: +level where field >= theta, -level where field <= -theta, else 0."""
+    return np.where(field >= theta, level, np.where(field <= -theta, -level, 0))
+
+
 def elt_simulate(G: SignedGraph, x0, cfg: ELTConfig) -> tuple[Trajectory, ActivationSets]:
     """Synchronous ELT update on the weighted signed graph.
 
@@ -344,15 +336,16 @@ def elt_simulate(G: SignedGraph, x0, cfg: ELTConfig) -> tuple[Trajectory, Activa
     inclusive, so exact boundary hits activate.
     """
     x = _check_state(G, x0)
-    thresholds = cfg.threshold_matrix(G.n)
+    thresholds = cfg.general_thresholds  # row t-1 holds step t
+    if thresholds is None:
+        _check_stored(cfg.horizon, G.n)  # before the schedule is allocated
+        thresholds = cfg.levels()[1:]
+    elif thresholds.shape != (cfg.horizon, G.n):
+        raise DimensionMismatchError(
+            f"threshold table has shape {thresholds.shape}, expected ({cfg.horizon}, {G.n})"
+        )
     W = G.weight_matrix
-    states = np.zeros((cfg.horizon + 1, G.n))
-    states[0] = x
-    for t in range(1, cfg.horizon + 1):
-        th = thresholds[t - 1]
-        fields = states[t - 1] @ W
-        states[t] = np.where(fields >= th, th, np.where(fields <= -th, -th, 0.0))
-    traj = Trajectory(states, "elt", cfg.snapshot())
+    traj = Trajectory(_run(lambda y, t: _activate(y @ W, thresholds[t - 1], thresholds[t - 1]), x, cfg.horizon))
     return traj, ActivationSets(traj.states)
 
 
@@ -380,9 +373,8 @@ def ring_lattice_parameters(G: SignedGraph) -> tuple[int, float]:
     dbar = 2 * half
     if not (2 <= dbar < n):
         raise NotLatticeError(f"degree {dbar} is not a valid ring-lattice degree for n={n}")
-    a = np.repeat(np.arange(n), half)
-    b = (a + np.tile(np.arange(1, half + 1), n)) % n  # offsets below n/2 give distinct pairs
-    if not np.array_equal(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), G._sorted_keys[0][:-1]):
+    i, j = circulant_pairs(n, half)
+    if not np.array_equal(i * n + j, G._sorted_keys[0][:-1]):
         raise NotLatticeError("edge set is not a circulant nearest-neighbour ring")
     return dbar, alpha
 
@@ -425,7 +417,7 @@ def elt_lattice_simulate(G: SignedGraph, seed_center: int, cfg: ELTConfig,
     ones) run under either mode; a mode directly contradicting a pure
     balanced/antibalanced verdict is refused.
     """
-    dbar, alpha = ring_lattice_parameters(G)
+    _, alpha = ring_lattice_parameters(G)
     if cfg.general_thresholds is not None:
         raise ParamOutOfRangeError("lattice simulation uses the geometric schedule only")
     if abs(cfg.alpha - alpha) > 1e-12 * max(alpha, 1.0):
@@ -434,23 +426,14 @@ def elt_lattice_simulate(G: SignedGraph, seed_center: int, cfg: ELTConfig,
         )
     if not (0 <= seed_center < G.n):
         raise ParamOutOfRangeError(f"seed center {seed_center} out of range")
-    verdict = classify(G).verdict
-    if mode == "balanced" and verdict == Verdict.ANTIBALANCED:
-        raise InconsistentModeError("balanced-mode seeding on a purely antibalanced lattice")
-    if mode == "antibalanced" and verdict == Verdict.BALANCED:
-        raise InconsistentModeError("antibalanced-mode seeding on a purely balanced lattice")
     if mode not in ("balanced", "antibalanced"):
         raise ParamOutOfRangeError(f"unknown mode {mode!r}")
+    opposite = Verdict.ANTIBALANCED if mode == "balanced" else Verdict.BALANCED
+    if classify(G).verdict == opposite:
+        raise InconsistentModeError(f"{mode}-mode seeding on a purely {opposite.value} lattice")
 
     sigma = _closed_neighbourhood(G, seed_center, 1 if mode == "balanced" else -1)
     A = np.sign(G.weight_matrix).astype(np.int64)
-
-    levels = np.concatenate([[cfg.l0], cfg.l0 * np.cumprod(np.full(cfg.horizon, cfg.theta_l * cfg.alpha))])
-    states = np.zeros((cfg.horizon + 1, G.n))
-    states[0] = sigma * levels[0]
-    for t in range(1, cfg.horizon + 1):
-        score = sigma @ A
-        sigma = np.where(score >= cfg.theta_l, 1, np.where(score <= -cfg.theta_l, -1, 0)).astype(np.int64)
-        states[t] = sigma * levels[t]
-    traj = Trajectory(states, "elt_lattice", dict(cfg.snapshot(), mode=mode, seed_center=seed_center))
+    signs = _run(lambda s, t: _activate(s @ A, cfg.theta_l, 1), sigma, cfg.horizon)
+    traj = Trajectory(signs * cfg.levels()[:, None])
     return traj, ActivationSets(traj.states)

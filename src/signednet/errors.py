@@ -28,7 +28,7 @@ class ZeroWeightError(GraphConstructionError):
 
 
 class NonFiniteWeightError(GraphConstructionError):
-    """Edge weight is nan or infinite."""
+    """Edge weight is nan or infinite, or a node's weighted degree overflows."""
 
 
 class IdOutOfRangeError(GraphConstructionError):

@@ -11,7 +11,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import SignedGraph, build_graph
+from .core import SignedGraph, _connected_graph, build_graph
 from .errors import (
     DisconnectedError,
     GaveUpConnectivityError,
@@ -19,6 +19,14 @@ from .errors import (
 )
 
 CONNECTIVITY_RETRIES = 100
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """``numpy.random.default_rng(seed)``, a negative seed a named error."""
+    try:
+        return np.random.default_rng(seed)
+    except ValueError:
+        raise ParamOutOfRangeError(f"seed must be a nonnegative integer, got {seed!r}") from None
 
 
 @dataclass(frozen=True)
@@ -62,7 +70,7 @@ class SSBMParams:
 def ssbm(params: SSBMParams) -> SignedGraph:
     """Draw a connected SSBM instance; resamples up to 100 times for
     connectivity before giving up."""
-    rng = np.random.default_rng(params.seed)
+    rng = seeded_rng(params.seed)
     for _ in range(CONNECTIVITY_RETRIES):
         edges = _ssbm_once(params, rng)
         try:
@@ -129,19 +137,21 @@ def resolve_partition_rule(rule: str, n: int) -> np.ndarray:
     """
     if rule == "all":
         return np.ones(n, dtype=np.int8)
-    kind, _, arg = rule.partition(":")
-    if kind == "arc" and arg:
-        k = int(arg)
-        if not 0 <= k <= n:
-            raise ParamOutOfRangeError(f"arc size {k} outside [0, {n}]")
+    kind, _, arg = rule.partition(":") if isinstance(rule, str) else ("", "", "")
+    try:
+        size = int(arg)
+    except ValueError:
+        kind = ""
+    if kind == "arc":
+        if not 0 <= size <= n:
+            raise ParamOutOfRangeError(f"arc size {size} outside [0, {n}]")
         s = np.full(n, -1, dtype=np.int8)
-        s[:k] = 1
+        s[:size] = 1
         return s
-    if kind == "blocks" and arg:
-        b = int(arg)
-        if b < 1:
+    if kind == "blocks":
+        if size < 1:
             raise ParamOutOfRangeError("block size must be positive")
-        return np.array([1 if (i // b) % 2 == 0 else -1 for i in range(n)], dtype=np.int8)
+        return np.array([1 if (i // size) % 2 == 0 else -1 for i in range(n)], dtype=np.int8)
     raise ParamOutOfRangeError(f"unknown bipartition rule {rule!r}")
 
 
@@ -162,31 +172,31 @@ class LatticeParams:
             raise ParamOutOfRangeError("alpha must be positive")
 
 
+def circulant_pairs(n: int, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges ``i < j`` of the ring joining every node to its ``half`` nearest
+    neighbours on each side, sorted by (i, j); distinct while 2 * half < n."""
+    a = np.repeat(np.arange(n), half)
+    b = (a + np.tile(np.arange(1, half + 1), n)) % n
+    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    return keys // n, keys % n
+
+
 def ring_lattice(params: LatticeParams) -> SignedGraph:
     """Circulant ring lattice with signs from the given plan."""
-    n, half = params.n, params.dbar // 2
-    pairs = [(i, (i + o) % n) for i in range(n) for o in range(1, half + 1)]
-    pairs = sorted({(min(i, j), max(i, j)) for i, j in pairs})
-    plan = params.sign_plan
-    if isinstance(plan, BalancedPlan):
-        signs = _partition_signs(pairs, resolve_partition_rule(plan.rule, n))
-    elif isinstance(plan, AntibalancedPlan):
-        signs = [-v for v in _partition_signs(pairs, resolve_partition_rule(plan.rule, n))]
-    elif isinstance(plan, FlipKPlan):
-        signs = _partition_signs(pairs, resolve_partition_rule(plan.base_rule, n))
-        if not 0 <= plan.k <= len(pairs):
-            raise ParamOutOfRangeError(f"cannot flip {plan.k} of {len(pairs)} edges")
-        rng = np.random.default_rng(plan.seed)
-        for idx in rng.choice(len(pairs), size=plan.k, replace=False):
-            signs[idx] = -signs[idx]
-    else:
+    n, plan = params.n, params.sign_plan
+    i, j = circulant_pairs(n, params.dbar // 2)
+    if not isinstance(plan, (BalancedPlan, AntibalancedPlan, FlipKPlan)):
         raise ParamOutOfRangeError(f"unknown sign plan {plan!r}")
-    edges = [(i, j, sign * params.alpha) for (i, j), sign in zip(pairs, signs)]
-    return build_graph(n, edges)
-
-
-def _partition_signs(pairs, s: np.ndarray) -> list[float]:
-    return [1.0 if s[i] == s[j] else -1.0 for i, j in pairs]
+    s = resolve_partition_rule(plan.base_rule if isinstance(plan, FlipKPlan) else plan.rule, n)
+    signs = (s[i] * s[j]).astype(float)
+    if isinstance(plan, AntibalancedPlan):
+        signs = -signs
+    elif isinstance(plan, FlipKPlan):
+        if not 0 <= plan.k <= len(signs):
+            raise ParamOutOfRangeError(f"cannot flip {plan.k} of {len(signs)} edges")
+        flips = seeded_rng(plan.seed).choice(len(signs), size=plan.k, replace=False)
+        signs[flips] = -signs[flips]
+    return _connected_graph(n, i, j, signs * params.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +211,7 @@ def random_signed_tree(n: int, sign_prob: float, seed: int = 0, alpha: float = 1
         raise ParamOutOfRangeError(f"sign_prob={sign_prob} outside [0, 1]")
     if alpha <= 0:
         raise ParamOutOfRangeError("alpha must be positive")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     edges = []
     for child in range(1, n):
         parent = int(rng.integers(0, child))
@@ -215,12 +225,17 @@ def random_signed_tree(n: int, sign_prob: float, seed: int = 0, alpha: float = 1
 # ---------------------------------------------------------------------------
 
 def sign_plan_from_json(doc: dict) -> SignPlan:
+    if not isinstance(doc, dict):
+        raise ParamOutOfRangeError(f"sign_plan must be a JSON object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "balanced":
         return BalancedPlan(rule=doc.get("rule", "all"))
     if kind == "antibalanced":
         return AntibalancedPlan(rule=doc.get("rule", "all"))
     if kind == "flip_k":
-        return FlipKPlan(k=int(doc["k"]), seed=int(doc.get("seed", 0)), base_rule=doc.get("base_rule", "all"))
+        try:
+            k, seed = int(doc.get("k")), int(doc.get("seed", 0))
+        except (TypeError, ValueError, OverflowError):
+            raise ParamOutOfRangeError(f"a flip_k sign_plan needs integer k and seed, got {doc!r}") from None
+        return FlipKPlan(k=k, seed=seed, base_rule=doc.get("base_rule", "all"))
     raise ParamOutOfRangeError(f"unknown sign plan kind {kind!r}")
-

@@ -73,14 +73,6 @@ class Spectrum:
     def leading(self) -> tuple[float, np.ndarray]:
         return float(self.eigenvalues[0]), self.eigenvectors[:, 0]
 
-    @property
-    def trailing(self) -> tuple[float, np.ndarray]:
-        return float(self.eigenvalues[-1]), self.eigenvectors[:, -1]
-
-    @property
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues)))
-
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
@@ -96,14 +88,16 @@ class Spectrum:
 
 
 def _checked_symmetric(M: np.ndarray) -> np.ndarray:
-    """Exactly symmetric float copy of M, or :class:`NotSymmetricError`."""
+    """M itself when exactly symmetric, else its exactly symmetric part, or
+    :class:`NotSymmetricError`."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {M.shape}")
     asym = float(np.max(np.abs(M - M.T))) if M.size else 0.0
     if asym > SYMMETRY_TOLERANCE:
         raise NotSymmetricError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
-    return (M + M.T) / 2.0
+    # (M + M^T) / 2 to the bit outside the subnormals, without overflowing near the float maximum
+    return M if asym == 0.0 else M / 2.0 + M.T / 2.0
 
 
 def eigenvalues_symmetric(M: np.ndarray) -> np.ndarray:
@@ -189,31 +183,19 @@ def verify_spectral_theorem(G: SignedGraph, c: BalanceClassification) -> Spectra
     signed = adjacency_spectrum(G)
     unsigned = adjacency_spectrum(unsigned_counterpart(G))
 
-    if c.is_balanced:
-        part = c.balanced_partition
-        values_dev = float(np.max(np.abs(signed.eigenvalues - unsigned.eigenvalues)))
-        lead_signed = signed.eigenvectors[:, 0]
-        lead_unsigned = unsigned.eigenvectors[:, 0]
-    else:
-        part = c.antibalanced_partition
-        values_dev = float(np.max(np.abs(signed.eigenvalues + unsigned.eigenvalues[::-1])))
-        lead_signed = signed.eigenvectors[:, -1]
-        lead_unsigned = unsigned.eigenvectors[:, 0]
-    assert part is not None
-    s = part.s.astype(float)
+    s = c.certificate.s.astype(float)
+    # signed eigenpair order[k] matches unsigned eigenpair k, with its eigenvalue negated if antibalanced
+    order = np.arange(G.n) if c.is_balanced else np.arange(G.n)[::-1]
+    negation = 1.0 if c.is_balanced else -1.0
+    values_dev = float(np.max(np.abs(signed.eigenvalues[order] - negation * unsigned.eigenvalues)))
 
     subspace_dev = 0.0
-    groups = unsigned.degenerate_groups()
-    for group in groups:
-        proj_unsigned = _group_projector(unsigned, group)
-        if c.is_balanced:
-            signed_group = group
-        else:
-            signed_group = [signed.n - 1 - k for k in group]
-        proj_signed = _group_projector(signed, signed_group)
-        conjugated = proj_unsigned * np.outer(s, s)
+    for group in unsigned.degenerate_groups():
+        proj_signed = _group_projector(signed, order[group])
+        conjugated = _group_projector(unsigned, group) * np.outer(s, s)
         subspace_dev = max(subspace_dev, float(np.max(np.abs(proj_signed - conjugated))))
 
+    lead_signed, lead_unsigned = signed.eigenvectors[:, order[0]], unsigned.eigenvectors[:, 0]
     leading_dev = float(np.max(np.abs(np.abs(lead_signed) - np.abs(lead_unsigned))))
     return SpectralTheoremReport(
         verdict=c.verdict,

@@ -27,6 +27,7 @@ from .core import SignedGraph, build_graph, unsigned_counterpart
 from .dynamics import (
     ELTConfig,
     StationaryKind,
+    certain_propagation_check,
     doubled_walk_simulate,
     elt_lattice_simulate,
     elt_simulate,
@@ -381,9 +382,10 @@ def criterion_elt_lattice() -> CriterionResult:
         G = lattice(BalancedPlan("all"))
         _, acts = run(G, theta_l, "balanced")
         spread = bool(acts.ever_active() - acts.active(0))
-        if spread != (theta_l <= dbar / 2):
+        certain = certain_propagation_check(G, theta_l)
+        if spread != certain:
             problems.append(f"spread at theta_l={theta_l} is {spread}")
-        if theta_l <= dbar / 2:
+        if certain:
             # steady growth rate; the single step that closes the ring absorbs
             # whatever remains (the two frontiers meet), so it is exempt
             expected = dbar - 2 * (int(np.ceil(theta_l)) - 1)

@@ -4,9 +4,10 @@ These deliberately avoid the code paths they are used to check: balance is
 decided by enumerating simple cycles or by a hand-written sign-propagating
 traversal with its own adjacency lists, frustration by exhausting edge subsets
 or all node signings, components by union-find, spectra come from numpy's
-nonsymmetric solver, edge validation from one Python pass over the edges, and
+nonsymmetric solver, edge validation from one Python pass over the edges,
 trajectory CSV from one ``csv.writer`` row per value (read back by a strict
-``csv`` reader).
+``csv`` reader), ring lattices from Python loops over the circulant pairs,
+and trajectories from one hand-written loop per simulator.
 """
 
 import csv
@@ -18,7 +19,7 @@ import numpy as np
 
 from signednet import SignedGraph
 from signednet.balance import Bipartition, apply_flip_set, negate
-from signednet.core import WEIGHT_TOLERANCE, Edge
+from signednet.core import WEIGHT_TOLERANCE, Edge, build_graph
 from signednet.errors import (
     DuplicateEdgeError,
     IdOutOfRangeError,
@@ -41,6 +42,12 @@ __all__ = [
     "normalize_edges_reference",
     "read_trajectory_csv",
     "write_trajectory_reference",
+    "ring_lattice_reference",
+    "iterate_reference",
+    "walk_until_stationary_reference",
+    "geometric_thresholds_reference",
+    "elt_reference",
+    "elt_lattice_reference",
 ]
 
 
@@ -192,3 +199,77 @@ def normalize_edges_reference(n: int, edges: Iterable[tuple]) -> list[Edge]:
         seen.add(key)
         out.append(Edge(key[0], key[1], w))
     return out
+
+
+def ring_lattice_reference(params) -> SignedGraph:
+    """Ring lattice by Python loops: circulant pairs through a sorted set,
+    one sign per pair from the plan's rule, then the flip_k plan's flips."""
+    from signednet.generate import AntibalancedPlan, FlipKPlan, resolve_partition_rule
+
+    n, half, plan = params.n, params.dbar // 2, params.sign_plan
+    pairs = sorted({(min(i, (i + o) % n), max(i, (i + o) % n)) for i in range(n) for o in range(1, half + 1)})
+    s = resolve_partition_rule(plan.base_rule if isinstance(plan, FlipKPlan) else plan.rule, n)
+    signs = [1.0 if s[i] == s[j] else -1.0 for i, j in pairs]
+    if isinstance(plan, AntibalancedPlan):
+        signs = [-v for v in signs]
+    if isinstance(plan, FlipKPlan):
+        for idx in np.random.default_rng(plan.seed).choice(len(pairs), size=plan.k, replace=False):
+            signs[idx] = -signs[idx]
+    return build_graph(n, [(i, j, v * params.alpha) for (i, j), v in zip(pairs, signs)])
+
+
+def iterate_reference(M: np.ndarray, x0: np.ndarray, horizon: int) -> np.ndarray:
+    """Rows x(t) = x(t-1) @ M for t = 0..horizon, one plain loop."""
+    states = np.empty((horizon + 1, x0.shape[0]))
+    states[0] = x0
+    x = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, horizon + 1):
+            x = x @ M
+            states[t] = x
+    return states
+
+
+def walk_until_stationary_reference(P: np.ndarray, x0: np.ndarray, max_steps: int, tol: float) -> np.ndarray:
+    """Walk states appended to a list until max |x(t) - x(t-2)| < tol or
+    ``max_steps`` steps."""
+    states = [x0]
+    for _ in range(max_steps):
+        states.append(states[-1] @ P)
+        if len(states) >= 3 and float(np.max(np.abs(states[-1] - states[-3]))) < tol:
+            break
+    return np.array(states)
+
+
+def geometric_thresholds_reference(cfg, n: int) -> np.ndarray:
+    """(horizon, n) table of the geometric ELT schedule, row t-1 for step t."""
+    levels = cfg.l0 * np.cumprod(np.full(cfg.horizon, cfg.theta_l * cfg.alpha))
+    return np.repeat(levels[:, None], n, axis=1)
+
+
+def elt_reference(W: np.ndarray, x0: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """ELT states under a (horizon, n) threshold table, row t-1 for step t."""
+    states = np.zeros((thresholds.shape[0] + 1, x0.shape[0]))
+    states[0] = x0
+    for t in range(1, thresholds.shape[0] + 1):
+        th = thresholds[t - 1]
+        fields = states[t - 1] @ W
+        states[t] = np.where(fields >= th, th, np.where(fields <= -th, -th, 0.0))
+    return states
+
+
+def elt_lattice_reference(W: np.ndarray, center: int, orientation: int, cfg) -> np.ndarray:
+    """Lattice-form ELT states: integer signs seeded on the closed
+    neighbourhood of ``center``, stepped on signed neighbour counts, scaled
+    by l0 * (theta_l * alpha)^t."""
+    A = np.sign(W).astype(np.int64)
+    sigma = orientation * A[center]
+    sigma[center] = 1
+    levels = np.concatenate([[cfg.l0], cfg.l0 * np.cumprod(np.full(cfg.horizon, cfg.theta_l * cfg.alpha))])
+    states = np.zeros((cfg.horizon + 1, W.shape[0]))
+    states[0] = sigma * levels[0]
+    for t in range(1, cfg.horizon + 1):
+        score = sigma @ A
+        sigma = np.where(score >= cfg.theta_l, 1, np.where(score <= -cfg.theta_l, -1, 0)).astype(np.int64)
+        states[t] = sigma * levels[t]
+    return states

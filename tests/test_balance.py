@@ -46,6 +46,13 @@ class TestClassify:
             if c.is_antibalanced:
                 assert certifies_balance(sn.negate(G), c.antibalanced_partition)
 
+    def test_certificate_prefers_balance_then_antibalance(self):
+        for G in random_connected_corpus(150, seed=5):
+            c = sn.classify(G)
+            expected = c.balanced_partition if c.is_balanced else c.antibalanced_partition
+            assert c.certificate is expected
+            assert (c.certificate is None) == (c.verdict is Verdict.STRICTLY_UNBALANCED)
+
     def test_agrees_with_cycle_enumeration_oracle(self):
         for G in random_connected_corpus(200, seed=17):
             c = sn.classify(G)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import signednet as sn
-from signednet import ELTConfig, StationaryKind, Verdict
-from signednet.dynamics import ActivationSets, ring_lattice_parameters
+from signednet import ELTConfig, StationaryKind, Verdict, dynamics
+from signednet.dynamics import MAX_STORED_VALUES, ActivationSets, ring_lattice_parameters
 from signednet.errors import (
     BipartiteUnsupportedError,
     DimensionMismatchError,
@@ -377,6 +379,48 @@ class TestELTLattice:
         x0[[0, 1, 2]] = 1.0
         traj, acts = sn.elt_simulate(G, x0, cfg)
         assert acts.ever_active() == frozenset(range(30))
+
+
+class TestStoredStateCap:
+    HUGE = 10**12
+
+    @pytest.mark.parametrize("simulate", [
+        lambda G: sn.linear_adjacency_simulate(G, np.ones(G.n), TestStoredStateCap.HUGE),
+        lambda G: sn.random_walk_simulate(G, np.ones(G.n), TestStoredStateCap.HUGE),
+        lambda G: sn.simulate_walk_until_stationary(G, np.ones(G.n), max_steps=TestStoredStateCap.HUGE),
+        lambda G: sn.doubled_walk_simulate(G, np.ones(G.n), np.ones(G.n), TestStoredStateCap.HUGE),
+        lambda G: sn.elt_simulate(G, np.ones(G.n), ELTConfig(1.0, 0.1, 1.0, TestStoredStateCap.HUGE)),
+        lambda G: sn.elt_lattice_simulate(G, 0, ELTConfig(2.0, 0.1, 1.0, TestStoredStateCap.HUGE)),
+    ], ids=["linear", "rw", "until_stationary", "doubled", "elt", "elt_lattice"])
+    def test_oversized_runs_are_refused_before_allocating(self, simulate):
+        G = lattice(n=12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParamOutOfRangeError, match=f"above the cap of {MAX_STORED_VALUES}"):
+                simulate(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_cap_counts_every_stored_value(self, triangle_positive, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_STORED_VALUES", 30)
+        assert len(sn.linear_adjacency_simulate(triangle_positive, np.ones(3), 9)) == 10  # 30 values
+        with pytest.raises(ParamOutOfRangeError, match="10 steps of 3 values would store 33 values"):
+            sn.linear_adjacency_simulate(triangle_positive, np.ones(3), 10)
+        with pytest.raises(ParamOutOfRangeError, match="would store 66 values"):  # two species
+            sn.doubled_walk_simulate(triangle_positive, np.ones(3), np.ones(3), 10)
+
+    def test_until_stationary_counts_max_steps_even_when_it_settles_early(self, triangle_positive, monkeypatch):
+        traj = sn.simulate_walk_until_stationary(triangle_positive, np.ones(3) / 3, max_steps=10)
+        assert traj.horizon == 2  # uniform start is already stationary
+        monkeypatch.setattr(dynamics, "MAX_STORED_VALUES", 32)
+        with pytest.raises(ParamOutOfRangeError, match="10 steps of 3 values"):
+            sn.simulate_walk_until_stationary(triangle_positive, np.ones(3) / 3, max_steps=10)
+
+    def test_negative_horizon_is_refused(self, triangle_positive):
+        with pytest.raises(ParamOutOfRangeError, match="horizon must be nonnegative, got -1"):
+            sn.random_walk_simulate(triangle_positive, np.ones(3), -1)
 
 
 class TestActivationSets:

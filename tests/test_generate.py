@@ -4,7 +4,7 @@ import pytest
 import signednet as sn
 from signednet import Verdict
 from signednet.errors import GaveUpConnectivityError, ParamOutOfRangeError
-from signednet.generate import resolve_partition_rule
+from signednet.generate import resolve_partition_rule, seeded_rng, sign_plan_from_json
 from signednet.io import format_edge_list
 
 
@@ -115,6 +115,29 @@ class TestRingLattice:
             sn.LatticeParams(n=4, dbar=4, alpha=0.1, sign_plan=sn.BalancedPlan())
         with pytest.raises(ParamOutOfRangeError):
             resolve_partition_rule("spiral:3", 10)
+
+    @pytest.mark.parametrize("rule", ["arc:x", "blocks:", "arc", 5, None])
+    def test_unparseable_rules_are_named_errors(self, rule):
+        with pytest.raises(ParamOutOfRangeError, match="unknown bipartition rule"):
+            resolve_partition_rule(rule, 10)
+
+    @pytest.mark.parametrize("doc, message", [
+        ("all", "sign_plan must be a JSON object"),
+        ({"kind": "flip_k", "k": "x"}, "flip_k sign_plan needs integer k and seed"),
+        ({"kind": "flip_k", "k": 2, "seed": float("inf")}, "flip_k sign_plan needs integer k and seed"),
+        ({"kind": "spiral"}, "unknown sign plan kind 'spiral'"),
+    ])
+    def test_bad_json_sign_plans_are_named_errors(self, doc, message):
+        with pytest.raises(ParamOutOfRangeError, match=message):
+            sign_plan_from_json(doc)
+
+    def test_negative_seeds_are_named_errors(self):
+        with pytest.raises(ParamOutOfRangeError, match="seed must be a nonnegative integer, got -1"):
+            seeded_rng(-1)
+        with pytest.raises(ParamOutOfRangeError, match="got -3"):
+            sn.ring_lattice(sn.LatticeParams(n=10, dbar=4, alpha=0.1, sign_plan=sn.FlipKPlan(k=1, seed=-3)))
+        with pytest.raises(ParamOutOfRangeError, match="got -2"):
+            sn.random_signed_tree(5, 0.5, seed=-2)
 
 
 class TestRandomSignedTree:

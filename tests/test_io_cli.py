@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +460,8 @@ class TestSimulateInputBoundary:
         ({"horizon": 1, "general_thresholds": [[float("nan"), 1, 1]]}, [0, 0, 2],
          "every threshold must be positive and finite"),
         ([1], [2, 2, 2], "the simulate config must be a JSON object"),
+        ({"horizon": 10**12}, [2, 2, 2], "1000000000000 steps of 3 values would store 3000000000003 values, "
+                                         "above the cap of 67108864; lower the horizon"),
     ])
     def test_bad_config_fields(self, tmp_path, capsys, config, expected, message):
         codes, err = self.run(tmp_path, capsys, config)
@@ -484,6 +487,31 @@ class TestSimulateInputBoundary:
             with pytest.raises(NonFiniteStateError, match="from step 1026"):
                 _cmd_simulate(build_parser().parse_args(argv))
 
+    @pytest.mark.parametrize("model", ["linear", "rw"])
+    def test_oversized_horizon_fails_at_once_in_a_fresh_process(self, tmp_path, model):
+        net, sim, out = tmp_path / "tri.edges", tmp_path / "sim.json", tmp_path / "traj.csv"
+        net.write_text("0 1 1\n1 2 -1\n0 2 1\n")
+        sim.write_text(json.dumps({"horizon": 10**12}))
+        env = {**os.environ, "PYTHONPATH": str(Path(sn.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-m", "signednet.cli", "simulate", model, "--input", str(net),
+                              "--config", str(sim), "--output", str(out)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr.startswith("error: 1000000000000 steps") and run.stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_negative_seed_for_a_random_start(self, tmp_path, capsys):
+        net, sim = tmp_path / "tri.edges", tmp_path / "sim.json"
+        net.write_text("0 1 1\n1 2 -1\n0 2 1\n")
+        sim.write_text(json.dumps({"init": "random"}))
+        for model in ("linear", "rw", "elt"):
+            out = tmp_path / f"{model}.csv"
+            assert main(["simulate", model, "--input", str(net), "--config", str(sim), "--output", str(out),
+                         "--seed", "-1"]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "error: seed must be a nonnegative integer, got -1\n")
+            assert not out.exists()
+
     def test_integral_float_horizon_is_accepted(self, tmp_path, capsys):
         codes, _ = self.run(tmp_path, capsys, {"horizon": 2.0})
         assert codes == [0, 0, 0]
@@ -495,3 +523,76 @@ class TestSimulateInputBoundary:
                 sn.ELTConfig(theta_l=bad, alpha=1.0, l0=1.0, horizon=2)
             with pytest.raises(NonpositiveThresholdError, match="positive and finite"):
                 sn.ELTConfig(theta_l=1.0, alpha=1.0, l0=1.0, horizon=1, general_thresholds=[[1.0, bad]])
+
+
+class TestGenerateInputBoundary:
+    """Bad generator configs and seeds are data errors with one error line."""
+
+    LATTICE = {"n": 20, "dbar": 4, "alpha": 0.1}
+
+    @pytest.mark.parametrize("kind, config, flags, message", [
+        ("lattice", {**LATTICE, "sign_plan": {"kind": "flip_k", "k": "x"}}, [],
+         "a flip_k sign_plan needs integer k and seed, got {'kind': 'flip_k', 'k': 'x'}"),
+        ("lattice", {**LATTICE, "sign_plan": {"kind": "flip_k"}}, [],
+         "a flip_k sign_plan needs integer k and seed, got {'kind': 'flip_k'}"),
+        ("lattice", {**LATTICE, "sign_plan": {"kind": "balanced", "rule": "arc:x"}}, [],
+         "unknown bipartition rule 'arc:x'"),
+        ("lattice", {**LATTICE, "sign_plan": {"kind": "antibalanced", "rule": 5}}, [], "unknown bipartition rule 5"),
+        ("lattice", {**LATTICE, "sign_plan": "all"}, [], "sign_plan must be a JSON object, got 'all'"),
+        ("lattice", {**LATTICE, "sign_plan": {"kind": "flip_k", "k": 2, "seed": -1}}, [],
+         "seed must be a nonnegative integer, got -1"),
+        ("tree", {"n": 9, "sign_prob": 0.5, "seed": -1}, [], "seed must be a nonnegative integer, got -1"),
+        ("ssbm", {"n1": 6, "n2": 10, "p_in": 0.8, "p_out": 0.1, "eta": 0.0, "alpha": 0.1}, ["--seed", "-1"],
+         "seed must be a nonnegative integer, got -1"),
+    ])
+    def test_bad_configs_exit_2_with_one_error_line(self, tmp_path, capsys, kind, config, flags, message):
+        cfg, out = tmp_path / "gen.json", tmp_path / "net.edges"
+        cfg.write_text(json.dumps(config))
+        assert main(["generate", kind, "--config", str(cfg), "--output", str(out), *flags]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
+
+
+class TestWeightsNearFloatMax:
+    """Weights near the float maximum give finite JSON with nothing on
+    stderr, or one error line when a degree overflows."""
+
+    CASES = {
+        "edge": ("n 2\n0 1 1e308\n", None),
+        "triangle": ("0 1 1e308\n1 2 1e308\n0 2 1e308\n",
+                     "error: the weighted degree of node 0 exceeds the float range; rescale the weights\n"),
+    }
+
+    @staticmethod
+    def check(code, out, err, expected_error):
+        if expected_error is None:
+            assert (code, err) == (0, "")
+            doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON output"))
+            numbers = [v for v in doc.values() if isinstance(v, float)]
+            assert numbers and all(np.isfinite(numbers))
+        else:
+            assert (code, out, err) == (2, "", expected_error)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("command", ["classify", "measure"])
+    def test_in_process(self, tmp_path, capsys, case, command):
+        text, expected_error = self.CASES[case]
+        path = tmp_path / "big.edges"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the run instead of reaching stderr
+            code = main([command, "--input", str(path)])
+        captured = capsys.readouterr()
+        self.check(code, captured.out, captured.err, expected_error)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("command", ["classify", "measure"])
+    def test_in_a_fresh_process(self, tmp_path, case, command):
+        text, expected_error = self.CASES[case]
+        path = tmp_path / "big.edges"
+        path.write_text(text)
+        env = {**os.environ, "PYTHONPATH": str(Path(sn.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-m", "signednet.cli", command, "--input", str(path)],
+                             env=env, capture_output=True, text=True)
+        self.check(run.returncode, run.stdout, run.stderr, expected_error)

@@ -11,14 +11,22 @@ from signednet.balance import Bipartition, apply_flip_set
 from signednet.core import SignedGraph, _checked_edges, _columns
 from signednet.errors import DisconnectedError, GraphConstructionError
 
+from signednet.io import format_edge_list
+
 from helpers import (
     components_by_union_find,
+    elt_lattice_reference,
+    elt_reference,
     enumerate_simple_cycles,
     frustration_by_edge_subsets,
     frustration_by_node_signings,
+    geometric_thresholds_reference,
+    iterate_reference,
     nonsymmetric_eigenvalues,
     normalize_edges_reference,
     propagate_signs,
+    ring_lattice_reference,
+    walk_until_stationary_reference,
 )
 
 
@@ -137,6 +145,80 @@ def test_elt_is_homogeneous_under_dyadic_scaling(seed, scale):
     base, _ = sn.elt_simulate(G, x0, sn.ELTConfig(theta_l=2.0, alpha=0.5, l0=1.0, horizon=6))
     scaled, _ = sn.elt_simulate(G, scale * x0, sn.ELTConfig(theta_l=2.0, alpha=0.5, l0=scale, horizon=6))
     assert np.array_equal(scaled.states, scale * base.states)
+
+
+@st.composite
+def simulation_runs(draw):
+    """A graph, a seeded generator, a start state and a horizon."""
+    G = draw(connected_signed_graphs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return G, rng, rng.standard_normal(G.n), draw(st.integers(0, 60))
+
+
+@given(simulation_runs())
+@settings(max_examples=60, deadline=None)
+def test_walk_simulators_match_their_reference_loops(run):
+    G, rng, x0, horizon = run
+    W, P = G.weight_matrix, sn.transition_matrix(G)
+    assert np.array_equal(sn.linear_adjacency_simulate(G, x0, horizon).states, iterate_reference(W, x0, horizon))
+    assert np.array_equal(sn.random_walk_simulate(G, x0, horizon).states, iterate_reference(P, x0, horizon))
+    xp, xm = rng.random(G.n), rng.random(G.n)
+    plus, minus = sn.doubled_walk_simulate(G, xp, xm, horizon)
+    both = iterate_reference(sn.doubled_transition(G), np.concatenate([xp, xm]), horizon)
+    assert np.array_equal(plus.states, both[:, :G.n]) and np.array_equal(minus.states, both[:, G.n:])
+
+
+@given(simulation_runs(), st.sampled_from([1e-1, 1e-3, 1e-8, 0.0]))
+@settings(max_examples=80, deadline=None)
+def test_walk_until_stationary_stops_where_the_list_loop_stops(run, tol):
+    G, _, x0, max_steps = run
+    traj = sn.simulate_walk_until_stationary(G, x0, max_steps=max_steps, tol=tol)
+    expected = walk_until_stationary_reference(sn.transition_matrix(G), x0, max_steps, tol)
+    assert traj.states.shape == expected.shape and np.array_equal(traj.states, expected)
+
+
+@given(simulation_runs(), st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.1, 0.5, 1.0]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_elt_matches_the_reference_loop(run, theta_l, alpha, table):
+    G, rng, x0, horizon = run
+    thresholds = rng.uniform(0.05, 2.0, (horizon, G.n)) if table else None
+    cfg = sn.ELTConfig(theta_l=theta_l, alpha=alpha, l0=1.0, horizon=horizon, general_thresholds=thresholds)
+    traj, _ = sn.elt_simulate(G, x0, cfg)
+    expected = elt_reference(G.weight_matrix, x0, thresholds if table else geometric_thresholds_reference(cfg, G.n))
+    assert np.array_equal(traj.states, expected)
+
+
+@st.composite
+def lattice_params(draw):
+    n = draw(st.integers(5, 30))
+    plan = draw(st.sampled_from([
+        sn.BalancedPlan("all"), sn.BalancedPlan(f"arc:{n // 2}"), sn.BalancedPlan("blocks:3"),
+        sn.AntibalancedPlan("all"), sn.AntibalancedPlan("blocks:4"),
+        sn.FlipKPlan(k=draw(st.integers(0, 4)), seed=draw(st.integers(0, 10**6)), base_rule="arc:2"),
+    ]))
+    dbar = draw(st.sampled_from([d for d in (2, 4, 6, 8) if d < n]))
+    return sn.LatticeParams(n=n, dbar=dbar, alpha=draw(st.sampled_from([0.1, 0.25, 0.5, 1.0])), sign_plan=plan)
+
+
+@given(lattice_params())
+@settings(max_examples=60, deadline=None)
+def test_ring_lattice_matches_the_loop_reference(params):
+    G, expected = sn.ring_lattice(params), ring_lattice_reference(params)
+    assert G.edges == expected.edges and format_edge_list(G) == format_edge_list(expected)
+
+
+@given(lattice_params(), st.sampled_from(["balanced", "antibalanced"]), st.integers(0, 4),
+       st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), st.sampled_from([1.0, 0.3]), st.integers(0, 30))
+@settings(max_examples=80, deadline=None)
+def test_elt_lattice_matches_the_reference_loop(params, mode, center, theta_l, l0, horizon):
+    G = sn.ring_lattice(params)
+    verdict = sn.classify(G).verdict
+    if verdict in (sn.Verdict.BALANCED, sn.Verdict.ANTIBALANCED):
+        mode = verdict.value  # the other mode is refused
+    cfg = sn.ELTConfig(theta_l=theta_l, alpha=params.alpha, l0=l0, horizon=horizon)
+    traj, _ = sn.elt_lattice_simulate(G, center, cfg, mode=mode)
+    expected = elt_lattice_reference(G.weight_matrix, center, 1 if mode == "balanced" else -1, cfg)
+    assert np.array_equal(traj.states, expected)
 
 
 @st.composite
