@@ -28,7 +28,6 @@ from .balance import (
     Bipartition,
     FrustrationReport,
     Verdict,
-    antibalanced_partition_from_bipartite,
     bipartite_partition,
     classify,
     frustration,
@@ -43,8 +42,6 @@ from .spectral import (
     balance_measures,
     eigendecompose_symmetric,
     eigenvalues_symmetric,
-    leading_eigenpair_pattern,
-    perron_vectors_balanced,
     perturbation_estimate,
     verify_spectral_theorem,
 )

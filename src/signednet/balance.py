@@ -23,12 +23,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from .core import Edge, SignedGraph
-from .errors import (
-    EdgeNotPresentError,
-    NotBalancedError,
-    NotBipartiteError,
-    TooLargeError,
-)
+from .errors import EdgeNotPresentError, TooLargeError
 
 #: eigenvector entries below this magnitude are assigned to the +1 side when a
 #: sign pattern is read off a vector (deterministic tie rule)
@@ -158,27 +153,6 @@ def bipartite_partition(G: SignedGraph) -> Optional[Bipartition]:
     return _certificate(G, _parity(G._traversal.depth), -1)
 
 
-def antibalanced_partition_from_bipartite(
-    G: SignedGraph, b_bipartite: Bipartition, b_balanced: Bipartition
-) -> Bipartition:
-    """Antibalance certificate of a balanced bipartite graph.
-
-    The entrywise product of the bipartite 2-coloring and the balance
-    certificate: nodes keeping their color across both partitions form one
-    side.  Raises when either input fails to certify its property.
-    """
-    if b_bipartite.n != G.n or not _edge_holds(G, b_bipartite.s, -1).all():
-        raise NotBipartiteError("the given partition is not a proper 2-coloring of the graph")
-    if not certifies_balance(G, b_balanced):
-        raise NotBalancedError("the given partition does not certify balance")
-    return Bipartition(b_bipartite.s * b_balanced.s).normalized()
-
-
-def certifies_balance(G: SignedGraph, b: Bipartition) -> bool:
-    """True when every edge satisfies the balance condition under b."""
-    return b.n == G.n and bool(_edge_holds(G, b.s, G.sign).all())
-
-
 # ---------------------------------------------------------------------------
 # sign-conflicting walks
 # ---------------------------------------------------------------------------
@@ -247,7 +221,9 @@ def frustration(G: SignedGraph, target: FrustrationTarget = "balanced",
     under the 25-edge cap).  A violated chain is flipped at its lightest edge.
     Capped at 25 edges.  Heuristic mode reads the bipartition off the leading
     (balanced) or trailing (antibalanced) eigenvector of W and reports the
-    violation count as an upper bound.
+    violation count as an upper bound.  On a balanced (antibalanced) graph
+    that eigenvector is the certificate times the Perron vector of |W|, so
+    its sign pattern is the certificate (up to global sign) with no flips.
 
     Both the edge count and the total flipped absolute weight are reported.
     """

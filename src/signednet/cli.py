@@ -7,10 +7,8 @@ All randomized commands take an explicit seed and are fully reproducible.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -34,11 +32,11 @@ from .errors import (
     NonFiniteStateError,
     ParamOutOfRangeError,
     SignedNetError,
-    VerificationFailure,
 )
 from .generate import (
     LatticeParams,
     SSBMParams,
+    config_field,
     random_signed_tree,
     ring_lattice,
     seeded_rng,
@@ -194,8 +192,13 @@ def _cmd_measure(args) -> int:
 
 def _cmd_generate(args) -> int:
     config = json.loads(Path(args.config).read_text())
+    if not isinstance(config, dict):
+        raise ParamOutOfRangeError("the generate config must be a JSON object")
     if args.seed is not None:
         config["seed"] = args.seed
+    for key in ("n1", "n2", "n", "dbar", "seed"):
+        if key in config:
+            config[key] = config_field(config, key, None, int)
     if args.kind == "ssbm":
         G = ssbm(SSBMParams(**config))
         header = f"ssbm {json.dumps(config, sort_keys=True)}"
@@ -210,32 +213,14 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _config_field(config: dict, key: str, default, kind: type):
-    """One simulate-config field of the given JSON type: a nonnegative ``int``
-    (integral floats accepted), a finite ``float``, a ``str``, or a ``list``
-    (or null).  Booleans are not numbers; any other value is a data error."""
-    value = config.get(key, default)
-    if kind in (int, float):
-        x = math.nan
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            with contextlib.suppress(OverflowError):  # integers beyond the float range
-                x = float(value)
-        if math.isfinite(x) and (kind is float or x >= 0 and x.is_integer()):
-            return kind(x)
-    elif isinstance(value, kind) or kind is list and value is None:
-        return value
-    what = {int: "a nonnegative integer", float: "a finite number", str: "a string"}.get(kind, "null or a list")
-    raise ParamOutOfRangeError(f"{key} must be {what}, got {value!r}")
-
-
 def _cmd_simulate(args) -> int:
     G = load_graph(args.input)
     config = json.loads(Path(args.config).read_text())
     if not isinstance(config, dict):
         raise ParamOutOfRangeError("the simulate config must be a JSON object")
-    horizon = _config_field(config, "horizon", 50, int)
-    l0 = _config_field(config, "l0", 1.0, float)
-    x0 = initial_state(_config_field(config, "init", "uniform", str), G, l0, args.seed)
+    horizon = config_field(config, "horizon", 50, int)
+    l0 = config_field(config, "l0", 1.0, float)
+    x0 = initial_state(config_field(config, "init", "uniform", str), G, l0, args.seed)
 
     summary: dict = {"model": args.model, "horizon": horizon}
     if args.model == "linear":
@@ -254,11 +239,11 @@ def _cmd_simulate(args) -> int:
             summary["stationary_prediction"] = {"kind": "unsupported", "reason": str(exc)}
     else:
         cfg = ELTConfig(
-            theta_l=_config_field(config, "theta_l", 1.0, float),
-            alpha=_config_field(config, "alpha", 1.0, float),
+            theta_l=config_field(config, "theta_l", 1.0, float),
+            alpha=config_field(config, "alpha", 1.0, float),
             l0=l0,
             horizon=horizon,
-            general_thresholds=_config_field(config, "general_thresholds", None, list),
+            general_thresholds=config_field(config, "general_thresholds", None, list),
         )
         traj, acts = elt_simulate(G, x0, cfg)
         summary["activation_sets"] = activation_sets_to_json(acts)
@@ -303,9 +288,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return VERIFY_EXIT
     except (SignedNetError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT

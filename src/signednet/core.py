@@ -15,8 +15,7 @@ Matrices are dense numpy arrays; the intended scale is a few thousand nodes
 at most.  :mod:`signednet.spectral` solves them: the balance measures and
 spectral radii take eigenvalues only, and eigenvectors are computed only
 where a caller reads them (heuristic frustration, the spectral theorem
-check, eigenvector bipartitions, right eigenvectors of P and the rank-1
-approximation).
+check and the rank-1 approximation).
 
 State convention: dynamics elsewhere use row vectors and left multiplication,
 ``x(t+1) = x(t) @ M``.  The matrices returned here are oriented for that.

@@ -4,8 +4,9 @@ extended linear threshold (ELT) model, with closed-form stationary states.
 All simulators use row vectors and left multiplication: one step maps x to
 ``x @ M``.  States are never renormalized.  Trajectories are immutable
 records of every visited state including the initial one.  Every simulator
-steps through :func:`_run`, one loop over one preallocated array, which
-refuses a run storing more than :data:`MAX_STORED_VALUES` values.
+steps through :func:`_run`, one loop filling one array, which refuses a run
+storing more than :data:`MAX_STORED_VALUES` values and is handed to the
+trajectory read-only, without a copy.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     WrongVerdictError,
 )
 from .generate import circulant_pairs
-from .spectral import adjacency_spectrum
+from .spectral import eigendecompose_symmetric
 
 #: most values one simulation may store, (steps + 1) x state width: 2**26
 #: float64 values are 512 MiB
@@ -44,13 +45,18 @@ MAX_STORED_VALUES = 2**26
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-indexed states: row t is x(t), t = 0..T."""
+    """Time-indexed states: row t is x(t), t = 0..T.
+
+    A read-only float array is kept as given; anything else is copied into one.
+    """
 
     states: np.ndarray
 
     def __post_init__(self):
-        states = np.array(self.states, dtype=float, copy=True)
-        states.flags.writeable = False
+        states = self.states
+        if not (isinstance(states, np.ndarray) and states.dtype == float and not states.flags.writeable):
+            states = np.array(states, dtype=float)
+            states.flags.writeable = False
         object.__setattr__(self, "states", states)
 
     def __len__(self) -> int:
@@ -86,15 +92,29 @@ def _check_stored(steps: int, width: int) -> None:
 def _run(step: Callable[[np.ndarray, int], np.ndarray], x0: np.ndarray, steps: int,
          settled: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None) -> np.ndarray:
     """Rows x(0) = x0, x(t) = step(x(t-1), t) up to t = steps, or up to the first
-    t >= 2 with ``settled(x(t), x(t-2))``.  Callers check for overflow."""
-    _check_stored(steps, x0.shape[0])
-    states = np.empty((steps + 1, x0.shape[0]), dtype=x0.dtype)
+    t >= 2 with ``settled(x(t), x(t-2))``, as one read-only array.
+
+    Without ``settled`` every row is allocated, and counted against the cap,
+    before the first step.  With it the rows double as they fill, and the run
+    is refused only when the rows stored would pass the cap.  Callers check
+    for overflow.
+    """
+    width = x0.shape[0]
+    _check_stored(steps, width if settled is None else 0)  # with ``settled`` rows count as they are added
+    states = np.empty((steps + 1 if settled is None else 1, width), dtype=x0.dtype)
     states[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, steps + 1):
+            if t == len(states):  # only with ``settled``: the array is full
+                _check_stored(t, width)
+                grown = np.empty((min(2 * t, steps + 1, MAX_STORED_VALUES // width), width), dtype=x0.dtype)
+                grown[:t] = states
+                states = grown
             states[t] = step(states[t - 1], t)
             if settled is not None and t >= 2 and settled(states[t], states[t - 2]):
-                return states[: t + 1]
+                states = states[: t + 1]
+                break
+    states.flags.writeable = False
     return states
 
 
@@ -121,9 +141,8 @@ def simulate_walk_until_stationary(G: SignedGraph, x0, max_steps: int = 100_000,
     """Random walk run until period-2-aware convergence or ``max_steps``.
 
     Stops once max |x(t) - x(t-2)| < tol, which also detects the alternating
-    limit pair of antibalanced graphs.  All ``max_steps`` steps count against
-    :data:`MAX_STORED_VALUES` before the walk starts, however early it
-    settles: the default admits graphs of up to 671 nodes.
+    limit pair of antibalanced graphs.  Only the steps run count against
+    :data:`MAX_STORED_VALUES`.
     """
     x = _check_state(G, x0)
     P = transition_matrix(G)
@@ -220,10 +239,10 @@ def rank1_approximation(G: SignedGraph, t: int) -> np.ndarray:
         raise BipartiteGraphError("rank-1 approximation is degenerate on bipartite graphs")
     if c.certificate is None:
         raise WrongVerdictError("requires a balanced or antibalanced graph")
-    unsigned = adjacency_spectrum(unsigned_counterpart(G))
-    lam, u1 = unsigned.leading
+    unsigned = eigendecompose_symmetric(unsigned_counterpart(G).weight_matrix)
+    lam = float(unsigned.eigenvalues[0])
     signed_lead = lam if c.is_balanced else -lam
-    v = c.certificate.s.astype(float) * u1
+    v = c.certificate.s.astype(float) * unsigned.eigenvectors[:, 0]
     return (signed_lead ** t) * np.outer(v, v)
 
 
@@ -432,8 +451,15 @@ def elt_lattice_simulate(G: SignedGraph, seed_center: int, cfg: ELTConfig,
     if classify(G).verdict == opposite:
         raise InconsistentModeError(f"{mode}-mode seeding on a purely {opposite.value} lattice")
 
-    sigma = _closed_neighbourhood(G, seed_center, 1 if mode == "balanced" else -1)
+    signs = _closed_neighbourhood(G, seed_center, 1 if mode == "balanced" else -1)
     A = np.sign(G.weight_matrix).astype(np.int64)
-    signs = _run(lambda s, t: _activate(s @ A, cfg.theta_l, 1), sigma, cfg.horizon)
-    traj = Trajectory(signs * cfg.levels()[:, None])
+    _check_stored(cfg.horizon, G.n)  # before the schedule is allocated
+    levels = cfg.levels()
+
+    def step(_, t):  # the integer signs advance beside the scaled states
+        nonlocal signs
+        signs = _activate(signs @ A, cfg.theta_l, 1)
+        return signs * levels[t]
+
+    traj = Trajectory(_run(step, signs * levels[0], cfg.horizon))
     return traj, ActivationSets(traj.states)

@@ -59,10 +59,6 @@ class NotBalancedError(SignedNetError):
     pass
 
 
-class NotBipartiteError(SignedNetError):
-    pass
-
-
 class BipartiteGraphError(SignedNetError):
     """Operation undefined on bipartite graphs (degenerate +/- rho pair)."""
 
@@ -117,9 +113,3 @@ class ParamOutOfRangeError(SignedNetError):
 
 class GaveUpConnectivityError(SignedNetError):
     """Generator failed to produce a connected graph within its retry budget."""
-
-
-# ---- verification ---------------------------------------------------------
-
-class VerificationFailure(SignedNetError):
-    """Raised by the CLI when a verification suite does not pass."""

@@ -6,6 +6,8 @@ same inputs produce the same edge list, element for element.
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -221,8 +223,26 @@ def random_signed_tree(n: int, sign_prob: float, seed: int = 0, alpha: float = 1
 
 
 # ---------------------------------------------------------------------------
-# JSON sign plans (CLI surface)
+# JSON configs (CLI surface)
 # ---------------------------------------------------------------------------
+
+def config_field(config: dict, key: str, default, kind: type):
+    """One JSON config field of the given type: a nonnegative ``int``
+    (integral floats accepted), a finite ``float``, a ``str``, or a ``list``
+    (or null).  Booleans are not numbers; any other value is a data error."""
+    value = config.get(key, default)
+    if kind in (int, float):
+        x = math.nan
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            with contextlib.suppress(OverflowError):  # integers beyond the float range
+                x = float(value)
+        if math.isfinite(x) and (kind is float or x >= 0 and x.is_integer()):
+            return value if kind is int and isinstance(value, int) else kind(x)
+    elif isinstance(value, kind) or kind is list and value is None:
+        return value
+    what = {int: "a nonnegative integer", float: "a finite number", str: "a string"}.get(kind, "null or a list")
+    raise ParamOutOfRangeError(f"{key} must be {what}, got {value!r}")
+
 
 def sign_plan_from_json(doc: dict) -> SignPlan:
     if not isinstance(doc, dict):
@@ -233,9 +253,12 @@ def sign_plan_from_json(doc: dict) -> SignPlan:
     if kind == "antibalanced":
         return AntibalancedPlan(rule=doc.get("rule", "all"))
     if kind == "flip_k":
+        seed = doc.get("seed", 0)
+        if type(seed) is int and seed < 0:
+            seeded_rng(seed)  # raises the named negative-seed error
         try:
-            k, seed = int(doc.get("k")), int(doc.get("seed", 0))
-        except (TypeError, ValueError, OverflowError):
+            k, seed = config_field(doc, "k", None, int), config_field(doc, "seed", 0, int)
+        except ParamOutOfRangeError:
             raise ParamOutOfRangeError(f"a flip_k sign_plan needs integer k and seed, got {doc!r}") from None
         return FlipKPlan(k=k, seed=seed, base_rule=doc.get("base_rule", "all"))
     raise ParamOutOfRangeError(f"unknown sign plan kind {kind!r}")

@@ -8,13 +8,14 @@ Two entry points do every eigensolve, sharing one symmetry check:
 
 * :func:`eigenvalues_symmetric` returns eigenvalues only.  It serves every
   caller that reads no eigenvector: :func:`balance_measures`,
-  :func:`spectral_radius`, :func:`perturbation_estimate` and the walk
-  horizons of verification criterion 6.
+  :func:`perturbation_estimate` and the walk horizons of verification
+  criterion 6.
 * :func:`eigendecompose_symmetric` returns eigenvalues with sign-normalised
   eigenvectors.  Only callers that read eigenvectors use it: heuristic
-  frustration, :func:`verify_spectral_theorem`,
-  :func:`leading_eigenpair_pattern`, :func:`transition_right_eigenvectors`
-  and the rank-1 approximation in :mod:`signednet.dynamics`.
+  frustration (on a balanced or antibalanced graph the sign pattern of the
+  extreme eigenvector it reads is the certificate),
+  :func:`verify_spectral_theorem` and the rank-1 approximation in
+  :mod:`signednet.dynamics`.
 
 The two distance measures live here:
 
@@ -31,22 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .balance import (
-    BalanceClassification,
-    Bipartition,
-    Verdict,
-    bipartite_partition,
-    classify,
-    sign_pattern,
-)
+from .balance import BalanceClassification, Verdict, apply_flip_set, classify
 from .core import SignedGraph, symmetrized_transition, unsigned_counterpart
-from .errors import (
-    BipartiteGraphError,
-    EdgeNotPresentError,
-    NotBalancedError,
-    NotSymmetricError,
-    WrongVerdictError,
-)
+from .errors import EdgeNotPresentError, NotBalancedError, NotSymmetricError, WrongVerdictError
 
 SYMMETRY_TOLERANCE = 1e-12
 #: adjacent eigenvalues closer than this are treated as one degenerate group
@@ -65,21 +53,10 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    @property
-    def leading(self) -> tuple[float, np.ndarray]:
-        return float(self.eigenvalues[0]), self.eigenvectors[:, 0]
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
-
     def degenerate_groups(self, gap: float = DEGENERACY_GAP) -> list[list[int]]:
         """Indices grouped by eigenvalue proximity (descending order)."""
         groups: list[list[int]] = [[0]]
-        for k in range(1, self.n):
+        for k in range(1, len(self.eigenvalues)):
             if abs(self.eigenvalues[k - 1] - self.eigenvalues[k]) < gap:
                 groups[-1].append(k)
             else:
@@ -123,27 +100,9 @@ def eigendecompose_symmetric(M: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
-def adjacency_spectrum(G: SignedGraph) -> Spectrum:
-    return eigendecompose_symmetric(G.weight_matrix)
-
-
-def transition_right_eigenvectors(G: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of P (descending) with right eigenvectors of P itself,
-    mapped from the eigenvectors of P_sym."""
-    spec = eigendecompose_symmetric(symmetrized_transition(G))
-    inv_sqrt = 1.0 / np.sqrt(G.degrees)
-    return spec.eigenvalues, inv_sqrt[:, None] * spec.eigenvectors
-
-
 def transition_eigenvalues(G: SignedGraph) -> np.ndarray:
     """Eigenvalues of P in descending order, via P_sym, without eigenvectors."""
     return eigenvalues_symmetric(symmetrized_transition(G))
-
-
-def spectral_radius(G: SignedGraph) -> float:
-    """rho(W) = max(lambda_max, -lambda_min) of the signed adjacency matrix."""
-    vals = eigenvalues_symmetric(G.weight_matrix)
-    return float(max(vals[0], -vals[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +139,8 @@ def verify_spectral_theorem(G: SignedGraph, c: BalanceClassification) -> Spectra
     """
     if c.verdict == Verdict.STRICTLY_UNBALANCED:
         raise WrongVerdictError("spectrum correspondence only holds for balanced or antibalanced graphs")
-    signed = adjacency_spectrum(G)
-    unsigned = adjacency_spectrum(unsigned_counterpart(G))
+    signed = eigendecompose_symmetric(G.weight_matrix)
+    unsigned = eigendecompose_symmetric(unsigned_counterpart(G).weight_matrix)
 
     s = c.certificate.s.astype(float)
     # signed eigenpair order[k] matches unsigned eigenpair k, with its eigenvalue negated if antibalanced
@@ -203,29 +162,6 @@ def verify_spectral_theorem(G: SignedGraph, c: BalanceClassification) -> Spectra
         subspace_max_dev=subspace_dev,
         leading_magnitude_dev=leading_dev,
     )
-
-
-def leading_eigenpair_pattern(G: SignedGraph, c: BalanceClassification) -> Bipartition:
-    """Bipartition read off the spectral-radius eigenvector of W.
-
-    Balanced graphs use the leading eigenvector, antibalanced ones the
-    trailing eigenvector; either must reproduce the certificate bipartition
-    up to global negation.  Bipartite graphs are refused: their +/- rho
-    eigenvalue pair makes the pattern degenerate, and the antibalance
-    certificate is instead constructed combinatorially
-    (:func:`signednet.balance.antibalanced_partition_from_bipartite`).
-    """
-    if bipartite_partition(G) is not None:
-        raise BipartiteGraphError(
-            "leading eigenvector pattern is degenerate on bipartite graphs (+/- rho pair)"
-        )
-    if c.verdict == Verdict.BALANCED:
-        vector = adjacency_spectrum(G).eigenvectors[:, 0]
-    elif c.verdict == Verdict.ANTIBALANCED:
-        vector = adjacency_spectrum(G).eigenvectors[:, -1]
-    else:
-        raise WrongVerdictError(f"requires a balanced or antibalanced graph, verdict is {c.verdict.value}")
-    return sign_pattern(vector).normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -254,32 +190,18 @@ def balance_measures(G: SignedGraph) -> BalanceMeasures:
     """d_b, d_a and the signed/unsigned spectral radii of W.
 
     d_b = lambda_min(L_rw) and d_a = 2 - lambda_max(L_rw), both computed from
-    the symmetric similarity of P.  |W| is nonnegative, so by Perron-Frobenius
-    its spectral radius is its largest eigenvalue.  Three value-only solves;
-    no eigenvector is computed.
+    the symmetric similarity of P.  rho(W) = max(lambda_max, -lambda_min);
+    |W| is nonnegative, so by Perron-Frobenius its spectral radius is its
+    largest eigenvalue.  Three value-only solves; no eigenvector is computed.
     """
     p_vals = transition_eigenvalues(G)
+    w_vals = eigenvalues_symmetric(G.weight_matrix)
     return BalanceMeasures(
         d_b=float(1.0 - p_vals[0]),
         d_a=float(1.0 + p_vals[-1]),
-        spectral_radius_signed=spectral_radius(G),
+        spectral_radius_signed=float(max(w_vals[0], -w_vals[-1])),
         spectral_radius_unsigned=float(eigenvalues_symmetric(np.abs(G.weight_matrix))[0]),
     )
-
-
-def perron_vectors_balanced(G: SignedGraph, b: Bipartition) -> tuple[np.ndarray, np.ndarray]:
-    """Right and left eigenvectors of P at eigenvalue 1 for a balanced graph.
-
-    The right eigenvector is the certificate sign vector itself, the left one
-    is the sign vector weighted by node degrees.
-    """
-    from .balance import certifies_balance
-
-    if not certifies_balance(G, b):
-        raise NotBalancedError("partition does not certify balance for this graph")
-    u = b.s.astype(float)
-    w = u * G.degrees
-    return u, w
 
 
 @dataclass(frozen=True)
@@ -305,8 +227,6 @@ def perturbation_estimate(G_b: SignedGraph, flip_set) -> PerturbationEstimate:
     ``G_b`` must be balanced; every flip edge must exist.  ``m`` is half the
     total degree, i.e. the total absolute edge weight.
     """
-    from .balance import apply_flip_set
-
     c = classify(G_b)
     if not c.is_balanced:
         raise NotBalancedError("perturbation baseline must be a balanced graph")

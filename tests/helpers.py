@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they are used to check: balance is
 decided by enumerating simple cycles or by a hand-written sign-propagating
-traversal with its own adjacency lists, frustration by exhausting edge subsets
-or all node signings, components by union-find, spectra come from numpy's
+traversal with its own adjacency lists, certificates are checked one edge at
+a time, frustration by exhausting edge subsets or all node signings,
+components by union-find, spectra come from numpy's
 nonsymmetric solver, edge validation from one Python pass over the edges,
 trajectory CSV from one ``csv.writer`` row per value (read back by a strict
 ``csv`` reader), ring lattices from Python loops over the circulant pairs,
@@ -34,6 +35,7 @@ __all__ = [
     "enumerate_simple_cycles",
     "random_connected_corpus",
     "propagate_signs",
+    "certifies_balance",
     "components_by_union_find",
     "frustration_by_edge_subsets",
     "frustration_by_node_signings",
@@ -81,6 +83,12 @@ def propagate_signs(G: SignedGraph) -> Optional[Bipartition]:
         if s[i] * s[j] != (1 if w > 0 else -1):
             return None
     return Bipartition(s).normalized()
+
+
+def certifies_balance(G: SignedGraph, b: Bipartition) -> bool:
+    """True when b covers G's nodes and every edge satisfies s_i s_j = sign(w),
+    checked one edge at a time."""
+    return b.n == G.n and all(b.s[e.i] * b.s[e.j] == (1 if e.w > 0 else -1) for e in G.edges)
 
 
 def components_by_union_find(n: int, pairs) -> list[list[int]]:

@@ -5,15 +5,10 @@ import pytest
 
 import signednet as sn
 from signednet import Verdict
-from signednet.balance import (
-    Bipartition,
-    apply_flip_set,
-    certifies_balance,
-    sign_pattern,
-)
-from signednet.errors import NotBalancedError, NotBipartiteError, TooLargeError
+from signednet.balance import Bipartition, apply_flip_set, sign_pattern
+from signednet.errors import TooLargeError
 
-from helpers import cycle_sign_oracle, frustration_by_edge_subsets, random_connected_corpus
+from helpers import certifies_balance, cycle_sign_oracle, frustration_by_edge_subsets, random_connected_corpus
 
 
 class TestClassify:
@@ -114,31 +109,29 @@ class TestSwitch:
 
 
 class TestAntibalancedFromBipartite:
+    """On a balanced bipartite graph, classify's antibalance certificate is the
+    2-coloring times the balance certificate."""
+
     def test_positive_four_cycle(self, four_cycle_positive):
-        b_p = Bipartition([1, -1, 1, -1])
-        b_b = Bipartition([1, 1, 1, 1])
-        s_a = sn.antibalanced_partition_from_bipartite(four_cycle_positive, b_p, b_b)
-        assert certifies_balance(sn.negate(four_cycle_positive), s_a)
-        assert s_a.same_partition(Bipartition([1, -1, 1, -1]))
+        c = sn.classify(four_cycle_positive)
+        assert np.array_equal(c.balanced_partition.s, [1, 1, 1, 1])
+        assert np.array_equal(c.antibalanced_partition.s, [1, -1, 1, -1])  # coloring (+, -, +, -) times (+, +, +, +)
+        assert certifies_balance(sn.negate(four_cycle_positive), c.antibalanced_partition)
 
     def test_negative_dyad(self, dyad_negative):
-        b_p = Bipartition([1, -1])
-        b_b = Bipartition([1, -1])
-        s_a = sn.antibalanced_partition_from_bipartite(dyad_negative, b_p, b_b)
-        assert np.array_equal(s_a.s, [1, 1])
-        assert certifies_balance(sn.negate(dyad_negative), s_a)
+        c = sn.classify(dyad_negative)
+        assert np.array_equal(c.balanced_partition.s, [1, -1])
+        assert np.array_equal(c.antibalanced_partition.s, [1, 1])  # coloring (+, -) times (+, -)
+        assert certifies_balance(sn.negate(dyad_negative), c.antibalanced_partition)
 
-    def test_non_bipartite_rejected(self, triangle_positive):
-        with pytest.raises(NotBipartiteError):
-            sn.antibalanced_partition_from_bipartite(
-                triangle_positive, Bipartition([1, -1, 1]), Bipartition([1, 1, 1])
-            )
-
-    def test_wrong_balance_certificate_rejected(self, four_cycle_positive):
-        with pytest.raises(NotBalancedError):
-            sn.antibalanced_partition_from_bipartite(
-                four_cycle_positive, Bipartition([1, -1, 1, -1]), Bipartition([1, -1, 1, 1])
-            )
+    def test_bipartite_corpus(self):
+        checked = 0
+        for G in random_connected_corpus(300, max_n=8, seed=5):
+            c, coloring = sn.classify(G), sn.bipartite_partition(G)
+            if coloring is not None and c.is_balanced:
+                assert np.array_equal(c.antibalanced_partition.s, coloring.s * c.balanced_partition.s)
+                checked += 1
+        assert checked > 50
 
 
 class TestSignConflictingWalk:

@@ -387,11 +387,10 @@ class TestStoredStateCap:
     @pytest.mark.parametrize("simulate", [
         lambda G: sn.linear_adjacency_simulate(G, np.ones(G.n), TestStoredStateCap.HUGE),
         lambda G: sn.random_walk_simulate(G, np.ones(G.n), TestStoredStateCap.HUGE),
-        lambda G: sn.simulate_walk_until_stationary(G, np.ones(G.n), max_steps=TestStoredStateCap.HUGE),
         lambda G: sn.doubled_walk_simulate(G, np.ones(G.n), np.ones(G.n), TestStoredStateCap.HUGE),
         lambda G: sn.elt_simulate(G, np.ones(G.n), ELTConfig(1.0, 0.1, 1.0, TestStoredStateCap.HUGE)),
         lambda G: sn.elt_lattice_simulate(G, 0, ELTConfig(2.0, 0.1, 1.0, TestStoredStateCap.HUGE)),
-    ], ids=["linear", "rw", "until_stationary", "doubled", "elt", "elt_lattice"])
+    ], ids=["linear", "rw", "doubled", "elt", "elt_lattice"])
     def test_oversized_runs_are_refused_before_allocating(self, simulate):
         G = lattice(n=12)
         tracemalloc.start()
@@ -411,16 +410,46 @@ class TestStoredStateCap:
         with pytest.raises(ParamOutOfRangeError, match="would store 66 values"):  # two species
             sn.doubled_walk_simulate(triangle_positive, np.ones(3), np.ones(3), 10)
 
-    def test_until_stationary_counts_max_steps_even_when_it_settles_early(self, triangle_positive, monkeypatch):
-        traj = sn.simulate_walk_until_stationary(triangle_positive, np.ones(3) / 3, max_steps=10)
+    def test_until_stationary_counts_only_the_steps_it_runs(self, triangle_positive, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_STORED_VALUES", 30)
+        traj = sn.simulate_walk_until_stationary(triangle_positive, np.ones(3) / 3, max_steps=self.HUGE)
         assert traj.horizon == 2  # uniform start is already stationary
-        monkeypatch.setattr(dynamics, "MAX_STORED_VALUES", 32)
-        with pytest.raises(ParamOutOfRangeError, match="10 steps of 3 values"):
-            sn.simulate_walk_until_stationary(triangle_positive, np.ones(3) / 3, max_steps=10)
+        point = np.array([1.0, 0.0, 0.0])
+        assert len(sn.simulate_walk_until_stationary(triangle_positive, point, max_steps=9, tol=0.0)) == 10
+        with pytest.raises(ParamOutOfRangeError, match="10 steps of 3 values would store 33 values"):
+            sn.simulate_walk_until_stationary(triangle_positive, point, max_steps=self.HUGE, tol=0.0)
+
+    def test_default_walk_on_700_nodes_settles(self):
+        G = lattice(n=700)
+        traj = sn.simulate_walk_until_stationary(G, np.full(G.n, 1.0 / G.n))
+        assert traj.horizon == 2
+        with pytest.raises(ParamOutOfRangeError, match="above the cap"):  # the fixed-horizon walk still counts all
+            sn.random_walk_simulate(G, np.full(G.n, 1.0 / G.n), 100_000)
 
     def test_negative_horizon_is_refused(self, triangle_positive):
         with pytest.raises(ParamOutOfRangeError, match="horizon must be nonnegative, got -1"):
             sn.random_walk_simulate(triangle_positive, np.ones(3), -1)
+
+
+class TestTrajectoryStorage:
+    def test_linear_trajectory_is_stored_once(self):
+        G = lattice(n=500, alpha=0.25)  # W has row sums 1: the states stay at 1
+        tracemalloc.start()
+        try:
+            traj = sn.linear_adjacency_simulate(G, np.ones(G.n), 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * traj.states.nbytes
+
+    def test_only_a_writeable_input_is_copied(self):
+        states = np.zeros((2, 3))
+        traj = sn.Trajectory(states)
+        states[0, 0] = 1.0
+        assert traj.states[0, 0] == 0.0 and not traj.states.flags.writeable
+        states.flags.writeable = False
+        assert sn.Trajectory(states).states is states
+        assert sn.Trajectory([[1, 2]]).states.dtype == float
 
 
 class TestActivationSets:

@@ -4,7 +4,7 @@ import pytest
 import signednet as sn
 from signednet import Verdict
 from signednet.errors import GaveUpConnectivityError, ParamOutOfRangeError
-from signednet.generate import resolve_partition_rule, seeded_rng, sign_plan_from_json
+from signednet.generate import config_field, resolve_partition_rule, seeded_rng, sign_plan_from_json
 from signednet.io import format_edge_list
 
 
@@ -126,10 +126,15 @@ class TestRingLattice:
         ({"kind": "flip_k", "k": "x"}, "flip_k sign_plan needs integer k and seed"),
         ({"kind": "flip_k", "k": 2, "seed": float("inf")}, "flip_k sign_plan needs integer k and seed"),
         ({"kind": "spiral"}, "unknown sign plan kind 'spiral'"),
+        ({"kind": "flip_k", "k": 2, "seed": 1.5}, "flip_k sign_plan needs integer k and seed"),
     ])
     def test_bad_json_sign_plans_are_named_errors(self, doc, message):
         with pytest.raises(ParamOutOfRangeError, match=message):
             sign_plan_from_json(doc)
+
+    def test_integer_fields_keep_every_digit(self):
+        assert config_field({"seed": 2**64 + 1}, "seed", 0, int) == 2**64 + 1
+        assert sign_plan_from_json({"kind": "flip_k", "k": 2.0, "seed": 2**64 + 1}) == sn.FlipKPlan(k=2, seed=2**64 + 1)
 
     def test_negative_seeds_are_named_errors(self):
         with pytest.raises(ParamOutOfRangeError, match="seed must be a nonnegative integer, got -1"):

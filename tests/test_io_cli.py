@@ -460,7 +460,8 @@ class TestSimulateInputBoundary:
         ({"horizon": 1, "general_thresholds": [[float("nan"), 1, 1]]}, [0, 0, 2],
          "every threshold must be positive and finite"),
         ([1], [2, 2, 2], "the simulate config must be a JSON object"),
-        ({"horizon": 10**12}, [2, 2, 2], "1000000000000 steps of 3 values would store 3000000000003 values, "
+        # rw stops once the walk settles (step 2 here) and stores only the steps it ran
+        ({"horizon": 10**12}, [2, 0, 2], "1000000000000 steps of 3 values would store 3000000000003 values, "
                                          "above the cap of 67108864; lower the horizon"),
     ])
     def test_bad_config_fields(self, tmp_path, capsys, config, expected, message):
@@ -487,7 +488,7 @@ class TestSimulateInputBoundary:
             with pytest.raises(NonFiniteStateError, match="from step 1026"):
                 _cmd_simulate(build_parser().parse_args(argv))
 
-    @pytest.mark.parametrize("model", ["linear", "rw"])
+    @pytest.mark.parametrize("model", ["linear", "elt"])
     def test_oversized_horizon_fails_at_once_in_a_fresh_process(self, tmp_path, model):
         net, sim, out = tmp_path / "tri.edges", tmp_path / "sim.json", tmp_path / "traj.csv"
         net.write_text("0 1 1\n1 2 -1\n0 2 1\n")
@@ -517,6 +518,14 @@ class TestSimulateInputBoundary:
         assert codes == [0, 0, 0]
         assert read_trajectory_csv(tmp_path / "traj.csv").shape[0] == 3
 
+    def test_rw_counts_only_the_steps_it_runs(self, tmp_path, capsys):
+        net, sim, out = tmp_path / "ring.edges", tmp_path / "sim.json", tmp_path / "traj.csv"
+        sn.write_edge_list(sn.ring_lattice(sn.LatticeParams(n=700, dbar=4, alpha=0.1, sign_plan=sn.BalancedPlan())), net)
+        sim.write_text(json.dumps({"horizon": 100_000}))  # 100 001 rows of 700 values would pass the cap
+        assert main(["simulate", "rw", "--input", str(net), "--config", str(sim), "--output", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["steps_run"] == 2
+        assert read_trajectory_csv(out).shape == (3, 700)
+
     def test_elt_config_refuses_non_finite_values(self):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(NonpositiveThresholdError, match="positive and finite"):
@@ -544,6 +553,16 @@ class TestGenerateInputBoundary:
         ("tree", {"n": 9, "sign_prob": 0.5, "seed": -1}, [], "seed must be a nonnegative integer, got -1"),
         ("ssbm", {"n1": 6, "n2": 10, "p_in": 0.8, "p_out": 0.1, "eta": 0.0, "alpha": 0.1}, ["--seed", "-1"],
          "seed must be a nonnegative integer, got -1"),
+        ("lattice", {**LATTICE, "sign_plan": {"kind": "flip_k", "k": 2.7}}, [],
+         "a flip_k sign_plan needs integer k and seed, got {'kind': 'flip_k', 'k': 2.7}"),
+        ("lattice", {**LATTICE, "sign_plan": {"kind": "flip_k", "k": True}}, [],
+         "a flip_k sign_plan needs integer k and seed, got {'kind': 'flip_k', 'k': True}"),
+        ("tree", {"n": True, "sign_prob": 0.5, "seed": 3}, [], "n must be a nonnegative integer, got True"),
+        ("ssbm", {"n1": 6, "n2": 10.5, "p_in": 0.8, "p_out": 0.1, "eta": 0.0}, [],
+         "n2 must be a nonnegative integer, got 10.5"),
+        ("lattice", {**LATTICE, "dbar": "4", "sign_plan": {"kind": "balanced"}}, [],
+         "dbar must be a nonnegative integer, got '4'"),
+        ("tree", [9, 0.5], [], "the generate config must be a JSON object"),
     ])
     def test_bad_configs_exit_2_with_one_error_line(self, tmp_path, capsys, kind, config, flags, message):
         cfg, out = tmp_path / "gen.json", tmp_path / "net.edges"

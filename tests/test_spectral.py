@@ -3,13 +3,7 @@ import pytest
 
 import signednet as sn
 from signednet import Verdict
-from signednet.errors import (
-    BipartiteGraphError,
-    EdgeNotPresentError,
-    NotBalancedError,
-    NotSymmetricError,
-    WrongVerdictError,
-)
+from signednet.errors import EdgeNotPresentError, NotBalancedError, NotSymmetricError, WrongVerdictError
 from signednet.spectral import transition_eigenvalues
 
 from helpers import random_connected_corpus, random_symmetric_matrix
@@ -39,7 +33,8 @@ class TestEigendecomposeSymmetric:
             M = random_symmetric_matrix(rng, n)
             spec = sn.eigendecompose_symmetric(M)
             scale = np.linalg.norm(M)
-            assert np.linalg.norm(M - spec.reconstruct()) <= 1e-9 * max(scale, 1e-30)
+            reconstructed = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T
+            assert np.linalg.norm(M - reconstructed) <= 1e-9 * max(scale, 1e-30)
             assert np.max(np.abs(spec.eigenvectors.T @ spec.eigenvectors - np.eye(n))) <= 1e-10
             assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
 
@@ -113,27 +108,23 @@ class TestSpectralTheorem:
 
 
 class TestLeadingEigenpairPattern:
+    """Heuristic frustration reads the sign pattern of W's leading (balanced)
+    or trailing (antibalanced) eigenvector; on a balanced or antibalanced
+    graph that pattern is the certificate."""
+
     def test_balanced_ssbm_recovers_planted_partition(self):
         params = sn.SSBMParams(n1=6, n2=10, p_in=0.8, p_out=0.1, eta=0.0, alpha=0.1, seed=4)
         G = sn.ssbm(params)
-        c = sn.classify(G)
-        pattern = sn.leading_eigenpair_pattern(G, c)
-        assert pattern.same_partition(c.balanced_partition)
-        assert pattern.same_partition(sn.Bipartition(params.planted_signs()))
+        report = sn.frustration(G, "balanced", mode="heuristic")
+        assert report.flip_count == 0
+        assert report.partition.same_partition(sn.classify(G).balanced_partition)
+        assert report.partition.same_partition(sn.Bipartition(params.planted_signs()))
 
     def test_all_negative_triangle_pattern_is_constant(self, triangle_negative):
-        c = sn.classify(triangle_negative)
-        pattern = sn.leading_eigenpair_pattern(triangle_negative, c)
-        assert np.array_equal(pattern.s, [1, 1, 1])
-        assert pattern.same_partition(c.antibalanced_partition)
-
-    def test_bipartite_input_rejected(self, four_cycle_positive):
-        with pytest.raises(BipartiteGraphError):
-            sn.leading_eigenpair_pattern(four_cycle_positive, sn.classify(four_cycle_positive))
-
-    def test_strictly_unbalanced_rejected(self, strictly_unbalanced_4):
-        with pytest.raises(WrongVerdictError):
-            sn.leading_eigenpair_pattern(strictly_unbalanced_4, sn.classify(strictly_unbalanced_4))
+        report = sn.frustration(triangle_negative, "antibalanced", mode="heuristic")
+        assert np.array_equal(report.partition.s, [1, 1, 1])
+        assert report.flip_count == 0
+        assert report.partition.same_partition(sn.classify(triangle_negative).antibalanced_partition)
 
 
 class TestBalanceMeasures:
@@ -177,13 +168,20 @@ class TestBalanceMeasures:
 
 
 class TestPerronVectorsBalanced:
+    """On a balanced graph the certificate s and s * degrees are right and
+    left eigenvectors of P at eigenvalue 1."""
+
+    @staticmethod
+    def perron_pair(G):
+        s = sn.classify(G).balanced_partition.s.astype(float)
+        return s, s * G.degrees
+
     def test_positive_triangle(self, triangle_positive):
-        u, w = sn.perron_vectors_balanced(triangle_positive, sn.classify(triangle_positive).balanced_partition)
+        u, w = self.perron_pair(triangle_positive)
         assert np.allclose(u, [1, 1, 1]) and np.allclose(w, [2, 2, 2])
 
     def test_two_negative_triangle(self, triangle_two_negative):
-        c = sn.classify(triangle_two_negative)
-        u, w = sn.perron_vectors_balanced(triangle_two_negative, c.balanced_partition)
+        u, w = self.perron_pair(triangle_two_negative)
         assert np.allclose(u, [1, -1, -1]) and np.allclose(w, [2, -2, -2])
         P = sn.transition_matrix(triangle_two_negative)
         assert np.allclose(P @ u, u, atol=1e-12)
@@ -192,15 +190,10 @@ class TestPerronVectorsBalanced:
     def test_random_balanced_draws_are_exact_eigenpairs(self):
         for seed in range(10):
             G = sn.ssbm(sn.SSBMParams(n1=6, n2=10, p_in=0.8, p_out=0.1, eta=0.0, alpha=0.1, seed=seed))
-            c = sn.classify(G)
-            u, w = sn.perron_vectors_balanced(G, c.balanced_partition)
+            u, w = self.perron_pair(G)
             P = sn.transition_matrix(G)
             assert np.max(np.abs(P @ u - u)) < 1e-12
             assert np.max(np.abs(w @ P - w)) < 1e-12
-
-    def test_not_balanced_rejected(self, strictly_unbalanced_4):
-        with pytest.raises(NotBalancedError):
-            sn.perron_vectors_balanced(strictly_unbalanced_4, sn.Bipartition([1, 1, 1, 1]))
 
 
 class TestPerturbationEstimate:
@@ -247,10 +240,10 @@ class TestTransitionSpectrumDevice:
             assert np.max(np.abs(transition_eigenvalues(G))) <= 1 + 1e-12
 
     def test_right_eigenvectors_of_transition_matrix(self):
-        from signednet.spectral import transition_right_eigenvectors
-
+        # an eigenvector v of P_sym maps to the eigenvector D^-1/2 v of P
         for G in random_connected_corpus(10, seed=97):
-            vals, vecs = transition_right_eigenvectors(G)
+            spec = sn.eigendecompose_symmetric(sn.symmetrized_transition(G))
+            vals, vecs = spec.eigenvalues, spec.eigenvectors / np.sqrt(G.degrees)[:, None]
             P = sn.transition_matrix(G)
             for k in range(G.n):
                 assert np.max(np.abs(P @ vecs[:, k] - vals[k] * vecs[:, k])) < 1e-10
