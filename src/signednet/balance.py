@@ -221,7 +221,9 @@ def frustration(G: SignedGraph, target: FrustrationTarget = "balanced",
     under the 25-edge cap).  A violated chain is flipped at its lightest edge.
     Capped at 25 edges.  Heuristic mode reads the bipartition off the leading
     (balanced) or trailing (antibalanced) eigenvector of W and reports the
-    violation count as an upper bound.  On a balanced (antibalanced) graph
+    violation count as an upper bound; from ``spectral.LANCZOS_MIN_NODES``
+    nodes on that eigenvector is the Lanczos Ritz vector the balance
+    measures also use.  On a balanced (antibalanced) graph
     that eigenvector is the certificate times the Perron vector of |W|, so
     its sign pattern is the certificate (up to global sign) with no flips.
 
@@ -238,11 +240,11 @@ def frustration(G: SignedGraph, target: FrustrationTarget = "balanced",
         s = _exact_min_violation_signs(G, target)
         exact = True
     elif mode == "heuristic":
-        from .spectral import eigendecompose_symmetric  # local import, avoids cycle
+        from .spectral import LANCZOS_MIN_NODES, eigendecompose_symmetric  # local import, avoids cycle
 
-        spectrum = eigendecompose_symmetric(G.weight_matrix)
-        column = 0 if target == "balanced" else G.n - 1
-        s = sign_pattern(spectrum.eigenvectors[:, column]).s
+        # the Lanczos solve holds the top and bottom eigenpairs only, the dense one all of them
+        spectrum = G._weight_extremes if G.n >= LANCZOS_MIN_NODES else eigendecompose_symmetric(G.weight_matrix)
+        s = sign_pattern(spectrum.eigenvectors[:, 0 if target == "balanced" else -1]).s
         exact = False
     else:
         raise ValueError(f"unknown mode {mode!r}")

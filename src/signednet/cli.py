@@ -7,6 +7,7 @@ All randomized commands take an explicit seed and are fully reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -34,6 +35,7 @@ from .errors import (
     SignedNetError,
 )
 from .generate import (
+    FlipKPlan,
     LatticeParams,
     SSBMParams,
     config_field,
@@ -87,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("kind", choices=["ssbm", "lattice", "tree"])
     p_generate.add_argument("--config", required=True, help="parameter JSON file")
     p_generate.add_argument("--output", required=True)
-    p_generate.add_argument("--seed", type=int, help="overrides the seed in the config")
+    p_generate.add_argument("--seed", type=int,
+                            help="overrides the seed in the config (for a lattice, the flip_k plan's seed)")
 
     p_simulate = sub.add_parser("simulate", help="run a dynamics model, write trajectory CSV")
     p_simulate.add_argument("model", choices=["linear", "rw", "elt"])
@@ -194,7 +197,7 @@ def _cmd_generate(args) -> int:
     config = json.loads(Path(args.config).read_text())
     if not isinstance(config, dict):
         raise ParamOutOfRangeError("the generate config must be a JSON object")
-    if args.seed is not None:
+    if args.seed is not None and args.kind != "lattice":
         config["seed"] = args.seed
     for key in ("n1", "n2", "n", "dbar", "seed"):
         if key in config:
@@ -203,7 +206,13 @@ def _cmd_generate(args) -> int:
         G = ssbm(SSBMParams(**config))
         header = f"ssbm {json.dumps(config, sort_keys=True)}"
     elif args.kind == "lattice":
-        plan = sign_plan_from_json(config.pop("sign_plan"))
+        plan_doc = config.pop("sign_plan")
+        plan = sign_plan_from_json(plan_doc)
+        if args.seed is not None:  # a lattice's only randomness is its flip_k plan
+            if not isinstance(plan, FlipKPlan):
+                raise ParamOutOfRangeError(f"--seed sets the seed of a flip_k sign_plan; "
+                                           f"the {plan_doc['kind']!r} sign_plan takes no seed")
+            plan = dataclasses.replace(plan, seed=args.seed)
         G = ring_lattice(LatticeParams(sign_plan=plan, **config))
         header = f"lattice {json.dumps(config, sort_keys=True)}"
     else:

@@ -11,11 +11,15 @@ Weights must be finite and nonzero.  A connected graph has n <= m + 1, and
 :func:`build_graph` checks that before it allocates anything of size n, so
 a far node id fails at once instead of allocating memory by id.
 
-Matrices are dense numpy arrays; the intended scale is a few thousand nodes
-at most.  :mod:`signednet.spectral` solves them: the balance measures and
-spectral radii take eigenvalues only, and eigenvectors are computed only
-where a caller reads them (heuristic frustration, the spectral theorem
-check and the rank-1 approximation).
+Degrees come straight from the edge arrays.  The matrices built here are
+dense numpy arrays, for the dense solves in :mod:`signednet.spectral` and
+the dynamics.  Below ``spectral.LANCZOS_MIN_NODES`` nodes the balance
+measures and heuristic frustration solve them densely; from that size on
+they take only the extreme eigenpairs from a numpy Lanczos iteration on the
+edge arrays, and never build an n x n matrix.  The W solve of that path is
+cached here, so the measures and heuristic frustration share it.
+Eigenvectors are computed only where a caller reads them (heuristic
+frustration, the spectral theorem check and the rank-1 approximation).
 
 State convention: dynamics elsewhere use row vectors and left multiplication,
 ``x(t+1) = x(t) @ M``.  The matrices returned here are oriented for that.
@@ -101,11 +105,21 @@ class SignedGraph:
         return _readonly(W)
 
     @cached_property
+    def _weight_extremes(self):
+        """The largest and smallest eigenpair of W by Lanczos on the edge
+        arrays (:func:`signednet.spectral._lanczos_extremes`), solved once and
+        shared by the balance measures and heuristic frustration."""
+        from .spectral import _lanczos_extremes  # local import: spectral imports core
+
+        return _lanczos_extremes(self, self.w)
+
+    @cached_property
     def degrees(self) -> np.ndarray:
-        """Absolute-weight degree of every node, d_i = sum_j |W_ij|; one beyond
-        the float range is a :class:`NonFiniteWeightError`."""
-        with np.errstate(over="ignore"):
-            d = np.abs(self.weight_matrix).sum(axis=1)
+        """Absolute-weight degree of every node, d_i = sum_j |W_ij|, summed
+        over the edge arrays; one beyond the float range is a
+        :class:`NonFiniteWeightError`."""
+        d = np.bincount(np.concatenate([self.i, self.j]), weights=np.abs(np.concatenate([self.w, self.w])),
+                        minlength=self.n)
         if not np.isfinite(d).all():
             raise NonFiniteWeightError(f"the weighted degree of node {np.argmin(np.isfinite(d))} exceeds "
                                        f"the float range; rescale the weights")

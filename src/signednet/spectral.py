@@ -4,18 +4,24 @@ Eigenvalues of the (nonsymmetric) transition matrix P are always obtained
 through its symmetric similarity P_sym = D^-1/2 W D^-1/2, never through a
 general nonsymmetric solver.
 
-Two entry points do every eigensolve, sharing one symmetry check:
+Two dense entry points do every full eigensolve, sharing one symmetry check:
 
 * :func:`eigenvalues_symmetric` returns eigenvalues only.  It serves every
-  caller that reads no eigenvector: :func:`balance_measures`,
-  :func:`perturbation_estimate` and the walk horizons of verification
-  criterion 6.
+  caller that reads no eigenvector: :func:`balance_measures` below the
+  Lanczos threshold, :func:`perturbation_estimate` and the walk horizons of
+  verification criterion 6.
 * :func:`eigendecompose_symmetric` returns eigenvalues with sign-normalised
   eigenvectors.  Only callers that read eigenvectors use it: heuristic
-  frustration (on a balanced or antibalanced graph the sign pattern of the
-  extreme eigenvector it reads is the certificate),
-  :func:`verify_spectral_theorem` and the rank-1 approximation in
-  :mod:`signednet.dynamics`.
+  frustration below the Lanczos threshold (on a balanced or antibalanced
+  graph the sign pattern of the extreme eigenvector it reads is the
+  certificate), :func:`verify_spectral_theorem` and the rank-1
+  approximation in :mod:`signednet.dynamics`.
+
+The balance measures and heuristic frustration read only the two ends of a
+spectrum.  On graphs with at least :data:`LANCZOS_MIN_NODES` nodes they take
+those ends from :func:`_lanczos_extremes`, a Lanczos iteration whose
+matvecs run over the edge arrays, so no n x n matrix is built; smaller graphs
+keep the dense solves above.  Everything is numpy: no scipy is imported.
 
 The two distance measures live here:
 
@@ -30,15 +36,30 @@ Both are invariant under switching and under uniform weight scaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
+
 import numpy as np
 
 from .balance import BalanceClassification, Verdict, apply_flip_set, classify
-from .core import SignedGraph, symmetrized_transition, unsigned_counterpart
+from .core import SignedGraph, _positive_degrees, symmetrized_transition, unsigned_counterpart
 from .errors import EdgeNotPresentError, NotBalancedError, NotSymmetricError, WrongVerdictError
 
 SYMMETRY_TOLERANCE = 1e-12
 #: adjacent eigenvalues closer than this are treated as one degenerate group
 DEGENERACY_GAP = 1e-8
+#: graphs with at least this many nodes take the balance measures and the
+#: heuristic frustration signing from Lanczos extremes, smaller ones from
+#: dense solves.  On two-block SSBMs of mean degree 12 with one BLAS thread,
+#: Lanczos overtakes dense near n = 210 for measures plus heuristic
+#: frustration and near n = 300 for the measures alone; 250 splits the two.
+LANCZOS_MIN_NODES = 250
+#: a Lanczos end has converged when its residual is at most this times
+#: max(1, |theta|), on the matrix scaled by a power of two to a largest
+#: entry in [0.5, 1)
+LANCZOS_TOLERANCE = 1e-11
+#: seed of the fixed Lanczos start vector (a vector of ones can be orthogonal
+#: to the wanted eigenvector, e.g. s * sqrt(d) on a balanced graph with equal blocks)
+_LANCZOS_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -91,13 +112,73 @@ def eigendecompose_symmetric(M: np.ndarray) -> Spectrum:
     Raises :class:`NotSymmetricError` when max |M - M^T| exceeds 1e-12.
     """
     vals, vecs = np.linalg.eigh(_checked_symmetric(M))
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
+    return Spectrum(eigenvalues=vals[::-1].copy(), eigenvectors=_sign_normalised(vecs[:, ::-1].copy()))
+
+
+def _sign_normalised(vecs: np.ndarray) -> np.ndarray:
+    """``vecs`` with each column negated where needed so that its
+    largest-magnitude entry is positive (the first such entry on exact ties)."""
     if vecs.size:
-        # argmax picks the first entry on exact ties, as the convention requires
-        lead = np.argmax(np.abs(vecs), axis=0)
+        lead = np.argmax(np.abs(vecs), axis=0)  # argmax picks the first entry on exact ties
         vecs *= np.where(vecs[lead, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+    return vecs
+
+
+def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", "top"] = "both") -> Spectrum:
+    """The largest and the smallest eigenpair of the symmetric n x n matrix
+    holding ``values[k]`` at (i_k, j_k) and (j_k, i_k) and zero elsewhere.
+
+    Lanczos iteration with full reorthogonalisation (classical Gram-Schmidt
+    applied twice) from a fixed seeded start vector.  Each matvec is one
+    ``np.bincount`` over the symmetric edge arrays, so no n x n array is
+    built.  The matrix is scaled by a power of two, exactly, to a largest
+    entry in [0.5, 1), so huge or tiny weights neither overflow nor loosen
+    the test.  The iteration stops once the Ritz residual
+    |beta_k S[k-1, e]| of each requested end e (``"both"``, or ``"top"`` for
+    the largest only) is at most ``LANCZOS_TOLERANCE * max(1, |theta_e|)``.
+    That test runs on a geometric schedule, at k = 16 and then about every
+    25 % more steps, since the small tridiagonal solve it needs is the
+    costly part; it also runs on breakdown and at k = n, where the iteration
+    ends exactly.
+
+    Returns a two-pair :class:`Spectrum`: eigenvalues ``[top, bottom]`` and
+    the matching Ritz vectors as columns, signs normalised like
+    :func:`eigendecompose_symmetric`.
+    """
+    n = G.n
+    rows, cols = np.concatenate([G.i, G.j]), np.concatenate([G.j, G.i])
+    scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(values)))[1]))
+    entries = np.concatenate([values, values]) / scale
+    tested = [-1, 0] if ends == "both" else [-1]  # columns of eigh's ascending output
+
+    Q = np.empty((min(n, 32), n))  # Lanczos vectors as rows; grows by doubling
+    start = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    Q[0] = start / np.linalg.norm(start)
+    alpha: list[float] = []
+    beta: list[float] = []
+    check = 16
+    for k in range(1, n + 1):  # k: dimension of the Krylov space after this step
+        q = Q[k - 1]
+        r = np.bincount(rows, weights=entries * q[cols], minlength=n)
+        alpha.append(float(r @ q))
+        r -= alpha[-1] * q
+        if k > 1:
+            r -= beta[-1] * Q[k - 2]
+        for _ in range(2):
+            r -= (Q[:k] @ r) @ Q[:k]
+        b = float(np.linalg.norm(r))
+        if k >= check or k == n or b <= LANCZOS_TOLERANCE / 2:  # a beta that small meets every end's test
+            T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            theta, S = np.linalg.eigh(T)
+            if k == n or all(b * abs(S[-1, e]) <= LANCZOS_TOLERANCE * max(1.0, abs(theta[e])) for e in tested):
+                ritz = Q[:k].T @ S[:, [-1, 0]]
+                return Spectrum(eigenvalues=theta[[-1, 0]] * scale, eigenvectors=_sign_normalised(ritz))
+            check = max(k + 1, int(k * 1.25))
+        if k == len(Q):
+            Q = np.concatenate([Q, np.empty((min(k, n - k), n))])
+        beta.append(b)
+        Q[k] = r / b
+    raise AssertionError("unreachable: the loop returns at k = n")
 
 
 def transition_eigenvalues(G: SignedGraph) -> np.ndarray:
@@ -186,21 +267,36 @@ class BalanceMeasures:
         return self.spectral_radius_unsigned - self.spectral_radius_signed
 
 
+def _transition_edge_values(G: SignedGraph) -> np.ndarray:
+    """The entry of P_sym = D^-1/2 W D^-1/2 on every edge, w_k / sqrt(d_i d_j)."""
+    inv_sqrt = 1.0 / np.sqrt(_positive_degrees(G))
+    return G.w * inv_sqrt[G.i] * inv_sqrt[G.j]
+
+
 def balance_measures(G: SignedGraph) -> BalanceMeasures:
     """d_b, d_a and the signed/unsigned spectral radii of W.
 
     d_b = lambda_min(L_rw) and d_a = 2 - lambda_max(L_rw), both computed from
     the symmetric similarity of P.  rho(W) = max(lambda_max, -lambda_min);
     |W| is nonnegative, so by Perron-Frobenius its spectral radius is its
-    largest eigenvalue.  Three value-only solves; no eigenvector is computed.
+    largest eigenvalue.  Only the ends of the three spectra are read: below
+    :data:`LANCZOS_MIN_NODES` nodes they come from three dense value-only
+    solves, from that size on from Lanczos on the edge arrays (the W solve
+    is the one heuristic frustration reuses).
     """
-    p_vals = transition_eigenvalues(G)
-    w_vals = eigenvalues_symmetric(G.weight_matrix)
+    if G.n < LANCZOS_MIN_NODES:
+        p_vals = transition_eigenvalues(G)
+        w_vals = eigenvalues_symmetric(G.weight_matrix)
+        rho_unsigned = eigenvalues_symmetric(np.abs(G.weight_matrix))[0]
+    else:
+        p_vals = _lanczos_extremes(G, _transition_edge_values(G)).eigenvalues
+        w_vals = G._weight_extremes.eigenvalues
+        rho_unsigned = _lanczos_extremes(G, np.abs(G.w), ends="top").eigenvalues[0]
     return BalanceMeasures(
         d_b=float(1.0 - p_vals[0]),
         d_a=float(1.0 + p_vals[-1]),
         spectral_radius_signed=float(max(w_vals[0], -w_vals[-1])),
-        spectral_radius_unsigned=float(eigenvalues_symmetric(np.abs(G.weight_matrix))[0]),
+        spectral_radius_unsigned=float(rho_unsigned),
     )
 
 

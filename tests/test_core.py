@@ -6,6 +6,7 @@ from signednet.errors import (
     DisconnectedError,
     DuplicateEdgeError,
     IdOutOfRangeError,
+    NonFiniteWeightError,
     SelfLoopError,
     ZeroWeightError,
 )
@@ -69,6 +70,16 @@ class TestDegrees:
     def test_degrees_invariant_under_unsigned_counterpart(self):
         for G in random_connected_corpus(25, seed=5):
             assert np.array_equal(G.degrees, sn.unsigned_counterpart(G).degrees)
+
+    def test_overflowing_degree_is_a_named_error(self):
+        G = sn.build_graph(3, [(0, 1, 1e308), (1, 2, -1e308), (0, 2, 1.0)])
+        with pytest.raises(NonFiniteWeightError, match="weighted degree of node 1 exceeds the float range"):
+            G.degrees
+
+    def test_degrees_need_no_weight_matrix(self):
+        G = sn.build_graph(4, [(0, 1, -0.1), (1, 2, 0.1), (2, 3, -0.1), (0, 3, 0.1)])
+        G.degrees
+        assert "weight_matrix" not in G.__dict__
 
 
 class TestUnsignedAndSignAdjacency:

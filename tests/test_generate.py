@@ -3,6 +3,7 @@ import pytest
 
 import signednet as sn
 from signednet import Verdict
+from signednet.balance import apply_flip_set
 from signednet.errors import GaveUpConnectivityError, ParamOutOfRangeError
 from signednet.generate import config_field, resolve_partition_rule, seeded_rng, sign_plan_from_json
 from signednet.io import format_edge_list
@@ -65,14 +66,19 @@ class TestSSBM:
 
     def test_near_balanced_draw_has_few_disturbing_edges(self):
         # at eta = 0.05 only a handful of edges disagree with the planted
-        # bipartition; the eigenvector heuristic finds a bound of that order
+        # bipartition, and flipping them restores exactly that bipartition;
+        # the eigenvector heuristic's flip set is an upper bound that also
+        # restores balance, but its size is not bounded by the planted count
         params = sn.SSBMParams(n1=6, n2=10, p_in=0.8, p_out=0.1, eta=0.05, alpha=0.1, seed=14)
         G = sn.ssbm(params)
         s = params.planted_signs()
-        disturbing = sum(1 for i, j, w in G.edges if np.sign(w) != s[i] * s[j])
-        assert 1 <= disturbing <= 8
+        disturbing = [(i, j) for i, j, w in G.edges if np.sign(w) != s[i] * s[j]]
+        assert 1 <= len(disturbing) <= 8
+        restored = sn.classify(apply_flip_set(G, disturbing))
+        assert restored.is_balanced
+        assert restored.balanced_partition.same_partition(sn.Bipartition(s))
         heur = sn.frustration(G, "balanced", mode="heuristic")
-        assert heur.flip_count <= disturbing
+        assert sn.classify(apply_flip_set(G, heur.flip_set)).is_balanced
 
     def test_connectivity_retries_exhausted(self):
         with pytest.raises(GaveUpConnectivityError):

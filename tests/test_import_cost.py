@@ -1,8 +1,10 @@
 """Import-cost guard: the package and its CLI must not pull in scipy.
 
-Importing ``scipy.sparse.linalg`` costs about a quarter of a second and tens
-of megabytes of resident memory, which every CLI call would pay.  Any future
-scipy use has to be imported lazily inside the function that needs it.
+Importing ``scipy.linalg`` or ``scipy.sparse.linalg`` costs about a quarter
+of a second and 26-30 MB of resident memory, which every CLI call would pay.
+No part of the package needs scipy: below ``spectral.LANCZOS_MIN_NODES``
+nodes the balance measures and heuristic frustration use dense numpy solves,
+and from that size on a numpy Lanczos iteration on the edge arrays.
 """
 
 import os

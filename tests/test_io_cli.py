@@ -563,6 +563,12 @@ class TestGenerateInputBoundary:
         ("lattice", {**LATTICE, "dbar": "4", "sign_plan": {"kind": "balanced"}}, [],
          "dbar must be a nonnegative integer, got '4'"),
         ("tree", [9, 0.5], [], "the generate config must be a JSON object"),
+        ("lattice", {**LATTICE, "sign_plan": {"kind": "balanced", "rule": "arc:7"}}, ["--seed", "3"],
+         "--seed sets the seed of a flip_k sign_plan; the 'balanced' sign_plan takes no seed"),
+        ("lattice", {**LATTICE, "sign_plan": {"kind": "antibalanced"}}, ["--seed", "3"],
+         "--seed sets the seed of a flip_k sign_plan; the 'antibalanced' sign_plan takes no seed"),
+        ("lattice", {**LATTICE, "sign_plan": {"kind": "flip_k", "k": 2}}, ["--seed", "-1"],
+         "seed must be a nonnegative integer, got -1"),
     ])
     def test_bad_configs_exit_2_with_one_error_line(self, tmp_path, capsys, kind, config, flags, message):
         cfg, out = tmp_path / "gen.json", tmp_path / "net.edges"
@@ -571,6 +577,17 @@ class TestGenerateInputBoundary:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
         assert not out.exists()
+
+    def test_seed_overrides_the_seed_of_a_flip_k_lattice_plan(self, tmp_path):
+        def lattice(plan_seed, flags):
+            cfg, out = tmp_path / "lat.json", tmp_path / "lat.edges"
+            cfg.write_text(json.dumps({**self.LATTICE, "sign_plan": {"kind": "flip_k", "k": 3, "seed": plan_seed}}))
+            assert main(["generate", "lattice", "--config", str(cfg), "--output", str(out), *flags]) == 0
+            return out.read_text()
+
+        overridden = lattice(1, ["--seed", "3"])
+        assert overridden == lattice(3, [])
+        assert overridden != lattice(1, [])
 
 
 class TestWeightsNearFloatMax:

@@ -8,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import signednet as sn
 from signednet.balance import Bipartition, apply_flip_set
-from signednet.core import SignedGraph, _checked_edges, _columns
+from signednet.core import SignedGraph, _checked_edges, _columns, symmetrized_transition
 from signednet.errors import DisconnectedError, GraphConstructionError
 
 from signednet.io import format_edge_list
+from signednet.spectral import _lanczos_extremes, _transition_edge_values
 
 from helpers import (
     components_by_union_find,
@@ -403,3 +404,64 @@ def test_validation_and_lookup_match_the_edge_by_edge_reference(case):
                 assert G.weight(b, a) == lookup[a, b]
     with pytest.raises(KeyError):
         G.weight(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Lanczos extremes against dense eigvalsh
+# ---------------------------------------------------------------------------
+
+@st.composite
+def lanczos_graphs(draw):
+    """A connected signed graph of one of four kinds: any signs, a tree, a
+    balanced graph, or a balanced bipartite graph (whose W and P_sym spectra
+    are symmetric, so the extremes form a +/-rho pair)."""
+    kind = draw(st.sampled_from(["any", "tree", "balanced", "balanced_bipartite"]))
+    n = draw(st.integers(min_value=2, max_value=30))
+    parent = [0] + [draw(st.integers(min_value=0, max_value=child - 1)) for child in range(1, n)]
+    colour = [0] * n
+    for child in range(1, n):
+        colour[child] = 1 - colour[parent[child]]
+    pairs = {(parent[child], child) for child in range(1, n)}
+    if kind != "tree":
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)):
+            if i != j and (kind != "balanced_bipartite" or colour[i] != colour[j]):
+                pairs.add((min(i, j), max(i, j)))
+    pairs = sorted(pairs)
+    weights = draw(st.lists(st.floats(min_value=0.1, max_value=4.0), min_size=len(pairs), max_size=len(pairs)))
+    if kind.startswith("balanced"):
+        s = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+        signs = [s[i] * s[j] for i, j in pairs]
+    else:
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(pairs), max_size=len(pairs)))
+    return kind, sn.build_graph(n, [(i, j, sg * w) for (i, j), w, sg in zip(pairs, weights, signs)])
+
+
+@given(lanczos_graphs())
+@settings(max_examples=150, deadline=None)
+def test_lanczos_extremes_match_dense_eigvalsh(case):
+    kind, G = case
+    W = G.weight_matrix
+    ends = {}
+    for name, values, M in (("P_sym", _transition_edge_values(G), symmetrized_transition(G)),
+                            ("W", G.w, W), ("|W|", np.abs(G.w), np.abs(W))):
+        spec = _lanczos_extremes(G, values)
+        ends[name] = spec.eigenvalues
+        dense = np.linalg.eigvalsh(M)
+        assert np.max(np.abs(spec.eigenvalues - dense[[-1, 0]])) <= 1e-10, name
+        # the Ritz vectors are unit eigenvectors, largest-magnitude entry positive
+        for vec, value in zip(spec.eigenvectors.T, spec.eigenvalues):
+            assert abs(np.linalg.norm(vec) - 1.0) <= 1e-10
+            assert np.linalg.norm(M @ vec - value * vec) <= 1e-9 * max(1.0, abs(value)), name
+            assert vec[np.argmax(np.abs(vec))] > 0
+        top_only = _lanczos_extremes(G, values, ends="top").eigenvalues[0]
+        assert abs(top_only - dense[-1]) <= 1e-10, name
+    if kind.startswith("balanced"):  # d_b = 0
+        assert abs(1.0 - ends["P_sym"][0]) <= 1e-12
+    if kind in ("tree", "balanced_bipartite"):  # also antibalanced, so d_a = 0
+        assert abs(1.0 + ends["P_sym"][1]) <= 1e-12
+
+
+@given(connected_signed_graphs())
+def test_degrees_match_the_dense_row_sums(G):
+    expected = np.abs(G.weight_matrix).sum(axis=1)
+    assert np.all(np.abs(G.degrees - expected) <= 1e-12 * expected)

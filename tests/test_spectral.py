@@ -4,7 +4,9 @@ import pytest
 import signednet as sn
 from signednet import Verdict
 from signednet.errors import EdgeNotPresentError, NotBalancedError, NotSymmetricError, WrongVerdictError
-from signednet.spectral import transition_eigenvalues
+from signednet import spectral
+from signednet.core import symmetrized_transition
+from signednet.spectral import LANCZOS_MIN_NODES, transition_eigenvalues
 
 from helpers import random_connected_corpus, random_symmetric_matrix
 
@@ -165,6 +167,71 @@ class TestBalanceMeasures:
             m = sn.balance_measures(G)
             assert (m.d_b < 1e-8) == c.is_balanced
             assert (m.d_a < 1e-8) == c.is_antibalanced
+
+
+class TestLanczosPath:
+    """From LANCZOS_MIN_NODES nodes on, the balance measures and heuristic
+    frustration read the extremes of a Lanczos iteration on the edge arrays."""
+
+    N = LANCZOS_MIN_NODES
+
+    @classmethod
+    def ssbm(cls, eta, seed=0):
+        return sn.ssbm(sn.SSBMParams(n1=cls.N // 2, n2=cls.N - cls.N // 2, p_in=9.6 / (cls.N / 2),
+                                     p_out=2.4 / (cls.N / 2), eta=eta, alpha=0.1, seed=seed))
+
+    @classmethod
+    def lattice(cls, plan):
+        return sn.ring_lattice(sn.LatticeParams(n=cls.N, dbar=4, alpha=0.7, sign_plan=plan))
+
+    @pytest.mark.parametrize("eta", [0.0, 0.05, 1.0])
+    def test_measures_match_dense_eigvalsh(self, eta):
+        G = self.ssbm(eta, seed=3)
+        m = sn.balance_measures(G)
+        p = np.linalg.eigvalsh(symmetrized_transition(G))
+        w = np.linalg.eigvalsh(G.weight_matrix)
+        assert abs(m.d_b - (1.0 - p[-1])) <= 1e-12
+        assert abs(m.d_a - (1.0 + p[0])) <= 1e-12
+        assert abs(m.spectral_radius_signed - max(w[-1], -w[0])) <= 1e-12
+        assert abs(m.spectral_radius_unsigned - np.linalg.eigvalsh(np.abs(G.weight_matrix))[-1]) <= 1e-12
+
+    def test_no_dense_matrix_is_built(self):
+        G = self.ssbm(0.05)
+        sn.balance_measures(G)
+        sn.frustration(G, "balanced", mode="heuristic")
+        assert "weight_matrix" not in G.__dict__
+
+    def test_measures_and_heuristic_share_one_w_solve(self, monkeypatch):
+        solves = []
+        lanczos = spectral._lanczos_extremes
+        monkeypatch.setattr(spectral, "_lanczos_extremes", lambda *a, **k: solves.append(a) or lanczos(*a, **k))
+        G = self.ssbm(0.05)
+        sn.balance_measures(G)
+        sn.frustration(G, "balanced", mode="heuristic")
+        sn.frustration(G, "antibalanced", mode="heuristic")
+        assert len(solves) == 3  # P_sym, W and |W|; both frustration targets reuse the W solve
+
+    @pytest.mark.parametrize("target, make", [
+        ("balanced", lambda cls: cls.ssbm(0.0)),
+        # equal halves of a regular graph: a start vector of ones is orthogonal to the wanted eigenvector
+        ("balanced", lambda cls: cls.lattice(sn.BalancedPlan(f"blocks:{cls.N // 2}"))),
+        ("antibalanced", lambda cls: cls.ssbm(1.0)),
+        ("antibalanced", lambda cls: cls.lattice(sn.AntibalancedPlan(f"arc:{cls.N // 2}"))),
+    ])
+    def test_heuristic_is_exact_on_balanced_and_antibalanced_graphs(self, target, make):
+        G = make(type(self))
+        c = sn.classify(G)
+        report = sn.frustration(G, target, mode="heuristic")
+        assert report.flip_count == 0
+        certificate = c.balanced_partition if target == "balanced" else c.antibalanced_partition
+        assert report.partition.same_partition(certificate)
+
+    def test_power_of_two_rescaling_is_exact(self):
+        G = self.ssbm(0.05)
+        m, big = sn.balance_measures(G), sn.balance_measures(G.with_weights(G.w * 2.0 ** 1000))
+        assert (big.d_b, big.d_a) == (m.d_b, m.d_a)
+        assert big.spectral_radius_signed == m.spectral_radius_signed * 2.0 ** 1000
+        assert big.spectral_radius_unsigned == m.spectral_radius_unsigned * 2.0 ** 1000
 
 
 class TestPerronVectorsBalanced:
