@@ -15,12 +15,7 @@ from .core import (
     SignedGraph,
     build_graph,
     components,
-    doubled_adjacency,
-    doubled_transition,
-    random_walk_laplacian,
-    signed_laplacian,
     symmetrized_transition,
-    transition_matrix,
     unsigned_counterpart,
 )
 from .balance import (
@@ -32,7 +27,6 @@ from .balance import (
     classify,
     frustration,
     negate,
-    sign_conflicting_walk,
     switch,
 )
 from .spectral import (
@@ -58,9 +52,7 @@ from .dynamics import (
     linear_adjacency_simulate,
     predict_stationary,
     random_walk_simulate,
-    rank1_approximation,
     simulate_walk_until_stationary,
-    transition_power_sign_pattern,
 )
 from .generate import (
     AntibalancedPlan,

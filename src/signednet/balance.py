@@ -154,37 +154,6 @@ def bipartite_partition(G: SignedGraph) -> Optional[Bipartition]:
 
 
 # ---------------------------------------------------------------------------
-# sign-conflicting walks
-# ---------------------------------------------------------------------------
-
-def sign_conflicting_walk(G: SignedGraph, l_max: int) -> Optional[tuple[int, int, int]]:
-    """First node pair joined by a positive and a negative walk of equal length.
-
-    Brute-force oracle over walk lengths 1..l_max using boolean reachability
-    on the positive/negative sign adjacency.  Returns ``(i, j, l)`` for the
-    smallest such length (ties broken by node pair), or None.  Strictly
-    unbalanced graphs admit a witness; balanced and antibalanced ones never do.
-    """
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
-    A = np.sign(G.weight_matrix)
-    Ap = (A > 0).astype(np.int64)
-    Am = (A < 0).astype(np.int64)
-    pos, neg = Ap.copy(), Am.copy()
-    for length in range(1, l_max + 1):
-        if length > 1:
-            pos, neg = (
-                np.minimum(pos @ Ap + neg @ Am, 1),
-                np.minimum(pos @ Am + neg @ Ap, 1),
-            )
-        conflict = (pos > 0) & (neg > 0)
-        if conflict.any():
-            i, j = np.argwhere(conflict)[0]
-            return int(i), int(j), length
-    return None
-
-
-# ---------------------------------------------------------------------------
 # frustration
 # ---------------------------------------------------------------------------
 

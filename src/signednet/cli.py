@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -193,10 +194,25 @@ def _cmd_measure(args) -> int:
     return 0
 
 
+#: the config keys of each generator: its parameter record's fields
+_GENERATE_KEYS = {
+    "ssbm": [f.name for f in dataclasses.fields(SSBMParams)],
+    "lattice": [f.name for f in dataclasses.fields(LatticeParams)],
+    "tree": list(inspect.signature(random_signed_tree).parameters),
+}
+
+
 def _cmd_generate(args) -> int:
     config = json.loads(Path(args.config).read_text())
     if not isinstance(config, dict):
         raise ParamOutOfRangeError("the generate config must be a JSON object")
+    accepted = _GENERATE_KEYS[args.kind]
+    unknown = sorted(set(config) - set(accepted))
+    if unknown:
+        hint = "; a lattice's seed is sign_plan.seed, in a flip_k plan" if "seed" in unknown else ""
+        raise ParamOutOfRangeError(f"unknown {args.kind} config key{'s' * (len(unknown) > 1)} "
+                                   f"{', '.join(map(repr, unknown))}; "
+                                   f"accepted keys: {', '.join(accepted)}{hint}")
     if args.seed is not None and args.kind != "lattice":
         config["seed"] = args.seed
     for key in ("n1", "n2", "n", "dbar", "seed"):

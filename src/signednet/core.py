@@ -4,25 +4,27 @@ A :class:`SignedGraph` is an undirected, connected, weighted graph whose edge
 weights carry a sign.  It stores its edges as read-only arrays in input
 order: endpoints ``i < j`` and weights ``w``.  All else is cached on first
 access: edge signs, sorted edge keys ``i * n + j`` for lookups, adjacency
-lists, the dense matrices, the ``edges`` tuple view, and one breadth-first
+lists, the dense weight matrix, the ``edges`` tuple view, and one breadth-first
 spanning forest from node 0, which decides connectivity and components here
 and balance, antibalance and bipartiteness in :mod:`signednet.balance`.
 Weights must be finite and nonzero.  A connected graph has n <= m + 1, and
 :func:`build_graph` checks that before it allocates anything of size n, so
 a far node id fails at once instead of allocating memory by id.
 
-Degrees come straight from the edge arrays.  The matrices built here are
-dense numpy arrays, for the dense solves in :mod:`signednet.spectral` and
-the dynamics.  Below ``spectral.LANCZOS_MIN_NODES`` nodes the balance
-measures and heuristic frustration solve them densely; from that size on
-they take only the extreme eigenpairs from a numpy Lanczos iteration on the
-edge arrays, and never build an n x n matrix.  The W solve of that path is
-cached here, so the measures and heuristic frustration share it.
-Eigenvectors are computed only where a caller reads them (heuristic
-frustration, the spectral theorem check and the rank-1 approximation).
+Every product with a graph matrix is :meth:`SignedGraph._operator`: one
+``np.bincount`` over the edge arrays, O(m) per product.  It gives the
+degrees, every simulator step in :mod:`signednet.dynamics` (W, the signed
+transition P = D^-1 W as W applied to x / d, and the doubled walk on its own
+unsigned 2n-node graph) and every Lanczos matvec in
+:mod:`signednet.spectral`, so none of them builds an n x n matrix.  Below
+``spectral.LANCZOS_MIN_NODES`` nodes the balance measures and heuristic
+frustration solve the dense ``weight_matrix`` and
+:func:`symmetrized_transition` instead; from that size on they take only
+the extreme eigenpairs from Lanczos, whose W solve is cached here and shared
+by both.  The dense matrices also serve the full-spectrum theorem check.
 
-State convention: dynamics elsewhere use row vectors and left multiplication,
-``x(t+1) = x(t) @ M``.  The matrices returned here are oriented for that.
+State convention: dynamics use row vectors and left multiplication,
+``x(t+1) = x(t) @ M``; the operator is oriented for that.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -115,11 +117,9 @@ class SignedGraph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        """Absolute-weight degree of every node, d_i = sum_j |W_ij|, summed
-        over the edge arrays; one beyond the float range is a
-        :class:`NonFiniteWeightError`."""
-        d = np.bincount(np.concatenate([self.i, self.j]), weights=np.abs(np.concatenate([self.w, self.w])),
-                        minlength=self.n)
+        """Absolute-weight degree of every node, d = |W| 1 by :meth:`_operator`;
+        one beyond the float range is a :class:`NonFiniteWeightError`."""
+        d = self._operator(np.abs(self.w))(np.ones(self.n))
         if not np.isfinite(d).all():
             raise NonFiniteWeightError(f"the weighted degree of node {np.argmin(np.isfinite(d))} exceeds "
                                        f"the float range; rescale the weights")
@@ -165,6 +165,15 @@ class SignedGraph:
                         queue.append(v)
         return _Traversal(np.array(comp, dtype=np.intp), np.array(depth, dtype=np.intp),
                           np.array(sign, dtype=np.int8))
+
+    def _operator(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``x -> x @ M`` for the symmetric n x n matrix M holding ``values[k]``
+        at (i_k, j_k) and (j_k, i_k), never built: each product is one
+        ``np.bincount`` over both edge orientations, so entry c sums the
+        edges with i_k = c, then those with j_k = c, each in edge order."""
+        rows, cols = np.concatenate([self.i, self.j]), np.concatenate([self.j, self.i])
+        entries, n = np.concatenate([values, values]), self.n
+        return lambda x: np.bincount(rows, weights=entries * x[cols], minlength=n)
 
     @property
     def num_edges(self) -> int:
@@ -315,28 +324,12 @@ def unsigned_counterpart(G: SignedGraph) -> SignedGraph:
     return G._reweighted(np.abs(G.w))
 
 
-def signed_laplacian(G: SignedGraph) -> np.ndarray:
-    """L = D - W with D the diagonal of absolute-weight degrees."""
-    return np.diag(G.degrees) - G.weight_matrix
-
-
 def _positive_degrees(G: SignedGraph) -> np.ndarray:
     d = G.degrees
     if np.any(d <= 0):
         isolated = int(np.argmin(d))
         raise ZeroWeightError(f"node {isolated} has zero degree; transition matrices are undefined")
     return d
-
-
-def transition_matrix(G: SignedGraph) -> np.ndarray:
-    """Signed transition matrix P = D^-1 W; rows sum to 1 in absolute value."""
-    d = _positive_degrees(G)
-    return G.weight_matrix / d[:, None]
-
-
-def random_walk_laplacian(G: SignedGraph) -> np.ndarray:
-    """Signed random-walk Laplacian L_rw = I - D^-1 W."""
-    return np.eye(G.n) - transition_matrix(G)
 
 
 def symmetrized_transition(G: SignedGraph) -> np.ndarray:
@@ -349,22 +342,3 @@ def symmetrized_transition(G: SignedGraph) -> np.ndarray:
     inv_sqrt = 1.0 / np.sqrt(d)
     M = G.weight_matrix * inv_sqrt[:, None] * inv_sqrt[None, :]
     return (M + M.T) / 2.0
-
-
-def doubled_adjacency(G: SignedGraph) -> np.ndarray:
-    """2n x 2n block matrix [[W+, W-], [W-, W+]] of the two-species walk,
-    where W = W+ - W- with both parts entrywise nonnegative."""
-    W = G.weight_matrix
-    Wp, Wm = np.where(W > 0, W, 0.0), np.where(W < 0, -W, 0.0)
-    return np.block([[Wp, Wm], [Wm, Wp]])
-
-
-def doubled_transition(G: SignedGraph) -> np.ndarray:
-    """Row-stochastic transition of the doubled walk, D2^-1 W2.
-
-    The difference of its two diagonal/off-diagonal block pairs reproduces the
-    signed transition matrix P, the sum reproduces the unsigned one.
-    """
-    d = _positive_degrees(G)
-    d2 = np.concatenate([d, d])
-    return doubled_adjacency(G) / d2[:, None]

@@ -2,7 +2,13 @@
 extended linear threshold (ELT) model, with closed-form stationary states.
 
 All simulators use row vectors and left multiplication: one step maps x to
-``x @ M``.  States are never renormalized.  Trajectories are immutable
+``x @ M``, computed by the graph's edge-array operator
+(:meth:`~signednet.core.SignedGraph._operator`) as one pass over the 2m
+edge entries, with no n x n matrix.  Linear dynamics and ELT apply W; the
+signed walk applies P = D^-1 W as W to x / d; the two-species walk is the
+random walk on the unsigned doubled graph with 2n nodes; the lattice ELT
+applies the edge signs as floats, so its neighbour counts stay exact
+integers.  States are never renormalized.  Trajectories are immutable
 records of every visited state including the initial one.  Every simulator
 steps through :func:`_run`, one loop filling one array, which refuses a run
 storing more than :data:`MAX_STORED_VALUES` values and is handed to the
@@ -18,14 +24,8 @@ from typing import Callable, Literal, Optional
 import numpy as np
 
 from .balance import Verdict, classify
-from .core import (
-    SignedGraph,
-    doubled_transition,
-    transition_matrix,
-    unsigned_counterpart,
-)
+from .core import SignedGraph, _positive_degrees
 from .errors import (
-    BipartiteGraphError,
     BipartiteUnsupportedError,
     DimensionMismatchError,
     InconsistentModeError,
@@ -33,10 +33,8 @@ from .errors import (
     NonpositiveThresholdError,
     NotLatticeError,
     ParamOutOfRangeError,
-    WrongVerdictError,
 )
 from .generate import circulant_pairs
-from .spectral import eigendecompose_symmetric
 
 #: most values one simulation may store, (steps + 1) x state width: 2**26
 #: float64 values are 512 MiB
@@ -121,8 +119,14 @@ def _run(step: Callable[[np.ndarray, int], np.ndarray], x0: np.ndarray, steps: i
 def linear_adjacency_simulate(G: SignedGraph, x0, horizon: int) -> Trajectory:
     """x(t) = x(0) W^t computed iteratively, no renormalization."""
     x = _check_state(G, x0)
-    W = G.weight_matrix
-    return Trajectory(_run(lambda y, t: y @ W, x, horizon))
+    W = G._operator(G.w)
+    return Trajectory(_run(lambda y, t: W(y), x, horizon))
+
+
+def _walk_step(G: SignedGraph, d: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
+    """One walk step y -> y @ D^-1 W of G, computed as W applied to y / d."""
+    W = G._operator(G.w)
+    return lambda y, t: W(y / d)
 
 
 def random_walk_simulate(G: SignedGraph, x0, horizon: int) -> Trajectory:
@@ -132,8 +136,7 @@ def random_walk_simulate(G: SignedGraph, x0, horizon: int) -> Trajectory:
     enforced.
     """
     x = _check_state(G, x0)
-    P = transition_matrix(G)
-    return Trajectory(_run(lambda y, t: y @ P, x, horizon))
+    return Trajectory(_run(_walk_step(G, _positive_degrees(G)), x, horizon))
 
 
 def simulate_walk_until_stationary(G: SignedGraph, x0, max_steps: int = 100_000,
@@ -145,8 +148,7 @@ def simulate_walk_until_stationary(G: SignedGraph, x0, max_steps: int = 100_000,
     :data:`MAX_STORED_VALUES`.
     """
     x = _check_state(G, x0)
-    P = transition_matrix(G)
-    return Trajectory(_run(lambda y, t: y @ P, x, max_steps,
+    return Trajectory(_run(_walk_step(G, _positive_degrees(G)), x, max_steps,
                            lambda y, y2: float(np.max(np.abs(y - y2))) < tol))
 
 
@@ -208,61 +210,31 @@ def predict_stationary(G: SignedGraph, x0) -> StationaryPrediction:
     return StationaryPrediction(StationaryKind.ALTERNATING_PAIR, (-base, base))
 
 
-def transition_power_sign_pattern(G: SignedGraph, t: int) -> np.ndarray:
-    """Predicted entrywise sign of P^t for balanced/antibalanced graphs.
-
-    Balanced: s_i s_j, constant in t.  Antibalanced: (-1)^t s_i s_j.  The
-    prediction applies wherever the unsigned power is nonzero.  Graphs that
-    are both use their balanced certificate.
-    """
-    if t < 0:
-        raise ParamOutOfRangeError("power must be nonnegative")
-    c = classify(G)
-    if c.certificate is None:
-        raise WrongVerdictError("P^t has no certified sign pattern on strictly unbalanced graphs")
-    flip = -1 if t % 2 and not c.is_balanced else 1
-    return flip * np.outer(c.certificate.s, c.certificate.s)
-
-
-def rank1_approximation(G: SignedGraph, t: int) -> np.ndarray:
-    """Rank-1 approximation of W^t from the dominant unsigned eigenpair.
-
-    Balanced graphs use lambda_1^t, antibalanced ones (-lambda_1)^t, each
-    conjugated into the signed sign pattern by the certificate.  The
-    Frobenius error equals sqrt(sum_{i>=2} lambda_i^(2t)).  Non-bipartite
-    balanced or antibalanced graphs only.
-    """
-    if t < 0:
-        raise ParamOutOfRangeError("power must be nonnegative")
-    c = classify(G)
-    if c.verdict == Verdict.BOTH:
-        raise BipartiteGraphError("rank-1 approximation is degenerate on bipartite graphs")
-    if c.certificate is None:
-        raise WrongVerdictError("requires a balanced or antibalanced graph")
-    unsigned = eigendecompose_symmetric(unsigned_counterpart(G).weight_matrix)
-    lam = float(unsigned.eigenvalues[0])
-    signed_lead = lam if c.is_balanced else -lam
-    v = c.certificate.s.astype(float) * unsigned.eigenvectors[:, 0]
-    return (signed_lead ** t) * np.outer(v, v)
-
-
 # ---------------------------------------------------------------------------
 # doubled two-species walk
 # ---------------------------------------------------------------------------
 
 def doubled_walk_simulate(G: SignedGraph, xplus0, xminus0, horizon: int) -> tuple[Trajectory, Trajectory]:
-    """Evolve nonnegative positive/negative walker densities under the
-    doubled transition matrix.
+    """Evolve nonnegative positive/negative walker densities by the random
+    walk on the unsigned doubled graph.
 
-    The difference of the returned trajectories reproduces the signed walk
-    started at xplus0 - xminus0; the sum reproduces the unsigned walk.
+    Node v carries the positive walkers at v and node v + n the negative
+    ones.  Edge k of weight w_k becomes two edges of weight |w_k|: a
+    positive edge joins copies of equal sign (i-j and i+n - j+n), a negative
+    one copies of opposite sign (i - j+n and i+n - j).  Both copies of a node
+    have its degree in G.  The difference of the returned trajectories
+    reproduces the signed walk started at xplus0 - xminus0; the sum
+    reproduces the unsigned walk.
     """
     xp = _check_state(G, xplus0)
     xm = _check_state(G, xminus0)
     if np.any(xp < 0) or np.any(xm < 0):
         raise NegativeDensityError("walker densities must be nonnegative")
-    M = doubled_transition(G)
-    states = _run(lambda z, t: z @ M, np.concatenate([xp, xm]), horizon)
+    n, shift = G.n, G.n * (G.w < 0)  # a negative edge crosses to the other species
+    doubled = SignedGraph(2 * n, np.concatenate([G.i, G.i + n]), np.concatenate([G.j + shift, G.j + n - shift]),
+                          np.abs(np.concatenate([G.w, G.w])))
+    d = _positive_degrees(G)
+    states = _run(_walk_step(doubled, np.concatenate([d, d])), np.concatenate([xp, xm]), horizon)
     return Trajectory(states[:, : G.n]), Trajectory(states[:, G.n :])
 
 
@@ -308,23 +280,27 @@ class ELTConfig:
 
 
 class ActivationSets:
-    """Per-step positively/negatively active node sets of a trajectory."""
+    """Per-step positively/negatively active node sets of a trajectory.
+
+    Only the sign of every state (an int8 row per step) is stored; each set
+    is built when asked for.
+    """
 
     def __init__(self, states: np.ndarray):
-        self._plus = [frozenset(np.flatnonzero(row > 0).tolist()) for row in states]
-        self._minus = [frozenset(np.flatnonzero(row < 0).tolist()) for row in states]
+        states = np.asarray(states)
+        self._signs = (states > 0).astype(np.int8) - (states < 0)
 
     def __len__(self) -> int:
-        return len(self._plus)
+        return len(self._signs)
 
     def plus(self, t: int) -> frozenset:
-        return self._plus[t]
+        return _nodes(self._signs[t] > 0)
 
     def minus(self, t: int) -> frozenset:
-        return self._minus[t]
+        return _nodes(self._signs[t] < 0)
 
     def active(self, t: int) -> frozenset:
-        return self._plus[t] | self._minus[t]
+        return _nodes(self._signs[t] != 0)
 
     def new_active(self, t: int) -> frozenset:
         """Nodes active at t that were not active at t-1."""
@@ -333,13 +309,14 @@ class ActivationSets:
         return self.active(t) - self.active(t - 1)
 
     def ever_active(self) -> frozenset:
-        out: frozenset = frozenset()
-        for t in range(len(self._plus)):
-            out |= self.active(t)
-        return out
+        return _nodes(self._signs.any(axis=0))
 
     def __iter__(self):
-        return iter(zip(self._plus, self._minus))
+        return ((self.plus(t), self.minus(t)) for t in range(len(self)))
+
+
+def _nodes(mask: np.ndarray) -> frozenset:
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def _activate(field: np.ndarray, theta, level) -> np.ndarray:
@@ -363,8 +340,8 @@ def elt_simulate(G: SignedGraph, x0, cfg: ELTConfig) -> tuple[Trajectory, Activa
         raise DimensionMismatchError(
             f"threshold table has shape {thresholds.shape}, expected ({cfg.horizon}, {G.n})"
         )
-    W = G.weight_matrix
-    traj = Trajectory(_run(lambda y, t: _activate(y @ W, thresholds[t - 1], thresholds[t - 1]), x, cfg.horizon))
+    W = G._operator(G.w)
+    traj = Trajectory(_run(lambda y, t: _activate(W(y), thresholds[t - 1], thresholds[t - 1]), x, cfg.horizon))
     return traj, ActivationSets(traj.states)
 
 
@@ -411,10 +388,10 @@ def certain_propagation_check(G: SignedGraph, theta_l: float) -> bool:
 def _closed_neighbourhood(G: SignedGraph, center: int, orientation: int = 1) -> np.ndarray:
     """Closed-neighbourhood seed signs: +1 at the center, ``orientation`` times
     the connecting edge's sign at each neighbour, 0 elsewhere."""
-    nbrs, eids = G._adjacency
+    touches = (G.i == center) | (G.j == center)
     seed = np.zeros(G.n, dtype=np.int64)
+    seed[G.i[touches] + G.j[touches] - center] = orientation * G.sign[touches]
     seed[center] = 1
-    seed[nbrs[center]] = orientation * G.sign[eids[center]]
     return seed
 
 
@@ -452,13 +429,13 @@ def elt_lattice_simulate(G: SignedGraph, seed_center: int, cfg: ELTConfig,
         raise InconsistentModeError(f"{mode}-mode seeding on a purely {opposite.value} lattice")
 
     signs = _closed_neighbourhood(G, seed_center, 1 if mode == "balanced" else -1)
-    A = np.sign(G.weight_matrix).astype(np.int64)
+    A = G._operator(G.sign.astype(float))
     _check_stored(cfg.horizon, G.n)  # before the schedule is allocated
     levels = cfg.levels()
 
     def step(_, t):  # the integer signs advance beside the scaled states
         nonlocal signs
-        signs = _activate(signs @ A, cfg.theta_l, 1)
+        signs = _activate(A(signs), cfg.theta_l, 1)
         return signs * levels[t]
 
     traj = Trajectory(_run(step, signs * levels[0], cfg.horizon))

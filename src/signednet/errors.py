@@ -59,10 +59,6 @@ class NotBalancedError(SignedNetError):
     pass
 
 
-class BipartiteGraphError(SignedNetError):
-    """Operation undefined on bipartite graphs (degenerate +/- rho pair)."""
-
-
 class WrongVerdictError(SignedNetError):
     """Operation requires a different balance verdict."""
 

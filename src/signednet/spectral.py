@@ -14,14 +14,13 @@ Two dense entry points do every full eigensolve, sharing one symmetry check:
   eigenvectors.  Only callers that read eigenvectors use it: heuristic
   frustration below the Lanczos threshold (on a balanced or antibalanced
   graph the sign pattern of the extreme eigenvector it reads is the
-  certificate), :func:`verify_spectral_theorem` and the rank-1
-  approximation in :mod:`signednet.dynamics`.
+  certificate) and :func:`verify_spectral_theorem`.
 
 The balance measures and heuristic frustration read only the two ends of a
 spectrum.  On graphs with at least :data:`LANCZOS_MIN_NODES` nodes they take
 those ends from :func:`_lanczos_extremes`, a Lanczos iteration whose
-matvecs run over the edge arrays, so no n x n matrix is built; smaller graphs
-keep the dense solves above.  Everything is numpy: no scipy is imported.
+matvecs are the graph's edge-array operator, so no n x n matrix is built;
+smaller graphs keep the dense solves above.  Everything is numpy: no scipy is imported.
 
 The two distance measures live here:
 
@@ -129,11 +128,11 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", 
     holding ``values[k]`` at (i_k, j_k) and (j_k, i_k) and zero elsewhere.
 
     Lanczos iteration with full reorthogonalisation (classical Gram-Schmidt
-    applied twice) from a fixed seeded start vector.  Each matvec is one
-    ``np.bincount`` over the symmetric edge arrays, so no n x n array is
-    built.  The matrix is scaled by a power of two, exactly, to a largest
-    entry in [0.5, 1), so huge or tiny weights neither overflow nor loosen
-    the test.  The iteration stops once the Ritz residual
+    applied twice) from a fixed seeded start vector.  Each matvec is the
+    edge-array product :meth:`~signednet.core.SignedGraph._operator`, so no
+    n x n array is built.  The matrix is scaled by a power of two, exactly,
+    to a largest entry in [0.5, 1), so huge or tiny weights neither overflow
+    nor loosen the test.  The iteration stops once the Ritz residual
     |beta_k S[k-1, e]| of each requested end e (``"both"``, or ``"top"`` for
     the largest only) is at most ``LANCZOS_TOLERANCE * max(1, |theta_e|)``.
     That test runs on a geometric schedule, at k = 16 and then about every
@@ -146,9 +145,8 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", 
     :func:`eigendecompose_symmetric`.
     """
     n = G.n
-    rows, cols = np.concatenate([G.i, G.j]), np.concatenate([G.j, G.i])
     scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(values)))[1]))
-    entries = np.concatenate([values, values]) / scale
+    matvec = G._operator(values / scale)
     tested = [-1, 0] if ends == "both" else [-1]  # columns of eigh's ascending output
 
     Q = np.empty((min(n, 32), n))  # Lanczos vectors as rows; grows by doubling
@@ -159,7 +157,7 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", 
     check = 16
     for k in range(1, n + 1):  # k: dimension of the Krylov space after this step
         q = Q[k - 1]
-        r = np.bincount(rows, weights=entries * q[cols], minlength=n)
+        r = matvec(q)
         alpha.append(float(r @ q))
         r -= alpha[-1] * q
         if k > 1:

@@ -9,6 +9,12 @@ nonsymmetric solver, edge validation from one Python pass over the edges,
 trajectory CSV from one ``csv.writer`` row per value (read back by a strict
 ``csv`` reader), ring lattices from Python loops over the circulant pairs,
 and trajectories from one hand-written loop per simulator.
+
+The dense matrices the package no longer builds live here as references:
+the signed and random-walk Laplacians, the transition matrix P = D^-1 W and
+the doubled two-species matrices.  So do three oracles for results of the
+paper that no CLI path or verification criterion needs: sign-conflicting
+walks, the sign pattern of P^t and the rank-1 approximation of W^t.
 """
 
 import csv
@@ -19,8 +25,9 @@ from typing import Iterable, Optional, TextIO
 import numpy as np
 
 from signednet import SignedGraph
-from signednet.balance import Bipartition, apply_flip_set, negate
-from signednet.core import WEIGHT_TOLERANCE, Edge, build_graph
+from signednet.balance import Bipartition, Verdict, apply_flip_set, classify, negate
+from signednet.core import WEIGHT_TOLERANCE, Edge, build_graph, unsigned_counterpart
+from signednet.spectral import eigendecompose_symmetric
 from signednet.errors import (
     DuplicateEdgeError,
     IdOutOfRangeError,
@@ -45,7 +52,18 @@ __all__ = [
     "read_trajectory_csv",
     "write_trajectory_reference",
     "ring_lattice_reference",
+    "signed_laplacian",
+    "transition_matrix",
+    "random_walk_laplacian",
+    "doubled_adjacency",
+    "doubled_transition",
+    "sign_conflicting_walk",
+    "transition_power_sign_pattern",
+    "rank1_approximation",
+    "edge_product_reference",
+    "doubled_edges_reference",
     "iterate_reference",
+    "iterate_edges_reference",
     "walk_until_stationary_reference",
     "geometric_thresholds_reference",
     "elt_reference",
@@ -226,6 +244,141 @@ def ring_lattice_reference(params) -> SignedGraph:
     return build_graph(n, [(i, j, v * params.alpha) for (i, j), v in zip(pairs, signs)])
 
 
+# ---------------------------------------------------------------------------
+# dense matrix references
+# ---------------------------------------------------------------------------
+
+def signed_laplacian(G: SignedGraph) -> np.ndarray:
+    """L = D - W with D the diagonal of absolute-weight degrees."""
+    return np.diag(G.degrees) - G.weight_matrix
+
+
+def transition_matrix(G: SignedGraph) -> np.ndarray:
+    """Signed transition matrix P = D^-1 W; rows sum to 1 in absolute value."""
+    return G.weight_matrix / G.degrees[:, None]
+
+
+def random_walk_laplacian(G: SignedGraph) -> np.ndarray:
+    """Signed random-walk Laplacian L_rw = I - D^-1 W."""
+    return np.eye(G.n) - transition_matrix(G)
+
+
+def doubled_adjacency(G: SignedGraph) -> np.ndarray:
+    """2n x 2n block matrix [[W+, W-], [W-, W+]] of the two-species walk,
+    where W = W+ - W- with both parts entrywise nonnegative."""
+    W = G.weight_matrix
+    Wp, Wm = np.where(W > 0, W, 0.0), np.where(W < 0, -W, 0.0)
+    return np.block([[Wp, Wm], [Wm, Wp]])
+
+
+def doubled_transition(G: SignedGraph) -> np.ndarray:
+    """Row-stochastic transition of the doubled walk, D2^-1 W2 with D2 = [D, D]."""
+    d2 = np.concatenate([G.degrees, G.degrees])
+    return doubled_adjacency(G) / d2[:, None]
+
+
+# ---------------------------------------------------------------------------
+# oracles for walk-sign results
+# ---------------------------------------------------------------------------
+
+def sign_conflicting_walk(G: SignedGraph, l_max: int) -> Optional[tuple[int, int, int]]:
+    """First node pair joined by a positive and a negative walk of equal length.
+
+    Brute force over walk lengths 1..l_max using boolean reachability on the
+    positive/negative sign adjacency.  Returns ``(i, j, l)`` for the smallest
+    such length (ties broken by node pair), or None.  Strictly unbalanced
+    graphs admit a witness; balanced and antibalanced ones never do.
+    """
+    A = np.sign(G.weight_matrix)
+    Ap = (A > 0).astype(np.int64)
+    Am = (A < 0).astype(np.int64)
+    pos, neg = Ap.copy(), Am.copy()
+    for length in range(1, l_max + 1):
+        if length > 1:
+            pos, neg = (
+                np.minimum(pos @ Ap + neg @ Am, 1),
+                np.minimum(pos @ Am + neg @ Ap, 1),
+            )
+        conflict = (pos > 0) & (neg > 0)
+        if conflict.any():
+            i, j = np.argwhere(conflict)[0]
+            return int(i), int(j), length
+    return None
+
+
+def transition_power_sign_pattern(G: SignedGraph, t: int) -> np.ndarray:
+    """Predicted entrywise sign of P^t on a balanced or antibalanced graph.
+
+    Balanced: s_i s_j, constant in t.  Antibalanced: (-1)^t s_i s_j.  The
+    prediction applies wherever the unsigned power is nonzero.  Graphs that
+    are both use their balanced certificate.
+    """
+    c = classify(G)
+    assert c.certificate is not None, "P^t has no certified sign pattern on strictly unbalanced graphs"
+    flip = -1 if t % 2 and not c.is_balanced else 1
+    return flip * np.outer(c.certificate.s, c.certificate.s)
+
+
+def rank1_approximation(G: SignedGraph, t: int) -> np.ndarray:
+    """Rank-1 approximation of W^t from the dominant unsigned eigenpair.
+
+    Balanced graphs use lambda_1^t, antibalanced ones (-lambda_1)^t, each
+    conjugated into the signed sign pattern by the certificate.  The
+    Frobenius error equals sqrt(sum_{i>=2} lambda_i^(2t)).  Non-bipartite
+    balanced or antibalanced graphs only: on a bipartite graph the +/- rho
+    pair makes the dominant pair degenerate.
+    """
+    c = classify(G)
+    assert c.certificate is not None and c.verdict != Verdict.BOTH
+    unsigned = eigendecompose_symmetric(unsigned_counterpart(G).weight_matrix)
+    lam = float(unsigned.eigenvalues[0])
+    signed_lead = lam if c.is_balanced else -lam
+    v = c.certificate.s.astype(float) * unsigned.eigenvectors[:, 0]
+    return (signed_lead ** t) * np.outer(v, v)
+
+
+# ---------------------------------------------------------------------------
+# simulator references
+# ---------------------------------------------------------------------------
+
+def edge_product_reference(n: int, i, j, values, x: np.ndarray) -> np.ndarray:
+    """x @ M for the symmetric M holding ``values[k]`` at (i_k, j_k) and
+    (j_k, i_k), one edge at a time: ``out[i_k] += v_k * x[j_k]`` over every
+    edge, then ``out[j_k] += v_k * x[i_k]`` over every edge, the order in which
+    ``np.bincount`` sums over both orientations."""
+    out = np.zeros(n)
+    for r, c, v in zip(i, j, values):
+        out[r] += v * x[c]
+    for r, c, v in zip(j, i, values):
+        out[r] += v * x[c]
+    return out
+
+
+def doubled_edges_reference(G: SignedGraph) -> tuple[list[int], list[int], list[float]]:
+    """Edges of the unsigned doubled graph on 2n nodes, node v + n carrying
+    the negative walkers at v: for every edge in order its copy from i, then
+    for every edge its copy from i + n.  A positive edge joins copies of equal
+    sign, a negative one copies of opposite sign; both copies weigh |w|."""
+    n, i, j, w = G.n, [], [], []
+    for offset in (0, n):
+        for e in G.edges:
+            i.append(e.i + offset)
+            j.append(e.j + (offset if e.w > 0 else n - offset))
+            w.append(abs(e.w))
+    return i, j, w
+
+
+def iterate_edges_reference(n: int, i, j, values, x0: np.ndarray, horizon: int,
+                            d: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows x(t) = (x(t-1) / d) @ M for t = 0..horizon, each product by
+    :func:`edge_product_reference` (no division without ``d``)."""
+    states = [np.asarray(x0, dtype=float)]
+    for _ in range(horizon):
+        x = states[-1] if d is None else states[-1] / d
+        states.append(edge_product_reference(n, i, j, values, x))
+    return np.array(states)
+
+
 def iterate_reference(M: np.ndarray, x0: np.ndarray, horizon: int) -> np.ndarray:
     """Rows x(t) = x(t-1) @ M for t = 0..horizon, one plain loop."""
     states = np.empty((horizon + 1, x0.shape[0]))
@@ -238,12 +391,13 @@ def iterate_reference(M: np.ndarray, x0: np.ndarray, horizon: int) -> np.ndarray
     return states
 
 
-def walk_until_stationary_reference(P: np.ndarray, x0: np.ndarray, max_steps: int, tol: float) -> np.ndarray:
+def walk_until_stationary_reference(G: SignedGraph, x0: np.ndarray, max_steps: int, tol: float) -> np.ndarray:
     """Walk states appended to a list until max |x(t) - x(t-2)| < tol or
-    ``max_steps`` steps."""
+    ``max_steps`` steps, each step by :func:`edge_product_reference` on
+    x(t-1) / d."""
     states = [x0]
     for _ in range(max_steps):
-        states.append(states[-1] @ P)
+        states.append(edge_product_reference(G.n, G.i, G.j, G.w, states[-1] / G.degrees))
         if len(states) >= 3 and float(np.max(np.abs(states[-1] - states[-3]))) < tol:
             break
     return np.array(states)

@@ -8,7 +8,13 @@ from signednet import Verdict
 from signednet.balance import Bipartition, apply_flip_set, sign_pattern
 from signednet.errors import TooLargeError
 
-from helpers import certifies_balance, cycle_sign_oracle, frustration_by_edge_subsets, random_connected_corpus
+from helpers import (
+    certifies_balance,
+    cycle_sign_oracle,
+    frustration_by_edge_subsets,
+    random_connected_corpus,
+    sign_conflicting_walk,
+)
 
 
 class TestClassify:
@@ -136,25 +142,25 @@ class TestAntibalancedFromBipartite:
 
 class TestSignConflictingWalk:
     def test_strictly_unbalanced_has_short_witness(self, strictly_unbalanced_4):
-        witness = sn.sign_conflicting_walk(strictly_unbalanced_4, l_max=6)
+        witness = sign_conflicting_walk(strictly_unbalanced_4, l_max=6)
         assert witness is not None
         i, j, l = witness
         assert 1 <= l <= 6
 
     def test_balanced_and_antibalanced_have_none(self, triangle_positive, triangle_one_negative):
-        assert sn.sign_conflicting_walk(triangle_positive, l_max=10) is None
-        assert sn.sign_conflicting_walk(triangle_one_negative, l_max=10) is None
+        assert sign_conflicting_walk(triangle_positive, l_max=10) is None
+        assert sign_conflicting_walk(triangle_one_negative, l_max=10) is None
 
     def test_witness_iff_strictly_unbalanced(self):
         # both directions of the walk characterization over the full corpus
         for G in random_connected_corpus(500):
-            witness = sn.sign_conflicting_walk(G, l_max=2 * G.n)
+            witness = sign_conflicting_walk(G, l_max=2 * G.n)
             strictly = sn.classify(G).verdict is Verdict.STRICTLY_UNBALANCED
             assert (witness is not None) == strictly
 
     def test_witness_is_reproducible_by_walk_count(self, strictly_unbalanced_4):
         # verify the reported pair really carries two opposite-sign walks
-        i, j, l = sn.sign_conflicting_walk(strictly_unbalanced_4, l_max=6)
+        i, j, l = sign_conflicting_walk(strictly_unbalanced_4, l_max=6)
         A = np.sign(strictly_unbalanced_4.weight_matrix)
         Ap, Am = (A > 0).astype(int), (A < 0).astype(int)
         pos, neg = Ap, Am

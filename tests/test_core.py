@@ -11,7 +11,15 @@ from signednet.errors import (
     ZeroWeightError,
 )
 
-from helpers import nonsymmetric_eigenvalues, random_connected_corpus
+from helpers import (
+    doubled_adjacency,
+    doubled_transition,
+    nonsymmetric_eigenvalues,
+    random_connected_corpus,
+    random_walk_laplacian,
+    signed_laplacian,
+    transition_matrix,
+)
 
 
 class TestBuildGraph:
@@ -101,61 +109,61 @@ class TestUnsignedAndSignAdjacency:
 
 class TestLaplacians:
     def test_positive_triangle_laplacian_row_sums_zero(self, triangle_positive):
-        L = sn.signed_laplacian(triangle_positive)
+        L = signed_laplacian(triangle_positive)
         A = np.sign(triangle_positive.weight_matrix)
         assert np.allclose(L, 2 * np.eye(3) - A)
         assert np.allclose(L.sum(axis=1), 0)
 
     def test_negative_triangle_laplacian_row_sums(self, triangle_negative):
         # L = D - W = 2I + |A|: every row sums to 4
-        L = sn.signed_laplacian(triangle_negative)
+        L = signed_laplacian(triangle_negative)
         assert np.allclose(L, 2 * np.eye(3) + np.abs(np.sign(triangle_negative.weight_matrix)))
         assert np.allclose(L.sum(axis=1), 4)
 
     def test_signed_laplacian_positive_semidefinite(self):
         for G in random_connected_corpus(50, seed=9):
-            vals = np.linalg.eigvalsh(sn.signed_laplacian(G))
+            vals = np.linalg.eigvalsh(signed_laplacian(G))
             assert vals.min() >= -1e-10
 
     def test_rw_laplacian_spectra_of_triangles(self, triangle_positive, triangle_negative):
-        pos = nonsymmetric_eigenvalues(sn.random_walk_laplacian(triangle_positive))
-        neg = nonsymmetric_eigenvalues(sn.random_walk_laplacian(triangle_negative))
+        pos = nonsymmetric_eigenvalues(random_walk_laplacian(triangle_positive))
+        neg = nonsymmetric_eigenvalues(random_walk_laplacian(triangle_negative))
         assert np.allclose(sorted(pos), [0, 1.5, 1.5])
         assert np.allclose(sorted(neg), [0.5, 0.5, 2.0])
 
     def test_rw_laplacian_spectrum_is_one_minus_transition_spectrum(self):
         for G in random_connected_corpus(20, seed=13):
-            lrw = nonsymmetric_eigenvalues(sn.random_walk_laplacian(G))
-            p = nonsymmetric_eigenvalues(sn.transition_matrix(G))
+            lrw = nonsymmetric_eigenvalues(random_walk_laplacian(G))
+            p = nonsymmetric_eigenvalues(transition_matrix(G))
             assert np.allclose(np.sort(lrw), np.sort(1 - p), atol=1e-10)
 
 
 class TestTransitionMatrices:
     def test_triangle_transition_entries(self, triangle_positive):
-        P = sn.transition_matrix(triangle_positive)
+        P = transition_matrix(triangle_positive)
         assert np.allclose(P, (np.ones((3, 3)) - np.eye(3)) / 2)
 
     def test_dyad_transition(self, dyad_negative):
-        assert np.allclose(sn.transition_matrix(dyad_negative), [[0, -1], [-1, 0]])
+        assert np.allclose(transition_matrix(dyad_negative), [[0, -1], [-1, 0]])
 
     def test_row_absolute_sums_are_one(self):
         for G in random_connected_corpus(25, seed=21):
-            P = sn.transition_matrix(G)
+            P = transition_matrix(G)
             assert np.allclose(np.abs(P).sum(axis=1), 1.0)
 
     def test_regular_graph_symmetrized_equals_transition(self, triangle_negative):
-        assert np.allclose(sn.symmetrized_transition(triangle_negative), sn.transition_matrix(triangle_negative))
+        assert np.allclose(sn.symmetrized_transition(triangle_negative), transition_matrix(triangle_negative))
 
     def test_symmetrized_shares_spectrum_with_transition(self):
         for G in random_connected_corpus(25, seed=23):
             sym = np.linalg.eigvalsh(sn.symmetrized_transition(G))
-            plain = nonsymmetric_eigenvalues(sn.transition_matrix(G))
+            plain = nonsymmetric_eigenvalues(transition_matrix(G))
             assert np.allclose(np.sort(sym), np.sort(plain), atol=1e-10)
 
     def test_eigenvector_map_between_p_and_p_sym(self):
         G = sn.build_graph(4, [(0, 1, 1.0), (1, 2, -2.0), (2, 3, 1.0), (0, 3, 1.0), (0, 2, -1.0)])
         vals, vecs = np.linalg.eigh(sn.symmetrized_transition(G))
-        P = sn.transition_matrix(G)
+        P = transition_matrix(G)
         d_inv_sqrt = 1 / np.sqrt(G.degrees)
         for k in range(G.n):
             x = d_inv_sqrt * vecs[:, k]
@@ -164,19 +172,19 @@ class TestTransitionMatrices:
 
 class TestDoubledSystem:
     def test_all_positive_is_block_diagonal(self, triangle_positive):
-        W2 = sn.doubled_adjacency(triangle_positive)
+        W2 = doubled_adjacency(triangle_positive)
         Wbar = sn.unsigned_counterpart(triangle_positive).weight_matrix
         assert np.allclose(W2[:3, :3], Wbar) and np.allclose(W2[3:, 3:], Wbar)
         assert np.allclose(W2[:3, 3:], 0) and np.allclose(W2[3:, :3], 0)
 
     def test_all_negative_is_block_antidiagonal(self, triangle_negative):
-        W2 = sn.doubled_adjacency(triangle_negative)
+        W2 = doubled_adjacency(triangle_negative)
         Wbar = sn.unsigned_counterpart(triangle_negative).weight_matrix
         assert np.allclose(W2[:3, 3:], Wbar) and np.allclose(W2[3:, :3], Wbar)
         assert np.allclose(W2[:3, :3], 0) and np.allclose(W2[3:, 3:], 0)
 
     def test_column_absolute_sums_match_degrees(self, strictly_unbalanced_4):
-        W2 = sn.doubled_adjacency(strictly_unbalanced_4)
+        W2 = doubled_adjacency(strictly_unbalanced_4)
         d = strictly_unbalanced_4.degrees
         n = strictly_unbalanced_4.n
         assert np.allclose(np.abs(W2).sum(axis=0)[:n], d)
@@ -184,17 +192,17 @@ class TestDoubledSystem:
 
     def test_doubled_transition_blocks(self, strictly_unbalanced_4):
         G = strictly_unbalanced_4
-        P2 = sn.doubled_transition(G)
+        P2 = doubled_transition(G)
         n = G.n
         diff = P2[:n, :n] - P2[:n, n:]
         total = P2[:n, :n] + P2[:n, n:]
-        assert np.allclose(diff, sn.transition_matrix(G), atol=1e-14)
-        assert np.allclose(total, sn.transition_matrix(sn.unsigned_counterpart(G)), atol=1e-14)
+        assert np.allclose(diff, transition_matrix(G), atol=1e-14)
+        assert np.allclose(total, transition_matrix(sn.unsigned_counterpart(G)), atol=1e-14)
         assert np.allclose(P2.sum(axis=1), 1.0)
 
     def test_positive_negative_split_disjoint(self):
         for G in random_connected_corpus(20, seed=31):
-            W2 = sn.doubled_adjacency(G)
+            W2 = doubled_adjacency(G)
             Wp, Wm = W2[:G.n, :G.n], W2[:G.n, G.n:]
             assert np.array_equal(W2[G.n:, G.n:], Wp) and np.array_equal(W2[G.n:, :G.n], Wm)
             assert np.all(Wp >= 0) and np.all(Wm >= 0)

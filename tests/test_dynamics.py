@@ -14,10 +14,9 @@ from signednet.errors import (
     NonpositiveThresholdError,
     NotLatticeError,
     ParamOutOfRangeError,
-    WrongVerdictError,
 )
 
-from helpers import random_connected_corpus
+from helpers import random_connected_corpus, rank1_approximation, transition_matrix, transition_power_sign_pattern
 
 
 def reference_ssbm(eta, seed, alpha=0.1):
@@ -78,7 +77,7 @@ class TestLinearAdjacency:
 class TestRank1Approximation:
     def test_power_zero_error_is_sqrt_n_minus_one(self):
         G = reference_ssbm(0.0, seed=2)
-        approx = sn.rank1_approximation(G, 0)
+        approx = rank1_approximation(G, 0)
         err = np.linalg.norm(np.eye(G.n) - approx)
         assert err == pytest.approx(np.sqrt(G.n - 1), abs=1e-8)
 
@@ -88,7 +87,7 @@ class TestRank1Approximation:
         unsigned_vals = sn.eigendecompose_symmetric(sn.unsigned_counterpart(G).weight_matrix).eigenvalues
         W = G.weight_matrix
         for t in (1, 3, 8, 20):
-            approx = sn.rank1_approximation(G, t)
+            approx = rank1_approximation(G, t)
             err = np.linalg.norm(np.linalg.matrix_power(W, t) - approx)
             expected = np.sqrt(np.sum(unsigned_vals[1:] ** (2 * t)))
             assert err == pytest.approx(expected, abs=1e-8)
@@ -98,17 +97,9 @@ class TestRank1Approximation:
         vals = sn.eigendecompose_symmetric(sn.unsigned_counterpart(G).weight_matrix).eigenvalues
         t = 20
         Wt = np.linalg.matrix_power(G.weight_matrix, t)
-        rel = np.linalg.norm(Wt - sn.rank1_approximation(G, t)) / np.linalg.norm(Wt)
+        rel = np.linalg.norm(Wt - rank1_approximation(G, t)) / np.linalg.norm(Wt)
         ratio = max(abs(vals[1]), abs(vals[-1])) / vals[0]
         assert rel < ratio ** t * np.sqrt(G.n - 1)
-
-    def test_bipartite_and_strictly_unbalanced_rejected(self, four_cycle_positive, strictly_unbalanced_4):
-        from signednet.errors import BipartiteGraphError
-
-        with pytest.raises(BipartiteGraphError):
-            sn.rank1_approximation(four_cycle_positive, 3)
-        with pytest.raises(WrongVerdictError):
-            sn.rank1_approximation(strictly_unbalanced_4, 3)
 
 
 class TestRandomWalk:
@@ -177,11 +168,11 @@ class TestTransitionPowerSignPattern:
     def test_balanced_pattern_constant_in_time(self):
         G = reference_ssbm(0.0, seed=8)
         s = sn.classify(G).balanced_partition.s
-        P = sn.transition_matrix(G)
-        Pbar = sn.transition_matrix(sn.unsigned_counterpart(G))
+        P = transition_matrix(G)
+        Pbar = transition_matrix(sn.unsigned_counterpart(G))
         Pt, Pbart = np.eye(G.n), np.eye(G.n)
         for t in (1, 2, 3, 7):
-            predicted = sn.transition_power_sign_pattern(G, t)
+            predicted = transition_power_sign_pattern(G, t)
             assert np.array_equal(predicted, np.outer(s, s))
             Pt = np.linalg.matrix_power(P, t)
             Pbart = np.linalg.matrix_power(Pbar, t)
@@ -192,18 +183,14 @@ class TestTransitionPowerSignPattern:
     def test_antibalanced_pattern_alternates(self):
         G = reference_ssbm(1.0, seed=8)
         s = sn.classify(G).antibalanced_partition.s
-        P = sn.transition_matrix(G)
-        Pbar = sn.transition_matrix(sn.unsigned_counterpart(G))
+        P = transition_matrix(G)
+        Pbar = transition_matrix(sn.unsigned_counterpart(G))
         for t in (1, 2, 5):
-            predicted = sn.transition_power_sign_pattern(G, t)
+            predicted = transition_power_sign_pattern(G, t)
             assert np.array_equal(predicted, ((-1) ** t) * np.outer(s, s))
             Pt = np.linalg.matrix_power(P, t)
             mask = np.abs(np.linalg.matrix_power(Pbar, t)) > 1e-12
             assert np.array_equal(np.sign(Pt)[mask], predicted[mask])
-
-    def test_strictly_unbalanced_rejected(self, strictly_unbalanced_4):
-        with pytest.raises(WrongVerdictError):
-            sn.transition_power_sign_pattern(strictly_unbalanced_4, 2)
 
 
 class TestDoubledWalk:
@@ -459,3 +446,50 @@ class TestActivationSets:
         assert acts.plus(0) == {1} and acts.minus(0) == {2}
         assert acts.active(1) == {0}
         assert acts.new_active(1) == {0}
+
+    def test_sets_match_set_algebra_on_the_state_signs(self):
+        states = np.random.default_rng(4).choice([-1.5, -0.0, 0.0, 2.0], size=(30, 12))
+        plus = [frozenset(np.flatnonzero(row > 0).tolist()) for row in states]
+        minus = [frozenset(np.flatnonzero(row < 0).tolist()) for row in states]
+        acts = ActivationSets(states)
+        assert len(acts) == 30 and list(acts) == list(zip(plus, minus))
+        for t in range(30):
+            assert acts.active(t) == plus[t] | minus[t]
+            assert acts.new_active(t) == (plus[t] | minus[t]) - (plus[t - 1] | minus[t - 1] if t else frozenset())
+        assert acts.ever_active() == frozenset().union(*plus, *minus)
+
+    def test_lattice_sets_store_less_than_the_states(self):
+        G = lattice(n=500, alpha=0.5)  # theta_l * alpha = 1: the states keep magnitude 1
+        sn.classify(G)  # the cached traversal is not part of the run
+        tracemalloc.start()
+        try:
+            traj, acts = sn.elt_lattice_simulate(G, 0, ELTConfig(theta_l=2.0, alpha=0.5, l0=1.0, horizon=2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert acts.ever_active() == frozenset(range(500)) and len(acts.active(2000)) == 500
+        assert peak <= 1.5 * traj.states.nbytes  # the states, plus int8 signs an eighth their size
+
+
+class TestNoDenseMatrix:
+    """Every simulator steps over the edge arrays: on 3000 nodes one dense
+    n x n float array would take 72 MB."""
+
+    @pytest.mark.parametrize("simulate", [
+        lambda G: sn.linear_adjacency_simulate(G, np.ones(G.n), 5),
+        lambda G: sn.random_walk_simulate(G, np.ones(G.n), 5),
+        lambda G: sn.simulate_walk_until_stationary(G, np.ones(G.n), max_steps=5),
+        lambda G: sn.doubled_walk_simulate(G, np.ones(G.n), np.ones(G.n), 5),
+        lambda G: sn.elt_simulate(G, np.ones(G.n), ELTConfig(1.0, 0.1, 1.0, 5)),
+        lambda G: sn.elt_lattice_simulate(G, 0, ELTConfig(2.0, 0.1, 1.0, 5)),
+    ], ids=["linear", "rw", "rw_until_stationary", "doubled", "elt", "elt_lattice"])
+    def test_peak_memory_is_far_below_one_dense_matrix(self, simulate):
+        G = lattice(n=3000, plan=sn.FlipKPlan(k=50, seed=1))
+        sn.classify(G)
+        tracemalloc.start()
+        try:
+            simulate(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22  # 4 MiB, against 72 MB for one 3000 x 3000 array

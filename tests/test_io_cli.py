@@ -569,6 +569,13 @@ class TestGenerateInputBoundary:
          "--seed sets the seed of a flip_k sign_plan; the 'antibalanced' sign_plan takes no seed"),
         ("lattice", {**LATTICE, "sign_plan": {"kind": "flip_k", "k": 2}}, ["--seed", "-1"],
          "seed must be a nonnegative integer, got -1"),
+        ("ssbm", {"n1": 6, "n2": 10, "p_in": 0.8, "p_out": 0.1, "eta": 0.0, "colour": "red"}, [],
+         "unknown ssbm config key 'colour'; accepted keys: n1, n2, p_in, p_out, eta, alpha, seed"),
+        ("lattice", {**LATTICE, "seed": 3, "sign_plan": {"kind": "flip_k", "k": 2}}, [],
+         "unknown lattice config key 'seed'; accepted keys: n, dbar, alpha, sign_plan; "
+         "a lattice's seed is sign_plan.seed, in a flip_k plan"),
+        ("tree", {"n": 9, "sign_prob": 0.5, "depth": 2, "branching": 3}, ["--seed", "4"],
+         "unknown tree config keys 'branching', 'depth'; accepted keys: n, sign_prob, seed, alpha"),
     ])
     def test_bad_configs_exit_2_with_one_error_line(self, tmp_path, capsys, kind, config, flags, message):
         cfg, out = tmp_path / "gen.json", tmp_path / "net.edges"

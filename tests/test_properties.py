@@ -16,17 +16,22 @@ from signednet.spectral import _lanczos_extremes, _transition_edge_values
 
 from helpers import (
     components_by_union_find,
+    doubled_edges_reference,
+    doubled_transition,
     elt_lattice_reference,
     elt_reference,
     enumerate_simple_cycles,
     frustration_by_edge_subsets,
     frustration_by_node_signings,
     geometric_thresholds_reference,
+    iterate_edges_reference,
     iterate_reference,
     nonsymmetric_eigenvalues,
     normalize_edges_reference,
     propagate_signs,
     ring_lattice_reference,
+    signed_laplacian,
+    transition_matrix,
     walk_until_stationary_reference,
 )
 
@@ -64,13 +69,13 @@ def test_degrees_match_unsigned_counterpart(G):
 
 @given(connected_signed_graphs())
 def test_transition_rows_have_unit_absolute_sum(G):
-    P = sn.transition_matrix(G)
+    P = transition_matrix(G)
     assert np.allclose(np.abs(P).sum(axis=1), 1.0)
 
 
 @given(connected_signed_graphs())
 def test_signed_laplacian_positive_semidefinite(G):
-    assert np.linalg.eigvalsh(sn.signed_laplacian(G)).min() >= -1e-10
+    assert np.linalg.eigvalsh(signed_laplacian(G)).min() >= -1e-10
 
 
 @given(graph_with_bipartition())
@@ -104,7 +109,7 @@ def test_negation_swaps_the_two_measures(G):
 def test_balance_measures_match_nonsymmetric_oracle(G):
     # trees are bipartite, so the +/- rho pair of W is exercised too
     m = sn.balance_measures(G)
-    p = nonsymmetric_eigenvalues(sn.transition_matrix(G))
+    p = nonsymmetric_eigenvalues(transition_matrix(G))
     w = nonsymmetric_eigenvalues(G.weight_matrix)
     a = nonsymmetric_eigenvalues(np.abs(G.weight_matrix))
     assert abs(m.d_b - (1.0 - p[0])) < 1e-10
@@ -156,17 +161,33 @@ def simulation_runs(draw):
     return G, rng, rng.standard_normal(G.n), draw(st.integers(0, 60))
 
 
+#: largest deviation of an edge-array trajectory from the dense matrix loop,
+#: relative to the row's largest magnitude: each step sums the same terms in
+#: another order, a few ulps apart (at most 4.4e-16 per step was seen)
+DENSE_ROW_TOLERANCE = 1e-12
+
+
+def assert_near_dense(states: np.ndarray, dense: np.ndarray) -> None:
+    scale = np.max(np.abs(dense), axis=1, keepdims=True)
+    assert states.shape == dense.shape and np.all(np.abs(states - dense) <= DENSE_ROW_TOLERANCE * scale)
+
+
 @given(simulation_runs())
 @settings(max_examples=60, deadline=None)
 def test_walk_simulators_match_their_reference_loops(run):
     G, rng, x0, horizon = run
-    W, P = G.weight_matrix, sn.transition_matrix(G)
-    assert np.array_equal(sn.linear_adjacency_simulate(G, x0, horizon).states, iterate_reference(W, x0, horizon))
-    assert np.array_equal(sn.random_walk_simulate(G, x0, horizon).states, iterate_reference(P, x0, horizon))
+    linear = sn.linear_adjacency_simulate(G, x0, horizon).states
+    walk = sn.random_walk_simulate(G, x0, horizon).states
+    assert np.array_equal(linear, iterate_edges_reference(G.n, G.i, G.j, G.w, x0, horizon))
+    assert np.array_equal(walk, iterate_edges_reference(G.n, G.i, G.j, G.w, x0, horizon, G.degrees))
+    assert_near_dense(linear, iterate_reference(G.weight_matrix, x0, horizon))
+    assert_near_dense(walk, iterate_reference(transition_matrix(G), x0, horizon))
     xp, xm = rng.random(G.n), rng.random(G.n)
     plus, minus = sn.doubled_walk_simulate(G, xp, xm, horizon)
-    both = iterate_reference(sn.doubled_transition(G), np.concatenate([xp, xm]), horizon)
-    assert np.array_equal(plus.states, both[:, :G.n]) and np.array_equal(minus.states, both[:, G.n:])
+    both = np.concatenate([plus.states, minus.states], axis=1)
+    start, d2 = np.concatenate([xp, xm]), np.concatenate([G.degrees, G.degrees])
+    assert np.array_equal(both, iterate_edges_reference(2 * G.n, *doubled_edges_reference(G), start, horizon, d2))
+    assert_near_dense(both, iterate_reference(doubled_transition(G), start, horizon))
 
 
 @given(simulation_runs(), st.sampled_from([1e-1, 1e-3, 1e-8, 0.0]))
@@ -174,8 +195,9 @@ def test_walk_simulators_match_their_reference_loops(run):
 def test_walk_until_stationary_stops_where_the_list_loop_stops(run, tol):
     G, _, x0, max_steps = run
     traj = sn.simulate_walk_until_stationary(G, x0, max_steps=max_steps, tol=tol)
-    expected = walk_until_stationary_reference(sn.transition_matrix(G), x0, max_steps, tol)
+    expected = walk_until_stationary_reference(G, x0, max_steps, tol)
     assert traj.states.shape == expected.shape and np.array_equal(traj.states, expected)
+    assert_near_dense(traj.states, iterate_reference(transition_matrix(G), x0, traj.horizon))
 
 
 @given(simulation_runs(), st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.1, 0.5, 1.0]), st.booleans())

@@ -8,7 +8,7 @@ from signednet import spectral
 from signednet.core import symmetrized_transition
 from signednet.spectral import LANCZOS_MIN_NODES, transition_eigenvalues
 
-from helpers import random_connected_corpus, random_symmetric_matrix
+from helpers import doubled_transition, random_connected_corpus, random_symmetric_matrix, transition_matrix
 
 
 class TestEigendecomposeSymmetric:
@@ -250,7 +250,7 @@ class TestPerronVectorsBalanced:
     def test_two_negative_triangle(self, triangle_two_negative):
         u, w = self.perron_pair(triangle_two_negative)
         assert np.allclose(u, [1, -1, -1]) and np.allclose(w, [2, -2, -2])
-        P = sn.transition_matrix(triangle_two_negative)
+        P = transition_matrix(triangle_two_negative)
         assert np.allclose(P @ u, u, atol=1e-12)
         assert np.allclose(w @ P, w, atol=1e-12)
 
@@ -258,7 +258,7 @@ class TestPerronVectorsBalanced:
         for seed in range(10):
             G = sn.ssbm(sn.SSBMParams(n1=6, n2=10, p_in=0.8, p_out=0.1, eta=0.0, alpha=0.1, seed=seed))
             u, w = self.perron_pair(G)
-            P = sn.transition_matrix(G)
+            P = transition_matrix(G)
             assert np.max(np.abs(P @ u - u)) < 1e-12
             assert np.max(np.abs(w @ P - w)) < 1e-12
 
@@ -295,7 +295,7 @@ class TestTransitionSpectrumDevice:
     def test_doubled_transition_spectrum_is_union(self):
         # spectrum(P2) = spectrum(unsigned P) union spectrum(signed P)
         for G in random_connected_corpus(20, seed=83):
-            P2 = sn.doubled_transition(G)
+            P2 = doubled_transition(G)
             got = np.sort(np.linalg.eigvals(P2).real)
             signed = transition_eigenvalues(G)
             unsigned = transition_eigenvalues(sn.unsigned_counterpart(G))
@@ -311,6 +311,6 @@ class TestTransitionSpectrumDevice:
         for G in random_connected_corpus(10, seed=97):
             spec = sn.eigendecompose_symmetric(sn.symmetrized_transition(G))
             vals, vecs = spec.eigenvalues, spec.eigenvectors / np.sqrt(G.degrees)[:, None]
-            P = sn.transition_matrix(G)
+            P = transition_matrix(G)
             for k in range(G.n):
                 assert np.max(np.abs(P @ vecs[:, k] - vals[k] * vecs[:, k])) < 1e-10
