@@ -253,7 +253,9 @@ def _exact_min_violation_signs(G: SignedGraph, target: FrustrationTarget) -> np.
     n = G.n
     want = 1 if target == "balanced" else -1
     sigma = (want * G.sign).tolist()
-    nbrs, eids = G._adjacency
+    keys, edge, start = G._csr
+    nbr, eid, start = (keys[:-1] % n).tolist(), edge[:-1].tolist(), start.tolist()
+    nbrs, eids = [nbr[a:b] for a, b in zip(start, start[1:])], [eid[a:b] for a, b in zip(start, start[1:])]
     deg = [len(a) for a in nbrs]
     peeled: list[tuple[int, int, int]] = []  # (leaf, neighbour, edge)
     stack = [v for v in range(n) if deg[v] == 1]

@@ -194,12 +194,16 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-#: the config keys of each generator: its parameter record's fields
+#: the config keys of each generator, its parameter record's fields, each
+#: mapped to whether it is required (has no default)
 _GENERATE_KEYS = {
-    "ssbm": [f.name for f in dataclasses.fields(SSBMParams)],
-    "lattice": [f.name for f in dataclasses.fields(LatticeParams)],
-    "tree": list(inspect.signature(random_signed_tree).parameters),
+    "ssbm": {f.name: f.default is dataclasses.MISSING for f in dataclasses.fields(SSBMParams)},
+    "lattice": {f.name: f.default is dataclasses.MISSING for f in dataclasses.fields(LatticeParams)},
+    "tree": {p.name: p.default is p.empty for p in inspect.signature(random_signed_tree).parameters.values()},
 }
+#: the numeric generator config keys and their JSON types
+_NUMBER_KEYS = {"n1": int, "n2": int, "n": int, "dbar": int, "seed": int,
+                "p_in": float, "p_out": float, "eta": float, "alpha": float, "sign_prob": float}
 
 
 def _cmd_generate(args) -> int:
@@ -213,11 +217,16 @@ def _cmd_generate(args) -> int:
         raise ParamOutOfRangeError(f"unknown {args.kind} config key{'s' * (len(unknown) > 1)} "
                                    f"{', '.join(map(repr, unknown))}; "
                                    f"accepted keys: {', '.join(accepted)}{hint}")
+    required = [key for key, needed in accepted.items() if needed]
+    missing = [key for key in required if key not in config]
+    if missing:
+        raise ParamOutOfRangeError(f"missing {args.kind} config key{'s' * (len(missing) > 1)} "
+                                   f"{', '.join(map(repr, missing))}; required keys: {', '.join(required)}")
     if args.seed is not None and args.kind != "lattice":
         config["seed"] = args.seed
-    for key in ("n1", "n2", "n", "dbar", "seed"):
+    for key, kind in _NUMBER_KEYS.items():
         if key in config:
-            config[key] = config_field(config, key, None, int)
+            config[key] = config_field(config, key, None, kind)
     if args.kind == "ssbm":
         G = ssbm(SSBMParams(**config))
         header = f"ssbm {json.dumps(config, sort_keys=True)}"

@@ -3,10 +3,11 @@
 A :class:`SignedGraph` is an undirected, connected, weighted graph whose edge
 weights carry a sign.  It stores its edges as read-only arrays in input
 order: endpoints ``i < j`` and weights ``w``.  All else is cached on first
-access: edge signs, sorted edge keys ``i * n + j`` for lookups, adjacency
-lists, the dense weight matrix, the ``edges`` tuple view, and one breadth-first
-spanning forest from node 0, which decides connectivity and components here
-and balance, antibalance and bipartiteness in :mod:`signednet.balance`.
+access: edge signs, the dense weight matrix, the ``edges`` tuple view, one
+CSR adjacency, which answers every neighbourhood question, and one
+breadth-first spanning forest from node 0 over it, which decides connectivity
+and components here and balance, antibalance and bipartiteness in
+:mod:`signednet.balance`.
 Weights must be finite and nonzero.  A connected graph has n <= m + 1, and
 :func:`build_graph` checks that before it allocates anything of size n, so
 a far node id fails at once instead of allocating memory by id.
@@ -60,12 +61,23 @@ class Edge(NamedTuple):
 
 class _Traversal(NamedTuple):
     """Breadth-first forest rooted at node 0, then at each smallest unreached
-    node: per node its component (numbered by smallest node), tree depth and
-    tree-path sign product (int8)."""
+    node, visiting each node's neighbours in ascending id: per node its
+    component (numbered by smallest node), tree depth and tree-path sign
+    product (int8)."""
 
     component: np.ndarray
     depth: np.ndarray
     sign: np.ndarray
+
+
+class _Neighbours(NamedTuple):
+    """CSR adjacency over both edge orientations: keys ``node * n + neighbour``
+    in ascending order and a sentinel (int64 max) no key reaches, the edge
+    index of each key (-1 at the sentinel), and the n + 1 run offsets."""
+
+    keys: np.ndarray
+    edge: np.ndarray
+    start: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,42 +138,32 @@ class SignedGraph:
         return _readonly(d)
 
     @cached_property
-    def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge keys ``i * n + j`` in ascending order with the edge index of
-        each, both ending in a sentinel (int64 max, edge -1) that no key reaches."""
-        keys = self.i * self.n + self.j
+    def _csr(self) -> _Neighbours:
+        keys = np.concatenate([self.i, self.j]) * self.n + np.concatenate([self.j, self.i])
         order = np.argsort(keys)
-        return np.append(keys[order], _INT64.max), np.append(order, -1)
-
-    @cached_property
-    def _adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Neighbours of every node and the indices of the edges to them, in edge order."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        eids: list[list[int]] = [[] for _ in range(self.n)]
-        for k, (i, j) in enumerate(zip(self.i.tolist(), self.j.tolist())):
-            nbrs[i].append(j)
-            eids[i].append(k)
-            nbrs[j].append(i)
-            eids[j].append(k)
-        return nbrs, eids
+        keys = np.concatenate((keys[order], [_INT64.max]))
+        return _Neighbours(_readonly(keys), _readonly(np.concatenate((order % max(self.num_edges, 1), [-1]))),
+                           _readonly(np.searchsorted(keys, np.arange(0, (self.n + 1) * self.n, self.n))))
 
     @cached_property
     def _traversal(self) -> _Traversal:
-        (nbrs, eids), edge_sign = self._adjacency, self.sign.tolist()
-        comp, depth, sign = [-1] * self.n, [0] * self.n, [1] * self.n
+        n, (keys, edge, start) = self.n, self._csr
+        nbr, nbr_sign, start = (keys[:-1] % n).tolist(), self.sign[edge[:-1]].tolist(), start.tolist()
+        comp, depth, sign = [-1] * n, [0] * n, [1] * n
         c = -1
-        for root in range(self.n):
+        for root in range(n):
             if comp[root] >= 0:
                 continue
             c += 1
             comp[root] = c
             queue = [root]
             for u in queue:  # the loop also visits the nodes appended below
-                for v, k in zip(nbrs[u], eids[u]):
+                for p in range(start[u], start[u + 1]):
+                    v = nbr[p]
                     if comp[v] < 0:
                         comp[v] = c
                         depth[v] = depth[u] + 1
-                        sign[v] = sign[u] * edge_sign[k]
+                        sign[v] = sign[u] * nbr_sign[p]
                         queue.append(v)
         return _Traversal(np.array(comp, dtype=np.intp), np.array(depth, dtype=np.intp),
                           np.array(sign, dtype=np.int8))
@@ -181,12 +183,10 @@ class SignedGraph:
 
     def _edge_ids(self, a, b) -> np.ndarray:
         """Index of the edge joining ``a[t]`` and ``b[t]`` (either order), -1 where there is none."""
-        a, b = _id_array(a), _id_array(b)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        keys, order = self._sorted_keys
-        key = np.where((lo >= 0) & (hi < self.n), lo * self.n + hi, -1)
+        a, b, (keys, edge, _) = _id_array(a), _id_array(b), self._csr
+        key = np.where((a >= 0) & (a < self.n) & (b >= 0) & (b < self.n), a * self.n + b, -1)
         pos = np.searchsorted(keys, key)
-        return np.where(keys[pos] == key, order[pos], -1)
+        return np.where(keys[pos] == key, edge[pos], -1)
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self._edge_ids([i], [j])[0] >= 0)

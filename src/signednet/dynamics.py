@@ -370,7 +370,7 @@ def ring_lattice_parameters(G: SignedGraph) -> tuple[int, float]:
     if not (2 <= dbar < n):
         raise NotLatticeError(f"degree {dbar} is not a valid ring-lattice degree for n={n}")
     i, j = circulant_pairs(n, half)
-    if not np.array_equal(i * n + j, G._sorted_keys[0][:-1]):
+    if not np.array_equal(np.sort(np.concatenate([i * n + j, j * n + i])), G._csr.keys[:-1]):
         raise NotLatticeError("edge set is not a circulant nearest-neighbour ring")
     return dbar, alpha
 
@@ -388,9 +388,10 @@ def certain_propagation_check(G: SignedGraph, theta_l: float) -> bool:
 def _closed_neighbourhood(G: SignedGraph, center: int, orientation: int = 1) -> np.ndarray:
     """Closed-neighbourhood seed signs: +1 at the center, ``orientation`` times
     the connecting edge's sign at each neighbour, 0 elsewhere."""
-    touches = (G.i == center) | (G.j == center)
+    keys, edge, start = G._csr
+    run = slice(start[center], start[center + 1])
     seed = np.zeros(G.n, dtype=np.int64)
-    seed[G.i[touches] + G.j[touches] - center] = orientation * G.sign[touches]
+    seed[keys[run] % G.n] = orientation * G.sign[edge[run]]
     seed[center] = 1
     return seed
 

@@ -1,7 +1,8 @@
 """Synthetic signed-network generators: SSBM, signed ring lattices, trees.
 
 Every generator is a deterministic function of its parameters and seed: the
-same inputs produce the same edge list, element for element.
+same inputs produce the same edge list, element for element.  Each draws its
+edges as arrays, the SSBM one row of node pairs at a time (O(n + m) memory).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import SignedGraph, _connected_graph, build_graph
+from .core import SignedGraph, _connected_graph
 from .errors import (
     DisconnectedError,
     GaveUpConnectivityError,
@@ -74,9 +75,8 @@ def ssbm(params: SSBMParams) -> SignedGraph:
     connectivity before giving up."""
     rng = seeded_rng(params.seed)
     for _ in range(CONNECTIVITY_RETRIES):
-        edges = _ssbm_once(params, rng)
         try:
-            return build_graph(params.n, edges)
+            return _connected_graph(params.n, *_ssbm_once(params, rng))
         except DisconnectedError:
             continue
     raise GaveUpConnectivityError(
@@ -85,19 +85,18 @@ def ssbm(params: SSBMParams) -> SignedGraph:
     )
 
 
-def _ssbm_once(params: SSBMParams, rng: np.random.Generator) -> list[tuple[int, int, float]]:
-    n, n1 = params.n, params.n1
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            same = (i < n1) == (j < n1)
-            if rng.random() >= (params.p_in if same else params.p_out):
-                continue
-            sign = 1.0 if same else -1.0
-            if rng.random() < params.eta:
-                sign = -sign
-            edges.append((i, j, sign * params.alpha))
-    return edges
+def _ssbm_once(params: SSBMParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge arrays of one draw, row by row: row i draws its pairs (i, j > i)
+    with one ``rng.random(n - 1 - i)``, then their sign flips with one more."""
+    n, first = params.n, np.arange(params.n) < params.n1
+    cols, weights = [], []
+    for i in range(n - 1):
+        same = first[i + 1:] == first[i]
+        j = np.flatnonzero(rng.random(n - 1 - i) < np.where(same, params.p_in, params.p_out))
+        sign = np.where(same[j], params.alpha, -params.alpha)
+        cols.append(i + 1 + j)
+        weights.append(np.where(rng.random(len(j)) < params.eta, -sign, sign))
+    return np.repeat(np.arange(n - 1), [len(j) for j in cols]), np.concatenate(cols), np.concatenate(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +152,7 @@ def resolve_partition_rule(rule: str, n: int) -> np.ndarray:
     if kind == "blocks":
         if size < 1:
             raise ParamOutOfRangeError("block size must be positive")
-        return np.array([1 if (i // size) % 2 == 0 else -1 for i in range(n)], dtype=np.int8)
+        return (1 - 2 * ((np.arange(n) // size) % 2)).astype(np.int8)
     raise ParamOutOfRangeError(f"unknown bipartition rule {rule!r}")
 
 
@@ -214,12 +213,9 @@ def random_signed_tree(n: int, sign_prob: float, seed: int = 0, alpha: float = 1
     if alpha <= 0:
         raise ParamOutOfRangeError("alpha must be positive")
     rng = seeded_rng(seed)
-    edges = []
-    for child in range(1, n):
-        parent = int(rng.integers(0, child))
-        sign = -1.0 if rng.random() < sign_prob else 1.0
-        edges.append((parent, child, sign * alpha))
-    return build_graph(n, edges)
+    children = np.arange(1, n)
+    parents = rng.integers(0, children)
+    return _connected_graph(n, parents, children, np.where(rng.random(n - 1) < sign_prob, -alpha, alpha))
 
 
 # ---------------------------------------------------------------------------

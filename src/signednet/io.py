@@ -144,10 +144,11 @@ def _write_trajectory(states: np.ndarray, fh: TextIO) -> None:
 
 
 def activation_sets_to_json(activations) -> list[dict]:
-    """One record per step: active node lists split by state sign."""
+    """One record per step: active node lists split by state sign, read off
+    each step's int8 sign row, whose nonzero ids come out in ascending order."""
     return [
-        {"t": t, "plus": sorted(plus), "minus": sorted(minus)}
-        for t, (plus, minus) in enumerate(activations)
+        {"t": t, "plus": np.flatnonzero(row > 0).tolist(), "minus": np.flatnonzero(row < 0).tolist()}
+        for t, row in enumerate(activations._signs)
     ]
 
 

@@ -7,7 +7,7 @@ a time, frustration by exhausting edge subsets or all node signings,
 components by union-find, spectra come from numpy's
 nonsymmetric solver, edge validation from one Python pass over the edges,
 trajectory CSV from one ``csv.writer`` row per value (read back by a strict
-``csv`` reader), ring lattices from Python loops over the circulant pairs,
+``csv`` reader), activation JSON from sorted node sets, ring lattices from Python loops over the circulant pairs,
 and trajectories from one hand-written loop per simulator.
 
 The dense matrices the package no longer builds live here as references:
@@ -68,6 +68,7 @@ __all__ = [
     "geometric_thresholds_reference",
     "elt_reference",
     "elt_lattice_reference",
+    "activation_sets_json_reference",
 ]
 
 
@@ -435,3 +436,8 @@ def elt_lattice_reference(W: np.ndarray, center: int, orientation: int, cfg) -> 
         sigma = np.where(score >= cfg.theta_l, 1, np.where(score <= -cfg.theta_l, -1, 0)).astype(np.int64)
         states[t] = sigma * levels[t]
     return states
+
+
+def activation_sets_json_reference(activations) -> list[dict]:
+    """Activation JSON records built from each step's plus and minus node sets."""
+    return [{"t": t, "plus": sorted(plus), "minus": sorted(minus)} for t, (plus, minus) in enumerate(activations)]

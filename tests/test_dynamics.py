@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import signednet as sn
 from signednet import ELTConfig, StationaryKind, Verdict, dynamics
 from signednet.dynamics import MAX_STORED_VALUES, ActivationSets, ring_lattice_parameters
+from signednet.io import activation_sets_to_json
 from signednet.errors import (
     BipartiteUnsupportedError,
     DimensionMismatchError,
@@ -16,7 +18,13 @@ from signednet.errors import (
     ParamOutOfRangeError,
 )
 
-from helpers import random_connected_corpus, rank1_approximation, transition_matrix, transition_power_sign_pattern
+from helpers import (
+    activation_sets_json_reference,
+    random_connected_corpus,
+    rank1_approximation,
+    transition_matrix,
+    transition_power_sign_pattern,
+)
 
 
 def reference_ssbm(eta, seed, alpha=0.1):
@@ -286,6 +294,15 @@ class TestRingLatticeDetection:
         with pytest.raises(NotLatticeError):
             ring_lattice_parameters(G)
 
+    @pytest.mark.parametrize("n, dbar", [(8, 2), (12, 4)])
+    def test_relabelled_lattice_rejected(self, n, dbar):
+        # uniform weights and n * dbar / 2 edges pass every count check; only the edge keys differ
+        ring = lattice(n=n, dbar=dbar, alpha=0.5)
+        label = np.random.default_rng(3).permutation(n)
+        G = sn.build_graph(n, zip(label[ring.i].tolist(), label[ring.j].tolist(), ring.w.tolist()))
+        with pytest.raises(NotLatticeError, match="not a circulant"):
+            ring_lattice_parameters(G)
+
     @pytest.mark.parametrize("dbar,theta_l,expected", [(4, 2.0, True), (4, 2.01, False), (8, 4.0, True)])
     def test_certain_propagation_threshold(self, dbar, theta_l, expected):
         G = lattice(n=40, dbar=dbar)
@@ -457,6 +474,18 @@ class TestActivationSets:
             assert acts.active(t) == plus[t] | minus[t]
             assert acts.new_active(t) == (plus[t] | minus[t]) - (plus[t - 1] | minus[t - 1] if t else frozenset())
         assert acts.ever_active() == frozenset().union(*plus, *minus)
+
+    def test_json_matches_the_set_based_construction(self):
+        G = lattice(n=12, dbar=4, alpha=1.0, plan=sn.FlipKPlan(k=3, seed=1))
+        x0 = np.zeros(12)
+        x0[[0, 1, 2]], x0[[6, 7]] = 1.0, -1.0
+        table = np.ones((5, 12))
+        table[3] = 100.0  # step 4 deactivates every node, and nothing restarts after
+        _, acts = sn.elt_simulate(G, x0, ELTConfig(theta_l=1.0, alpha=1.0, l0=1.0, horizon=5, general_thresholds=table))
+        doc = activation_sets_to_json(acts)
+        assert doc == activation_sets_json_reference(acts)
+        assert json.dumps(doc) == json.dumps(activation_sets_json_reference(acts))
+        assert doc[1]["plus"] and doc[1]["minus"] and doc[4] == {"t": 4, "plus": [], "minus": []}
 
     def test_lattice_sets_store_less_than_the_states(self):
         G = lattice(n=500, alpha=0.5)  # theta_l * alpha = 1: the states keep magnitude 1

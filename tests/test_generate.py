@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,20 +42,36 @@ class TestSSBM:
 
     def test_empirical_densities_within_three_standard_errors(self):
         draws = 200
-        p_in, p_out = 0.3, 0.1
+        p_in, p_out, eta = 0.3, 0.1, 0.3
         n1 = n2 = 50
         in_pairs = 2 * (n1 * (n1 - 1) // 2)
         out_pairs = n1 * n2
-        got_in = got_out = 0
+        got_in = got_out = edges = flipped = 0
         for seed in range(draws):
-            G = sn.ssbm(sn.SSBMParams(n1=n1, n2=n2, p_in=p_in, p_out=p_out, eta=0.0, alpha=1.0, seed=seed))
-            pos = sum(1 for _, _, w in G.edges if w > 0)
-            got_in += pos
-            got_out += G.num_edges - pos
-        for got, p, pairs in ((got_in, p_in, in_pairs), (got_out, p_out, out_pairs)):
-            total = draws * pairs
+            params = sn.SSBMParams(n1=n1, n2=n2, p_in=p_in, p_out=p_out, eta=eta, alpha=1.0, seed=seed)
+            G = sn.ssbm(params)
+            s = params.planted_signs()
+            inside = int(np.sum(s[G.i] == s[G.j]))
+            got_in += inside
+            got_out += G.num_edges - inside
+            edges += G.num_edges
+            flipped += int(np.sum(np.sign(G.w) != s[G.i] * s[G.j]))
+        for got, p, total in ((got_in, p_in, draws * in_pairs), (got_out, p_out, draws * out_pairs),
+                              (flipped, eta, edges)):
             se = np.sqrt(total * p * (1 - p))
             assert abs(got - total * p) < 3 * se
+
+    def test_peak_memory_grows_with_the_edges_not_the_pairs(self):
+        # 3000 nodes have 4.5e6 pairs, 36 MB as one float array; the draw holds one row of them at a time
+        params = sn.SSBMParams(n1=1500, n2=1500, p_in=8 / 1500, p_out=2 / 1500, eta=0.05, alpha=1.0, seed=0)
+        tracemalloc.start()
+        try:
+            G = sn.ssbm(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 9 < 2 * G.num_edges / G.n < 11
+        assert peak < 20 * 2**20
 
     def test_eta_duality_with_negation(self):
         # negating an eta draw should look like a (1 - eta) draw: check the
@@ -172,3 +190,23 @@ class TestRandomSignedTree:
     def test_determinism(self):
         assert format_edge_list(sn.random_signed_tree(30, 0.4, seed=8)) == \
             format_edge_list(sn.random_signed_tree(30, 0.4, seed=8))
+
+    def test_parents_uniform_and_signs_within_three_standard_errors(self):
+        draws, n, sign_prob = 400, 40, 0.3
+        children = np.arange(1, n)
+        parents = np.empty((draws, n - 1), dtype=np.int64)
+        negative = 0
+        for seed in range(draws):
+            T = sn.random_signed_tree(n, sign_prob, seed=seed)
+            assert np.array_equal(T.j, children)  # edge c - 1 joins child c to its parent
+            parents[seed] = T.i
+            negative += int(np.sum(T.w < 0))
+        # the parent of child c is uniform on [0, c): every value of child 4's parent, then the mean of all
+        for value in range(4):
+            got, p = int(np.sum(parents[:, 3] == value)), 1 / 4
+            assert abs(got - draws * p) < 3 * np.sqrt(draws * p * (1 - p))
+        assert np.all(parents < children)
+        offset = float(np.sum(parents - (children - 1) / 2))
+        assert abs(offset) < 3 * np.sqrt(draws * np.sum((children.astype(float) ** 2 - 1) / 12))
+        total = draws * (n - 1)
+        assert abs(negative - total * sign_prob) < 3 * np.sqrt(total * sign_prob * (1 - sign_prob))

@@ -576,6 +576,19 @@ class TestGenerateInputBoundary:
          "a lattice's seed is sign_plan.seed, in a flip_k plan"),
         ("tree", {"n": 9, "sign_prob": 0.5, "depth": 2, "branching": 3}, ["--seed", "4"],
          "unknown tree config keys 'branching', 'depth'; accepted keys: n, sign_prob, seed, alpha"),
+        ("lattice", LATTICE, [], "missing lattice config key 'sign_plan'; required keys: n, dbar, alpha, sign_plan"),
+        ("ssbm", {"n1": 6, "n2": 10, "p_in": 0.8, "p_out": 0.1}, [],
+         "missing ssbm config key 'eta'; required keys: n1, n2, p_in, p_out, eta"),
+        ("ssbm", {"n1": 6, "n2": 10}, ["--seed", "4"],
+         "missing ssbm config keys 'p_in', 'p_out', 'eta'; required keys: n1, n2, p_in, p_out, eta"),
+        ("tree", {"sign_prob": 0.5, "seed": 3}, [], "missing tree config key 'n'; required keys: n, sign_prob"),
+        ("tree", {"n": 9, "sign_prob": "0.3"}, [], "sign_prob must be a finite number, got '0.3'"),
+        ("ssbm", {"n1": 5, "n2": 5, "p_in": 0.9, "p_out": 0.5, "eta": True, "alpha": True}, [],
+         "eta must be a finite number, got True"),
+        ("ssbm", {"n1": 5, "n2": 5, "p_in": 0.9, "p_out": 0.5, "eta": 0.0, "alpha": True}, [],
+         "alpha must be a finite number, got True"),
+        ("lattice", {**LATTICE, "alpha": None, "sign_plan": {"kind": "balanced"}}, [],
+         "alpha must be a finite number, got None"),
     ])
     def test_bad_configs_exit_2_with_one_error_line(self, tmp_path, capsys, kind, config, flags, message):
         cfg, out = tmp_path / "gen.json", tmp_path / "net.edges"
