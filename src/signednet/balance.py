@@ -189,12 +189,12 @@ def frustration(G: SignedGraph, target: FrustrationTarget = "balanced",
     the remaining kernel, whose nodes all have degree >= 3 (at most 16 nodes
     under the 25-edge cap).  A violated chain is flipped at its lightest edge.
     Capped at 25 edges.  Heuristic mode reads the bipartition off the leading
-    (balanced) or trailing (antibalanced) eigenvector of W and reports the
-    violation count as an upper bound; from ``spectral.LANCZOS_MIN_NODES``
-    nodes on that eigenvector is the Lanczos Ritz vector the balance
-    measures also use.  On a balanced (antibalanced) graph
-    that eigenvector is the certificate times the Perron vector of |W|, so
-    its sign pattern is the certificate (up to global sign) with no flips.
+    (balanced) or trailing (antibalanced) eigenvector of W, taken from
+    ``spectral._extremes`` (on large graphs the Lanczos solve the balance
+    measures also use), and reports the violation count as an upper bound.
+    On a balanced (antibalanced) graph that eigenvector is the certificate
+    times the Perron vector of |W|, so its sign pattern is the certificate
+    (up to global sign) with no flips.
 
     Both the edge count and the total flipped absolute weight are reported.
     """
@@ -209,11 +209,9 @@ def frustration(G: SignedGraph, target: FrustrationTarget = "balanced",
         s = _exact_min_violation_signs(G, target)
         exact = True
     elif mode == "heuristic":
-        from .spectral import LANCZOS_MIN_NODES, eigendecompose_symmetric  # local import, avoids cycle
+        from .spectral import _extremes  # local import, avoids cycle
 
-        # the Lanczos solve holds the top and bottom eigenpairs only, the dense one all of them
-        spectrum = G._weight_extremes if G.n >= LANCZOS_MIN_NODES else eigendecompose_symmetric(G.weight_matrix)
-        s = sign_pattern(spectrum.eigenvectors[:, 0 if target == "balanced" else -1]).s
+        s = sign_pattern(_extremes(G, vectors=True).eigenvectors[:, 0 if target == "balanced" else -1]).s
         exact = False
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -39,6 +39,7 @@ from .generate import (
     FlipKPlan,
     LatticeParams,
     SSBMParams,
+    check_config_keys,
     config_field,
     random_signed_tree,
     ring_lattice,
@@ -211,12 +212,9 @@ def _cmd_generate(args) -> int:
     if not isinstance(config, dict):
         raise ParamOutOfRangeError("the generate config must be a JSON object")
     accepted = _GENERATE_KEYS[args.kind]
-    unknown = sorted(set(config) - set(accepted))
-    if unknown:
-        hint = "; a lattice's seed is sign_plan.seed, in a flip_k plan" if "seed" in unknown else ""
-        raise ParamOutOfRangeError(f"unknown {args.kind} config key{'s' * (len(unknown) > 1)} "
-                                   f"{', '.join(map(repr, unknown))}; "
-                                   f"accepted keys: {', '.join(accepted)}{hint}")
+    lattice_seed = args.kind == "lattice" and "seed" in config
+    check_config_keys(config, f"{args.kind} config", accepted,
+                      "; a lattice's seed is sign_plan.seed, in a flip_k plan" if lattice_seed else "")
     required = [key for key, needed in accepted.items() if needed]
     missing = [key for key in required if key not in config]
     if missing:
@@ -229,7 +227,6 @@ def _cmd_generate(args) -> int:
             config[key] = config_field(config, key, None, kind)
     if args.kind == "ssbm":
         G = ssbm(SSBMParams(**config))
-        header = f"ssbm {json.dumps(config, sort_keys=True)}"
     elif args.kind == "lattice":
         plan_doc = config.pop("sign_plan")
         plan = sign_plan_from_json(plan_doc)
@@ -239,12 +236,16 @@ def _cmd_generate(args) -> int:
                                            f"the {plan_doc['kind']!r} sign_plan takes no seed")
             plan = dataclasses.replace(plan, seed=args.seed)
         G = ring_lattice(LatticeParams(sign_plan=plan, **config))
-        header = f"lattice {json.dumps(config, sort_keys=True)}"
+        config["sign_plan"] = {"kind": plan_doc["kind"], **dataclasses.asdict(plan)}  # the plan as drawn
     else:
         G = random_signed_tree(**config)
-        header = f"tree {json.dumps(config, sort_keys=True)}"
-    write_edge_list(G, args.output, header=header)
+    write_edge_list(G, args.output, header=f"{args.kind} {json.dumps(config, sort_keys=True)}")
     return 0
+
+
+#: the simulate config keys; one config may serve every model, and only
+#: ``elt`` reads the last three
+_SIMULATE_KEYS = ("horizon", "l0", "init", "theta_l", "alpha", "general_thresholds")
 
 
 def _cmd_simulate(args) -> int:
@@ -252,6 +253,7 @@ def _cmd_simulate(args) -> int:
     config = json.loads(Path(args.config).read_text())
     if not isinstance(config, dict):
         raise ParamOutOfRangeError("the simulate config must be a JSON object")
+    check_config_keys(config, "simulate config", _SIMULATE_KEYS)
     horizon = config_field(config, "horizon", 50, int)
     l0 = config_field(config, "l0", 1.0, float)
     x0 = initial_state(config_field(config, "init", "uniform", str), G, l0, args.seed)

@@ -12,17 +12,14 @@ Weights must be finite and nonzero.  A connected graph has n <= m + 1, and
 :func:`build_graph` checks that before it allocates anything of size n, so
 a far node id fails at once instead of allocating memory by id.
 
-Every product with a graph matrix is :meth:`SignedGraph._operator`: one
-``np.bincount`` over the edge arrays, O(m) per product.  It gives the
-degrees, every simulator step in :mod:`signednet.dynamics` (W, the signed
-transition P = D^-1 W as W applied to x / d, and the doubled walk on its own
-unsigned 2n-node graph) and every Lanczos matvec in
-:mod:`signednet.spectral`, so none of them builds an n x n matrix.  Below
-``spectral.LANCZOS_MIN_NODES`` nodes the balance measures and heuristic
-frustration solve the dense ``weight_matrix`` and
-:func:`symmetrized_transition` instead; from that size on they take only
-the extreme eigenpairs from Lanczos, whose W solve is cached here and shared
-by both.  The dense matrices also serve the full-spectrum theorem check.
+A graph matrix is one value per edge at (i_k, j_k) and (j_k, i_k): ``w``
+for W, ``abs(w)`` for |W| and :func:`_transition_edge_values` for P_sym.
+Every product with one is :meth:`SignedGraph._operator`, one
+``np.bincount`` over the edge arrays: the degrees, every simulator step in
+:mod:`signednet.dynamics` and every Lanczos matvec in
+:mod:`signednet.spectral`, none building an n x n matrix.  Every dense one
+(``weight_matrix``, :func:`symmetrized_transition`, the small-graph solves
+of ``spectral._extremes``) is its twin :meth:`SignedGraph._matrix`.
 
 State convention: dynamics use row vectors and left multiplication,
 ``x(t+1) = x(t) @ M``; the operator is oriented for that.
@@ -49,6 +46,9 @@ from .errors import (
 
 #: weights smaller than this in magnitude are rejected so sign(w) stays defined
 WEIGHT_TOLERANCE = 1e-15
+#: most nodes or edges a generator draws, or (steps + 1) x state width values
+#: one simulation stores: 2**26 float64 values are 512 MiB
+MAX_STORED_VALUES = 2**26
 
 _INT64 = np.iinfo(np.int64)
 
@@ -113,10 +113,7 @@ class SignedGraph:
     @cached_property
     def weight_matrix(self) -> np.ndarray:
         """Symmetric signed weighted adjacency matrix W."""
-        W = np.zeros((self.n, self.n))
-        W[self.i, self.j] = self.w
-        W[self.j, self.i] = self.w
-        return _readonly(W)
+        return _readonly(self._matrix(self.w))
 
     @cached_property
     def _weight_extremes(self):
@@ -167,6 +164,14 @@ class SignedGraph:
                         queue.append(v)
         return _Traversal(np.array(comp, dtype=np.intp), np.array(depth, dtype=np.intp),
                           np.array(sign, dtype=np.int8))
+
+    def _matrix(self, values: np.ndarray) -> np.ndarray:
+        """The symmetric n x n matrix holding ``values[k]`` at (i_k, j_k) and
+        (j_k, i_k) and zero elsewhere, built dense: the twin of :meth:`_operator`."""
+        M = np.zeros((self.n, self.n))
+        M[self.i, self.j] = values
+        M[self.j, self.i] = values
+        return M
 
     def _operator(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """``x -> x @ M`` for the symmetric n x n matrix M holding ``values[k]``
@@ -332,13 +337,16 @@ def _positive_degrees(G: SignedGraph) -> np.ndarray:
     return d
 
 
+def _transition_edge_values(G: SignedGraph) -> np.ndarray:
+    """The entry of P_sym = D^-1/2 W D^-1/2 on every edge, w_k / sqrt(d_i d_j)."""
+    inv_sqrt = 1.0 / np.sqrt(_positive_degrees(G))
+    return G.w * inv_sqrt[G.i] * inv_sqrt[G.j]
+
+
 def symmetrized_transition(G: SignedGraph) -> np.ndarray:
     """P_sym = D^-1/2 W D^-1/2, similar to P and symmetric.
 
     Shares the spectrum of P; an eigenvector v of P_sym maps to the
     eigenvector D^-1/2 v of P at the same eigenvalue.
     """
-    d = _positive_degrees(G)
-    inv_sqrt = 1.0 / np.sqrt(d)
-    M = G.weight_matrix * inv_sqrt[:, None] * inv_sqrt[None, :]
-    return (M + M.T) / 2.0
+    return G._matrix(_transition_edge_values(G))

@@ -24,7 +24,7 @@ from typing import Callable, Literal, Optional
 import numpy as np
 
 from .balance import Verdict, classify
-from .core import SignedGraph, _positive_degrees
+from .core import MAX_STORED_VALUES, SignedGraph, _positive_degrees
 from .errors import (
     BipartiteUnsupportedError,
     DimensionMismatchError,
@@ -35,10 +35,6 @@ from .errors import (
     ParamOutOfRangeError,
 )
 from .generate import circulant_pairs
-
-#: most values one simulation may store, (steps + 1) x state width: 2**26
-#: float64 values are 512 MiB
-MAX_STORED_VALUES = 2**26
 
 
 @dataclass(frozen=True)

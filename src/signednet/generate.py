@@ -3,6 +3,8 @@
 Every generator is a deterministic function of its parameters and seed: the
 same inputs produce the same edge list, element for element.  Each draws its
 edges as arrays, the SSBM one row of node pairs at a time (O(n + m) memory).
+A graph of more than ``MAX_STORED_VALUES`` nodes or (expected) edges is
+refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import SignedGraph, _connected_graph
+from .core import MAX_STORED_VALUES, SignedGraph, _connected_graph
 from .errors import (
     DisconnectedError,
     GaveUpConnectivityError,
@@ -22,6 +24,13 @@ from .errors import (
 )
 
 CONNECTIVITY_RETRIES = 100
+
+
+def _check_size(kind: str, count: int, unit: str) -> None:
+    """Refuse a graph of more than :data:`~signednet.core.MAX_STORED_VALUES`
+    nodes or edges before anything is allocated."""
+    if count > MAX_STORED_VALUES:
+        raise ParamOutOfRangeError(f"the {kind} would have {count} {unit}, above the cap of {MAX_STORED_VALUES}")
 
 
 def seeded_rng(seed) -> np.random.Generator:
@@ -59,6 +68,9 @@ class SSBMParams:
                 raise ParamOutOfRangeError(f"{name}={v} outside [0, 1]")
         if self.alpha <= 0:
             raise ParamOutOfRangeError("alpha must be positive")
+        _check_size("ssbm", self.n, "nodes")
+        pairs_in = (self.n1 * (self.n1 - 1) + self.n2 * (self.n2 - 1)) // 2
+        _check_size("ssbm", round(self.p_in * pairs_in + self.p_out * self.n1 * self.n2), "expected edges")
 
     @property
     def n(self) -> int:
@@ -171,6 +183,7 @@ class LatticeParams:
             raise ParamOutOfRangeError(f"dbar must be even with 2 <= dbar < n, got dbar={self.dbar}, n={self.n}")
         if self.alpha <= 0:
             raise ParamOutOfRangeError("alpha must be positive")
+        _check_size("lattice", self.n * self.dbar // 2, "edges")
 
 
 def circulant_pairs(n: int, half: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,6 +225,7 @@ def random_signed_tree(n: int, sign_prob: float, seed: int = 0, alpha: float = 1
         raise ParamOutOfRangeError(f"sign_prob={sign_prob} outside [0, 1]")
     if alpha <= 0:
         raise ParamOutOfRangeError("alpha must be positive")
+    _check_size("tree", n - 1, "edges")
     rng = seeded_rng(seed)
     children = np.arange(1, n)
     parents = rng.integers(0, children)
@@ -240,21 +254,34 @@ def config_field(config: dict, key: str, default, kind: type):
     raise ParamOutOfRangeError(f"{key} must be {what}, got {value!r}")
 
 
+def check_config_keys(config: dict, what: str, accepted, hint: str = "") -> None:
+    """Refuse the keys of ``config`` that are not in ``accepted``, naming
+    them and the accepted keys, then ``hint``."""
+    unknown = sorted(set(config) - set(accepted))
+    if unknown:
+        raise ParamOutOfRangeError(f"unknown {what} key{'s' * (len(unknown) > 1)} {', '.join(map(repr, unknown))}; "
+                                   f"accepted keys: {', '.join(accepted)}{hint}")
+
+
+#: the keys of each sign plan kind
+_PLAN_KEYS = {"balanced": ("kind", "rule"), "antibalanced": ("kind", "rule"),
+              "flip_k": ("kind", "k", "seed", "base_rule")}
+
+
 def sign_plan_from_json(doc: dict) -> SignPlan:
     if not isinstance(doc, dict):
         raise ParamOutOfRangeError(f"sign_plan must be a JSON object, got {doc!r}")
     kind = doc.get("kind")
-    if kind == "balanced":
-        return BalancedPlan(rule=doc.get("rule", "all"))
-    if kind == "antibalanced":
-        return AntibalancedPlan(rule=doc.get("rule", "all"))
-    if kind == "flip_k":
-        seed = doc.get("seed", 0)
-        if type(seed) is int and seed < 0:
-            seeded_rng(seed)  # raises the named negative-seed error
-        try:
-            k, seed = config_field(doc, "k", None, int), config_field(doc, "seed", 0, int)
-        except ParamOutOfRangeError:
-            raise ParamOutOfRangeError(f"a flip_k sign_plan needs integer k and seed, got {doc!r}") from None
-        return FlipKPlan(k=k, seed=seed, base_rule=doc.get("base_rule", "all"))
-    raise ParamOutOfRangeError(f"unknown sign plan kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _PLAN_KEYS:
+        raise ParamOutOfRangeError(f"unknown sign plan kind {kind!r}")
+    check_config_keys(doc, f"{kind} sign_plan", _PLAN_KEYS[kind])
+    if kind != "flip_k":
+        return (BalancedPlan if kind == "balanced" else AntibalancedPlan)(rule=doc.get("rule", "all"))
+    seed = doc.get("seed", 0)
+    if type(seed) is int and seed < 0:
+        seeded_rng(seed)  # raises the named negative-seed error
+    try:
+        k, seed = config_field(doc, "k", None, int), config_field(doc, "seed", 0, int)
+    except ParamOutOfRangeError:
+        raise ParamOutOfRangeError(f"a flip_k sign_plan needs integer k and seed, got {doc!r}") from None
+    return FlipKPlan(k=k, seed=seed, base_rule=doc.get("base_rule", "all"))

@@ -5,22 +5,14 @@ through its symmetric similarity P_sym = D^-1/2 W D^-1/2, never through a
 general nonsymmetric solver.
 
 Two dense entry points do every full eigensolve, sharing one symmetry check:
-
-* :func:`eigenvalues_symmetric` returns eigenvalues only.  It serves every
-  caller that reads no eigenvector: :func:`balance_measures` below the
-  Lanczos threshold, :func:`perturbation_estimate` and the walk horizons of
-  verification criterion 6.
-* :func:`eigendecompose_symmetric` returns eigenvalues with sign-normalised
-  eigenvectors.  Only callers that read eigenvectors use it: heuristic
-  frustration below the Lanczos threshold (on a balanced or antibalanced
-  graph the sign pattern of the extreme eigenvector it reads is the
-  certificate) and :func:`verify_spectral_theorem`.
-
-The balance measures and heuristic frustration read only the two ends of a
-spectrum.  On graphs with at least :data:`LANCZOS_MIN_NODES` nodes they take
-those ends from :func:`_lanczos_extremes`, a Lanczos iteration whose
-matvecs are the graph's edge-array operator, so no n x n matrix is built;
-smaller graphs keep the dense solves above.  Everything is numpy: no scipy is imported.
+:func:`eigenvalues_symmetric` (the walk horizons of verification criterion
+6) and :func:`eigendecompose_symmetric`, which adds sign-normalised
+eigenvectors (:func:`verify_spectral_theorem`).  The balance measures,
+heuristic frustration and the realized shift of :func:`perturbation_estimate`
+read only the two ends of a spectrum, all from :func:`_extremes`, the one
+place that picks a solver: dense below :data:`LANCZOS_MIN_NODES` nodes,
+else :func:`_lanczos_extremes` on the edge arrays, building no n x n
+matrix.  Everything is numpy: no scipy is imported.
 
 The two distance measures live here:
 
@@ -35,22 +27,22 @@ Both are invariant under switching and under uniform weight scaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Optional
 
 import numpy as np
 
 from .balance import BalanceClassification, Verdict, apply_flip_set, classify
-from .core import SignedGraph, _positive_degrees, symmetrized_transition, unsigned_counterpart
+from .core import SignedGraph, _transition_edge_values, unsigned_counterpart
 from .errors import EdgeNotPresentError, NotBalancedError, NotSymmetricError, WrongVerdictError
 
 SYMMETRY_TOLERANCE = 1e-12
 #: adjacent eigenvalues closer than this are treated as one degenerate group
 DEGENERACY_GAP = 1e-8
-#: graphs with at least this many nodes take the balance measures and the
-#: heuristic frustration signing from Lanczos extremes, smaller ones from
-#: dense solves.  On two-block SSBMs of mean degree 12 with one BLAS thread,
-#: Lanczos overtakes dense near n = 210 for measures plus heuristic
-#: frustration and near n = 300 for the measures alone; 250 splits the two.
+#: graphs with at least this many nodes take the ends of a spectrum from
+#: Lanczos, smaller ones from dense solves (read only by :func:`_extremes`).
+#: On two-block SSBMs of mean degree 12 with one BLAS thread, Lanczos
+#: overtakes dense near n = 210 for measures plus heuristic frustration and
+#: near n = 300 for the measures alone; 250 splits the two.
 LANCZOS_MIN_NODES = 250
 #: a Lanczos end has converged when its residual is at most this times
 #: max(1, |theta|), on the matrix scaled by a power of two to a largest
@@ -67,11 +59,12 @@ class Spectrum:
 
     Column k of ``eigenvectors`` belongs to ``eigenvalues[k]``.  Vector signs
     follow a deterministic convention: the largest-magnitude entry of each
-    column is positive (first such entry on exact ties).
+    column is positive (first such entry on exact ties).  ``eigenvectors`` is
+    None when only eigenvalues were solved.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: Optional[np.ndarray]
 
     def degenerate_groups(self, gap: float = DEGENERACY_GAP) -> list[list[int]]:
         """Indices grouped by eigenvalue proximity (descending order)."""
@@ -179,9 +172,19 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", 
     raise AssertionError("unreachable: the loop returns at k = n")
 
 
-def transition_eigenvalues(G: SignedGraph) -> np.ndarray:
-    """Eigenvalues of P in descending order, via P_sym, without eigenvectors."""
-    return eigenvalues_symmetric(symmetrized_transition(G))
+def _extremes(G: SignedGraph, values: Optional[np.ndarray] = None, ends: Literal["both", "top"] = "both",
+              vectors: bool = False) -> Spectrum:
+    """Eigenpairs ``[top, bottom]`` of the matrix holding ``values`` on the
+    edges (W when None): from :data:`LANCZOS_MIN_NODES` nodes on by
+    :func:`_lanczos_extremes` (W's solve cached on the graph), below by dense
+    ``eigvalsh``, or ``eigh`` with sign-normalised vectors if ``vectors``."""
+    if G.n >= LANCZOS_MIN_NODES:
+        return G._weight_extremes if values is None else _lanczos_extremes(G, values, ends)
+    M = G.weight_matrix if values is None else G._matrix(values)
+    if not vectors:
+        return Spectrum(eigenvalues=np.linalg.eigvalsh(M)[[-1, 0]], eigenvectors=None)
+    vals, vecs = np.linalg.eigh(M)
+    return Spectrum(eigenvalues=vals[[-1, 0]], eigenvectors=_sign_normalised(vecs[:, [-1, 0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -265,31 +268,19 @@ class BalanceMeasures:
         return self.spectral_radius_unsigned - self.spectral_radius_signed
 
 
-def _transition_edge_values(G: SignedGraph) -> np.ndarray:
-    """The entry of P_sym = D^-1/2 W D^-1/2 on every edge, w_k / sqrt(d_i d_j)."""
-    inv_sqrt = 1.0 / np.sqrt(_positive_degrees(G))
-    return G.w * inv_sqrt[G.i] * inv_sqrt[G.j]
-
-
 def balance_measures(G: SignedGraph) -> BalanceMeasures:
     """d_b, d_a and the signed/unsigned spectral radii of W.
 
     d_b = lambda_min(L_rw) and d_a = 2 - lambda_max(L_rw), both computed from
     the symmetric similarity of P.  rho(W) = max(lambda_max, -lambda_min);
     |W| is nonnegative, so by Perron-Frobenius its spectral radius is its
-    largest eigenvalue.  Only the ends of the three spectra are read: below
-    :data:`LANCZOS_MIN_NODES` nodes they come from three dense value-only
-    solves, from that size on from Lanczos on the edge arrays (the W solve
-    is the one heuristic frustration reuses).
+    largest eigenvalue.  Only the ends of the three spectra are read, each
+    from :func:`_extremes` (the W solve is the one heuristic frustration
+    reuses).
     """
-    if G.n < LANCZOS_MIN_NODES:
-        p_vals = transition_eigenvalues(G)
-        w_vals = eigenvalues_symmetric(G.weight_matrix)
-        rho_unsigned = eigenvalues_symmetric(np.abs(G.weight_matrix))[0]
-    else:
-        p_vals = _lanczos_extremes(G, _transition_edge_values(G)).eigenvalues
-        w_vals = G._weight_extremes.eigenvalues
-        rho_unsigned = _lanczos_extremes(G, np.abs(G.w), ends="top").eigenvalues[0]
+    p_vals = _extremes(G, _transition_edge_values(G)).eigenvalues
+    w_vals = _extremes(G).eigenvalues
+    rho_unsigned = _extremes(G, np.abs(G.w), ends="top").eigenvalues[0]
     return BalanceMeasures(
         d_b=float(1.0 - p_vals[0]),
         d_a=float(1.0 + p_vals[-1]),
@@ -319,7 +310,9 @@ def perturbation_estimate(G_b: SignedGraph, flip_set) -> PerturbationEstimate:
     """First-order estimate -2 * sum |W_ij| / m for flipping ``flip_set``.
 
     ``G_b`` must be balanced; every flip edge must exist.  ``m`` is half the
-    total degree, i.e. the total absolute edge weight.
+    total degree, i.e. the total absolute edge weight.  The realized shift
+    reads the top end of the flipped graph's P_sym from :func:`_extremes`,
+    so from :data:`LANCZOS_MIN_NODES` nodes on no n x n matrix is built.
     """
     c = classify(G_b)
     if not c.is_balanced:
@@ -331,7 +324,7 @@ def perturbation_estimate(G_b: SignedGraph, flip_set) -> PerturbationEstimate:
     m = float(G_b.degrees.sum()) / 2.0
     delta = -2.0 * flipped_weight / m
     flipped = apply_flip_set(G_b, flip_set)
-    realized = float(transition_eigenvalues(flipped)[0] - 1.0)
+    realized = float(_extremes(flipped, _transition_edge_values(flipped), ends="top").eigenvalues[0] - 1.0)
     return PerturbationEstimate(
         delta_max=delta,
         delta_min=-delta,

@@ -108,6 +108,12 @@ class TestSSBM:
         with pytest.raises(ParamOutOfRangeError):
             sn.SSBMParams(n1=1, n2=0, p_in=0.5, p_out=0.5, eta=0.0)
 
+    def test_expected_edge_count_is_capped(self):
+        # only the parameter record is built: the check runs before any draw
+        with pytest.raises(ParamOutOfRangeError, match="199990000 expected edges, above the cap of 67108864"):
+            sn.SSBMParams(n1=10**4, n2=10**4, p_in=1.0, p_out=1.0, eta=0.0)
+        sn.SSBMParams(n1=10**4, n2=10**4, p_in=0.1, p_out=0.1, eta=0.0)  # 2e7 expected edges pass
+
 
 class TestRingLattice:
     def test_balanced_plans_classify_balanced(self):

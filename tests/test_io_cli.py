@@ -463,6 +463,10 @@ class TestSimulateInputBoundary:
         # rw stops once the walk settles (step 2 here) and stores only the steps it ran
         ({"horizon": 10**12}, [2, 0, 2], "1000000000000 steps of 3 values would store 3000000000003 values, "
                                          "above the cap of 67108864; lower the horizon"),
+        ({"horizn": 3, "thetal": 9}, [2, 2, 2], "unknown simulate config keys 'horizn', 'thetal'; accepted keys: "
+                                                "horizon, l0, init, theta_l, alpha, general_thresholds"),
+        ({"horizon": 3, "seed": 1}, [2, 2, 2], "unknown simulate config key 'seed'; accepted keys: "
+                                               "horizon, l0, init, theta_l, alpha, general_thresholds"),
     ])
     def test_bad_config_fields(self, tmp_path, capsys, config, expected, message):
         codes, err = self.run(tmp_path, capsys, config)
@@ -589,6 +593,20 @@ class TestGenerateInputBoundary:
          "alpha must be a finite number, got True"),
         ("lattice", {**LATTICE, "alpha": None, "sign_plan": {"kind": "balanced"}}, [],
          "alpha must be a finite number, got None"),
+        ("lattice", {**LATTICE, "sign_plan": {"kind": "balanced", "rul": "arc:3", "seed": 4}}, [],
+         "unknown balanced sign_plan keys 'rul', 'seed'; accepted keys: kind, rule"),
+        ("lattice", {**LATTICE, "sign_plan": {"kind": "antibalanced", "k": 2}}, [],
+         "unknown antibalanced sign_plan key 'k'; accepted keys: kind, rule"),
+        ("lattice", {**LATTICE, "sign_plan": {"kind": "flip_k", "k": 2, "rule": "arc:3"}}, [],
+         "unknown flip_k sign_plan key 'rule'; accepted keys: kind, k, seed, base_rule"),
+        ("lattice", {**LATTICE, "sign_plan": {"kind": "fllip_k", "k": 2}}, [], "unknown sign plan kind 'fllip_k'"),
+        # refused before anything of that size is allocated
+        ("tree", {"n": 10**13, "sign_prob": 0.5}, [],
+         "the tree would have 9999999999999 edges, above the cap of 67108864"),
+        ("ssbm", {"n1": 10**13, "n2": 10, "p_in": 0.8, "p_out": 0.1, "eta": 0.0}, [],
+         "the ssbm would have 10000000000010 nodes, above the cap of 67108864"),
+        ("lattice", {"n": 10**13, "dbar": 4, "alpha": 0.1, "sign_plan": {"kind": "balanced"}}, [],
+         "the lattice would have 20000000000000 edges, above the cap of 67108864"),
     ])
     def test_bad_configs_exit_2_with_one_error_line(self, tmp_path, capsys, kind, config, flags, message):
         cfg, out = tmp_path / "gen.json", tmp_path / "net.edges"
@@ -597,6 +615,22 @@ class TestGenerateInputBoundary:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, config, flags", [
+        ("ssbm", {"n1": 6, "n2": 10, "p_in": 0.8, "p_out": 0.1, "eta": 0.05}, ["--seed", "4"]),
+        ("lattice", {**LATTICE, "sign_plan": {"kind": "flip_k", "k": 3}}, ["--seed", "5"]),
+        ("lattice", {**LATTICE, "sign_plan": {"kind": "antibalanced", "rule": "arc:7"}}, []),
+        ("tree", {"n": 12, "sign_prob": 0.5}, ["--seed", "6"]),
+    ])
+    def test_header_regenerates_the_file(self, tmp_path, kind, config, flags):
+        cfg, out, again = tmp_path / "gen.json", tmp_path / "net.edges", tmp_path / "again.edges"
+        cfg.write_text(json.dumps(config))
+        assert main(["generate", kind, "--config", str(cfg), "--output", str(out), *flags]) == 0
+        head, _, header = out.read_text().partition("\n")[0].partition(" ")[2].partition(" ")
+        assert head == kind
+        cfg.write_text(header)
+        assert main(["generate", kind, "--config", str(cfg), "--output", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
 
     def test_seed_overrides_the_seed_of_a_flip_k_lattice_plan(self, tmp_path):
         def lattice(plan_seed, flags):

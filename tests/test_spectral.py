@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ import signednet as sn
 from signednet import Verdict
 from signednet.errors import EdgeNotPresentError, NotBalancedError, NotSymmetricError, WrongVerdictError
 from signednet import spectral
+from signednet.balance import apply_flip_set
 from signednet.core import symmetrized_transition
-from signednet.spectral import LANCZOS_MIN_NODES, transition_eigenvalues
+from signednet.spectral import LANCZOS_MIN_NODES, _extremes
 
 from helpers import doubled_transition, random_connected_corpus, random_symmetric_matrix, transition_matrix
 
@@ -226,12 +229,49 @@ class TestLanczosPath:
         certificate = c.balanced_partition if target == "balanced" else c.antibalanced_partition
         assert report.partition.same_partition(certificate)
 
+    def test_perturbation_realized_shift_matches_dense_eigvalsh(self):
+        G = self.ssbm(0.0, seed=3)
+        for k in (0, 17, G.num_edges - 1):
+            flip = [(G.i[k], G.j[k])]
+            dense = np.linalg.eigvalsh(symmetrized_transition(apply_flip_set(G, flip)))[-1] - 1.0
+            assert abs(sn.perturbation_estimate(G, flip).realized_shift_max - dense) <= 1e-12
+
+    def test_perturbation_builds_no_dense_matrix(self):
+        N = 2000
+        G = sn.ssbm(sn.SSBMParams(n1=N // 2, n2=N // 2, p_in=9.6 / (N / 2), p_out=2.4 / (N / 2), eta=0.0,
+                                  alpha=0.1, seed=3))
+        e = G.edges[5]
+        tracemalloc.start()
+        try:
+            est = sn.perturbation_estimate(G, [(e.i, e.j)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.realized_shift_max < 0
+        assert peak < 8 * 2**20  # one dense 2000 x 2000 matrix is 32 MB
+
     def test_power_of_two_rescaling_is_exact(self):
         G = self.ssbm(0.05)
         m, big = sn.balance_measures(G), sn.balance_measures(G.with_weights(G.w * 2.0 ** 1000))
         assert (big.d_b, big.d_a) == (m.d_b, m.d_a)
         assert big.spectral_radius_signed == m.spectral_radius_signed * 2.0 ** 1000
         assert big.spectral_radius_unsigned == m.spectral_radius_unsigned * 2.0 ** 1000
+
+
+class TestExtremesBelowLanczos:
+    """Below LANCZOS_MIN_NODES nodes the ends of a spectrum are those of the dense solve."""
+
+    def test_vectors_are_the_dense_end_columns_bit_for_bit(self):
+        for G in random_connected_corpus(40, max_n=30, seed=101):
+            ends, full = _extremes(G, vectors=True), sn.eigendecompose_symmetric(G.weight_matrix)
+            assert np.array_equal(ends.eigenvalues, full.eigenvalues[[0, -1]])
+            assert np.array_equal(ends.eigenvectors, full.eigenvectors[:, [0, -1]])
+
+    def test_values_only_solve_computes_no_eigenvectors(self):
+        G = random_connected_corpus(1, max_n=30, seed=103)[0]
+        ends = _extremes(G, np.abs(G.w), ends="top")
+        assert ends.eigenvectors is None
+        assert np.array_equal(ends.eigenvalues, np.linalg.eigvalsh(np.abs(G.weight_matrix))[[-1, 0]])
 
 
 class TestPerronVectorsBalanced:
@@ -297,14 +337,14 @@ class TestTransitionSpectrumDevice:
         for G in random_connected_corpus(20, seed=83):
             P2 = doubled_transition(G)
             got = np.sort(np.linalg.eigvals(P2).real)
-            signed = transition_eigenvalues(G)
-            unsigned = transition_eigenvalues(sn.unsigned_counterpart(G))
+            signed = sn.eigenvalues_symmetric(symmetrized_transition(G))
+            unsigned = sn.eigenvalues_symmetric(symmetrized_transition(sn.unsigned_counterpart(G)))
             expected = np.sort(np.concatenate([signed, unsigned]))
             assert np.allclose(got, expected, atol=1e-9)
 
     def test_transition_radius_at_most_one(self):
         for G in random_connected_corpus(40, seed=89):
-            assert np.max(np.abs(transition_eigenvalues(G))) <= 1 + 1e-12
+            assert np.max(np.abs(sn.eigenvalues_symmetric(symmetrized_transition(G)))) <= 1 + 1e-12
 
     def test_right_eigenvectors_of_transition_matrix(self):
         # an eigenvector v of P_sym maps to the eigenvector D^-1/2 v of P
