@@ -189,12 +189,11 @@ def frustration(G: SignedGraph, target: FrustrationTarget = "balanced",
     the remaining kernel, whose nodes all have degree >= 3 (at most 16 nodes
     under the 25-edge cap).  A violated chain is flipped at its lightest edge.
     Capped at 25 edges.  Heuristic mode reads the bipartition off the leading
-    (balanced) or trailing (antibalanced) eigenvector of W, taken from
-    ``spectral._extremes`` (on large graphs the Lanczos solve the balance
-    measures also use), and reports the violation count as an upper bound.
-    On a balanced (antibalanced) graph that eigenvector is the certificate
-    times the Perron vector of |W|, so its sign pattern is the certificate
-    (up to global sign) with no flips.
+    eigenvector of W (balanced) or of -W (antibalanced), the one end
+    ``spectral._extremes`` solves for it, and reports the violation count as
+    an upper bound.  On a balanced (antibalanced) graph that eigenvector is
+    the certificate times the Perron vector of |W|, so its sign pattern is
+    the certificate (up to global sign) with no flips.
 
     Both the edge count and the total flipped absolute weight are reported.
     """
@@ -211,7 +210,8 @@ def frustration(G: SignedGraph, target: FrustrationTarget = "balanced",
     elif mode == "heuristic":
         from .spectral import _extremes  # local import, avoids cycle
 
-        s = sign_pattern(_extremes(G, vectors=True).eigenvectors[:, 0 if target == "balanced" else -1]).s
+        top = _extremes(G, None if target == "balanced" else -G.w, ends="top", vectors=True)
+        s = sign_pattern(top.eigenvectors[:, 0]).s
         exact = False
     else:
         raise ValueError(f"unknown mode {mode!r}")

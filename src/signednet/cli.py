@@ -57,7 +57,7 @@ from .io import (
     write_edge_list,
     write_trajectory_csv,
 )
-from .spectral import balance_measures
+from .spectral import _distances, balance_measures
 from .verify import SUITES, run_suite
 
 USAGE_EXIT, DATA_EXIT, VERIFY_EXIT = 1, 2, 3
@@ -176,7 +176,7 @@ def _emit(doc, output) -> None:
 
 def _cmd_classify(args) -> int:
     G = load_graph(args.input)
-    doc = classification_to_json(classify(G), balance_measures(G))
+    doc = classification_to_json(classify(G), _distances(G))
     if G.labels:
         doc["labels"] = list(G.labels)
     if args.frustration:

@@ -116,15 +116,6 @@ class SignedGraph:
         return _readonly(self._matrix(self.w))
 
     @cached_property
-    def _weight_extremes(self):
-        """The largest and smallest eigenpair of W by Lanczos on the edge
-        arrays (:func:`signednet.spectral._lanczos_extremes`), solved once and
-        shared by the balance measures and heuristic frustration."""
-        from .spectral import _lanczos_extremes  # local import: spectral imports core
-
-        return _lanczos_extremes(self, self.w)
-
-    @cached_property
     def degrees(self) -> np.ndarray:
         """Absolute-weight degree of every node, d = |W| 1 by :meth:`_operator`;
         one beyond the float range is a :class:`NonFiniteWeightError`."""

@@ -71,6 +71,10 @@ class EdgeNotPresentError(SignedNetError):
     pass
 
 
+class LanczosNotConvergedError(SignedNetError):
+    """An extreme eigenvalue did not converge within the Lanczos step cap."""
+
+
 # ---- dynamics -------------------------------------------------------------
 
 class DimensionMismatchError(SignedNetError):

@@ -9,10 +9,14 @@ Two dense entry points do every full eigensolve, sharing one symmetry check:
 6) and :func:`eigendecompose_symmetric`, which adds sign-normalised
 eigenvectors (:func:`verify_spectral_theorem`).  The balance measures,
 heuristic frustration and the realized shift of :func:`perturbation_estimate`
-read only the two ends of a spectrum, all from :func:`_extremes`, the one
-place that picks a solver: dense below :data:`LANCZOS_MIN_NODES` nodes,
-else :func:`_lanczos_extremes` on the edge arrays, building no n x n
-matrix.  Everything is numpy: no scipy is imported.
+read only the ends of a spectrum, all from :func:`_extremes`, the one place
+that picks a solver: dense below :data:`LANCZOS_MIN_NODES` nodes, else
+:func:`_lanczos_extremes`, a plain Lanczos recurrence on the edge arrays
+that stores no basis and builds no n x n matrix.  Each caller solves only
+the ends it reports: ``d_b`` and ``d_a`` both ends of P_sym
+(:func:`_distances`, all that CLI ``classify`` prints), the radii both ends
+of W and the top of |W|, heuristic frustration the top of W or -W with its
+vector.  Everything is numpy: no scipy is imported.
 
 The two distance measures live here:
 
@@ -26,23 +30,33 @@ Both are invariant under switching and under uniform weight scaling.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Callable, Iterator, Literal, NamedTuple, Optional
 
 import numpy as np
 
 from .balance import BalanceClassification, Verdict, apply_flip_set, classify
 from .core import SignedGraph, _transition_edge_values, unsigned_counterpart
-from .errors import EdgeNotPresentError, NotBalancedError, NotSymmetricError, WrongVerdictError
+from .errors import (
+    EdgeNotPresentError,
+    LanczosNotConvergedError,
+    NotBalancedError,
+    NotSymmetricError,
+    WrongVerdictError,
+)
 
 SYMMETRY_TOLERANCE = 1e-12
 #: adjacent eigenvalues closer than this are treated as one degenerate group
 DEGENERACY_GAP = 1e-8
 #: graphs with at least this many nodes take the ends of a spectrum from
 #: Lanczos, smaller ones from dense solves (read only by :func:`_extremes`).
-#: On two-block SSBMs of mean degree 12 with one BLAS thread, Lanczos
-#: overtakes dense near n = 210 for measures plus heuristic frustration and
-#: near n = 300 for the measures alone; 250 splits the two.
+#: On two-block SSBMs of mean degree 12 (eta = 0.05) with one BLAS thread,
+#: Lanczos overtakes dense near n = 190 for ``classify --frustration`` (P_sym,
+#: then the top of W with its vector), near n = 275 for ``measure`` (P_sym, W,
+#: |W|) and near n = 370 for ``classify`` (P_sym alone); 250 sits between the
+#: first two.  Below a few hundred nodes a solve costs its per-step overhead,
+#: not the basis it no longer stores, so the crossover barely moved.
 LANCZOS_MIN_NODES = 250
 #: a Lanczos end has converged when its residual is at most this times
 #: max(1, |theta|), on the matrix scaled by a power of two to a largest
@@ -116,75 +130,115 @@ def _sign_normalised(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", "top"] = "both") -> Spectrum:
-    """The largest and the smallest eigenpair of the symmetric n x n matrix
-    holding ``values[k]`` at (i_k, j_k) and (j_k, i_k) and zero elsewhere.
+def _lanczos_step_cap(n: int) -> int:
+    """Most steps one Lanczos solve takes on an n x n matrix before it gives up."""
+    return 4 * n + 200
 
-    Lanczos iteration with full reorthogonalisation (classical Gram-Schmidt
-    applied twice) from a fixed seeded start vector.  Each matvec is the
-    edge-array product :meth:`~signednet.core.SignedGraph._operator`, so no
-    n x n array is built.  The matrix is scaled by a power of two, exactly,
-    to a largest entry in [0.5, 1), so huge or tiny weights neither overflow
-    nor loosen the test.  The iteration stops once the Ritz residual
-    |beta_k S[k-1, e]| of each requested end e (``"both"``, or ``"top"`` for
-    the largest only) is at most ``LANCZOS_TOLERANCE * max(1, |theta_e|)``.
-    That test runs on a geometric schedule, at k = 16 and then about every
-    25 % more steps, since the small tridiagonal solve it needs is the
-    costly part; it also runs on breakdown and at k = n, where the iteration
-    ends exactly.
 
-    Returns a two-pair :class:`Spectrum`: eigenvalues ``[top, bottom]`` and
-    the matching Ritz vectors as columns, signs normalised like
-    :func:`eigendecompose_symmetric`.
+def _lanczos_vectors(matvec: Callable[[np.ndarray], np.ndarray], n: int, alpha: list[float],
+                     beta: list[float]) -> Iterator[np.ndarray]:
+    """The Lanczos vectors q_1, q_2, ... of the plain three-term recurrence
+    from the fixed seeded start vector, keeping only q and q_prev.
+
+    Step k reads alpha[k-1] and beta[k-1] when the lists already hold them,
+    and else computes and appends them, so a second pass with the lists of a
+    first replays its vectors bit for bit.  Both coefficients of step k are
+    in the lists when q_k is yielded; the next vector r / beta[k-1] is formed
+    only when the caller asks for it.
+    """
+    start = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    q, q_prev = start / np.linalg.norm(start), np.zeros(n)
+    for k in itertools.count():
+        r = matvec(q)
+        if k == len(alpha):
+            alpha.append(float(r @ q))
+        r -= alpha[k] * q
+        r -= (beta[k - 1] if k else 0.0) * q_prev
+        if k == len(beta):
+            beta.append(float(np.linalg.norm(r)))
+        yield q
+        q, q_prev = r / beta[k], q
+
+
+def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", "top"] = "both",
+                      vectors: bool = True) -> Spectrum:
+    """The largest and the smallest eigenpair (``"both"``), or the largest
+    alone (``"top"``), of the symmetric n x n matrix holding ``values[k]`` at
+    (i_k, j_k) and (j_k, i_k) and zero elsewhere.
+
+    Plain three-term Lanczos from a fixed seeded start vector, with no stored
+    basis and no reorthogonalisation: lost orthogonality only adds copies of
+    Ritz values that have already converged (Paige 1980), so each end is
+    taken at the first convergence test it passes, before a copy of it can
+    form.  Each matvec is the edge-array product
+    :meth:`~signednet.core.SignedGraph._operator`, so memory stays O(n + m).
+    The matrix is scaled by a power of two, exactly, to a largest entry in
+    [0.5, 1), so huge or tiny weights neither overflow nor loosen the test.
+    An end e has converged when its Ritz residual |beta_k S[k-1, e]| is at
+    most ``LANCZOS_TOLERANCE * max(1, |theta_e|)``.  The test runs at k = 2
+    and then about every 25 % more steps, since the small tridiagonal solve
+    it needs is the costly part; it also runs on an exact breakdown (a beta
+    that meets every end's test) and at the step cap, past which
+    :class:`~signednet.errors.LanczosNotConvergedError` is raised.
+
+    With ``vectors``, each end's Ritz vector is rebuilt by replaying the
+    recurrence with the stored coefficients up to that end's step, unit
+    normalised and signed like :func:`eigendecompose_symmetric`.  Returns
+    eigenvalues ``[top, bottom]`` or ``[top]`` with matching columns.
     """
     n = G.n
     scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(values)))[1]))
     matvec = G._operator(values / scale)
     tested = [-1, 0] if ends == "both" else [-1]  # columns of eigh's ascending output
+    cap = _lanczos_step_cap(n)
 
-    Q = np.empty((min(n, 32), n))  # Lanczos vectors as rows; grows by doubling
-    start = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
-    Q[0] = start / np.linalg.norm(start)
     alpha: list[float] = []
     beta: list[float] = []
-    check = 16
-    for k in range(1, n + 1):  # k: dimension of the Krylov space after this step
-        q = Q[k - 1]
-        r = matvec(q)
-        alpha.append(float(r @ q))
-        r -= alpha[-1] * q
-        if k > 1:
-            r -= beta[-1] * Q[k - 2]
-        for _ in range(2):
-            r -= (Q[:k] @ r) @ Q[:k]
-        b = float(np.linalg.norm(r))
-        if k >= check or k == n or b <= LANCZOS_TOLERANCE / 2:  # a beta that small meets every end's test
-            T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    found: dict[int, tuple[float, np.ndarray]] = {}  # end -> (Ritz value, its column of S)
+    check = 2
+    for k, _ in enumerate(_lanczos_vectors(matvec, n, alpha, beta), start=1):
+        b = beta[-1]
+        if k >= check or k == cap or b <= LANCZOS_TOLERANCE / 2:  # a beta that small meets every end's test
+            T = np.diag(alpha)
+            T.flat[1::k + 1] = T.flat[k::k + 1] = beta[:-1]
             theta, S = np.linalg.eigh(T)
-            if k == n or all(b * abs(S[-1, e]) <= LANCZOS_TOLERANCE * max(1.0, abs(theta[e])) for e in tested):
-                ritz = Q[:k].T @ S[:, [-1, 0]]
-                return Spectrum(eigenvalues=theta[[-1, 0]] * scale, eigenvectors=_sign_normalised(ritz))
+            for e in tested:
+                if e not in found and b * abs(S[-1, e]) <= LANCZOS_TOLERANCE * max(1.0, abs(theta[e])):
+                    found[e] = (float(theta[e]), S[:, e])
+            if len(found) == len(tested):
+                break
+            if k == cap:
+                raise LanczosNotConvergedError(f"Lanczos did not converge on the {n} x {n} matrix within {cap} steps")
             check = max(k + 1, int(k * 1.25))
-        if k == len(Q):
-            Q = np.concatenate([Q, np.empty((min(k, n - k), n))])
-        beta.append(b)
-        Q[k] = r / b
-    raise AssertionError("unreachable: the loop returns at k = n")
+
+    eigenvalues = np.array([found[e][0] for e in tested]) * scale
+    if not vectors:
+        return Spectrum(eigenvalues=eigenvalues, eigenvectors=None)
+    S = np.zeros((max(len(found[e][1]) for e in tested), len(tested)))  # each end's column, zero past its step
+    for c, e in enumerate(tested):
+        S[:len(found[e][1]), c] = found[e][1]
+    ritz = np.zeros((n, len(tested)))
+    for s, q in zip(S, _lanczos_vectors(matvec, n, alpha, beta)):
+        ritz += np.outer(q, s)
+    return Spectrum(eigenvalues=eigenvalues, eigenvectors=_sign_normalised(ritz / np.linalg.norm(ritz, axis=0)))
 
 
 def _extremes(G: SignedGraph, values: Optional[np.ndarray] = None, ends: Literal["both", "top"] = "both",
               vectors: bool = False) -> Spectrum:
-    """Eigenpairs ``[top, bottom]`` of the matrix holding ``values`` on the
-    edges (W when None): from :data:`LANCZOS_MIN_NODES` nodes on by
-    :func:`_lanczos_extremes` (W's solve cached on the graph), below by dense
-    ``eigvalsh``, or ``eigh`` with sign-normalised vectors if ``vectors``."""
+    """Eigenpairs ``[top, bottom]`` (``"both"``) or ``[top]`` (``"top"``) of
+    the matrix holding ``values`` on the edges (W when None): from
+    :data:`LANCZOS_MIN_NODES` nodes on by :func:`_lanczos_extremes`, below by
+    dense ``eigvalsh``, or ``eigh`` with sign-normalised vectors if
+    ``vectors``.  Only the requested ends are returned, so no caller reads an
+    end that was never tested for convergence."""
     if G.n >= LANCZOS_MIN_NODES:
-        return G._weight_extremes if values is None else _lanczos_extremes(G, values, ends)
+        return _lanczos_extremes(G, G.w if values is None else values, ends, vectors)
     M = G.weight_matrix if values is None else G._matrix(values)
+    columns = [-1, 0] if ends == "both" else [-1]
     if not vectors:
-        return Spectrum(eigenvalues=np.linalg.eigvalsh(M)[[-1, 0]], eigenvectors=None)
+        return Spectrum(eigenvalues=np.linalg.eigvalsh(M)[columns], eigenvectors=None)
     vals, vecs = np.linalg.eigh(M)
-    return Spectrum(eigenvalues=vals[[-1, 0]], eigenvectors=_sign_normalised(vecs[:, [-1, 0]]))
+    return Spectrum(eigenvalues=vals[columns], eigenvectors=_sign_normalised(vecs[:, columns]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +322,33 @@ class BalanceMeasures:
         return self.spectral_radius_unsigned - self.spectral_radius_signed
 
 
+class _Distances(NamedTuple):
+    d_b: float
+    d_a: float
+
+
+def _distances(G: SignedGraph) -> _Distances:
+    """d_b = lambda_min(L_rw) and d_a = 2 - lambda_max(L_rw), from the two
+    ends of P_sym, the symmetric similarity of P (one solve)."""
+    p_vals = _extremes(G, _transition_edge_values(G)).eigenvalues
+    return _Distances(d_b=float(1.0 - p_vals[0]), d_a=float(1.0 + p_vals[-1]))
+
+
 def balance_measures(G: SignedGraph) -> BalanceMeasures:
     """d_b, d_a and the signed/unsigned spectral radii of W.
 
-    d_b = lambda_min(L_rw) and d_a = 2 - lambda_max(L_rw), both computed from
-    the symmetric similarity of P.  rho(W) = max(lambda_max, -lambda_min);
-    |W| is nonnegative, so by Perron-Frobenius its spectral radius is its
-    largest eigenvalue.  Only the ends of the three spectra are read, each
-    from :func:`_extremes` (the W solve is the one heuristic frustration
-    reuses).
+    d_b and d_a come from :func:`_distances`.  rho(W) = max(lambda_max,
+    -lambda_min); |W| is nonnegative, so by Perron-Frobenius its spectral
+    radius is its largest eigenvalue.  Only the ends of the three spectra
+    are read, each from :func:`_extremes`: both ends of P_sym and W, the top
+    end of |W|, no eigenvectors.
     """
-    p_vals = _extremes(G, _transition_edge_values(G)).eigenvalues
+    d = _distances(G)
     w_vals = _extremes(G).eigenvalues
     rho_unsigned = _extremes(G, np.abs(G.w), ends="top").eigenvalues[0]
     return BalanceMeasures(
-        d_b=float(1.0 - p_vals[0]),
-        d_a=float(1.0 + p_vals[-1]),
+        d_b=d.d_b,
+        d_a=d.d_a,
         spectral_radius_signed=float(max(w_vals[0], -w_vals[-1])),
         spectral_radius_unsigned=float(rho_unsigned),
     )

@@ -5,10 +5,18 @@ import pytest
 
 import signednet as sn
 from signednet import Verdict
-from signednet.errors import EdgeNotPresentError, NotBalancedError, NotSymmetricError, WrongVerdictError
+from signednet.errors import (
+    EdgeNotPresentError,
+    LanczosNotConvergedError,
+    NotBalancedError,
+    NotSymmetricError,
+    WrongVerdictError,
+)
 from signednet import spectral
 from signednet.balance import apply_flip_set
-from signednet.core import symmetrized_transition
+from signednet.cli import main
+from signednet.core import _transition_edge_values, symmetrized_transition
+from signednet.io import write_edge_list
 from signednet.spectral import LANCZOS_MIN_NODES, _extremes
 
 from helpers import doubled_transition, random_connected_corpus, random_symmetric_matrix, transition_matrix
@@ -204,15 +212,64 @@ class TestLanczosPath:
         sn.frustration(G, "balanced", mode="heuristic")
         assert "weight_matrix" not in G.__dict__
 
-    def test_measures_and_heuristic_share_one_w_solve(self, monkeypatch):
-        solves = []
+    @pytest.mark.parametrize("argv, solves", [
+        (["classify"], [("both", False)]),  # P_sym only: classify prints d_b and d_a
+        (["classify", "--frustration", "balanced"], [("both", False), ("top", True)]),  # plus the top of W
+        (["classify", "--frustration", "antibalanced"], [("both", False), ("top", True)]),  # plus the top of -W
+        (["measure"], [("both", False), ("both", False), ("top", False)]),  # P_sym, W and |W|
+    ], ids=["classify", "classify-balanced", "classify-antibalanced", "measure"])
+    def test_each_command_solves_only_the_ends_it_prints(self, argv, solves, monkeypatch, tmp_path, capsys):
+        made = []
         lanczos = spectral._lanczos_extremes
-        monkeypatch.setattr(spectral, "_lanczos_extremes", lambda *a, **k: solves.append(a) or lanczos(*a, **k))
+        monkeypatch.setattr(spectral, "_lanczos_extremes", lambda *a: made.append(a[2:]) or lanczos(*a))
+        write_edge_list(self.ssbm(0.05), tmp_path / "g.edges")
+        assert main([argv[0], "--input", str(tmp_path / "g.edges"), *argv[1:]]) == 0
+        assert made == solves
+
+    def test_top_only_solve_returns_one_converged_value(self):
         G = self.ssbm(0.05)
-        sn.balance_measures(G)
-        sn.frustration(G, "balanced", mode="heuristic")
-        sn.frustration(G, "antibalanced", mode="heuristic")
-        assert len(solves) == 3  # P_sym, W and |W|; both frustration targets reuse the W solve
+        ends = _extremes(G, np.abs(G.w), ends="top")
+        assert ends.eigenvectors is None and ends.eigenvalues.shape == (1,)
+        assert abs(ends.eigenvalues[0] - np.linalg.eigvalsh(np.abs(G.weight_matrix))[-1]) <= 1e-12
+
+    def test_memory_stays_below_a_stored_basis(self):
+        N = 20000
+        G = sn.ssbm(sn.SSBMParams(n1=N // 2, n2=N // 2, p_in=9.6 / (N / 2), p_out=2.4 / (N / 2), eta=0.05,
+                                  alpha=0.1, seed=3))
+        G.degrees
+        tracemalloc.start()
+        try:
+            sn.balance_measures(G)
+            sn.frustration(G, "balanced", mode="heuristic")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 9.2 MiB measured; a stored basis at the 293 steps of the W solve is 293 * N * 8 bytes = 44.7 MiB
+        assert peak < 20 * 2**20
+
+    def test_step_cap_raises_a_named_error(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(spectral, "_lanczos_step_cap", lambda n: 5)
+        G = self.ssbm(0.05)
+        with pytest.raises(LanczosNotConvergedError, match=f"{self.N} x {self.N} matrix within 5 steps"):
+            sn.balance_measures(G)
+        write_edge_list(G, tmp_path / "g.edges")
+        assert main(["measure", "--input", str(tmp_path / "g.edges")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("G", [
+        sn.build_graph(300, [(0, k, (-1.0) ** k) for k in range(1, 300)]),  # star: three distinct eigenvalues
+        sn.build_graph(300, [(a, b, 1.0) for a in range(300) for b in range(a + 1, 300)]),  # complete: two
+    ], ids=["star", "complete"])
+    def test_early_breakdown_ends_the_solve(self, G, monkeypatch):
+        monkeypatch.setattr(spectral, "_lanczos_step_cap", lambda n: 4)  # the breakdown exit comes first
+        for values, M in ((_transition_edge_values(G), symmetrized_transition(G)), (G.w, G.weight_matrix),
+                          (np.abs(G.w), np.abs(G.weight_matrix))):
+            spec = spectral._lanczos_extremes(G, values)
+            dense = np.linalg.eigvalsh(M)
+            assert np.max(np.abs(spec.eigenvalues - dense[[-1, 0]])) <= 1e-12 * max(1.0, dense[-1])
+            for vec, value in zip(spec.eigenvectors.T, spec.eigenvalues):
+                assert np.linalg.norm(M @ vec - value * vec) <= 1e-9 * max(1.0, abs(value))
 
     @pytest.mark.parametrize("target, make", [
         ("balanced", lambda cls: cls.ssbm(0.0)),
@@ -271,7 +328,7 @@ class TestExtremesBelowLanczos:
         G = random_connected_corpus(1, max_n=30, seed=103)[0]
         ends = _extremes(G, np.abs(G.w), ends="top")
         assert ends.eigenvectors is None
-        assert np.array_equal(ends.eigenvalues, np.linalg.eigvalsh(np.abs(G.weight_matrix))[[-1, 0]])
+        assert np.array_equal(ends.eigenvalues, np.linalg.eigvalsh(np.abs(G.weight_matrix))[[-1]])
 
 
 class TestPerronVectorsBalanced:
