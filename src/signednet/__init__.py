@@ -15,30 +15,23 @@ from .core import (
     SignedGraph,
     build_graph,
     components,
-    symmetrized_transition,
     unsigned_counterpart,
 )
 from .balance import (
     BalanceClassification,
     Bipartition,
     FrustrationReport,
+    PerturbationEstimate,
     Verdict,
     bipartite_partition,
     classify,
     frustration,
     negate,
-    switch,
-)
-from .spectral import (
-    BalanceMeasures,
-    PerturbationEstimate,
-    Spectrum,
-    balance_measures,
-    eigendecompose_symmetric,
-    eigenvalues_symmetric,
     perturbation_estimate,
+    switch,
     verify_spectral_theorem,
 )
+from .spectral import BalanceMeasures, Spectrum, balance_measures
 from .dynamics import (
     ActivationSets,
     ELTConfig,

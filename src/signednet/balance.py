@@ -12,6 +12,10 @@ bipartite colouring.  A candidate certifies its structure exactly when
 every edge agrees with it (Harary 1953), which is checked in one array pass
 over the cached edge endpoints and signs, so the verdict is exact and no
 negated copy of the graph is built.
+
+Two spectral consequences of balance are checked here, on the solves of
+:mod:`signednet.spectral`: the spectrum correspondence of W and |W|, and the
+shift of the top of P_sym when edges of a balanced graph flip sign.
 """
 
 from __future__ import annotations
@@ -22,14 +26,18 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .core import Edge, SignedGraph
-from .errors import EdgeNotPresentError, TooLargeError
+from .core import Edge, SignedGraph, _transition_edge_values
+from .errors import EdgeNotPresentError, NotBalancedError, TooLargeError, WrongVerdictError
+from .spectral import _extremes, _spectrum
 
 #: eigenvector entries below this magnitude are assigned to the +1 side when a
 #: sign pattern is read off a vector (deterministic tie rule)
 SIGN_READOFF_TOLERANCE = 1e-9
 
 EXACT_FRUSTRATION_EDGE_CAP = 25
+
+#: adjacent eigenvalues closer than this are treated as one degenerate group
+DEGENERACY_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -208,8 +216,6 @@ def frustration(G: SignedGraph, target: FrustrationTarget = "balanced",
         s = _exact_min_violation_signs(G, target)
         exact = True
     elif mode == "heuristic":
-        from .spectral import _extremes  # local import, avoids cycle
-
         top = _extremes(G, None if target == "balanced" else -G.w, ends="top", vectors=True)
         s = sign_pattern(top.eigenvectors[:, 0]).s
         exact = False
@@ -313,13 +319,116 @@ def _exact_min_violation_signs(G: SignedGraph, target: FrustrationTarget) -> np.
     return s if s[0] > 0 else -s
 
 
-def apply_flip_set(G: SignedGraph, flip_set) -> SignedGraph:
-    """Flip the sign of the given edges (present edges only)."""
+def _flipped(G: SignedGraph, flip_set) -> tuple[SignedGraph, np.ndarray]:
+    """``G`` with each edge ``(i, j, ...)`` of ``flip_set`` sign-flipped once, and the edge
+    indices in flip-set order; a pair that is no edge is an :class:`EdgeNotPresentError`."""
     pairs = [(e[0], e[1]) for e in flip_set]
     ks = G._edge_ids([a for a, _ in pairs], [b for _, b in pairs])
     if (ks < 0).any():
         a, b = pairs[int(np.argmax(ks < 0))]
-        raise EdgeNotPresentError(f"edge {(min(a, b), max(a, b))} is not present in the graph")
+        raise EdgeNotPresentError(f"edge ({min(a, b)}, {max(a, b)}) is not present in the graph")
     w = G.w.copy()
     w[ks] = -G.w[ks]
-    return G._reweighted(w)
+    return G._reweighted(w), ks
+
+
+def apply_flip_set(G: SignedGraph, flip_set) -> SignedGraph:
+    """Flip the sign of the given edges (present edges only)."""
+    return _flipped(G, flip_set)[0]
+
+
+# ---------------------------------------------------------------------------
+# spectral consequences of balance
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SpectralTheoremReport:
+    """Deviations between the signed spectrum and its unsigned counterpart.
+
+    For a balanced graph the spectra must agree and eigenspaces must match
+    after switching; for an antibalanced graph the spectrum is the reversed
+    negation.  ``subspace_max_dev`` compares spectral projectors groupwise so
+    degenerate eigenspaces are handled; ``leading_magnitude_dev`` compares the
+    entrywise magnitudes of the spectral-radius eigenvectors.
+    """
+
+    verdict: Verdict
+    eigenvalue_max_dev: float
+    subspace_max_dev: float
+    leading_magnitude_dev: float
+
+
+def verify_spectral_theorem(G: SignedGraph, c: BalanceClassification) -> SpectralTheoremReport:
+    """Check the balanced/antibalanced eigenstructure correspondence between
+    the full spectra of W and |W|.
+
+    Requires a Balanced, Antibalanced or Both verdict; for Both the balanced
+    correspondence is checked (the antibalanced one follows by negation).
+    """
+    if c.verdict == Verdict.STRICTLY_UNBALANCED:
+        raise WrongVerdictError("spectrum correspondence only holds for balanced or antibalanced graphs")
+    signed = _spectrum(G, vectors=True)
+    unsigned = _spectrum(G, np.abs(G.w), vectors=True)
+
+    s = c.certificate.s.astype(float)
+    # signed eigenpair order[k] matches unsigned eigenpair k, with its eigenvalue negated if antibalanced
+    order = np.arange(G.n) if c.is_balanced else np.arange(G.n)[::-1]
+    negation = 1.0 if c.is_balanced else -1.0
+    values_dev = float(np.max(np.abs(signed.eigenvalues[order] - negation * unsigned.eigenvalues)))
+
+    groups = np.split(np.arange(G.n), np.flatnonzero(np.abs(np.diff(unsigned.eigenvalues)) >= DEGENERACY_GAP) + 1)
+    subspace_dev = 0.0
+    for group in groups:
+        V, U = signed.eigenvectors[:, order[group]], unsigned.eigenvectors[:, group]
+        subspace_dev = max(subspace_dev, float(np.max(np.abs(V @ V.T - (U @ U.T) * np.outer(s, s)))))
+
+    lead_signed, lead_unsigned = signed.eigenvectors[:, order[0]], unsigned.eigenvectors[:, 0]
+    leading_dev = float(np.max(np.abs(np.abs(lead_signed) - np.abs(lead_unsigned))))
+    return SpectralTheoremReport(
+        verdict=c.verdict,
+        eigenvalue_max_dev=values_dev,
+        subspace_max_dev=subspace_dev,
+        leading_magnitude_dev=leading_dev,
+    )
+
+
+@dataclass(frozen=True)
+class PerturbationEstimate:
+    """First-order eigenvalue shifts caused by flipping a set of edge signs.
+
+    ``delta_max`` is the predicted shift of the largest transition eigenvalue
+    away from 1 (so the induced d_b is ``-delta_max``); ``delta_min`` is the
+    antibalanced dual obtained on the negated graph.  ``realized_shift_max``
+    is the exact shift measured on the flipped graph.
+    """
+
+    delta_max: float
+    delta_min: float
+    flipped_weight: float
+    m: float
+    realized_shift_max: float
+
+
+def perturbation_estimate(G_b: SignedGraph, flip_set) -> PerturbationEstimate:
+    """First-order estimate -2 * sum |W_ij| / m for flipping ``flip_set``.
+
+    ``G_b`` must be balanced; every flip edge must exist.  ``m`` is half the
+    total degree, i.e. the total absolute edge weight.  The realized shift
+    reads the top end of the flipped graph's P_sym from
+    ``spectral._extremes``, so from ``spectral.LANCZOS_MIN_NODES`` nodes on
+    no n x n matrix is built.
+    """
+    if not classify(G_b).is_balanced:
+        raise NotBalancedError("perturbation baseline must be a balanced graph")
+    flipped, ks = _flipped(G_b, flip_set)
+    flipped_weight = float(sum(np.abs(G_b.w[ks]).tolist()))  # in flip-set order, repeats included
+    m = float(G_b.degrees.sum()) / 2.0
+    delta = -2.0 * flipped_weight / m
+    realized = float(_extremes(flipped, _transition_edge_values(flipped), ends="top").eigenvalues[0] - 1.0)
+    return PerturbationEstimate(
+        delta_max=delta,
+        delta_min=-delta,
+        flipped_weight=flipped_weight,
+        m=m,
+        realized_shift_max=realized,
+    )

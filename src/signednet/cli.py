@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .balance import classify
+from .balance import EXACT_FRUSTRATION_EDGE_CAP, classify, frustration
 from .core import SignedGraph
 from .dynamics import (
     ELTConfig,
@@ -180,8 +180,6 @@ def _cmd_classify(args) -> int:
     if G.labels:
         doc["labels"] = list(G.labels)
     if args.frustration:
-        from .balance import EXACT_FRUSTRATION_EDGE_CAP, frustration
-
         mode = "exact" if G.num_edges <= EXACT_FRUSTRATION_EDGE_CAP else "heuristic"
         doc["frustration"] = frustration_to_json(frustration(G, args.frustration, mode=mode))
     _emit(doc, args.output)
@@ -207,10 +205,23 @@ _NUMBER_KEYS = {"n1": int, "n2": int, "n": int, "dbar": int, "seed": int,
                 "p_in": float, "p_out": float, "eta": float, "alpha": float, "sign_prob": float}
 
 
-def _cmd_generate(args) -> int:
-    config = json.loads(Path(args.config).read_text())
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object in the UTF-8 file at ``path``; ``what`` names the file in errors."""
+    data = Path(path).read_bytes()
+    try:
+        config = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParamOutOfRangeError(f"the {what} is not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                                   f"at offset {exc.start}") from None
+    except RecursionError:
+        raise ParamOutOfRangeError(f"the {what} is nested too deeply to parse") from None
     if not isinstance(config, dict):
-        raise ParamOutOfRangeError("the generate config must be a JSON object")
+        raise ParamOutOfRangeError(f"the {what} must be a JSON object")
+    return config
+
+
+def _cmd_generate(args) -> int:
+    config = _read_json_object(args.config, "generate config")
     accepted = _GENERATE_KEYS[args.kind]
     lattice_seed = args.kind == "lattice" and "seed" in config
     check_config_keys(config, f"{args.kind} config", accepted,
@@ -250,9 +261,7 @@ _SIMULATE_KEYS = ("horizon", "l0", "init", "theta_l", "alpha", "general_threshol
 
 def _cmd_simulate(args) -> int:
     G = load_graph(args.input)
-    config = json.loads(Path(args.config).read_text())
-    if not isinstance(config, dict):
-        raise ParamOutOfRangeError("the simulate config must be a JSON object")
+    config = _read_json_object(args.config, "simulate config")
     check_config_keys(config, "simulate config", _SIMULATE_KEYS)
     horizon = config_field(config, "horizon", 50, int)
     l0 = config_field(config, "l0", 1.0, float)

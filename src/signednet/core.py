@@ -15,11 +15,12 @@ a far node id fails at once instead of allocating memory by id.
 A graph matrix is one value per edge at (i_k, j_k) and (j_k, i_k): ``w``
 for W, ``abs(w)`` for |W| and :func:`_transition_edge_values` for P_sym.
 Every product with one is :meth:`SignedGraph._operator`, one
-``np.bincount`` over the edge arrays: the degrees, every simulator step in
+``np.bincount`` over both edge orientations, cached once per graph beside
+the CSR keys derived from them: the degrees, every simulator step in
 :mod:`signednet.dynamics` and every Lanczos matvec in
 :mod:`signednet.spectral`, none building an n x n matrix.  Every dense one
-(``weight_matrix``, :func:`symmetrized_transition`, the small-graph solves
-of ``spectral._extremes``) is its twin :meth:`SignedGraph._matrix`.
+(``weight_matrix`` and the full spectra of ``spectral._spectrum``) is its
+twin :meth:`SignedGraph._matrix`.
 
 State convention: dynamics use row vectors and left multiplication,
 ``x(t+1) = x(t) @ M``; the operator is oriented for that.
@@ -126,8 +127,14 @@ class SignedGraph:
         return _readonly(d)
 
     @cached_property
+    def _orientations(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge in both orientations: rows ``[i, j]`` and columns ``[j, i]``."""
+        return _readonly(np.concatenate([self.i, self.j])), _readonly(np.concatenate([self.j, self.i]))
+
+    @cached_property
     def _csr(self) -> _Neighbours:
-        keys = np.concatenate([self.i, self.j]) * self.n + np.concatenate([self.j, self.i])
+        rows, cols = self._orientations
+        keys = rows * self.n + cols
         order = np.argsort(keys)
         keys = np.concatenate((keys[order], [_INT64.max]))
         return _Neighbours(_readonly(keys), _readonly(np.concatenate((order % max(self.num_edges, 1), [-1]))),
@@ -169,8 +176,8 @@ class SignedGraph:
         at (i_k, j_k) and (j_k, i_k), never built: each product is one
         ``np.bincount`` over both edge orientations, so entry c sums the
         edges with i_k = c, then those with j_k = c, each in edge order."""
-        rows, cols = np.concatenate([self.i, self.j]), np.concatenate([self.j, self.i])
-        entries, n = np.concatenate([values, values]), self.n
+        (rows, cols), n = self._orientations, self.n
+        entries = np.concatenate([values, values])
         return lambda x: np.bincount(rows, weights=entries * x[cols], minlength=n)
 
     @property
@@ -329,15 +336,8 @@ def _positive_degrees(G: SignedGraph) -> np.ndarray:
 
 
 def _transition_edge_values(G: SignedGraph) -> np.ndarray:
-    """The entry of P_sym = D^-1/2 W D^-1/2 on every edge, w_k / sqrt(d_i d_j)."""
+    """The entry of P_sym = D^-1/2 W D^-1/2 on every edge, w_k / sqrt(d_i d_j):
+    P_sym is similar to P = D^-1 W, and its eigenvector v is D^1/2 times one of P."""
     inv_sqrt = 1.0 / np.sqrt(_positive_degrees(G))
     return G.w * inv_sqrt[G.i] * inv_sqrt[G.j]
 
-
-def symmetrized_transition(G: SignedGraph) -> np.ndarray:
-    """P_sym = D^-1/2 W D^-1/2, similar to P and symmetric.
-
-    Shares the spectrum of P; an eigenvector v of P_sym maps to the
-    eigenvector D^-1/2 v of P at the same eigenvalue.
-    """
-    return G._matrix(_transition_edge_values(G))

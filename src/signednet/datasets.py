@@ -6,7 +6,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .core import SignedGraph
-from .io import parse_edge_list
+from .io import load_graph, parse_edge_list
 
 #: set this environment variable to an edge-list path to replace the bundled
 #: highland-tribes reconstruction with another coding of the network
@@ -30,9 +30,8 @@ def highland_tribes(path: Optional[Union[str, Path]] = None) -> SignedGraph:
     """
     override = path or os.environ.get(TRIBES_PATH_ENV)
     if override:
-        return parse_edge_list(Path(override).read_text())
-    text = resources.files("signednet").joinpath("data/highland_tribes.edges").read_text()
-    return parse_edge_list(text)
+        return load_graph(override)
+    return parse_edge_list(resources.files("signednet").joinpath("data/highland_tribes.edges").read_text())
 
 
 def highland_tribes_is_published(path: Optional[Union[str, Path]] = None) -> bool:

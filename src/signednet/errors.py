@@ -51,10 +51,6 @@ class EdgeListParseError(SignedNetError):
 
 # ---- balance / spectral preconditions ------------------------------------
 
-class NotSymmetricError(SignedNetError):
-    pass
-
-
 class NotBalancedError(SignedNetError):
     pass
 

@@ -1,11 +1,12 @@
 """Edge-list text format, trajectory CSV and JSON serialization.
 
-Edge-list format: full-line comments start with ``#``; an optional first data
-line ``n <N>`` fixes the node count; every other data line is ``i j w`` with
-whitespace separation.  Node tokens may all be integers (used directly as
-0-based ids, node count inferred as max id + 1 unless declared) or all be
-arbitrary labels, which are mapped to ids in order of first appearance with
-the label table retained on the graph.
+Edge-list format: UTF-8 text (a leading byte-order mark is dropped);
+full-line comments start with ``#``; an optional first data line ``n <N>``
+fixes the node count; every other data line is ``i j w`` with whitespace
+separation.  Node tokens may all be integers (used directly as 0-based ids,
+node count inferred as max id + 1 unless declared) or all be arbitrary
+labels, which are mapped to ids in order of first appearance with the label
+table retained on the graph.
 
 Trajectory CSV: a ``t,node,value`` header, then one row per step ``t`` and
 node, ``t``-major; every line ends in CRLF (``\\r\\n``, the ``csv`` module's
@@ -29,7 +30,7 @@ PathLike = Union[str, Path]
 
 
 def _data_lines(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -90,7 +91,14 @@ def parse_edge_list(text: str) -> SignedGraph:
 
 
 def load_graph(path: PathLike) -> SignedGraph:
-    return parse_edge_list(Path(path).read_text())
+    """Parse the UTF-8 edge-list file at ``path``; an undecodable byte is an error at its line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[:exc.start].decode("utf-8") + "?").splitlines())  # "?" stands for the bad byte
+        raise EdgeListParseError(line_no, f"byte 0x{data[exc.start]:02x} is not UTF-8 text") from None
+    return parse_edge_list(text)
 
 
 def format_edge_list(G: SignedGraph, header: Optional[str] = None) -> str:
@@ -105,7 +113,7 @@ def format_edge_list(G: SignedGraph, header: Optional[str] = None) -> str:
 
 
 def write_edge_list(G: SignedGraph, path: PathLike, header: Optional[str] = None) -> None:
-    Path(path).write_text(format_edge_list(G, header=header))
+    Path(path).write_text(format_edge_list(G, header=header), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,24 @@
-"""Symmetric eigensolves and the spectral balance characterizations.
+"""Symmetric eigensolves and the spectral balance measures.
 
-Eigenvalues of the (nonsymmetric) transition matrix P are always obtained
-through its symmetric similarity P_sym = D^-1/2 W D^-1/2, never through a
-general nonsymmetric solver.
+Every solve takes a graph and one value per edge: ``w`` for W (the
+default), ``abs(w)`` for |W| and :func:`~signednet.core._transition_edge_values`
+for P_sym = D^-1/2 W D^-1/2, the symmetric similarity of the transition
+matrix P, so no nonsymmetric solver is ever used.  :func:`_spectrum` returns
+a full dense spectrum (the spectrum correspondence and the walk horizons of
+verification).  :func:`_extremes` returns only its ends (the balance
+measures, heuristic frustration, the perturbation shift) and is the one
+place that picks a solver: the end columns of :func:`_spectrum` below
+:data:`LANCZOS_MIN_NODES` nodes, else :func:`_lanczos_extremes`, a plain
+Lanczos recurrence on the edge arrays that stores no basis and builds no
+n x n matrix.  Each caller solves only the ends it reports: ``d_b`` and
+``d_a`` both ends of P_sym (:func:`_distances`, all that CLI ``classify``
+prints), the radii both ends of W and the top of |W|, heuristic frustration
+the top of W or -W with its vector.  It is all numpy; no scipy is imported.
 
-Two dense entry points do every full eigensolve, sharing one symmetry check:
-:func:`eigenvalues_symmetric` (the walk horizons of verification criterion
-6) and :func:`eigendecompose_symmetric`, which adds sign-normalised
-eigenvectors (:func:`verify_spectral_theorem`).  The balance measures,
-heuristic frustration and the realized shift of :func:`perturbation_estimate`
-read only the ends of a spectrum, all from :func:`_extremes`, the one place
-that picks a solver: dense below :data:`LANCZOS_MIN_NODES` nodes, else
-:func:`_lanczos_extremes`, a plain Lanczos recurrence on the edge arrays
-that stores no basis and builds no n x n matrix.  Each caller solves only
-the ends it reports: ``d_b`` and ``d_a`` both ends of P_sym
-(:func:`_distances`, all that CLI ``classify`` prints), the radii both ends
-of W and the top of |W|, heuristic frustration the top of W or -W with its
-vector.  Everything is numpy: no scipy is imported.
-
-The two distance measures live here:
-
-* ``d_b``: smallest eigenvalue of the random-walk Laplacian, zero exactly on
-  balanced graphs;
-* ``d_a``: gap between 2 and its largest eigenvalue, zero exactly on
-  antibalanced graphs.
-
-Both are invariant under switching and under uniform weight scaling.
+The distance ``d_b``, the smallest eigenvalue of the random-walk Laplacian,
+is zero exactly on balanced graphs, and ``d_a``, the gap between 2 and its
+largest, exactly on antibalanced ones.  Both are invariant under switching
+and under uniform weight scaling.
 """
 
 from __future__ import annotations
@@ -36,19 +29,9 @@ from typing import Callable, Iterator, Literal, NamedTuple, Optional
 
 import numpy as np
 
-from .balance import BalanceClassification, Verdict, apply_flip_set, classify
-from .core import SignedGraph, _transition_edge_values, unsigned_counterpart
-from .errors import (
-    EdgeNotPresentError,
-    LanczosNotConvergedError,
-    NotBalancedError,
-    NotSymmetricError,
-    WrongVerdictError,
-)
+from .core import SignedGraph, _transition_edge_values
+from .errors import LanczosNotConvergedError
 
-SYMMETRY_TOLERANCE = 1e-12
-#: adjacent eigenvalues closer than this are treated as one degenerate group
-DEGENERACY_GAP = 1e-8
 #: graphs with at least this many nodes take the ends of a spectrum from
 #: Lanczos, smaller ones from dense solves (read only by :func:`_extremes`).
 #: On two-block SSBMs of mean degree 12 (eta = 0.05) with one BLAS thread,
@@ -69,56 +52,12 @@ _LANCZOS_SEED = 0
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in descending order with matching orthonormal eigenvectors.
-
-    Column k of ``eigenvectors`` belongs to ``eigenvalues[k]``.  Vector signs
-    follow a deterministic convention: the largest-magnitude entry of each
-    column is positive (first such entry on exact ties).  ``eigenvectors`` is
-    None when only eigenvalues were solved.
-    """
+    """Eigenvalues in descending order and their orthonormal eigenvectors,
+    column k for ``eigenvalues[k]`` and signed by :func:`_sign_normalised`
+    (None when only eigenvalues were solved)."""
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray]
-
-    def degenerate_groups(self, gap: float = DEGENERACY_GAP) -> list[list[int]]:
-        """Indices grouped by eigenvalue proximity (descending order)."""
-        groups: list[list[int]] = [[0]]
-        for k in range(1, len(self.eigenvalues)):
-            if abs(self.eigenvalues[k - 1] - self.eigenvalues[k]) < gap:
-                groups[-1].append(k)
-            else:
-                groups.append([k])
-        return groups
-
-
-def _checked_symmetric(M: np.ndarray) -> np.ndarray:
-    """M itself when exactly symmetric, else its exactly symmetric part, or
-    :class:`NotSymmetricError`."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotSymmetricError(f"expected a square matrix, got shape {M.shape}")
-    asym = float(np.max(np.abs(M - M.T))) if M.size else 0.0
-    if asym > SYMMETRY_TOLERANCE:
-        raise NotSymmetricError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
-    # (M + M^T) / 2 to the bit outside the subnormals, without overflowing near the float maximum
-    return M if asym == 0.0 else M / 2.0 + M.T / 2.0
-
-
-def eigenvalues_symmetric(M: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix in descending order, no eigenvectors.
-
-    Raises :class:`NotSymmetricError` when max |M - M^T| exceeds 1e-12.
-    """
-    return np.linalg.eigvalsh(_checked_symmetric(M))[::-1].copy()
-
-
-def eigendecompose_symmetric(M: np.ndarray) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix, descending eigenvalues.
-
-    Raises :class:`NotSymmetricError` when max |M - M^T| exceeds 1e-12.
-    """
-    vals, vecs = np.linalg.eigh(_checked_symmetric(M))
-    return Spectrum(eigenvalues=vals[::-1].copy(), eigenvectors=_sign_normalised(vecs[:, ::-1].copy()))
 
 
 def _sign_normalised(vecs: np.ndarray) -> np.ndarray:
@@ -128,6 +67,18 @@ def _sign_normalised(vecs: np.ndarray) -> np.ndarray:
         lead = np.argmax(np.abs(vecs), axis=0)  # argmax picks the first entry on exact ties
         vecs *= np.where(vecs[lead, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
     return vecs
+
+
+def _spectrum(G: SignedGraph, values: Optional[np.ndarray] = None, vectors: bool = False) -> Spectrum:
+    """The full spectrum of the matrix holding ``values`` on the edges (W
+    when None), built dense: eigenvalues in descending order by ``eigvalsh``,
+    or by ``eigh`` with sign-normalised eigenvectors if ``vectors``.  The
+    full-spectrum twin of :func:`_extremes`."""
+    M = G.weight_matrix if values is None else G._matrix(values)
+    if not vectors:
+        return Spectrum(eigenvalues=np.linalg.eigvalsh(M)[::-1], eigenvectors=None)
+    vals, vecs = np.linalg.eigh(M)
+    return Spectrum(eigenvalues=vals[::-1], eigenvectors=_sign_normalised(vecs)[:, ::-1])
 
 
 def _lanczos_step_cap(n: int) -> int:
@@ -183,7 +134,7 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", 
 
     With ``vectors``, each end's Ritz vector is rebuilt by replaying the
     recurrence with the stored coefficients up to that end's step, unit
-    normalised and signed like :func:`eigendecompose_symmetric`.  Returns
+    normalised and signed like :func:`_spectrum`.  Returns
     eigenvalues ``[top, bottom]`` or ``[top]`` with matching columns.
     """
     n = G.n
@@ -227,81 +178,20 @@ def _extremes(G: SignedGraph, values: Optional[np.ndarray] = None, ends: Literal
               vectors: bool = False) -> Spectrum:
     """Eigenpairs ``[top, bottom]`` (``"both"``) or ``[top]`` (``"top"``) of
     the matrix holding ``values`` on the edges (W when None): from
-    :data:`LANCZOS_MIN_NODES` nodes on by :func:`_lanczos_extremes`, below by
-    dense ``eigvalsh``, or ``eigh`` with sign-normalised vectors if
-    ``vectors``.  Only the requested ends are returned, so no caller reads an
-    end that was never tested for convergence."""
+    :data:`LANCZOS_MIN_NODES` nodes on by :func:`_lanczos_extremes`, below as
+    the end columns of :func:`_spectrum`, with vectors only if ``vectors``.
+    Only the requested ends are returned, so no caller reads an end that was
+    never tested for convergence."""
     if G.n >= LANCZOS_MIN_NODES:
         return _lanczos_extremes(G, G.w if values is None else values, ends, vectors)
-    M = G.weight_matrix if values is None else G._matrix(values)
-    columns = [-1, 0] if ends == "both" else [-1]
-    if not vectors:
-        return Spectrum(eigenvalues=np.linalg.eigvalsh(M)[columns], eigenvectors=None)
-    vals, vecs = np.linalg.eigh(M)
-    return Spectrum(eigenvalues=vals[columns], eigenvectors=_sign_normalised(vecs[:, columns]))
+    full = _spectrum(G, values, vectors)
+    columns = [0, -1] if ends == "both" else [0]
+    return Spectrum(eigenvalues=full.eigenvalues[columns],
+                    eigenvectors=None if full.eigenvectors is None else full.eigenvectors[:, columns])
 
 
 # ---------------------------------------------------------------------------
-# spectral theorem verification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpectralTheoremReport:
-    """Deviations between the signed spectrum and its unsigned counterpart.
-
-    For a balanced graph the spectra must agree and eigenspaces must match
-    after switching; for an antibalanced graph the spectrum is the reversed
-    negation.  ``subspace_max_dev`` compares spectral projectors groupwise so
-    degenerate eigenspaces are handled; ``leading_magnitude_dev`` compares the
-    entrywise magnitudes of the spectral-radius eigenvectors.
-    """
-
-    verdict: Verdict
-    eigenvalue_max_dev: float
-    subspace_max_dev: float
-    leading_magnitude_dev: float
-
-
-def _group_projector(spec: Spectrum, group: list[int]) -> np.ndarray:
-    V = spec.eigenvectors[:, group]
-    return V @ V.T
-
-
-def verify_spectral_theorem(G: SignedGraph, c: BalanceClassification) -> SpectralTheoremReport:
-    """Check the balanced/antibalanced eigenstructure correspondence.
-
-    Requires a Balanced, Antibalanced or Both verdict; for Both the balanced
-    correspondence is checked (the antibalanced one follows by negation).
-    """
-    if c.verdict == Verdict.STRICTLY_UNBALANCED:
-        raise WrongVerdictError("spectrum correspondence only holds for balanced or antibalanced graphs")
-    signed = eigendecompose_symmetric(G.weight_matrix)
-    unsigned = eigendecompose_symmetric(unsigned_counterpart(G).weight_matrix)
-
-    s = c.certificate.s.astype(float)
-    # signed eigenpair order[k] matches unsigned eigenpair k, with its eigenvalue negated if antibalanced
-    order = np.arange(G.n) if c.is_balanced else np.arange(G.n)[::-1]
-    negation = 1.0 if c.is_balanced else -1.0
-    values_dev = float(np.max(np.abs(signed.eigenvalues[order] - negation * unsigned.eigenvalues)))
-
-    subspace_dev = 0.0
-    for group in unsigned.degenerate_groups():
-        proj_signed = _group_projector(signed, order[group])
-        conjugated = _group_projector(unsigned, group) * np.outer(s, s)
-        subspace_dev = max(subspace_dev, float(np.max(np.abs(proj_signed - conjugated))))
-
-    lead_signed, lead_unsigned = signed.eigenvectors[:, order[0]], unsigned.eigenvectors[:, 0]
-    leading_dev = float(np.max(np.abs(np.abs(lead_signed) - np.abs(lead_unsigned))))
-    return SpectralTheoremReport(
-        verdict=c.verdict,
-        eigenvalue_max_dev=values_dev,
-        subspace_max_dev=subspace_dev,
-        leading_magnitude_dev=leading_dev,
-    )
-
-
-# ---------------------------------------------------------------------------
-# balance measures and perturbation
+# balance measures
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -351,49 +241,4 @@ def balance_measures(G: SignedGraph) -> BalanceMeasures:
         d_a=d.d_a,
         spectral_radius_signed=float(max(w_vals[0], -w_vals[-1])),
         spectral_radius_unsigned=float(rho_unsigned),
-    )
-
-
-@dataclass(frozen=True)
-class PerturbationEstimate:
-    """First-order eigenvalue shifts caused by flipping a set of edge signs.
-
-    ``delta_max`` is the predicted shift of the largest transition eigenvalue
-    away from 1 (so the induced d_b is ``-delta_max``); ``delta_min`` is the
-    antibalanced dual obtained on the negated graph.  ``realized_shift_max``
-    is the exact shift measured on the flipped graph.
-    """
-
-    delta_max: float
-    delta_min: float
-    flipped_weight: float
-    m: float
-    realized_shift_max: float
-
-
-def perturbation_estimate(G_b: SignedGraph, flip_set) -> PerturbationEstimate:
-    """First-order estimate -2 * sum |W_ij| / m for flipping ``flip_set``.
-
-    ``G_b`` must be balanced; every flip edge must exist.  ``m`` is half the
-    total degree, i.e. the total absolute edge weight.  The realized shift
-    reads the top end of the flipped graph's P_sym from :func:`_extremes`,
-    so from :data:`LANCZOS_MIN_NODES` nodes on no n x n matrix is built.
-    """
-    c = classify(G_b)
-    if not c.is_balanced:
-        raise NotBalancedError("perturbation baseline must be a balanced graph")
-    for e in flip_set:
-        if not G_b.has_edge(e[0], e[1]):
-            raise EdgeNotPresentError(f"edge ({e[0]}, {e[1]}) is not present in the graph")
-    flipped_weight = float(sum(abs(G_b.weight(e[0], e[1])) for e in flip_set))
-    m = float(G_b.degrees.sum()) / 2.0
-    delta = -2.0 * flipped_weight / m
-    flipped = apply_flip_set(G_b, flip_set)
-    realized = float(_extremes(flipped, _transition_edge_values(flipped), ends="top").eigenvalues[0] - 1.0)
-    return PerturbationEstimate(
-        delta_max=delta,
-        delta_min=-delta,
-        flipped_weight=flipped_weight,
-        m=m,
-        realized_shift_max=realized,
     )

@@ -22,8 +22,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import datasets
-from .balance import Verdict, apply_flip_set, bipartite_partition, classify
-from .core import SignedGraph, build_graph, symmetrized_transition, unsigned_counterpart
+from .balance import (Verdict, apply_flip_set, bipartite_partition, classify, perturbation_estimate,
+                      verify_spectral_theorem)
+from .core import SignedGraph, _transition_edge_values, build_graph, unsigned_counterpart
 from .dynamics import (
     ELTConfig,
     StationaryKind,
@@ -36,7 +37,7 @@ from .dynamics import (
     random_walk_simulate,
 )
 from .generate import BalancedPlan, FlipKPlan, AntibalancedPlan, LatticeParams, SSBMParams, ring_lattice, ssbm
-from .spectral import balance_measures, eigenvalues_symmetric, perturbation_estimate, verify_spectral_theorem
+from .spectral import _spectrum, balance_measures
 
 
 @dataclass(frozen=True)
@@ -323,7 +324,7 @@ def criterion_stationary_states() -> CriterionResult:
 
     for G in ssbm_with_verdict(0.1, Verdict.STRICTLY_UNBALANCED, 50, seed0=300):
         x0 = random_unit_l1(G.n)
-        rho = float(np.max(np.abs(eigenvalues_symmetric(symmetrized_transition(G)))))
+        rho = float(np.max(np.abs(_spectrum(G, _transition_edge_values(G)).eigenvalues)))
         T = int(np.ceil(10.0 / (-np.log10(rho))))
         traj = random_walk_simulate(G, x0, T)
         worst_decay = max(worst_decay, float(np.max(np.abs(traj.final))))
@@ -336,7 +337,7 @@ def criterion_stationary_states() -> CriterionResult:
 
 def _mixing_horizon(G: SignedGraph, target: float = 1e-9, cap: int = 20000) -> int:
     """Steps needed for the subdominant transition mode to fall below target."""
-    vals = eigenvalues_symmetric(symmetrized_transition(G))
+    vals = _spectrum(G, _transition_edge_values(G)).eigenvalues
     sub = sorted(np.abs(vals))[-2]
     if sub >= 1.0 - 1e-12:
         return cap

@@ -11,8 +11,8 @@ trajectory CSV from one ``csv.writer`` row per value (read back by a strict
 and trajectories from one hand-written loop per simulator.
 
 The dense matrices the package no longer builds live here as references:
-the signed and random-walk Laplacians, the transition matrix P = D^-1 W and
-the doubled two-species matrices.  So do three oracles for results of the
+the signed and random-walk Laplacians, the transition matrix P = D^-1 W, its
+symmetric similarity P_sym and the doubled two-species matrices.  So do three oracles for results of the
 paper that no CLI path or verification criterion needs: sign-conflicting
 walks, the sign pattern of P^t and the rank-1 approximation of W^t.
 """
@@ -26,8 +26,7 @@ import numpy as np
 
 from signednet import SignedGraph
 from signednet.balance import Bipartition, Verdict, apply_flip_set, classify, negate
-from signednet.core import WEIGHT_TOLERANCE, Edge, build_graph, unsigned_counterpart
-from signednet.spectral import eigendecompose_symmetric
+from signednet.core import WEIGHT_TOLERANCE, Edge, build_graph
 from signednet.errors import (
     DuplicateEdgeError,
     IdOutOfRangeError,
@@ -47,13 +46,13 @@ __all__ = [
     "frustration_by_edge_subsets",
     "frustration_by_node_signings",
     "nonsymmetric_eigenvalues",
-    "random_symmetric_matrix",
     "normalize_edges_reference",
     "read_trajectory_csv",
     "write_trajectory_reference",
     "ring_lattice_reference",
     "signed_laplacian",
     "transition_matrix",
+    "symmetrized_transition",
     "random_walk_laplacian",
     "doubled_adjacency",
     "doubled_transition",
@@ -166,11 +165,6 @@ def nonsymmetric_eigenvalues(M: np.ndarray) -> np.ndarray:
     return np.sort(vals.real)[::-1]
 
 
-def random_symmetric_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    M = rng.standard_normal((n, n))
-    return (M + M.T) / 2.0
-
-
 def write_trajectory_reference(states: np.ndarray, fh: TextIO) -> None:
     """Trajectory CSV by one ``csv.writer`` row and one ``repr`` per value:
     the slow writer that ``signednet.io.write_trajectory_csv`` must match
@@ -259,6 +253,11 @@ def transition_matrix(G: SignedGraph) -> np.ndarray:
     return G.weight_matrix / G.degrees[:, None]
 
 
+def symmetrized_transition(G: SignedGraph) -> np.ndarray:
+    """P_sym = D^-1/2 W D^-1/2, symmetric and similar to P."""
+    return G.weight_matrix / np.sqrt(np.outer(G.degrees, G.degrees))
+
+
 def random_walk_laplacian(G: SignedGraph) -> np.ndarray:
     """Signed random-walk Laplacian L_rw = I - D^-1 W."""
     return np.eye(G.n) - transition_matrix(G)
@@ -331,10 +330,10 @@ def rank1_approximation(G: SignedGraph, t: int) -> np.ndarray:
     """
     c = classify(G)
     assert c.certificate is not None and c.verdict != Verdict.BOTH
-    unsigned = eigendecompose_symmetric(unsigned_counterpart(G).weight_matrix)
-    lam = float(unsigned.eigenvalues[0])
+    vals, vecs = np.linalg.eigh(np.abs(G.weight_matrix))
+    lam = float(vals[-1])
     signed_lead = lam if c.is_balanced else -lam
-    v = c.certificate.s.astype(float) * unsigned.eigenvectors[:, 0]
+    v = c.certificate.s.astype(float) * vecs[:, -1]
     return (signed_lead ** t) * np.outer(v, v)
 
 

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import signednet as sn
+from signednet.core import _transition_edge_values
 from signednet.errors import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -89,6 +92,21 @@ class TestDegrees:
         G.degrees
         assert "weight_matrix" not in G.__dict__
 
+    def test_operator_reuses_the_cached_edge_orientations(self):
+        G = sn.ring_lattice(sn.LatticeParams(n=20000, dbar=10, alpha=0.5, sign_plan=sn.BalancedPlan()))
+        m = G.num_edges
+        G.degrees  # one product: caches both edge orientations
+        rows, cols = G._orientations
+        assert np.array_equal(G._csr.keys[:-1], np.sort(rows * G.n + cols))
+        tracemalloc.start()
+        try:
+            G._operator(G.w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the doubled values take 16m bytes; rebuilt row and column indices would add 32m more
+        assert peak < 24 * m
+
 
 class TestUnsignedAndSignAdjacency:
     def test_all_negative_becomes_all_positive(self, triangle_negative):
@@ -152,17 +170,18 @@ class TestTransitionMatrices:
             assert np.allclose(np.abs(P).sum(axis=1), 1.0)
 
     def test_regular_graph_symmetrized_equals_transition(self, triangle_negative):
-        assert np.allclose(sn.symmetrized_transition(triangle_negative), transition_matrix(triangle_negative))
+        P_sym = triangle_negative._matrix(_transition_edge_values(triangle_negative))
+        assert np.allclose(P_sym, transition_matrix(triangle_negative))
 
     def test_symmetrized_shares_spectrum_with_transition(self):
         for G in random_connected_corpus(25, seed=23):
-            sym = np.linalg.eigvalsh(sn.symmetrized_transition(G))
+            sym = np.linalg.eigvalsh(G._matrix(_transition_edge_values(G)))
             plain = nonsymmetric_eigenvalues(transition_matrix(G))
             assert np.allclose(np.sort(sym), np.sort(plain), atol=1e-10)
 
     def test_eigenvector_map_between_p_and_p_sym(self):
         G = sn.build_graph(4, [(0, 1, 1.0), (1, 2, -2.0), (2, 3, 1.0), (0, 3, 1.0), (0, 2, -1.0)])
-        vals, vecs = np.linalg.eigh(sn.symmetrized_transition(G))
+        vals, vecs = np.linalg.eigh(G._matrix(_transition_edge_values(G)))
         P = transition_matrix(G)
         d_inv_sqrt = 1 / np.sqrt(G.degrees)
         for k in range(G.n):

@@ -7,6 +7,7 @@ import pytest
 import signednet as sn
 from signednet import datasets
 from signednet.cli import main
+from signednet.errors import EdgeListParseError
 from signednet.verify import (
     CriterionResult,
     criterion_highland_tribes,
@@ -41,6 +42,13 @@ class TestHighlandTribes:
         alt.write_text("0 1 1.0\n1 2 1.0\n0 2 1.0\n")
         monkeypatch.setenv(datasets.TRIBES_PATH_ENV, str(alt))
         assert datasets.highland_tribes().n == 3
+
+    def test_env_override_is_read_as_an_edge_list_file(self, tmp_path, monkeypatch):
+        alt = tmp_path / "alt.edges"
+        alt.write_bytes(b"0 1 1.0\n\xff 2 1.0\n")
+        monkeypatch.setenv(datasets.TRIBES_PATH_ENV, str(alt))
+        with pytest.raises(EdgeListParseError, match="line 2: byte 0xff is not UTF-8 text"):
+            datasets.highland_tribes()
 
     def test_published_comparison_fails_a_supplied_reconstruction(self, tmp_path, monkeypatch, capsys):
         # a supplied file counts as a published coding, so the bundled

@@ -303,6 +303,49 @@ class TestCLI:
         assert [r["passed"] for r in doc] == [True, True]
 
 
+class TestUnreadableFiles:
+    """A file that is not UTF-8 text, or a config nested too deeply to parse,
+    is a data error: exit 2 and one error line."""
+
+    @pytest.mark.parametrize("data, line_no, byte", [
+        (b"\xff0 1 1\n1 2 1\n", 1, "0xff"),
+        (b"0 1 1\n# caf\xe9\n1 2 1\n", 2, "0xe9"),
+        (b"0 1 1\r\n1 2 1\r\n\r\n0 2 \x80\r\n", 4, "0x80"),  # CRLF and an empty line count once each
+        (b"\xef\xbb\xbf0 1 1\n1 2 \xff\n", 2, "0xff"),  # after a byte-order mark
+    ], ids=["first-byte", "comment", "crlf", "byte-order-mark"])
+    @pytest.mark.parametrize("command", ["classify", "measure"])
+    def test_edge_list_names_the_line(self, tmp_path, capsys, command, data, line_no, byte):
+        path = tmp_path / "bad.edges"
+        path.write_bytes(data)
+        assert main([command, "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: line {line_no}: byte {byte} is not UTF-8 text\n"
+        with pytest.raises(EdgeListParseError) as exc:
+            load_graph(path)
+        assert exc.value.line_no == line_no
+
+    def test_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path):
+        path = tmp_path / "bom.edges"
+        path.write_bytes(b"\xef\xbb\xbf2 0 1\n0 1 -1\n1 2 1\n")
+        expected = parse_edge_list("2 0 1\n0 1 -1\n1 2 1\n").edges
+        for G in (load_graph(path), parse_edge_list("\ufeff2 0 1\n0 1 -1\n1 2 1\n")):
+            assert (G.n, G.labels, G.edges) == (3, None, expected)
+
+    @pytest.mark.parametrize("data, problem", [
+        (b'{"horizon": 3, "n1": \xff}', "is not UTF-8 text: byte 0xff at offset 21"),
+        (b"[" * 100_000 + b"]" * 100_000, "is nested too deeply to parse"),
+    ], ids=["undecodable", "deep"])
+    @pytest.mark.parametrize("command", [["generate", "ssbm"], ["simulate", "rw", "--input", "{net}"]],
+                             ids=["generate", "simulate"])
+    def test_config(self, tmp_path, capsys, command, data, problem):
+        net, config = tmp_path / "tri.edges", tmp_path / "config.json"
+        net.write_text("0 1 1\n1 2 -1\n0 2 1\n")
+        config.write_bytes(data)
+        argv = [arg.format(net=net) for arg in command]
+        assert main([*argv, "--config", str(config), "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: the {command[0]} config {problem}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestNonFiniteWeights:
     @pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
     def test_build_graph_rejects(self, w):

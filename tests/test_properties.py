@@ -8,11 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import signednet as sn
 from signednet.balance import Bipartition, apply_flip_set
-from signednet.core import SignedGraph, _checked_edges, _columns, symmetrized_transition
+from signednet.core import SignedGraph, _checked_edges, _columns
 from signednet.errors import DisconnectedError, GraphConstructionError
 
 from signednet.io import format_edge_list
-from signednet.spectral import _lanczos_extremes, _transition_edge_values
+from signednet.spectral import LANCZOS_MIN_NODES, _extremes, _lanczos_extremes, _spectrum, _transition_edge_values
 
 from helpers import (
     components_by_union_find,
@@ -31,6 +31,7 @@ from helpers import (
     propagate_signs,
     ring_lattice_reference,
     signed_laplacian,
+    symmetrized_transition,
     transition_matrix,
     walk_until_stationary_reference,
 )
@@ -481,6 +482,23 @@ def test_lanczos_extremes_match_dense_eigvalsh(case):
         assert abs(1.0 - ends["P_sym"][0]) <= 1e-12
     if kind in ("tree", "balanced_bipartite"):  # also antibalanced, so d_a = 0
         assert abs(1.0 + ends["P_sym"][1]) <= 1e-12
+
+
+@given(lanczos_graphs(), st.sampled_from(["both", "top"]), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_dense_extremes_are_the_end_columns_of_the_full_spectrum(case, ends, vectors):
+    _, G = case
+    assert G.n < LANCZOS_MIN_NODES
+    columns = [0, -1] if ends == "both" else [0]
+    for values, M in ((None, G.weight_matrix), (np.abs(G.w), np.abs(G.weight_matrix)),
+                      (_transition_edge_values(G), transition_matrix(G))):  # P_sym is similar to P
+        full, got = _spectrum(G, values, vectors), _extremes(G, values, ends, vectors)
+        assert np.array_equal(got.eigenvalues, full.eigenvalues[columns])
+        if vectors:
+            assert np.array_equal(got.eigenvectors, full.eigenvectors[:, columns])
+        else:
+            assert got.eigenvectors is None and full.eigenvectors is None
+        assert np.max(np.abs(full.eigenvalues - nonsymmetric_eigenvalues(M))) <= 1e-10
 
 
 @given(connected_signed_graphs())

@@ -5,91 +5,83 @@ import pytest
 
 import signednet as sn
 from signednet import Verdict
-from signednet.errors import (
-    EdgeNotPresentError,
-    LanczosNotConvergedError,
-    NotBalancedError,
-    NotSymmetricError,
-    WrongVerdictError,
-)
+from signednet.errors import EdgeNotPresentError, LanczosNotConvergedError, NotBalancedError, WrongVerdictError
 from signednet import spectral
 from signednet.balance import apply_flip_set
 from signednet.cli import main
-from signednet.core import _transition_edge_values, symmetrized_transition
+from signednet.core import _transition_edge_values
 from signednet.io import write_edge_list
-from signednet.spectral import LANCZOS_MIN_NODES, _extremes
+from signednet.spectral import LANCZOS_MIN_NODES, _extremes, _sign_normalised, _spectrum
 
-from helpers import doubled_transition, random_connected_corpus, random_symmetric_matrix, transition_matrix
+from helpers import doubled_transition, random_connected_corpus, symmetrized_transition, transition_matrix
 
 
-class TestEigendecomposeSymmetric:
+def random_weighted_graph(rng, n):
+    """A connected graph on n nodes: a random tree plus each other pair with
+    probability 1/2, standard normal weights of either sign."""
+    pairs = {(int(rng.integers(0, child)), child) for child in range(1, n)}
+    upper = np.transpose(np.triu_indices(n, 1))
+    pairs |= set(map(tuple, upper[rng.random(len(upper)) < 0.5].tolist()))
+    return sn.build_graph(n, [(a, b, rng.standard_normal()) for a, b in sorted(pairs)])
+
+
+class TestSpectrum:
     def test_two_by_two_exchange(self):
-        spec = sn.eigendecompose_symmetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        spec = _spectrum(sn.build_graph(2, [(0, 1, 1.0)]), vectors=True)
         assert np.allclose(spec.eigenvalues, [1, -1])
 
     def test_triangle_adjacency_spectrum(self, triangle_positive):
-        spec = sn.eigendecompose_symmetric(triangle_positive.weight_matrix)
+        spec = _spectrum(triangle_positive, vectors=True)
         assert np.allclose(spec.eigenvalues, [2, -1, -1])
 
     def test_identity(self):
-        spec = sn.eigendecompose_symmetric(np.eye(5))
-        assert np.allclose(spec.eigenvalues, np.ones(5))
-
-    def test_not_symmetric_rejected(self):
-        with pytest.raises(NotSymmetricError):
-            sn.eigendecompose_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        # the identity's columns are already signed; negated ones get their sign back
+        assert np.array_equal(_sign_normalised(np.eye(5)), np.eye(5))
+        assert np.array_equal(_sign_normalised(-np.eye(5)), np.eye(5))
 
     def test_reconstruction_and_orthonormality_invariants(self, rng):
-        # the contract batch: random symmetric matrices up to n = 64
+        # the contract batch: random weighted signed graphs up to n = 64
         for _ in range(1000):
             n = int(rng.integers(2, 65))
-            M = random_symmetric_matrix(rng, n)
-            spec = sn.eigendecompose_symmetric(M)
-            scale = np.linalg.norm(M)
+            G = random_weighted_graph(rng, n)
+            spec = _spectrum(G, vectors=True)
+            W = G.weight_matrix
             reconstructed = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T
-            assert np.linalg.norm(M - reconstructed) <= 1e-9 * max(scale, 1e-30)
+            assert np.linalg.norm(W - reconstructed) <= 1e-9 * np.linalg.norm(W)
             assert np.max(np.abs(spec.eigenvectors.T @ spec.eigenvectors - np.eye(n))) <= 1e-10
             assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
 
     def test_sign_convention_is_deterministic(self, rng):
-        M = random_symmetric_matrix(rng, 8)
-        a = sn.eigendecompose_symmetric(M)
-        b = sn.eigendecompose_symmetric(M.copy())
+        G = random_weighted_graph(rng, 8)
+        a = _spectrum(G, vectors=True)
+        b = _spectrum(G._reweighted(G.w.copy()), vectors=True)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
         for k in range(8):
             col = a.eigenvectors[:, k]
             assert col[int(np.argmax(np.abs(col)))] > 0
 
     def test_sign_convention_first_entry_decides_exact_ties(self):
-        # (1, -1)/sqrt(2) ties exactly in magnitude: the first entry is made positive
-        spec = sn.eigendecompose_symmetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.abs(spec.eigenvectors[0, 1]) == np.abs(spec.eigenvectors[1, 1])
-        assert spec.eigenvectors[0, 1] > 0 > spec.eigenvectors[1, 1]
+        # entries of equal magnitude: the first of them is made positive
+        vecs = _sign_normalised(np.array([[0.5, -0.5], [-0.5, 0.5], [0.5, 0.0]]))
+        assert np.array_equal(vecs, [[0.5, 0.5], [-0.5, -0.5], [0.5, 0.0]])
 
     def test_sign_convention_matches_per_column_rule(self, rng):
         for _ in range(50):
-            M = random_symmetric_matrix(rng, int(rng.integers(1, 40)))
-            spec = sn.eigendecompose_symmetric(M)
-            _, raw = np.linalg.eigh(M)
+            G = random_weighted_graph(rng, int(rng.integers(1, 40)))
+            spec = _spectrum(G, vectors=True)
+            _, raw = np.linalg.eigh(G.weight_matrix)
             for k, col in enumerate(raw[:, ::-1].T):
                 expected = -col if col[int(np.argmax(np.abs(col)))] < 0 else col
                 assert np.array_equal(spec.eigenvectors[:, k], expected)
 
-
-class TestEigenvaluesSymmetric:
-    def test_matches_full_decomposition(self, rng):
+    def test_values_only_solve_matches_full_decomposition(self, rng):
         for _ in range(200):
-            M = random_symmetric_matrix(rng, int(rng.integers(1, 65)))
-            vals = sn.eigenvalues_symmetric(M)
-            full = sn.eigendecompose_symmetric(M).eigenvalues
-            assert np.all(np.diff(vals) <= 1e-12)
-            assert np.max(np.abs(vals - full)) <= 1e-12 * max(1.0, np.abs(full).max())
-
-    def test_not_symmetric_rejected(self):
-        with pytest.raises(NotSymmetricError):
-            sn.eigenvalues_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
-        with pytest.raises(NotSymmetricError, match="square"):
-            sn.eigenvalues_symmetric(np.zeros((2, 3)))
+            G = random_weighted_graph(rng, int(rng.integers(1, 65)))
+            spec = _spectrum(G)
+            full = _spectrum(G, vectors=True).eigenvalues
+            assert spec.eigenvectors is None
+            assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
+            assert np.max(np.abs(spec.eigenvalues - full)) <= 1e-12 * max(1.0, np.abs(full).max())
 
 
 class TestSpectralTheorem:
@@ -100,7 +92,7 @@ class TestSpectralTheorem:
         assert report.leading_magnitude_dev < 1e-8
 
     def test_antibalanced_graph_matches_reversed_negation(self, triangle_negative):
-        spec = sn.eigendecompose_symmetric(triangle_negative.weight_matrix)
+        spec = _spectrum(triangle_negative)
         assert np.allclose(spec.eigenvalues, [1, 1, -2])
         report = sn.verify_spectral_theorem(triangle_negative, sn.classify(triangle_negative))
         assert report.eigenvalue_max_dev < 1e-9
@@ -320,7 +312,7 @@ class TestExtremesBelowLanczos:
 
     def test_vectors_are_the_dense_end_columns_bit_for_bit(self):
         for G in random_connected_corpus(40, max_n=30, seed=101):
-            ends, full = _extremes(G, vectors=True), sn.eigendecompose_symmetric(G.weight_matrix)
+            ends, full = _extremes(G, vectors=True), _spectrum(G, vectors=True)
             assert np.array_equal(ends.eigenvalues, full.eigenvalues[[0, -1]])
             assert np.array_equal(ends.eigenvectors, full.eigenvectors[:, [0, -1]])
 
@@ -381,6 +373,21 @@ class TestPerturbationEstimate:
         est = sn.perturbation_estimate(G, [(e.i, e.j)])
         assert est.realized_shift_max == pytest.approx(est.delta_max, rel=0.15)
 
+    def test_an_edge_named_twice_counts_its_weight_twice(self):
+        G = sn.ssbm(sn.SSBMParams(n1=5, n2=5, p_in=1.0, p_out=1.0, eta=0.0, alpha=0.3, seed=0))
+        e = G.edges[0]
+        once, twice = sn.perturbation_estimate(G, [(e.i, e.j)]), sn.perturbation_estimate(G, [(e.i, e.j), (e.j, e.i)])
+        assert twice.flipped_weight == 2 * once.flipped_weight
+        assert twice.realized_shift_max == once.realized_shift_max  # the edge itself is flipped once
+
+    def test_looks_up_the_flip_set_once(self, monkeypatch):
+        G = sn.ssbm(sn.SSBMParams(n1=5, n2=5, p_in=1.0, p_out=1.0, eta=0.0, alpha=0.3, seed=0))
+        calls = []
+        lookup = sn.SignedGraph._edge_ids
+        monkeypatch.setattr(sn.SignedGraph, "_edge_ids", lambda self, a, b: calls.append(len(a)) or lookup(self, a, b))
+        sn.perturbation_estimate(G, [G.edges[0][:2], G.edges[3][:2], G.edges[7][:2]])
+        assert calls == [3]
+
     def test_errors(self, strictly_unbalanced_4, triangle_positive):
         with pytest.raises(NotBalancedError):
             sn.perturbation_estimate(strictly_unbalanced_4, [(0, 1)])
@@ -394,19 +401,19 @@ class TestTransitionSpectrumDevice:
         for G in random_connected_corpus(20, seed=83):
             P2 = doubled_transition(G)
             got = np.sort(np.linalg.eigvals(P2).real)
-            signed = sn.eigenvalues_symmetric(symmetrized_transition(G))
-            unsigned = sn.eigenvalues_symmetric(symmetrized_transition(sn.unsigned_counterpart(G)))
+            p_sym = _transition_edge_values(G)
+            signed, unsigned = _spectrum(G, p_sym).eigenvalues, _spectrum(G, np.abs(p_sym)).eigenvalues
             expected = np.sort(np.concatenate([signed, unsigned]))
             assert np.allclose(got, expected, atol=1e-9)
 
     def test_transition_radius_at_most_one(self):
         for G in random_connected_corpus(40, seed=89):
-            assert np.max(np.abs(sn.eigenvalues_symmetric(symmetrized_transition(G)))) <= 1 + 1e-12
+            assert np.max(np.abs(_spectrum(G, _transition_edge_values(G)).eigenvalues)) <= 1 + 1e-12
 
     def test_right_eigenvectors_of_transition_matrix(self):
         # an eigenvector v of P_sym maps to the eigenvector D^-1/2 v of P
         for G in random_connected_corpus(10, seed=97):
-            spec = sn.eigendecompose_symmetric(sn.symmetrized_transition(G))
+            spec = _spectrum(G, _transition_edge_values(G), vectors=True)
             vals, vecs = spec.eigenvalues, spec.eigenvectors / np.sqrt(G.degrees)[:, None]
             P = transition_matrix(G)
             for k in range(G.n):
