@@ -31,7 +31,7 @@ from .balance import (
     switch,
     verify_spectral_theorem,
 )
-from .spectral import BalanceMeasures, Spectrum, balance_measures
+from .spectral import BalanceMeasures, balance_measures
 from .dynamics import (
     ActivationSets,
     ELTConfig,

@@ -10,7 +10,12 @@ measures, heuristic frustration, the perturbation shift) and is the one
 place that picks a solver: the end columns of :func:`_spectrum` below
 :data:`LANCZOS_MIN_NODES` nodes, else :func:`_lanczos_extremes`, a plain
 Lanczos recurrence on the edge arrays that stores no basis and builds no
-n x n matrix.  Each caller solves only the ends it reports: ``d_b`` and
+n x n matrix.  Its convergence test takes the Ritz values from one
+``eigvalsh`` of the k x k tridiagonal T and each open end's residual from an
+O(k) recurrence for the last entry of its eigenvector of T
+(:func:`_last_entry`), and runs at the step where each open end's residual
+trend predicts convergence, so a value-only solve never computes an
+eigenvector of T.  Each caller solves only the ends it reports: ``d_b`` and
 ``d_a`` both ends of P_sym (:func:`_distances`, all that CLI ``classify``
 prints), the radii both ends of W and the top of |W|, heuristic frustration
 the top of W or -W with its vector.  It is all numpy; no scipy is imported.
@@ -24,6 +29,7 @@ and under uniform weight scaling.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Literal, NamedTuple, Optional
 
@@ -111,6 +117,32 @@ def _lanczos_vectors(matvec: Callable[[np.ndarray], np.ndarray], n: int, alpha: 
         q, q_prev = r / beta[k], q
 
 
+def _last_entry(alpha: list[float], beta: list[float], theta: float) -> float:
+    """|s|, the magnitude of the last entry of the unit eigenvector of the
+    k x k tridiagonal T (diagonal ``alpha``, off-diagonal ``beta[:k-1]``)
+    for its eigenvalue ``theta``, in O(k) time and memory.
+
+    Rows k, k-1, ..., 2 of (T - theta) y = 0 give y_{k-1}, ..., y_1 from
+    y_k = 1 by a backward three-term recurrence (row 1 holds up to the
+    rounding of theta), and s = y_k / ||y||.  The ratios y_{i-1} / y_i are
+    the pivots of the factorisation T - theta = U D U^T from the last row
+    up.  For an end of the spectrum T - theta is semidefinite, so the pivots
+    keep one sign and do not grow, as in a Cholesky factorisation.  Only a
+    near-duplicate of theta (a ghost copy, which forms after the end has
+    converged) makes y as ill-conditioned as eigh's column itself.  y is
+    rescaled by a power of two whenever it passes 2**400, so neither it nor
+    its sum of squares overflows.  The off-diagonal is nonzero: a beta below
+    ``LANCZOS_TOLERANCE / 2`` ends the solve.
+    """
+    y, y_next, last, norm2 = 1.0, 0.0, 1.0, 1.0
+    for i in range(len(alpha) - 1, 0, -1):
+        y, y_next = -((alpha[i] - theta) * y + beta[i] * y_next) / beta[i - 1], y
+        if abs(y) > 2.0 ** 400:
+            y, y_next, last, norm2 = y * 2.0 ** -400, y_next * 2.0 ** -400, last * 2.0 ** -400, norm2 * 2.0 ** -800
+        norm2 += y * y
+    return last / math.sqrt(norm2)
+
+
 def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", "top"] = "both",
                       vectors: bool = True) -> Spectrum:
     """The largest and the smallest eigenpair (``"both"``), or the largest
@@ -125,42 +157,65 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", 
     :meth:`~signednet.core.SignedGraph._operator`, so memory stays O(n + m).
     The matrix is scaled by a power of two, exactly, to a largest entry in
     [0.5, 1), so huge or tiny weights neither overflow nor loosen the test.
-    An end e has converged when its Ritz residual |beta_k S[k-1, e]| is at
-    most ``LANCZOS_TOLERANCE * max(1, |theta_e|)``.  The test runs at k = 2
-    and then about every 25 % more steps, since the small tridiagonal solve
-    it needs is the costly part; it also runs on an exact breakdown (a beta
-    that meets every end's test) and at the step cap, past which
-    :class:`~signednet.errors.LanczosNotConvergedError` is raised.
 
-    With ``vectors``, each end's Ritz vector is rebuilt by replaying the
-    recurrence with the stored coefficients up to that end's step, unit
-    normalised and signed like :func:`_spectrum`.  Returns
-    eigenvalues ``[top, bottom]`` or ``[top]`` with matching columns.
+    An end e has converged when its Ritz residual beta_k |s_e| is at most
+    ``LANCZOS_TOLERANCE * max(1, |theta_e|)``, where s_e is the last entry
+    of theta_e's unit eigenvector of the k x k tridiagonal T.  A test is one
+    ``eigvalsh(T)`` for the Ritz values and one O(k) :func:`_last_entry`
+    recurrence per open end, so no eigenvector of T is computed for it.  The
+    test runs at k = 2 and then at the first step where an open end's
+    residual, extrapolated geometrically from its last two tests, meets its
+    bound, but never more than about 25 % more steps on.  It also runs on an
+    exact breakdown (a beta that meets every end's test) and at the step
+    cap, past which :class:`~signednet.errors.LanczosNotConvergedError` is
+    raised.
+
+    With ``vectors``, each accepted end takes its column of ``eigh(T)`` at
+    the step it was accepted, and its Ritz vector is rebuilt by replaying the
+    recurrence with the stored coefficients up to that step, unit normalised
+    and signed like :func:`_spectrum`.  Returns eigenvalues ``[top, bottom]``
+    or ``[top]`` with matching columns.
     """
     n = G.n
     scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(values)))[1]))
     matvec = G._operator(values / scale)
-    tested = [-1, 0] if ends == "both" else [-1]  # columns of eigh's ascending output
+    tested = [-1, 0] if ends == "both" else [-1]  # columns of the ascending eigvalsh output
     cap = _lanczos_step_cap(n)
 
     alpha: list[float] = []
     beta: list[float] = []
-    found: dict[int, tuple[float, np.ndarray]] = {}  # end -> (Ritz value, its column of S)
+    found: dict[int, tuple[float, Optional[np.ndarray]]] = {}  # end -> (Ritz value, its column of S or None)
+    last_test: dict[int, tuple[int, float]] = {}  # open end -> (step, residual) at its last test
     check = 2
     for k, _ in enumerate(_lanczos_vectors(matvec, n, alpha, beta), start=1):
         b = beta[-1]
         if k >= check or k == cap or b <= LANCZOS_TOLERANCE / 2:  # a beta that small meets every end's test
             T = np.diag(alpha)
             T.flat[1::k + 1] = T.flat[k::k + 1] = beta[:-1]
-            theta, S = np.linalg.eigh(T)
+            theta = np.linalg.eigvalsh(T).tolist()
+            accepted = []
+            check = max(k + 1, int(k * 1.25))
             for e in tested:
-                if e not in found and b * abs(S[-1, e]) <= LANCZOS_TOLERANCE * max(1.0, abs(theta[e])):
-                    found[e] = (float(theta[e]), S[:, e])
+                if e in found:
+                    continue
+                r = b * _last_entry(alpha, beta, theta[e])
+                target = LANCZOS_TOLERANCE * max(1.0, abs(theta[e]))
+                if r <= target:
+                    accepted.append(e)
+                    continue
+                k_prev, r_prev = last_test.get(e, (k, r))
+                if r < r_prev:  # test again at the step j where r * (r / r_prev) ** ((j - k) / (k - k_prev)) = target
+                    steps = math.ceil(math.log(target / r) / math.log(r / r_prev) * (k - k_prev))
+                    check = min(check, k + max(1, steps))
+                last_test[e] = (k, r)
+            if accepted:
+                S = np.linalg.eigh(T)[1] if vectors else None
+                for e in accepted:
+                    found[e] = (theta[e], None if S is None else S[:, e])
             if len(found) == len(tested):
                 break
             if k == cap:
                 raise LanczosNotConvergedError(f"Lanczos did not converge on the {n} x {n} matrix within {cap} steps")
-            check = max(k + 1, int(k * 1.25))
 
     eigenvalues = np.array([found[e][0] for e in tested]) * scale
     if not vectors:

@@ -68,6 +68,9 @@ __all__ = [
     "elt_reference",
     "elt_lattice_reference",
     "activation_sets_json_reference",
+    "two_block_graph",
+    "signed_path",
+    "signed_ring",
 ]
 
 
@@ -237,6 +240,29 @@ def ring_lattice_reference(params) -> SignedGraph:
         for idx in np.random.default_rng(plan.seed).choice(len(pairs), size=plan.k, replace=False):
             signs[idx] = -signs[idx]
     return build_graph(n, [(i, j, v * params.alpha) for (i, j), v in zip(pairs, signs)])
+
+
+# ---------------------------------------------------------------------------
+# graphs whose extreme eigenvalues are clustered
+# ---------------------------------------------------------------------------
+
+def two_block_graph() -> SignedGraph:
+    """Two all-positive 200-node cliques joined by one edge of weight 1e-6:
+    the top two eigenvalues of P_sym (and of W) lie within 1e-8."""
+    edges = [(a, b, 1.0) for first in (0, 200) for a in range(first, first + 200) for b in range(a + 1, first + 200)]
+    return build_graph(400, edges + [(199, 200, 1e-6)])
+
+
+def signed_path(n: int, seed: int) -> SignedGraph:
+    """The path 0 - 1 - ... - (n-1) with unit weights of random sign."""
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=n - 1)
+    return build_graph(n, [(k, k + 1, s) for k, s in enumerate(signs.tolist())])
+
+
+def signed_ring(n: int, seed: int) -> SignedGraph:
+    """The cycle on n nodes with unit weights of random sign."""
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=n)
+    return build_graph(n, [(min(k, (k + 1) % n), max(k, (k + 1) % n), s) for k, s in enumerate(signs.tolist())])
 
 
 # ---------------------------------------------------------------------------

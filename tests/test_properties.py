@@ -12,7 +12,16 @@ from signednet.core import SignedGraph, _checked_edges, _columns
 from signednet.errors import DisconnectedError, GraphConstructionError
 
 from signednet.io import format_edge_list
-from signednet.spectral import LANCZOS_MIN_NODES, _extremes, _lanczos_extremes, _spectrum, _transition_edge_values
+from signednet.spectral import (
+    LANCZOS_MIN_NODES,
+    LANCZOS_TOLERANCE,
+    _extremes,
+    _lanczos_extremes,
+    _lanczos_vectors,
+    _last_entry,
+    _spectrum,
+    _transition_edge_values,
+)
 
 from helpers import (
     components_by_union_find,
@@ -31,8 +40,10 @@ from helpers import (
     propagate_signs,
     ring_lattice_reference,
     signed_laplacian,
+    signed_path,
     symmetrized_transition,
     transition_matrix,
+    two_block_graph,
     walk_until_stationary_reference,
 )
 
@@ -478,10 +489,50 @@ def test_lanczos_extremes_match_dense_eigvalsh(case):
             assert vec[np.argmax(np.abs(vec))] > 0
         top_only = _lanczos_extremes(G, values, ends="top").eigenvalues[0]
         assert abs(top_only - dense[-1]) <= 1e-10, name
+        # every classify and measure solve is value-only: same values, no vectors
+        values_only = _lanczos_extremes(G, values, vectors=False)
+        assert values_only.eigenvectors is None
+        assert np.max(np.abs(values_only.eigenvalues - dense[[-1, 0]])) <= 1e-10, name
+        assert np.array_equal(values_only.eigenvalues, spec.eigenvalues), name
     if kind.startswith("balanced"):  # d_b = 0
         assert abs(1.0 - ends["P_sym"][0]) <= 1e-12
     if kind in ("tree", "balanced_bipartite"):  # also antibalanced, so d_a = 0
         assert abs(1.0 + ends["P_sym"][1]) <= 1e-12
+
+
+def test_last_entry_matches_eigh_on_real_lanczos_tridiagonals():
+    """The O(k) last entry |s| of an end's unit eigenvector of T agrees with
+    ``abs(eigh(T)[1][-1, e])`` at every step of real Lanczos runs, to within
+    16 eps (1 + ||T|| / gap), the conditioning of eigh's column when the
+    nearest other Ritz value is gap away.  The runs go on past convergence,
+    so the comparison covers converged ends (|s| < 1e-12) and ends with ghost
+    copies: a neighbouring Ritz value beyond the matrix's second eigenvalue
+    from that end, which interlacing forbids while the basis is orthogonal."""
+    eps = float(np.finfo(float).eps)
+    ssbm = sn.ssbm(sn.SSBMParams(n1=250, n2=250, p_in=10 / 250, p_out=2 / 250, eta=0.05, alpha=0.1, seed=0))
+    star = sn.build_graph(300, [(0, k, (-1.0) ** k) for k in range(1, 300)])
+    complete = sn.build_graph(300, [(a, b, 1.0) for a in range(300) for b in range(a + 1, 300)])
+    seen = {"converged": 0, "ghost": 0}
+    for G, steps in ((ssbm, 250), (two_block_graph(), 120), (signed_path(300, 1), 300), (star, 10), (complete, 10)):
+        for values, M in ((_transition_edge_values(G), symmetrized_transition(G)), (G.w, G.weight_matrix)):
+            dense = np.linalg.eigvalsh(M)
+            alpha, beta = [], []
+            for k, _ in enumerate(_lanczos_vectors(G._operator(values), G.n, alpha, beta), start=1):
+                T = np.diag(alpha)
+                T.flat[1::k + 1] = T.flat[k::k + 1] = beta[:-1]
+                theta, S = np.linalg.eigh(T)
+                norm = float(max(-theta[0], theta[-1]))
+                for e, neighbour, second, outward in ((-1, -2, dense[-2], 1.0), (0, 1, dense[1], -1.0)):
+                    s_ref = abs(float(S[-1, e]))
+                    gap = abs(float(theta[e] - theta[neighbour])) if k > 1 else math.inf
+                    bound = 16 * eps * (1 + norm / gap) if gap else math.inf  # exact duplicates: any column
+                    assert abs(_last_entry(alpha, beta, float(theta[e])) - s_ref) <= bound
+                    if gap > 1e4 * eps * norm:  # eigh's column is determined to 1e-3 or better
+                        seen["converged"] += s_ref < 1e-12
+                        seen["ghost"] += k > 1 and (theta[neighbour] - second) * outward > 1e-9 * norm
+                if beta[-1] <= LANCZOS_TOLERANCE / 2 or k == steps:
+                    break
+    assert seen["converged"] and seen["ghost"], seen
 
 
 @given(lanczos_graphs(), st.sampled_from(["both", "top"]), st.booleans())

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,9 +12,17 @@ from signednet.balance import apply_flip_set
 from signednet.cli import main
 from signednet.core import _transition_edge_values
 from signednet.io import write_edge_list
-from signednet.spectral import LANCZOS_MIN_NODES, _extremes, _sign_normalised, _spectrum
+from signednet.spectral import LANCZOS_MIN_NODES, _extremes, _last_entry, _sign_normalised, _spectrum
 
-from helpers import doubled_transition, random_connected_corpus, symmetrized_transition, transition_matrix
+from helpers import (
+    doubled_transition,
+    random_connected_corpus,
+    signed_path,
+    signed_ring,
+    symmetrized_transition,
+    transition_matrix,
+    two_block_graph,
+)
 
 
 def random_weighted_graph(rng, n):
@@ -298,6 +307,50 @@ class TestLanczosPath:
             tracemalloc.stop()
         assert est.realized_shift_max < 0
         assert peak < 8 * 2**20  # one dense 2000 x 2000 matrix is 32 MB
+
+    @pytest.mark.parametrize("make", [two_block_graph, lambda: signed_path(300, 1), lambda: signed_ring(400, 1)],
+                             ids=["two-block", "path", "ring"])
+    def test_clustered_ends_match_dense_eigvalsh(self, make):
+        """Ends with near-degenerate neighbours converge slowly and are still
+        exact.  The solve accepts an end on its residual alone, never on
+        r**2 / gap, the usual value-error estimate: by interlacing the Ritz gap
+        overstates the true gap until the near-degenerate partner has appeared.
+        On the two-block graph, accepting an end once min(r, r**2 / gap) <=
+        1e-15 max(1, |theta|) takes both ends of P_sym at step 2, the top
+        3.4e-11 and the bottom 5.0e-9 from eigvalsh; the residual test is
+        within 2e-16."""
+        G = make()
+        assert G.n >= LANCZOS_MIN_NODES
+        for values, M in ((_transition_edge_values(G), symmetrized_transition(G)), (G.w, G.weight_matrix),
+                          (np.abs(G.w), np.abs(G.weight_matrix))):
+            dense = np.linalg.eigvalsh(M)
+            assert np.max(np.abs(_extremes(G, values).eigenvalues - dense[[-1, 0]])) <= 1e-12
+
+    def test_two_block_graph_has_a_near_degenerate_top(self):
+        top = np.linalg.eigvalsh(symmetrized_transition(two_block_graph()))[-2:]
+        assert 0 < top[1] - top[0] <= 1e-8
+
+    def test_value_only_solves_compute_no_eigenvectors_of_t(self, monkeypatch):
+        def eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        G = self.ssbm(0.0, seed=3)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        m = sn.balance_measures(G)
+        assert (m.d_b, m.d_a) == spectral._distances(G)
+        assert sn.perturbation_estimate(G, [(G.i[0], G.j[0])]).realized_shift_max < 0
+
+    def test_last_entry_rescales_instead_of_overflowing(self):
+        # T = tridiag(1, [a, 0, ..., 0], 1) has the top eigenvalue theta = t + 1/t, and rows 2..k of
+        # (T - theta) y = 0 from y_k = 1 give y_{k-m} = U_m(theta / 2) = (t**(m+1) - t**-(m+1)) / (t - 1/t),
+        # so y_1 is about 2**900 and s about 2**-900: neither y nor its square sum may overflow
+        k, t = 300, 8.0
+        theta = t + 1 / t
+        log_u = [(m + 1) * math.log(t) + math.log1p(-t ** (-2 * (m + 1))) - math.log(t - 1 / t) for m in range(k)]
+        expected = math.exp(-0.5 * (2 * log_u[-1] + math.log(sum(math.exp(2 * (u - log_u[-1])) for u in log_u))))
+        alpha = [theta - 1 / t] + [0.0] * (k - 1)
+        assert math.isclose(_last_entry(alpha, [1.0] * k, theta), expected, rel_tol=1e-12)
+        assert 0.0 < expected < 2.0 ** -890
 
     def test_power_of_two_rescaling_is_exact(self):
         G = self.ssbm(0.05)
