@@ -47,8 +47,8 @@ from .errors import (
 
 #: weights smaller than this in magnitude are rejected so sign(w) stays defined
 WEIGHT_TOLERANCE = 1e-15
-#: most nodes or edges a generator draws, or (steps + 1) x state width values
-#: one simulation stores: 2**26 float64 values are 512 MiB
+#: most (steps + 1) x state width values one simulation stores: 2**26 float64
+#: values are 512 MiB
 MAX_STORED_VALUES = 2**26
 
 _INT64 = np.iinfo(np.int64)

@@ -3,7 +3,7 @@
 Every generator is a deterministic function of its parameters and seed: the
 same inputs produce the same edge list, element for element.  Each draws its
 edges as arrays, the SSBM one row of node pairs at a time (O(n + m) memory).
-A graph of more than ``MAX_STORED_VALUES`` nodes or (expected) edges is
+A graph of more than ``MAX_GENERATED`` nodes or (expected) edges is
 refused before anything is allocated.
 """
 
@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import MAX_STORED_VALUES, SignedGraph, _connected_graph
+from .core import SignedGraph, _connected_graph
 from .errors import (
     DisconnectedError,
     GaveUpConnectivityError,
@@ -25,12 +25,17 @@ from .errors import (
 
 CONNECTIVITY_RETRIES = 100
 
+#: most nodes or (expected) edges a generator draws: building, checking and
+#: writing a graph peaks at about 220 bytes per edge, so a graph at the cap
+#: needs about 0.9 GiB and some seconds
+MAX_GENERATED = 2**22
+
 
 def _check_size(kind: str, count: int, unit: str) -> None:
-    """Refuse a graph of more than :data:`~signednet.core.MAX_STORED_VALUES`
-    nodes or edges before anything is allocated."""
-    if count > MAX_STORED_VALUES:
-        raise ParamOutOfRangeError(f"the {kind} would have {count} {unit}, above the cap of {MAX_STORED_VALUES}")
+    """Refuse a graph of more than :data:`MAX_GENERATED` nodes or edges
+    before anything is allocated."""
+    if count > MAX_GENERATED:
+        raise ParamOutOfRangeError(f"the {kind} would have {count} {unit}, above the cap of {MAX_GENERATED}")
 
 
 def seeded_rng(seed) -> np.random.Generator:

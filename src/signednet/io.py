@@ -8,6 +8,15 @@ node count inferred as max id + 1 unless declared) or all be arbitrary
 labels, which are mapped to ids in order of first appearance with the label
 table retained on the graph.
 
+Integer-id text, which is what ``format_edge_list`` and ``generate`` write,
+is read in one ``np.loadtxt`` pass when it is ASCII, has no ``#`` after its
+leading comment lines and no line break other than LF or CRLF, and every
+data line after the optional header is three tokens that ``loadtxt`` reads
+without error or warning.  Any other text goes through a loop over the
+lines.  Both routes give the same graph; only the loop reads labels and
+raises :class:`~signednet.errors.EdgeListParseError`, so every error and
+its line number is the loop's.
+
 Trajectory CSV: a ``t,node,value`` header, then one row per step ``t`` and
 node, ``t``-major; every line ends in CRLF (``\\r\\n``, the ``csv`` module's
 default terminator); each value is ``repr`` of the state as a Python float,
@@ -17,9 +26,11 @@ the shortest text that reads back to the same double (``nan``, ``inf`` and
 
 from __future__ import annotations
 
+import io
 import json
+import warnings
 from pathlib import Path
-from typing import Optional, TextIO, Union
+from typing import Iterator, Optional, TextIO, Union
 
 import numpy as np
 
@@ -30,15 +41,65 @@ PathLike = Union[str, Path]
 
 
 def _data_lines(text: str):
-    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         yield line_no, line
 
 
+#: characters where ``str.splitlines`` ends a line and ``np.loadtxt`` does not
+_LOOP_ONLY_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+_EDGE_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+
+
+def _integer_edges(text: str) -> Optional[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """``(n, i, j, w)`` of integer-id text, read in one ``np.loadtxt`` pass.
+
+    Returns exactly what the line loop of :func:`parse_edge_list` passes to
+    ``_connected_graph``, or None for text the loop must decide: non-ASCII
+    text, a line break the loop sees and ``loadtxt`` does not, a ``#`` after
+    the first data line, a bad ``n`` header, no edge line, or any line
+    ``loadtxt`` refuses or warns about (labels, a non-integer or out-of-int64
+    id, a weight ``float`` would read differently, a line without 3 tokens).
+    """
+    if not text.isascii() or text.count("\r") != text.count("\r\n") or any(c in text for c in _LOOP_ONLY_BREAKS):
+        return None
+    declared_n, start = None, 0
+    while start < len(text):  # leading blank and comment lines, then the optional ``n N`` header
+        end = text.find("\n", start) + 1 or len(text)
+        line = text[start:end].strip()
+        if line and not line.startswith("#"):
+            parts = line.split()
+            if len(parts) == 2 and parts[0] == "n":
+                try:
+                    declared_n = int(parts[1])
+                except ValueError:
+                    return None
+                start = end
+            break
+        start = end
+    if text.find("#", start) >= 0:
+        return None
+    body = io.BytesIO(text.encode("ascii"))  # a byte stream needs a quarter of a StringIO's memory
+    body.seek(start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy < 2 reads the id "1.0" as 1 with only a DeprecationWarning
+        try:
+            edges = np.loadtxt(body, dtype=_EDGE_DTYPE, comments=None, quotechar=None, ndmin=1)
+        except (ValueError, Warning):  # an empty body warns that it holds no data
+            return None
+    i, j = edges["i"], edges["j"]
+    n = declared_n if declared_n is not None else 1 + int(max(i.max(), j.max()))
+    return n, i, j, edges["w"]
+
+
 def parse_edge_list(text: str) -> SignedGraph:
     """Parse edge-list text into a validated :class:`SignedGraph`."""
+    text = text.removeprefix("\ufeff")
+    edges = _integer_edges(text)
+    if edges is not None:
+        return _connected_graph(*edges)
     declared_n: Optional[int] = None
     ids_i: list[int] = []
     ids_j: list[int] = []
@@ -101,19 +162,30 @@ def load_graph(path: PathLike) -> SignedGraph:
     return parse_edge_list(text)
 
 
+_EDGE_BLOCK = 2**16  # edges formatted per block; bounds the text held at once
+
+
+def _edge_list_blocks(G: SignedGraph, header: Optional[str]) -> Iterator[str]:
+    """The text of :func:`format_edge_list`: the header and ``n`` lines, then
+    the edge lines in blocks of :data:`_EDGE_BLOCK`."""
+    lines = [f"# {h}" for h in header.splitlines()] if header else []
+    yield "".join(f"{line}\n" for line in [*lines, f"n {G.n}"])
+    names = G.labels if G.labels is not None else range(G.n)
+    for start in range(0, G.num_edges, _EDGE_BLOCK):
+        block = slice(start, start + _EDGE_BLOCK)
+        yield "".join(f"{names[i]} {names[j]} {w!r}\n"
+                      for i, j, w in zip(G.i[block].tolist(), G.j[block].tolist(), G.w[block].tolist()))
+
+
 def format_edge_list(G: SignedGraph, header: Optional[str] = None) -> str:
     """Serialize a graph; ``load`` of the result reproduces it exactly."""
-    lines = []
-    if header:
-        lines.extend(f"# {h}" for h in header.splitlines())
-    lines.append(f"n {G.n}")
-    names = G.labels if G.labels is not None else range(G.n)
-    lines.extend(f"{names[i]} {names[j]} {w!r}" for i, j, w in zip(G.i.tolist(), G.j.tolist(), G.w.tolist()))
-    return "\n".join(lines) + "\n"
+    return "".join(_edge_list_blocks(G, header))
 
 
 def write_edge_list(G: SignedGraph, path: PathLike, header: Optional[str] = None) -> None:
-    Path(path).write_text(format_edge_list(G, header=header), encoding="utf-8")
+    """Write :func:`format_edge_list` text as UTF-8, one block of edges at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_edge_list_blocks(G, header))
 
 
 # ---------------------------------------------------------------------------

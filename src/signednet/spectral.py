@@ -75,16 +75,18 @@ def _sign_normalised(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _spectrum(G: SignedGraph, values: Optional[np.ndarray] = None, vectors: bool = False) -> Spectrum:
+def _spectrum(G: SignedGraph, values: Optional[np.ndarray] = None, vectors: bool = False,
+              columns: slice | list[int] = slice(None)) -> Spectrum:
     """The full spectrum of the matrix holding ``values`` on the edges (W
     when None), built dense: eigenvalues in descending order by ``eigvalsh``,
-    or by ``eigh`` with sign-normalised eigenvectors if ``vectors``.  The
-    full-spectrum twin of :func:`_extremes`."""
+    or by ``eigh`` with sign-normalised eigenvectors if ``vectors``; only the
+    ``columns`` (positions in descending order) are kept, and only their
+    vectors normalised.  The full-spectrum twin of :func:`_extremes`."""
     M = G.weight_matrix if values is None else G._matrix(values)
     if not vectors:
-        return Spectrum(eigenvalues=np.linalg.eigvalsh(M)[::-1], eigenvectors=None)
+        return Spectrum(eigenvalues=np.linalg.eigvalsh(M)[::-1][columns], eigenvectors=None)
     vals, vecs = np.linalg.eigh(M)
-    return Spectrum(eigenvalues=vals[::-1], eigenvectors=_sign_normalised(vecs)[:, ::-1])
+    return Spectrum(eigenvalues=vals[::-1][columns], eigenvectors=_sign_normalised(vecs[:, ::-1][:, columns]))
 
 
 def _lanczos_step_cap(n: int) -> int:
@@ -239,10 +241,7 @@ def _extremes(G: SignedGraph, values: Optional[np.ndarray] = None, ends: Literal
     never tested for convergence."""
     if G.n >= LANCZOS_MIN_NODES:
         return _lanczos_extremes(G, G.w if values is None else values, ends, vectors)
-    full = _spectrum(G, values, vectors)
-    columns = [0, -1] if ends == "both" else [0]
-    return Spectrum(eigenvalues=full.eigenvalues[columns],
-                    eigenvectors=None if full.eigenvectors is None else full.eigenvectors[:, columns])
+    return _spectrum(G, values, vectors, columns=[0, -1] if ends == "both" else [0])
 
 
 # ---------------------------------------------------------------------------

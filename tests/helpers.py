@@ -7,7 +7,7 @@ a time, frustration by exhausting edge subsets or all node signings,
 components by union-find, spectra come from numpy's
 nonsymmetric solver, edge validation from one Python pass over the edges,
 trajectory CSV from one ``csv.writer`` row per value (read back by a strict
-``csv`` reader), activation JSON from sorted node sets, ring lattices from Python loops over the circulant pairs,
+``csv`` reader), edge-list text from one join over all lines, activation JSON from sorted node sets, ring lattices from Python loops over the circulant pairs,
 and trajectories from one hand-written loop per simulator.
 
 The dense matrices the package no longer builds live here as references:
@@ -177,6 +177,16 @@ def write_trajectory_reference(states: np.ndarray, fh: TextIO) -> None:
     for t, row in enumerate(np.asarray(states)):
         for node, value in enumerate(row):
             writer.writerow([t, node, repr(float(value))])
+
+
+def format_edge_list_reference(G: SignedGraph, header: Optional[str] = None) -> str:
+    """Edge-list text as one join over every line: the text that
+    ``signednet.io.format_edge_list`` and ``write_edge_list`` must match."""
+    lines = [f"# {h}" for h in header.splitlines()] if header else []
+    lines.append(f"n {G.n}")
+    names = G.labels if G.labels is not None else range(G.n)
+    lines.extend(f"{names[i]} {names[j]} {w!r}" for i, j, w in zip(G.i.tolist(), G.j.tolist(), G.w.tolist()))
+    return "\n".join(lines) + "\n"
 
 
 def read_trajectory_csv(path) -> np.ndarray:

@@ -109,10 +109,13 @@ class TestSSBM:
             sn.SSBMParams(n1=1, n2=0, p_in=0.5, p_out=0.5, eta=0.0)
 
     def test_expected_edge_count_is_capped(self):
-        # only the parameter record is built: the check runs before any draw
-        with pytest.raises(ParamOutOfRangeError, match="199990000 expected edges, above the cap of 67108864"):
-            sn.SSBMParams(n1=10**4, n2=10**4, p_in=1.0, p_out=1.0, eta=0.0)
-        sn.SSBMParams(n1=10**4, n2=10**4, p_in=0.1, p_out=0.1, eta=0.0)  # 2e7 expected edges pass
+        # only the parameter record is built: the check runs before any draw; the
+        # complete SSBM with n1 = n2 = 4000 would need about 7 GB to build and write
+        for n1, edges in [(10**4, 199990000), (4000, 31996000), (1449, 4197753)]:
+            with pytest.raises(ParamOutOfRangeError, match=f"{edges} expected edges, above the cap of 4194304"):
+                sn.SSBMParams(n1=n1, n2=n1, p_in=1.0, p_out=1.0, eta=0.0)
+        sn.SSBMParams(n1=1448, n2=1448, p_in=1.0, p_out=1.0, eta=0.0)  # 4191960 expected edges pass
+        sn.SSBMParams(n1=10**4, n2=10**4, p_in=0.02, p_out=0.02, eta=0.0)  # 3999800 pass
 
 
 class TestRingLattice:

@@ -1,5 +1,7 @@
+import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,12 +9,14 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import signednet as sn
+import signednet.io as sio
 from signednet.cli import _cmd_simulate, build_parser, initial_state, main
 from signednet.errors import (
     DisconnectedError,
@@ -22,6 +26,7 @@ from signednet.errors import (
     NonFiniteWeightError,
     NonpositiveThresholdError,
     SignedNetError,
+    ZeroWeightError,
 )
 from signednet.io import (
     _BLOCK_VALUES,
@@ -32,7 +37,7 @@ from signednet.io import (
     write_trajectory_csv,
 )
 
-from helpers import read_trajectory_csv, write_trajectory_reference
+from helpers import format_edge_list_reference, read_trajectory_csv, write_trajectory_reference
 
 
 class TestEdgeListFormat:
@@ -72,6 +77,173 @@ class TestEdgeListFormat:
         sn.write_edge_list(G, path, header="demo")
         again = load_graph(path)
         assert again.labels == G.labels and again.edges == G.edges
+
+
+def parse_outcome(text: str, loop: bool = False):
+    """What ``parse_edge_list`` makes of ``text``: the graph (weights as bit
+    patterns) or the error's type and message.  ``loop`` forces the line loop."""
+    with mock.patch.object(sio, "_integer_edges", return_value=None) if loop else contextlib.nullcontext():
+        try:
+            G = parse_edge_list(text)
+        except SignedNetError as exc:
+            return type(exc), str(exc)
+    return G.n, G.labels, G.i.tolist(), G.j.tolist(), G.w.view(np.int64).tolist()
+
+
+def _id_tokens(v: int) -> list[str]:
+    return [str(v), f"+{v}", f"00{v}"] + (["-0"] if v == 0 else [])
+
+
+_DECIMALS = st.one_of(
+    st.floats().map(repr),
+    st.from_regex(r"[+-]?([0-9]{1,25}(\.[0-9]{0,25})?|\.[0-9]{1,25})([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+)
+_WEIGHT_TOKENS = st.one_of(
+    _DECIMALS,
+    st.sampled_from(["1", "-1", "0", "-0.0", ".5", "5.", "1E3", "+.5e-3", "nan", "-nan", "inf", "-Infinity",
+                     "1e400", "1e-400", "1_0", "0x1p3", "1j", "heavy"]),
+)
+# characters where the loop and loadtxt might part ways: comments, line breaks
+# only one of them sees, whitespace, NUL, non-ASCII digits and separators
+_ODD_CHARS = "#\r\n\x0b\x0c\x1c\x1d\x1e\x1f\x00\x85\u2028 \t\u00e9\u0661_.+-e"
+
+
+@st.composite
+def integer_id_texts(draw):
+    """Integer-id edge-list text in the forms people and ``generate`` write:
+    a path plus random pairs, with or without the ``n`` header, comment, blank
+    and whitespace-only lines, a byte-order mark, LF or CRLF endings, spaces
+    or tabs.  Half the files are wild: repeated pairs, self-loops, unused ids,
+    a wrong header, odd weight tokens, comments between edges and at times one
+    odd character inserted anywhere."""
+    wild = draw(st.booleans())
+    n = draw(st.integers(2, 8))
+    pairs = [(k, k + 1) for k in range(n - 1)]
+    if wild:
+        pairs += draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=4))
+    else:
+        pairs += draw(st.sets(st.sampled_from([(a, b) for a in range(n) for b in range(a + 2, n)]), max_size=4)
+                      if n > 2 else st.just(set()))
+    pairs = [(b, a) if draw(st.booleans()) else (a, b) for a, b in draw(st.permutations(pairs))]
+    weights = _WEIGHT_TOKENS if wild else st.builds(
+        lambda w, neg: repr(-w if neg else w), st.floats(1e-3, 1e3), st.booleans())
+    sep = st.sampled_from([" ", "  ", "\t", " \t"])
+    pad = st.sampled_from(["", "", " ", "\t"])
+    filler = st.sampled_from(["", " ", "\t ", "# a comment", "  # n 3", "#"])
+    lines = [draw(filler) for _ in range(draw(st.integers(0, 2)))]
+    header = draw(st.sampled_from([None, n, n + 1] if wild else [None, n]))
+    if header is not None:
+        lines.append(f"n{draw(sep)}{header}")
+    between = filler if wild else st.sampled_from(["", " ", "\t "])
+    for a, b in pairs:
+        tokens = [draw(st.sampled_from(_id_tokens(a))), draw(st.sampled_from(_id_tokens(b))), draw(weights)]
+        lines.append(draw(pad) + draw(sep).join(tokens) + draw(pad))
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(between))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    if wild and draw(st.booleans()):  # put one odd character in place of a separator, or anywhere
+        odd = draw(st.sampled_from(_ODD_CHARS))
+        gaps = [k for k, c in enumerate(text) if c in " \t\n"]
+        if gaps and draw(st.booleans()):
+            at = draw(st.sampled_from(gaps))
+            text = text[:at] + odd + text[at + 1:]
+        else:
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + odd + text[at:]
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+class TestArrayParse:
+    """Integer-id text takes one ``np.loadtxt`` pass (``io._integer_edges``),
+    which either returns exactly what the line loop returns or hands the text
+    to the loop; labels and every error stay the loop's."""
+
+    @given(integer_id_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_loop(self, text):
+        assert parse_outcome(text) == parse_outcome(text, loop=True)
+
+    @given(st.lists(_DECIMALS.filter(lambda t: 1e-15 <= abs(float(t)) < math.inf), min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_weights_read_bit_for_bit(self, tokens):
+        text = "".join(f"{k} {k + 1} {w}\n" for k, w in enumerate(tokens))
+        assert sio._integer_edges(text) is not None
+        assert parse_outcome(text) == parse_outcome(text, loop=True)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("".join(f"{k} {k + 1} 1\n" for k in range(9)) + "1_0 0 1\n",
+         "".join(f"{k} {k + 1} 1\n" for k in range(9)) + "10 0 1\n"),
+        ("0 1 \u0661\n1 2 1\n0 2 1\n", "0 1 1.0\n1 2 1\n0 2 1\n"),
+        ("0 1 1\x0c1 2 1\n0 2 1\n", "0 1 1\n1 2 1\n0 2 1\n"),
+        ("0 1 1\r1 2 1\n0 2 1\n", "0 1 1\n1 2 1\n0 2 1\n"),
+        ("# c\r0 1 1\n1 2 1\n0 2 1\n", "0 1 1\n1 2 1\n0 2 1\n"),
+        ("# c\x0b0 1 1\n1 2 1\n0 2 1\n", "0 1 1\n1 2 1\n0 2 1\n"),
+        ("0 1\x1e1\n1 2 1\n0 2 1\n", (EdgeListParseError, "line 1: expected 'i j w', got '0 1'")),
+        ("0 1 0x1p3\n1 2 1\n0 2 1\n", (EdgeListParseError, "line 1: invalid weight '0x1p3'")),
+        ("0 1 1\n1 2 1\n0 1e3 1\n", (EdgeListParseError, "line 3: mixed integer ids and labels at '0 1e3 1'")),
+        ("0 1.0 1\n1.0 2 1\n0 2 1\n", (3, ("0", "1.0", "2"), [0, 1, 0], [1, 2, 2], [np.float64(1).view(np.int64)] * 3)),
+        ("0 1 1\n1 2 1\n2 +3 1\n3 4 1\n4 5 1\n5 6 1\n6 007 1\n",
+         "0 1 1\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n5 6 1\n6 7 1\n"),
+        ("0 1 1\n1 99999999999999999999 1\n",
+         (IdOutOfRangeError, "node ids must be below 9223372036854775807, got a node count of 100000000000000000000")),
+        ("0 1 1 # c\n1 2 1\n0 2 1\n", (EdgeListParseError, "line 1: expected 'i j w', got '0 1 1 # c'")),
+        ("0 1 nan\n1 2 1\n0 2 1\n", (NonFiniteWeightError, "edge (0, 1) has non-finite weight nan")),
+        ("0 1 1e400\n1 2 1\n0 2 1\n", (NonFiniteWeightError, "edge (0, 1) has non-finite weight inf")),
+        ("0 1 1e-400\n1 2 1\n0 2 1\n", (ZeroWeightError, "edge (0, 1) has weight 0.0; |w| must exceed 1e-15")),
+        ("0 " + "0" * 1000 + "1 0." + "3" * 2000 + "\n1 2 1\n0 2 1\n", "0 1 0.3333333333333333\n1 2 1\n0 2 1\n"),
+        ("# header only\nn 1\n", (1, None, [], [], [])),
+    ], ids=["underscore-id", "arabic-indic-weight", "form-feed-break", "bare-cr-break", "bare-cr-ends-a-comment",
+            "vertical-tab-ends-a-comment", "record-separator-splits-an-edge", "hex-weight",
+            "exponent-id", "float-id-is-a-label", "plus-and-zero-padded-ids", "20-digit-id", "inline-comment",
+            "nan-weight", "overflowing-weight", "underflowing-weight", "long-tokens", "header-only"])
+    def test_the_loops_reading_of_edge_cases(self, text, expected):
+        if isinstance(expected, str):
+            expected = parse_outcome(expected, loop=True)
+        assert parse_outcome(text) == parse_outcome(text, loop=True) == expected
+
+    @pytest.mark.parametrize("labels", [False, True])
+    def test_written_files_take_the_array_path(self, monkeypatch, labels):
+        G = sn.ssbm(sn.SSBMParams(n1=20, n2=20, p_in=0.3, p_out=0.1, eta=0.2, alpha=0.7, seed=5))
+        text = format_edge_list(G, header='ssbm {"n1": 20}')
+        expected = parse_outcome(text, loop=True)
+
+        def no_loop(text):
+            raise AssertionError("the line loop ran")
+
+        monkeypatch.setattr(sio, "_data_lines", no_loop)
+        for variant in (text, "\ufeff" + text.replace("\n", "\r\n"), text.replace(" ", "\t")):
+            assert parse_outcome(variant) == expected
+
+    def test_a_loadtxt_warning_hands_the_text_to_the_loop(self, monkeypatch):
+        # numpy 1.24 reads the id "1.0" as 1 with only a DeprecationWarning; the loop reads a label
+        calls = []
+
+        def lenient_loadtxt(fname, dtype, **kwargs):
+            calls.append(fname)
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return np.array([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], dtype=dtype)
+
+        monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+        text = "0 1.0 1\n1.0 2 1\n0 2 1\n"
+        assert parse_outcome(text) == parse_outcome(text, loop=True)
+        assert parse_edge_list(text).labels == ("0", "1.0", "2") and len(calls) == 2
+
+
+class TestEdgeListWriter:
+    @pytest.mark.parametrize("text", [
+        "n 1\n",
+        "".join(f"{k} {k + 1} {0.5 + k}\n" for k in range(14)),  # exactly two blocks
+        "".join(f"v{k} v{k + 1} -{1 / (k + 1)!r}\n" for k in range(30)),
+    ], ids=["no-edges", "two-blocks", "labels"])
+    @pytest.mark.parametrize("header", [None, "", "one line", "two\nlines"])
+    def test_blocks_match_one_join(self, tmp_path, monkeypatch, text, header):
+        monkeypatch.setattr(sio, "_EDGE_BLOCK", 7)
+        G = parse_edge_list(text)
+        expected = format_edge_list_reference(G, header)
+        assert format_edge_list(G, header=header) == expected
+        sn.write_edge_list(G, tmp_path / "g.edges", header=header)
+        assert (tmp_path / "g.edges").read_bytes() == expected.encode("utf-8")
 
 
 _SPECIAL_VALUES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
@@ -645,11 +817,11 @@ class TestGenerateInputBoundary:
         ("lattice", {**LATTICE, "sign_plan": {"kind": "fllip_k", "k": 2}}, [], "unknown sign plan kind 'fllip_k'"),
         # refused before anything of that size is allocated
         ("tree", {"n": 10**13, "sign_prob": 0.5}, [],
-         "the tree would have 9999999999999 edges, above the cap of 67108864"),
+         "the tree would have 9999999999999 edges, above the cap of 4194304"),
         ("ssbm", {"n1": 10**13, "n2": 10, "p_in": 0.8, "p_out": 0.1, "eta": 0.0}, [],
-         "the ssbm would have 10000000000010 nodes, above the cap of 67108864"),
+         "the ssbm would have 10000000000010 nodes, above the cap of 4194304"),
         ("lattice", {"n": 10**13, "dbar": 4, "alpha": 0.1, "sign_plan": {"kind": "balanced"}}, [],
-         "the lattice would have 20000000000000 edges, above the cap of 67108864"),
+         "the lattice would have 20000000000000 edges, above the cap of 4194304"),
     ])
     def test_bad_configs_exit_2_with_one_error_line(self, tmp_path, capsys, kind, config, flags, message):
         cfg, out = tmp_path / "gen.json", tmp_path / "net.edges"
