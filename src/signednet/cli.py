@@ -272,13 +272,13 @@ def _cmd_simulate(args) -> int:
         traj = linear_adjacency_simulate(G, x0, horizon)
     elif args.model == "rw":
         traj = simulate_walk_until_stationary(G, x0, max_steps=horizon)
-        summary["realized_final_state"] = traj.final.tolist()
+        summary["realized_final_state"] = traj.final
         summary["steps_run"] = traj.horizon
         try:
             pred = predict_stationary(G, x0)
             summary["stationary_prediction"] = {
                 "kind": pred.kind.value,
-                "vectors": [vec.tolist() for vec in pred.vectors],
+                "vectors": list(pred.vectors),
             }
         except BipartiteUnsupportedError as exc:
             summary["stationary_prediction"] = {"kind": "unsupported", "reason": str(exc)}
@@ -299,7 +299,7 @@ def _cmd_simulate(args) -> int:
         raise NonFiniteStateError(f"simulate {args.model}: the state is not finite from step {step} "
                                   f"of {traj.horizon}; lower the horizon or rescale the weights")
     if args.format == "json":
-        doc = {"states": traj.states.tolist(), **summary}
+        doc = {"states": traj.states, **summary}
         dump_json(doc, args.output)
     else:
         write_trajectory_csv(traj.states, args.output)

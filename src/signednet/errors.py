@@ -39,7 +39,7 @@ class DisconnectedError(GraphConstructionError):
     pass
 
 
-# ---- file parsing --------------------------------------------------------
+# ---- edge-list files ----------------------------------------------------
 
 class EdgeListParseError(SignedNetError):
     """Malformed edge-list file; carries the 1-based line number."""
@@ -47,6 +47,10 @@ class EdgeListParseError(SignedNetError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+class UnwritableLabelError(SignedNetError):
+    """A node label that an edge list would not read back as the same label."""
 
 
 # ---- balance / spectral preconditions ------------------------------------

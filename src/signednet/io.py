@@ -17,16 +17,37 @@ lines.  Both routes give the same graph; only the loop reads labels and
 raises :class:`~signednet.errors.EdgeListParseError`, so every error and
 its line number is the loop's.
 
+Edge lists are written as a ``#`` line per header line, the ``n N`` line,
+then ``i j w`` per edge in edge order.  A labelled graph is written with its
+labels and reads back with its ids in order of first appearance; labels
+that would not read back as the same labels are refused with
+:class:`~signednet.errors.UnwritableLabelError` before anything is written.
+
 Trajectory CSV: a ``t,node,value`` header, then one row per step ``t`` and
 node, ``t``-major; every line ends in CRLF (``\\r\\n``, the ``csv`` module's
-default terminator); each value is ``repr`` of the state as a Python float,
-the shortest text that reads back to the same double (``nan``, ``inf`` and
-``-0.0`` included).
+default terminator).
+
+Float encoding: every float an edge list, a trajectory CSV or a JSON
+document holds is ``repr`` of the value as a Python float, the shortest
+text that reads back to the same double, ``-0.0`` included; ``nan`` and
+``inf`` are written only to the CSV, since JSON output refuses them with
+``ValueError``.  A float64 array is encoded by :func:`_float_texts`,
+one ``repr`` per distinct bit pattern, so a trajectory of few distinct
+states costs few calls.
+
+JSON: :func:`dump_json` writes exactly the text of ``json.dumps(doc,
+indent=2, allow_nan=False)``, with arrays written as the lists of their
+values.  Each list of non-container values is one call of a C
+encoder (``json.JSONEncoder`` without indent, its item separator the line
+break and indent of that depth), each list of such lists one call over
+all its values, and only the nesting is laid out in Python.
 """
 
 from __future__ import annotations
 
+import functools
 import io
+import itertools
 import json
 import warnings
 from pathlib import Path
@@ -35,7 +56,7 @@ from typing import Iterator, Optional, TextIO, Union
 import numpy as np
 
 from .core import SignedGraph, _connected_graph
-from .errors import EdgeListParseError
+from .errors import EdgeListParseError, UnwritableLabelError
 
 PathLike = Union[str, Path]
 
@@ -165,27 +186,74 @@ def load_graph(path: PathLike) -> SignedGraph:
 _EDGE_BLOCK = 2**16  # edges formatted per block; bounds the text held at once
 
 
-def _edge_list_blocks(G: SignedGraph, header: Optional[str]) -> Iterator[str]:
+def _float_texts(values: np.ndarray) -> list[str]:
+    """``repr`` of each value of ``values`` as a Python float, in C order, with
+    one ``repr`` call per distinct bit pattern (float equality would merge
+    ``-0.0`` with ``0.0``): the shortest text that reads back to the double."""
+    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64).ravel(),
+                              return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _node_names(G: SignedGraph) -> Optional[np.ndarray]:
+    """The labels as an object array, checked to read back as the same labels;
+    None for an unlabelled graph."""
+    if G.labels is None:
+        return None
+    seen: set[str] = set()
+    for label in G.labels:
+        if label.split() != [label] or label.startswith("#"):
+            raise UnwritableLabelError(f"label {label!r} cannot be written to an edge list: a label must be "
+                                       f"nonempty, hold no whitespace and not start with '#'")
+        if label in seen:
+            raise UnwritableLabelError(f"label {label!r} is repeated; an edge list would read it back as one node")
+        seen.add(label)
+    try:
+        "".join(G.labels).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise UnwritableLabelError(f"a label holds {exc.object[exc.start]!r}, which UTF-8 cannot encode") from None
+    if G.num_edges == 0:
+        raise UnwritableLabelError("a labelled graph without edges reads back without its labels")
+    a, b = G.labels[G.i[0]], G.labels[G.j[0]]
+    try:
+        int(a), int(b)  # the parser reads integer ids when this succeeds on the first edge line
+    except ValueError:
+        return np.array(G.labels, dtype=object)
+    raise UnwritableLabelError(f"labels {a!r} and {b!r} of the first edge read back as integer ids, "
+                               f"so every label would be read as one")
+
+
+def _edge_list_blocks(G: SignedGraph, header: Optional[str], names: Optional[np.ndarray]) -> Iterator[str]:
     """The text of :func:`format_edge_list`: the header and ``n`` lines, then
     the edge lines in blocks of :data:`_EDGE_BLOCK`."""
     lines = [f"# {h}" for h in header.splitlines()] if header else []
     yield "".join(f"{line}\n" for line in [*lines, f"n {G.n}"])
-    names = G.labels if G.labels is not None else range(G.n)
     for start in range(0, G.num_edges, _EDGE_BLOCK):
         block = slice(start, start + _EDGE_BLOCK)
-        yield "".join(f"{names[i]} {names[j]} {w!r}\n"
-                      for i, j, w in zip(G.i[block].tolist(), G.j[block].tolist(), G.w[block].tolist()))
+        i, j = G.i[block], G.j[block]
+        if names is not None:
+            i, j = names[i], names[j]
+        yield "".join([f"{a} {b} {w}\n" for a, b, w in zip(i.tolist(), j.tolist(), _float_texts(G.w[block]))])
 
 
 def format_edge_list(G: SignedGraph, header: Optional[str] = None) -> str:
-    """Serialize a graph; ``load`` of the result reproduces it exactly."""
-    return "".join(_edge_list_blocks(G, header))
+    """Serialize a graph; ``load`` of the result reproduces it exactly, except
+    that a labelled graph reads back with its ids in order of first
+    appearance in the edge lines.  Raises :class:`UnwritableLabelError` for
+    labels that would not read back as the same labels: empty, holding
+    whitespace or a character UTF-8 cannot encode, starting with ``#`` or
+    repeated, no edges to carry them, or a first edge whose two labels both
+    read as integer ids."""
+    return "".join(_edge_list_blocks(G, header, _node_names(G)))
 
 
 def write_edge_list(G: SignedGraph, path: PathLike, header: Optional[str] = None) -> None:
-    """Write :func:`format_edge_list` text as UTF-8, one block of edges at a time."""
+    """Write :func:`format_edge_list` text as UTF-8, one block of edges at a
+    time; labels are checked before the file is opened."""
+    names = _node_names(G)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_edge_list_blocks(G, header))
+        fh.writelines(_edge_list_blocks(G, header, names))
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +280,8 @@ def _write_trajectory(states: np.ndarray, fh: TextIO) -> None:
     template = "".join(f"{_T},{node},%s\r\n" for node in range(n))
     step = max(1, _BLOCK_VALUES // max(n, 1))
     for start in range(0, states.shape[0], step):
-        block = np.ascontiguousarray(states[start:start + step], dtype=np.float64)
-        # distinct values by bit pattern: float equality would merge -0.0 with 0.0
-        bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
-        texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-        values = texts[inverse].tolist()
+        block = states[start:start + step]
+        values = _float_texts(block)
         fh.write("".join(
             template.replace(_T, str(start + r)) % tuple(values[r * n:(r + 1) * n])
             for r in range(block.shape[0])
@@ -277,8 +342,78 @@ def frustration_to_json(report) -> dict:
     }
 
 
+#: the values ``json`` lays out over several lines; any other value is one
+#: token of the C encoder
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
+@functools.cache
+def _encoder(depth: int):
+    """``encode`` of a C JSON encoder whose item separator starts the next
+    item at ``depth``, as ``json.dumps(indent=2)`` does inside a container
+    at ``depth - 1``; built once per depth."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=False, check_circular=False).encode
+
+
+def _texts(values) -> list[str]:
+    """The JSON text of each item of a list, or each ``"key": value`` of a
+    dict, none of them a container, from one C-encoder call: an encoded
+    string holds no raw line break, so only separators split on one."""
+    return _encoder(0)(values)[1:-1].split(",\n") if values else []
+
+
+def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """Item texts laid out as ``json.dumps(indent=2)`` lays out a container at ``depth``."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _holds_no_container(values) -> bool:
+    return not any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+
+
+def _layout(value, depth: int) -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)`` for a value at
+    ``depth``, with arrays written as the lists of their values."""
+    if isinstance(value, np.ndarray):
+        if value.dtype != np.float64 or value.ndim not in (1, 2):
+            return _layout(value.tolist(), depth)
+        if not np.isfinite(value).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        texts = _float_texts(value)
+        if value.ndim == 1:
+            return _block(texts, depth)
+        n = value.shape[1]
+        return _block([_block(texts[r * n:(r + 1) * n], depth + 1) for r in range(value.shape[0])], depth)
+    if isinstance(value, dict):
+        # a container value is encoded as the placeholder 0, then replaced
+        items = _texts({k: 0 if isinstance(v, _CONTAINERS) else v for k, v in value.items()})
+        return _block([t[:-1] + _layout(v, depth + 1) if isinstance(v, _CONTAINERS) else t
+                       for t, v in zip(items, value.values())], depth, "{}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _holds_no_container(value):  # one C call lays the list out
+            return "[\n" + "  " * (depth + 1) + _encoder(depth + 1)(value)[1:-1] + "\n" + "  " * depth + "]"
+        if all(isinstance(v, (list, tuple)) for v in value):  # one C call encodes every value of a table
+            flat = list(itertools.chain.from_iterable(value))
+            if _holds_no_container(flat):
+                texts, pad = _texts(flat), "\n" + "  " * (depth + 2)
+                opening, sep, closing = "[" + pad, "," + pad, "\n" + "  " * (depth + 1) + "]"
+                return _block([opening + sep.join(texts[end - len(row):end]) + closing if row else "[]"
+                               for row, end in zip(value, itertools.accumulate(map(len, value)))], depth)
+        scalars = iter(_texts([v for v in value if not isinstance(v, _CONTAINERS)]))
+        return _block([_layout(v, depth + 1) if isinstance(v, _CONTAINERS) else next(scalars) for v in value], depth)
+    return _texts([value])[0]
+
+
 def dump_json(doc, out: Union[PathLike, TextIO, None] = None) -> str:
-    text = json.dumps(doc, indent=2, sort_keys=False, allow_nan=False)
+    """``json.dumps(doc, indent=2, allow_nan=False)``, with arrays written as
+    the lists of their values; written to ``out`` with a final line break
+    when given."""
+    text = _layout(doc, 0)
     if out is None:
         return text
     if hasattr(out, "write"):

@@ -26,6 +26,7 @@ from signednet.errors import (
     NonFiniteWeightError,
     NonpositiveThresholdError,
     SignedNetError,
+    UnwritableLabelError,
     ZeroWeightError,
 )
 from signednet.io import (
@@ -246,6 +247,89 @@ class TestEdgeListWriter:
         assert (tmp_path / "g.edges").read_bytes() == expected.encode("utf-8")
 
 
+    @pytest.mark.parametrize("weights", ["one", "two", "many"])
+    @pytest.mark.parametrize("labels", [False, True])
+    def test_distinct_weight_texts_match_one_repr_per_edge(self, tmp_path, monkeypatch, weights, labels):
+        # the writer calls repr once per distinct weight; the reference once per edge
+        monkeypatch.setattr(sio, "_EDGE_BLOCK", 50)
+        G = sn.ssbm(sn.SSBMParams(n1=15, n2=15, p_in=0.6, p_out=0.3, eta=0.1, alpha=0.1, seed=4))
+        rng, m = np.random.default_rng(1), G.num_edges
+        w = {"one": np.full(m, 0.1), "two": G.w,
+             "many": rng.uniform(1.0, 10.0, m) * 10.0 ** rng.integers(-14, 300, m) * rng.choice([-1.0, 1.0], m)}[weights]
+        G = sn.build_graph(G.n, zip(G.i.tolist(), G.j.tolist(), w.tolist()),
+                           labels=[f"v{k}" for k in range(G.n)] if labels else None)
+        expected = format_edge_list_reference(G, "a header")
+        assert len(set(G.w.tolist())) == {"one": 1, "two": 2, "many": G.num_edges}[weights]
+        assert format_edge_list(G, header="a header") == expected
+        sn.write_edge_list(G, tmp_path / "g.edges", header="a header")
+        assert (tmp_path / "g.edges").read_bytes() == expected.encode("utf-8")
+
+
+def _labelled_triangle(labels) -> sn.SignedGraph:
+    return sn.build_graph(3, [(0, 1, 1.0), (1, 2, -1.0), (0, 2, 1.0)], labels=labels)
+
+
+def _edge_set(G):
+    """The edges by label pair, which a relabelling leaves unchanged."""
+    names = G.labels if G.labels is not None else range(G.n)
+    return {(frozenset((names[e.i], names[e.j])), e.w) for e in G.edges}
+
+
+class TestLabelRoundTrip:
+    """A labelled graph either reads back as the same labelled graph, its ids
+    in order of first appearance, or is refused before anything is written."""
+
+    @pytest.mark.parametrize("labels, problem", [
+        (["2", "0", "1"], "read back as integer ids"),
+        (["+1", "1_0", "\u0661"], "read back as integer ids"),
+        (["a b", "c", "d"], "hold no whitespace"),
+        (["a", "", "c"], "nonempty"),
+        (["a", "b\x1c", "c"], "hold no whitespace"),
+        (["a", "b", "#c"], "not start with '#'"),
+        (["a", "b", "a"], "repeated"),
+        (["a", "b\udc80", "c"], "UTF-8 cannot encode"),
+    ], ids=["integer-like", "integer-like-forms", "space", "empty", "separator-char", "hash", "repeated",
+            "lone-surrogate"])
+    def test_unreadable_labels_are_refused_before_writing(self, tmp_path, labels, problem):
+        G = _labelled_triangle(labels)
+        with pytest.raises(UnwritableLabelError, match=problem):
+            format_edge_list(G)
+        path = tmp_path / "g.edges"
+        with pytest.raises(UnwritableLabelError, match=problem):
+            sn.write_edge_list(G, path)
+        assert not path.exists()
+
+    def test_labelled_graph_without_edges_is_refused(self):
+        with pytest.raises(UnwritableLabelError, match="without edges"):
+            format_edge_list(sn.build_graph(1, [], labels=["only"]))
+
+    @pytest.mark.parametrize("labels", [["a", "2", "1"], ["2", "a", "1"], ["1.0", "2", "3"], ["x", "y", "z"]])
+    def test_an_integer_like_label_off_the_first_edge_is_kept(self, labels):
+        # the first edge is (0, 1): one label there that is not an integer makes every token a label
+        G = _labelled_triangle(labels)
+        again = parse_edge_list(format_edge_list(G))
+        assert again.labels == G.labels and again.edges == G.edges
+
+    def test_ids_read_back_in_order_of_first_appearance(self):
+        G = sn.build_graph(3, [(1, 2, 1.0), (0, 2, -1.0)], labels=["c", "a", "b"])
+        again = parse_edge_list(format_edge_list(G))
+        assert again.labels == ("a", "b", "c") and _edge_set(again) == _edge_set(G)
+
+    @given(st.lists(st.text(max_size=4), min_size=3, max_size=3), st.permutations([0, 1, 2]))
+    @example(["0", "1", "2"], [0, 1, 2])
+    @example(["a", "b", "c"], [2, 1, 0])
+    @settings(max_examples=200, deadline=None)
+    def test_written_labels_read_back_or_are_refused(self, labels, order):
+        G = sn.build_graph(3, [(order[0], order[1], 1.0), (order[1], order[2], -2.5)], labels=labels)
+        try:
+            text = format_edge_list(G)
+        except UnwritableLabelError:
+            return
+        again = parse_edge_list(text)
+        assert again.labels is not None and sorted(again.labels) == sorted(G.labels)
+        assert _edge_set(again) == _edge_set(G)
+
+
 _SPECIAL_VALUES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
                    1e300, -1e300, 1.0, -1.0, 0.1, 1 / 3]
 
@@ -309,6 +393,96 @@ class TestTrajectoryCSV:
                 write_trajectory_reference(states, fh)
             write_trajectory_csv(states, path)
             assert_same_lines(path.read_bytes(), ref_path.read_bytes())
+
+    @pytest.mark.parametrize("shape", [(0,), (7,), (3, 4), (4, 3)])
+    def test_float_texts_are_one_repr_per_value(self, shape):
+        values = np.array(_SPECIAL_VALUES)[np.random.default_rng(2).integers(len(_SPECIAL_VALUES), size=shape)]
+        for array in (values, values.T):  # C order of a transposed view too
+            assert sio._float_texts(array) == [repr(v) for v in array.ravel().tolist()]
+
+
+def _as_lists(doc):
+    """``doc`` with every array replaced by its nested lists of Python numbers."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {k: _as_lists(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(map(_as_lists, doc))
+    return doc
+
+
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, 0.1, 1 / 3]))
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200), _FINITE, st.text())
+_FLOAT_ARRAYS = st.builds(
+    lambda pool, shape, seed: np.array(pool)[np.random.default_rng(seed).integers(len(pool), size=shape)],
+    st.lists(_FINITE, min_size=1, max_size=6),
+    st.one_of(st.tuples(st.integers(0, 6)), st.tuples(st.integers(0, 4), st.integers(0, 4))),
+    st.integers(0, 2**32 - 1),
+)
+_KEYS = st.one_of(st.text(), st.sampled_from(["\u00e9t\u00e9", "\u4e2d", "\U0001f600", "a\nb", ""]))
+JSON_DOCS = st.recursive(
+    st.one_of(_JSON_SCALARS, _FLOAT_ARRAYS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=5),
+        st.lists(st.lists(_JSON_SCALARS, max_size=4), max_size=5),  # a table, such as a flip set
+    ),
+    max_leaves=25,
+)
+
+
+class TestDumpJSON:
+    """``dump_json`` writes exactly the text ``json.dumps(indent=2)`` writes
+    for the same document with its arrays as lists."""
+
+    @given(JSON_DOCS)
+    @example({"states": np.array([[0.0, -0.0], [5e-324, 0.1]]), "t": [[1, 2, -0.1], []], "\u00e9": {}})
+    @example([[], [[]], {}, [{}], ()])
+    @settings(max_examples=300, deadline=None)
+    def test_text_matches_json_dumps(self, doc):
+        assert dump_json(doc) == json.dumps(_as_lists(doc), indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("place", ["scalar", "list", "table", "dict", "array", "row", "nested-array"])
+    def test_a_non_finite_value_raises_value_error(self, value, place):
+        doc = {"scalar": value, "list": [1.0, value], "table": [[0, 1, 0.5], [1, 2, value]],
+               "dict": {"a": {"b": value}}, "array": np.array([0.5, value]),
+               "row": np.array([[0.5, 1.0], [value, 2.0]]), "nested-array": {"v": [np.zeros(3), np.array([value])]}}[place]
+        with pytest.raises(ValueError):
+            json.dumps(_as_lists(doc), indent=2, allow_nan=False)
+        with pytest.raises(ValueError):
+            dump_json(doc)
+
+    @pytest.mark.parametrize("doc", [{"a": np.int64(3)}, [1, {2}], {(1, 2): 0}])
+    def test_what_json_cannot_encode_raises_type_error(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            dump_json(doc)
+
+    def test_arrays_take_the_distinct_value_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sio, "_float_texts", lambda a: calls.append(a.shape) or [repr(v) for v in a.ravel().tolist()])
+        states = np.tile([0.5, -0.25], (30, 5))
+        assert dump_json({"states": states}) == json.dumps({"states": states.tolist()}, indent=2)
+        assert calls == [(30, 10)]
+
+    def test_a_table_is_encoded_in_one_call(self, monkeypatch):
+        calls, texts = [], sio._texts
+        monkeypatch.setattr(sio, "_texts", lambda values: calls.append(len(values)) or texts(values))
+        doc = {"flip_set": [[k, k + 1, -0.1] for k in range(50)]}
+        assert dump_json(doc) == json.dumps(doc, indent=2)
+        assert calls == [1, 150]  # the dict's one item, then every value of the table
+
+    def test_file_output_ends_in_a_line_break(self, tmp_path):
+        doc = {"x": np.array([1.0, 2.5])}
+        buffer = io.StringIO()
+        dump_json(doc, buffer)
+        dump_json(doc, tmp_path / "doc.json")
+        assert buffer.getvalue() == (tmp_path / "doc.json").read_text() == dump_json(doc) + "\n"
 
 
 class TestCLI:
@@ -436,6 +610,28 @@ class TestCLI:
                      "--output", str(out), "--format", "json"]) == 0
         doc = json.loads(out.read_text())
         assert doc["states"][1] == [0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("model, config", [
+        ("rw", {"horizon": 40, "init": "random"}),
+        ("elt", {"horizon": 8, "init": "uniform", "theta_l": 1.5, "alpha": 0.1}),
+    ])
+    def test_simulate_json_states_match_the_csv(self, tmp_path, capsys, model, config):
+        G = sn.ssbm(sn.SSBMParams(n1=20, n2=20, p_in=0.4, p_out=0.1, eta=0.05, alpha=0.1, seed=2))
+        net, sim = tmp_path / "net.edges", tmp_path / "sim.json"
+        sn.write_edge_list(G, net)
+        sim.write_text(json.dumps(config))
+        printed = {}
+        for fmt in ("csv", "json"):
+            assert main(["simulate", model, "--input", str(net), "--config", str(sim),
+                         "--output", str(tmp_path / f"traj.{fmt}"), "--format", fmt, "--seed", "3"]) == 0
+            printed[fmt] = capsys.readouterr().out
+        assert printed["csv"] == printed["json"]
+        text = (tmp_path / "traj.json").read_text()
+        doc = json.loads(text)
+        assert np.array_equal(np.array(doc["states"]), read_trajectory_csv(tmp_path / "traj.csv"))
+        assert printed["json"] == json.dumps(json.loads(printed["json"]), indent=2) + "\n"
+        assert text == json.dumps(doc, indent=2) + "\n"  # the layout and float texts of json.dumps
+        assert {k: v for k, v in doc.items() if k != "states"} == json.loads(printed["json"])
 
     def test_repeated_calls_in_one_process_match_separate_runs(self, tmp_path, capsys):
         path = self.write_triangle(tmp_path, sign=-1.0)
