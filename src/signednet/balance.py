@@ -61,18 +61,11 @@ class Bipartition:
     def n(self) -> int:
         return self.s.shape[0]
 
-    def normalized(self) -> "Bipartition":
-        """Fix the global sign so that node 0 lands in the first part."""
-        return self if self.s[0] > 0 else Bipartition(-self.s)
 
-    def same_partition(self, other: "Bipartition") -> bool:
-        return bool(np.array_equal(self.s, other.s) or np.array_equal(self.s, -other.s))
-
-
-def sign_pattern(vector: np.ndarray, tol: float = SIGN_READOFF_TOLERANCE) -> Bipartition:
+def sign_pattern(vector: np.ndarray) -> Bipartition:
     """Bipartition from the signs of a vector; near-zero entries go to +1."""
     v = np.asarray(vector, dtype=float)
-    s = np.where(v < -tol, -1, 1).astype(np.int8)
+    s = np.where(v < -SIGN_READOFF_TOLERANCE, -1, 1).astype(np.int8)
     return Bipartition(s)
 
 

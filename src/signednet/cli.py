@@ -333,7 +333,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (SignedNetError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (SignedNetError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
 

@@ -47,9 +47,6 @@ from .errors import (
 
 #: weights smaller than this in magnitude are rejected so sign(w) stays defined
 WEIGHT_TOLERANCE = 1e-15
-#: most (steps + 1) x state width values one simulation stores: 2**26 float64
-#: values are 512 MiB
-MAX_STORED_VALUES = 2**26
 
 _INT64 = np.iinfo(np.int64)
 
@@ -190,15 +187,6 @@ class SignedGraph:
         key = np.where((a >= 0) & (a < self.n) & (b >= 0) & (b < self.n), a * self.n + b, -1)
         pos = np.searchsorted(keys, key)
         return np.where(keys[pos] == key, edge[pos], -1)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self._edge_ids([i], [j])[0] >= 0)
-
-    def weight(self, i: int, j: int) -> float:
-        k = self._edge_ids([i], [j])[0]
-        if k < 0:
-            raise KeyError((min(i, j), max(i, j)))
-        return float(self.w[k])
 
     def _reweighted(self, w: np.ndarray) -> "SignedGraph":
         """Same topology and labels with the float array ``w`` as weights (not

@@ -2,8 +2,6 @@
 
 import os
 from importlib import resources
-from pathlib import Path
-from typing import Optional, Union
 
 from .core import SignedGraph
 from .io import load_graph, parse_edge_list
@@ -18,23 +16,23 @@ TRIBES_PATH_ENV = "SIGNEDNET_TRIBES_PATH"
 BUNDLED_TRIBES_IS_RECONSTRUCTION = True
 
 
-def highland_tribes(path: Optional[Union[str, Path]] = None) -> SignedGraph:
+def highland_tribes() -> SignedGraph:
     """Gahuku-Gama alliance network (Read 1954), weight magnitude 0.1.
 
     16 subtribes in three mutually hostile alliance blocs; friendly ("rova")
     ties are positive, hostile ("hina") ties negative.  The bundled edge list
     is a three-bloc reconstruction with 75 edges (31 positive, 44 negative),
-    not Read's 58-edge coding used in the literature; pass ``path`` (or set
-    ``SIGNEDNET_TRIBES_PATH``) to load a published coding instead.  See the
-    README's data-provenance section.
+    not Read's 58-edge coding used in the literature; set
+    ``SIGNEDNET_TRIBES_PATH`` to load a published coding instead (or call
+    ``load_graph`` on its file).  See the README's data-provenance section.
     """
-    override = path or os.environ.get(TRIBES_PATH_ENV)
+    override = os.environ.get(TRIBES_PATH_ENV)
     if override:
         return load_graph(override)
     return parse_edge_list(resources.files("signednet").joinpath("data/highland_tribes.edges").read_text())
 
 
-def highland_tribes_is_published(path: Optional[Union[str, Path]] = None) -> bool:
-    """Whether ``highland_tribes(path)`` loads a published coding: any
-    supplied file, or the bundled one once it is a transcription."""
-    return bool(path or os.environ.get(TRIBES_PATH_ENV)) or not BUNDLED_TRIBES_IS_RECONSTRUCTION
+def highland_tribes_is_published() -> bool:
+    """Whether ``highland_tribes()`` loads a published coding: any supplied
+    file, or the bundled one once it is a transcription."""
+    return bool(os.environ.get(TRIBES_PATH_ENV)) or not BUNDLED_TRIBES_IS_RECONSTRUCTION

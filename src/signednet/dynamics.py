@@ -24,7 +24,7 @@ from typing import Callable, Literal, Optional
 import numpy as np
 
 from .balance import Verdict, classify
-from .core import MAX_STORED_VALUES, SignedGraph, _positive_degrees
+from .core import SignedGraph, _positive_degrees
 from .errors import (
     BipartiteUnsupportedError,
     DimensionMismatchError,
@@ -35,6 +35,10 @@ from .errors import (
     ParamOutOfRangeError,
 )
 from .generate import circulant_pairs
+
+#: most (steps + 1) x state width values one simulation stores: 2**26 float64
+#: values are 512 MiB
+MAX_STORED_VALUES = 2**26
 
 
 @dataclass(frozen=True)
@@ -52,9 +56,6 @@ class Trajectory:
             states = np.array(states, dtype=float)
             states.flags.writeable = False
         object.__setattr__(self, "states", states)
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
 
     @property
     def horizon(self) -> int:
@@ -286,9 +287,6 @@ class ActivationSets:
         states = np.asarray(states)
         self._signs = (states > 0).astype(np.int8) - (states < 0)
 
-    def __len__(self) -> int:
-        return len(self._signs)
-
     def plus(self, t: int) -> frozenset:
         return _nodes(self._signs[t] > 0)
 
@@ -306,9 +304,6 @@ class ActivationSets:
 
     def ever_active(self) -> frozenset:
         return _nodes(self._signs.any(axis=0))
-
-    def __iter__(self):
-        return ((self.plus(t), self.minus(t)) for t in range(len(self)))
 
 
 def _nodes(mask: np.ndarray) -> frozenset:

@@ -51,7 +51,7 @@ import itertools
 import json
 import warnings
 from pathlib import Path
-from typing import Iterator, Optional, TextIO, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -260,32 +260,25 @@ def write_edge_list(G: SignedGraph, path: PathLike, header: Optional[str] = None
 # trajectory CSV and activation JSON
 # ---------------------------------------------------------------------------
 
-def write_trajectory_csv(states: np.ndarray, out: Union[PathLike, TextIO]) -> None:
-    """Write a (T+1, n) state array as CSV rows ``t,node,value``."""
-    if hasattr(out, "write"):
-        _write_trajectory(states, out)  # type: ignore[arg-type]
-    else:
-        with open(out, "w", newline="") as fh:
-            _write_trajectory(states, fh)
-
-
 _BLOCK_VALUES = 2048  # values formatted per block; bounds the extra memory
 _T = "<t>"  # step placeholder in the row template
 
 
-def _write_trajectory(states: np.ndarray, fh: TextIO) -> None:
+def write_trajectory_csv(states: np.ndarray, path: PathLike) -> None:
+    """Write a (T+1, n) state array as CSV rows ``t,node,value``."""
     states = np.asarray(states)
     n = states.shape[1]
-    fh.write("t,node,value\r\n")
     template = "".join(f"{_T},{node},%s\r\n" for node in range(n))
     step = max(1, _BLOCK_VALUES // max(n, 1))
-    for start in range(0, states.shape[0], step):
-        block = states[start:start + step]
-        values = _float_texts(block)
-        fh.write("".join(
-            template.replace(_T, str(start + r)) % tuple(values[r * n:(r + 1) * n])
-            for r in range(block.shape[0])
-        ))
+    with open(path, "w", newline="") as fh:
+        fh.write("t,node,value\r\n")
+        for start in range(0, states.shape[0], step):
+            block = states[start:start + step]
+            values = _float_texts(block)
+            fh.write("".join(
+                template.replace(_T, str(start + r)) % tuple(values[r * n:(r + 1) * n])
+                for r in range(block.shape[0])
+            ))
 
 
 def activation_sets_to_json(activations) -> list[dict]:
@@ -302,7 +295,7 @@ def activation_sets_to_json(activations) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def sign_vector_to_json(s: Optional[np.ndarray]) -> Optional[list[int]]:
-    return None if s is None else [int(v) for v in s]
+    return None if s is None else s.tolist()
 
 
 def classification_to_json(classification, measures=None) -> dict:
@@ -409,15 +402,11 @@ def _layout(value, depth: int) -> str:
     return _texts([value])[0]
 
 
-def dump_json(doc, out: Union[PathLike, TextIO, None] = None) -> str:
+def dump_json(doc, path: Optional[PathLike] = None) -> str:
     """``json.dumps(doc, indent=2, allow_nan=False)``, with arrays written as
-    the lists of their values; written to ``out`` with a final line break
+    the lists of their values; written to ``path`` with a final line break
     when given."""
     text = _layout(doc, 0)
-    if out is None:
-        return text
-    if hasattr(out, "write"):
-        out.write(text + "\n")  # type: ignore[union-attr]
-    else:
-        Path(out).write_text(text + "\n")
+    if path is not None:
+        Path(path).write_text(text + "\n")
     return text

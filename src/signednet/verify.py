@@ -110,12 +110,15 @@ def cycle_sign_oracle(G: SignedGraph) -> tuple[bool, bool]:
     Balanced: every cycle carries an even number of negative edges;
     antibalanced: an even number of positive edges.
     """
+    weight = {}
+    for i, j, w in zip(G.i.tolist(), G.j.tolist(), G.w.tolist()):
+        weight[i, j] = weight[j, i] = w
     balanced = True
     antibalanced = True
     for cycle in enumerate_simple_cycles(G):
         negatives = positives = 0
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            if G.weight(a, b) < 0:
+            if weight[a, b] < 0:
                 negatives += 1
             else:
                 positives += 1
@@ -335,13 +338,13 @@ def criterion_stationary_states() -> CriterionResult:
                    f"decay {worst_decay:.2e} (< 1e-8), 150 draws")
 
 
-def _mixing_horizon(G: SignedGraph, target: float = 1e-9, cap: int = 20000) -> int:
-    """Steps needed for the subdominant transition mode to fall below target."""
+def _mixing_horizon(G: SignedGraph) -> int:
+    """Steps needed for the subdominant transition mode to fall below 1e-9, at most 20000."""
     vals = _spectrum(G, _transition_edge_values(G)).eigenvalues
     sub = sorted(np.abs(vals))[-2]
     if sub >= 1.0 - 1e-12:
-        return cap
-    return min(cap, int(np.ceil(np.log(target) / np.log(sub))) + 2)
+        return 20000
+    return min(20000, int(np.ceil(np.log(1e-9) / np.log(sub))) + 2)
 
 
 def criterion_perturbation() -> CriterionResult:

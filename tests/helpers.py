@@ -42,6 +42,7 @@ __all__ = [
     "random_connected_corpus",
     "propagate_signs",
     "certifies_balance",
+    "same_partition",
     "components_by_union_find",
     "frustration_by_edge_subsets",
     "frustration_by_node_signings",
@@ -103,13 +104,18 @@ def propagate_signs(G: SignedGraph) -> Optional[Bipartition]:
     for i, j, w in G.edges:
         if s[i] * s[j] != (1 if w > 0 else -1):
             return None
-    return Bipartition(s).normalized()
+    return Bipartition(s)
 
 
 def certifies_balance(G: SignedGraph, b: Bipartition) -> bool:
     """True when b covers G's nodes and every edge satisfies s_i s_j = sign(w),
     checked one edge at a time."""
     return b.n == G.n and all(b.s[e.i] * b.s[e.j] == (1 if e.w > 0 else -1) for e in G.edges)
+
+
+def same_partition(a: Bipartition, b: Bipartition) -> bool:
+    """Whether two sign vectors split the nodes the same way (equal up to global sign)."""
+    return bool(np.array_equal(a.s, b.s) or np.array_equal(a.s, -b.s))
 
 
 def components_by_union_find(n: int, pairs) -> list[list[int]]:
@@ -473,6 +479,6 @@ def elt_lattice_reference(W: np.ndarray, center: int, orientation: int, cfg) -> 
     return states
 
 
-def activation_sets_json_reference(activations) -> list[dict]:
-    """Activation JSON records built from each step's plus and minus node sets."""
-    return [{"t": t, "plus": sorted(plus), "minus": sorted(minus)} for t, (plus, minus) in enumerate(activations)]
+def activation_sets_json_reference(activations, steps: int) -> list[dict]:
+    """Activation JSON records built from the plus and minus node sets of steps 0 to ``steps - 1``."""
+    return [{"t": t, "plus": sorted(activations.plus(t)), "minus": sorted(activations.minus(t))} for t in range(steps)]

@@ -28,7 +28,7 @@ from helpers import (
 class TestBuildGraph:
     def test_triangle_and_dyad_build(self, triangle_positive, dyad_negative):
         assert triangle_positive.n == 3 and triangle_positive.num_edges == 3
-        assert dyad_negative.weight(0, 1) == -1.0
+        assert dyad_negative.edges == ((0, 1, -1.0),)
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError, match="node 2"):
@@ -115,7 +115,7 @@ class TestUnsignedAndSignAdjacency:
 
     def test_dyad_half_negative(self):
         G = sn.build_graph(2, [(0, 1, -0.5)])
-        assert sn.unsigned_counterpart(G).weight(0, 1) == 0.5
+        assert sn.unsigned_counterpart(G).edges == ((0, 1, 0.5),)
 
     def test_sign_adjacency_entries(self):
         G = sn.build_graph(3, [(0, 1, 0.1), (1, 2, -0.1), (0, 2, -3.0)])
