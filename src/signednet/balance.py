@@ -6,8 +6,8 @@ positive edge inside a part and every negative edge across parts, and
 both are exactly the trees and the balanced bipartite graphs; everything else
 is *strictly unbalanced*.  The classifier reads one cached breadth-first
 spanning tree from node 0 (:class:`~signednet.core.SignedGraph`): the
-tree-path sign products are the balance candidate, those times
-``(-1)^depth`` the antibalance candidate and ``(-1)^depth`` alone the
+tree-path sign products are the balance candidate, those times the tree
+parity ``(-1)^depth`` the antibalance candidate and the parity alone the
 bipartite colouring.  A candidate certifies its structure exactly when
 every edge agrees with it (Harary 1953), which is checked in one array pass
 over the cached edge endpoints and signs, so the verdict is exact and no
@@ -96,11 +96,6 @@ class BalanceClassification:
         return self.antibalanced_partition if self.balanced_partition is None else self.balanced_partition
 
 
-def _parity(depth: np.ndarray) -> np.ndarray:
-    """(-1)^depth as int8 signs."""
-    return (1 - 2 * (depth & 1)).astype(np.int8)
-
-
 def _edge_holds(G: SignedGraph, s: np.ndarray, required) -> np.ndarray:
     """Per edge, whether its endpoint signs multiply to ``required``: the edge
     sign for balance, its negation for antibalance, -1 for a 2-coloring."""
@@ -125,7 +120,7 @@ def classify(G: SignedGraph) -> BalanceClassification:
     """
     tree, sign = G._traversal, G.sign
     balanced = _certificate(G, tree.sign, sign)
-    antibalanced = _certificate(G, tree.sign * _parity(tree.depth), -sign)
+    antibalanced = _certificate(G, tree.sign * tree.parity, -sign)
     if balanced is not None and antibalanced is not None:
         verdict = Verdict.BOTH
     elif balanced is not None:
@@ -151,7 +146,7 @@ def switch(G: SignedGraph, b: Bipartition) -> SignedGraph:
 
 def bipartite_partition(G: SignedGraph) -> Optional[Bipartition]:
     """Proper 2-coloring of the underlying topology, or None if non-bipartite."""
-    return _certificate(G, _parity(G._traversal.depth), -1)
+    return _certificate(G, G._traversal.parity, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,11 @@ class Edge(NamedTuple):
 class _Traversal(NamedTuple):
     """Breadth-first forest rooted at node 0, then at each smallest unreached
     node, visiting each node's neighbours in ascending id: per node its
-    component (numbered by smallest node), tree depth and tree-path sign
-    product (int8)."""
+    component (numbered by smallest node), tree parity (+1 at an even depth,
+    -1 at an odd one) and tree-path sign product, both int8."""
 
     component: np.ndarray
-    depth: np.ndarray
+    parity: np.ndarray
     sign: np.ndarray
 
 
@@ -141,7 +141,7 @@ class SignedGraph:
     def _traversal(self) -> _Traversal:
         n, (keys, edge, start) = self.n, self._csr
         nbr, nbr_sign, start = (keys[:-1] % n).tolist(), self.sign[edge[:-1]].tolist(), start.tolist()
-        comp, depth, sign = [-1] * n, [0] * n, [1] * n
+        comp, parity, sign = [-1] * n, [1] * n, [1] * n
         c = -1
         for root in range(n):
             if comp[root] >= 0:
@@ -154,10 +154,10 @@ class SignedGraph:
                     v = nbr[p]
                     if comp[v] < 0:
                         comp[v] = c
-                        depth[v] = depth[u] + 1
+                        parity[v] = -parity[u]
                         sign[v] = sign[u] * nbr_sign[p]
                         queue.append(v)
-        return _Traversal(np.array(comp, dtype=np.intp), np.array(depth, dtype=np.intp),
+        return _Traversal(np.array(comp, dtype=np.intp), np.array(parity, dtype=np.int8),
                           np.array(sign, dtype=np.int8))
 
     def _matrix(self, values: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Acceptance verification suites.
 
-Each criterion function below checks one shipping gate at its stated
-tolerance and returns a :class:`CriterionResult`; the CLI ``verify``
-subcommand and the acceptance test module both run these.  Suites:
+Each criterion below checks one shipping gate at its stated tolerance.
+``@criterion(name)`` registers a check that returns ``(passed, detail)`` in
+:data:`CRITERIA`, in criterion order, under a wrapper that times the check
+and returns a :class:`CriterionResult`; the CLI ``verify`` subcommand and
+the acceptance test module both run these.  Suites:
 
 * ``spectra``: classification oracle, spectral theorem, radius contraction,
   measures, highland tribes, perturbation first-order check
@@ -15,8 +17,9 @@ Everything is deterministic: corpora are generated from fixed seeds.
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,8 +55,21 @@ class CriterionResult:
         return f"{status} {self.criterion}: {self.detail} ({self.seconds:.2f}s)"
 
 
-def _result(name: str, started: float, passed: bool, detail: str) -> CriterionResult:
-    return CriterionResult(name, passed, detail, time.perf_counter() - started)
+CRITERIA: dict[str, Callable[[], CriterionResult]] = {}
+
+
+def criterion(name: str):
+    """Register a check returning ``(passed, detail)`` as criterion ``name``,
+    wrapped to time it and return a :class:`CriterionResult`."""
+    def register(check: Callable[[], tuple[bool, str]]) -> Callable[[], CriterionResult]:
+        @functools.wraps(check)
+        def run() -> CriterionResult:
+            started = time.perf_counter()
+            passed, detail = check()
+            return CriterionResult(name, passed, detail, time.perf_counter() - started)
+        CRITERIA[name] = run
+        return run
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +151,11 @@ def cycle_sign_oracle(G: SignedGraph) -> tuple[bool, bool]:
 # SSBM corpora (reference experiment configuration)
 # ---------------------------------------------------------------------------
 
-def reference_ssbm(eta: float, seed: int, n1: int = 6, n2: int = 10) -> SignedGraph:
-    return ssbm(SSBMParams(n1=n1, n2=n2, p_in=0.8, p_out=0.1, eta=eta, alpha=0.1, seed=seed))
+REFERENCE = SSBMParams(n1=6, n2=10, p_in=0.8, p_out=0.1, eta=0.0, alpha=0.1)  # each draw sets eta and seed
+
+
+def reference_ssbm(eta: float, seed: int) -> SignedGraph:
+    return ssbm(replace(REFERENCE, eta=eta, seed=seed))
 
 
 def ssbm_with_verdict(eta: float, verdict: Verdict, count: int, seed0: int,
@@ -155,10 +174,11 @@ def ssbm_with_verdict(eta: float, verdict: Verdict, count: int, seed0: int,
 
 
 # ---------------------------------------------------------------------------
-# criteria
+# criteria, registered in criterion order
 # ---------------------------------------------------------------------------
 
-def criterion_classification_oracle() -> CriterionResult:
+@criterion("1-classification-oracle")
+def criterion_classification_oracle() -> tuple[bool, str]:
     """1: classify agrees with exhaustive cycle-sign enumeration, 500 graphs."""
     started = time.perf_counter()
     corpus = random_connected_corpus(500)
@@ -169,29 +189,26 @@ def criterion_classification_oracle() -> CriterionResult:
         if (c.is_balanced, c.is_antibalanced) != (balanced, antibalanced):
             mismatches += 1
     elapsed = time.perf_counter() - started
-    passed = mismatches == 0 and elapsed < 30.0
-    return _result("1-classification-oracle", started, passed,
-                   f"{len(corpus)} graphs, {mismatches} mismatches, {elapsed:.1f}s (< 30s)")
+    return (mismatches == 0 and elapsed < 30.0,
+            f"{len(corpus)} graphs, {mismatches} mismatches, {elapsed:.1f}s (< 30s)")
 
 
-def criterion_spectral_theorem() -> CriterionResult:
+@criterion("2-spectral-theorem")
+def criterion_spectral_theorem() -> tuple[bool, str]:
     """2: signed/unsigned spectra correspondence on 100 + 100 SSBM draws."""
-    started = time.perf_counter()
     worst_vals = worst_lead = 0.0
     for eta, verdict in ((0.0, Verdict.BALANCED), (1.0, Verdict.ANTIBALANCED)):
         for G in ssbm_with_verdict(eta, verdict, 100, seed0=0):
             report = verify_spectral_theorem(G, classify(G))
             worst_vals = max(worst_vals, report.eigenvalue_max_dev)
             worst_lead = max(worst_lead, report.leading_magnitude_dev)
-    passed = worst_vals < 1e-9 and worst_lead < 1e-8
-    return _result("2-spectral-theorem", started, passed,
-                   f"max eigenvalue dev {worst_vals:.2e} (< 1e-9), "
-                   f"max leading |u| dev {worst_lead:.2e} (< 1e-8)")
+    return (worst_vals < 1e-9 and worst_lead < 1e-8,
+            f"max eigenvalue dev {worst_vals:.2e} (< 1e-9), max leading |u| dev {worst_lead:.2e} (< 1e-8)")
 
 
-def criterion_radius_contraction() -> CriterionResult:
+@criterion("3-radius-contraction")
+def criterion_radius_contraction() -> tuple[bool, str]:
     """3: strictly unbalanced <=> rho(W) < rho(|W|) - 1e-9, both directions."""
-    started = time.perf_counter()
     corpus = random_connected_corpus(500)
     exceptions = 0
     for G in corpus:
@@ -200,36 +217,26 @@ def criterion_radius_contraction() -> CriterionResult:
         strictly = classify(G).verdict is Verdict.STRICTLY_UNBALANCED
         if contracted != strictly:
             exceptions += 1
-    return _result("3-radius-contraction", started, exceptions == 0,
-                   f"{len(corpus)} graphs, {exceptions} exceptions")
+    return exceptions == 0, f"{len(corpus)} graphs, {exceptions} exceptions"
 
 
-def criterion_measures() -> CriterionResult:
+@criterion("4-measures")
+def criterion_measures() -> tuple[bool, str]:
     """4: d_b/d_a vanish exactly on the matching class; scale invariance."""
-    started = time.perf_counter()
-    balanced = ssbm_with_verdict(0.0, Verdict.BALANCED, 100, seed0=0)
-    antibalanced = ssbm_with_verdict(1.0, Verdict.ANTIBALANCED, 100, seed0=0)
-    strictly = ssbm_with_verdict(0.1, Verdict.STRICTLY_UNBALANCED, 50, seed0=0)
     ok = True
-    details = []
-    for G in balanced:
-        m = balance_measures(G)
-        ok &= m.d_b < 1e-8 and m.d_a > 1e-8
-    for G in antibalanced:
-        m = balance_measures(G)
-        ok &= m.d_a < 1e-8 and m.d_b > 1e-8
-    for G in strictly:
-        m = balance_measures(G)
-        ok &= m.d_b > 1e-8 and m.d_a > 1e-8
     worst_scale = 0.0
-    for G in balanced[:10] + antibalanced[:10] + strictly[:10]:
-        m = balance_measures(G)
-        for factor in (10.0, 0.01):
-            scaled = balance_measures(G.with_weights(G.w * factor))
-            worst_scale = max(worst_scale, abs(scaled.d_b - m.d_b), abs(scaled.d_a - m.d_a))
-    ok &= worst_scale < 1e-10
-    details.append(f"zero-iff over 250 draws, scale dev {worst_scale:.2e} (< 1e-10)")
-    return _result("4-measures", started, ok, "; ".join(details))
+    # (eta, verdict, draws, d_b zero?, d_a zero?); the first 10 draws of each group are also rescaled
+    for eta, verdict, count, b_zero, a_zero in ((0.0, Verdict.BALANCED, 100, True, False),
+                                                (1.0, Verdict.ANTIBALANCED, 100, False, True),
+                                                (0.1, Verdict.STRICTLY_UNBALANCED, 50, False, False)):
+        for k, G in enumerate(ssbm_with_verdict(eta, verdict, count, seed0=0)):
+            m = balance_measures(G)
+            ok &= (m.d_b < 1e-8 if b_zero else m.d_b > 1e-8) and (m.d_a < 1e-8 if a_zero else m.d_a > 1e-8)
+            if k < 10:
+                for factor in (10.0, 0.01):
+                    scaled = balance_measures(G.with_weights(G.w * factor))
+                    worst_scale = max(worst_scale, abs(scaled.d_b - m.d_b), abs(scaled.d_a - m.d_a))
+    return ok and worst_scale < 1e-10, f"zero-iff over 250 draws, scale dev {worst_scale:.2e} (< 1e-10)"
 
 
 PUBLISHED_TRIBES_D_B = 0.155
@@ -238,7 +245,8 @@ TRIBES_TOLERANCE = 0.002
 PUBLISHED_TRIBES_EDGES = 58
 
 
-def criterion_highland_tribes() -> CriterionResult:
+@criterion("5-highland-tribes")
+def criterion_highland_tribes() -> tuple[bool, str]:
     """5: the Gahuku-Gama network obeys the paper's theorems and, on a
     published coding, reproduces the published measures.
 
@@ -293,84 +301,72 @@ def criterion_highland_tribes() -> CriterionResult:
                    f"see README data provenance")
     if problems:
         detail += " -- " + "; ".join(problems)
-    return _result("5-highland-tribes", started, not problems, detail)
+    return not problems, detail
 
 
-def criterion_stationary_states() -> CriterionResult:
-    """6: iterated walks match the closed-form limits for all three classes."""
-    started = time.perf_counter()
+@criterion("6-stationary-states")
+def criterion_stationary_states() -> tuple[bool, str]:
+    """6: iterated walks match the closed-form limits for all three classes;
+    a prediction of the wrong kind counts as an infinite deviation."""
     rng = np.random.default_rng(7)
-    worst_fixed = worst_pair = worst_decay = 0.0
+    worst: dict[StationaryKind, float] = {}
 
     def random_unit_l1(n: int) -> np.ndarray:
         x = rng.standard_normal(n)
         return x / np.abs(x).sum()
 
-    for G in ssbm_with_verdict(0.0, Verdict.BALANCED, 50, seed0=300, require_nonbipartite=True):
-        x0 = random_unit_l1(G.n)
-        pred = predict_stationary(G, x0)
-        assert pred.kind is StationaryKind.FIXED
-        T = _mixing_horizon(G)
-        traj = random_walk_simulate(G, x0, T)
-        worst_fixed = max(worst_fixed, float(np.max(np.abs(traj.final - pred.fixed))))
+    for eta, verdict, kind in ((0.0, Verdict.BALANCED, StationaryKind.FIXED),
+                               (1.0, Verdict.ANTIBALANCED, StationaryKind.ALTERNATING_PAIR),
+                               (0.1, Verdict.STRICTLY_UNBALANCED, StationaryKind.ZERO)):
+        worst[kind] = 0.0
+        pure = kind is not StationaryKind.ZERO
+        for G in ssbm_with_verdict(eta, verdict, 50, seed0=300, require_nonbipartite=pure):
+            x0 = random_unit_l1(G.n)
+            pred = predict_stationary(G, x0)
+            states = random_walk_simulate(G, x0, _horizon(G, kind)).states
+            limits = np.array(pred.vectors)  # the last states: (fixed,), (odd, even) or (zero,)
+            dev = np.max(np.abs(states[-len(limits):] - limits)) if pred.kind is kind else np.inf
+            worst[kind] = max(worst[kind], float(dev))
 
-    for G in ssbm_with_verdict(1.0, Verdict.ANTIBALANCED, 50, seed0=300, require_nonbipartite=True):
-        x0 = random_unit_l1(G.n)
-        pred = predict_stationary(G, x0)
-        assert pred.kind is StationaryKind.ALTERNATING_PAIR
-        T = _mixing_horizon(G)
-        T += T % 2  # land on an even step
-        traj = random_walk_simulate(G, x0, T)
-        dev_even = float(np.max(np.abs(traj.states[-1] - pred.even)))
-        dev_odd = float(np.max(np.abs(traj.states[-2] - pred.odd)))
-        worst_pair = max(worst_pair, dev_even, dev_odd)
-
-    for G in ssbm_with_verdict(0.1, Verdict.STRICTLY_UNBALANCED, 50, seed0=300):
-        x0 = random_unit_l1(G.n)
-        rho = float(np.max(np.abs(_spectrum(G, _transition_edge_values(G)).eigenvalues)))
-        T = int(np.ceil(10.0 / (-np.log10(rho))))
-        traj = random_walk_simulate(G, x0, T)
-        worst_decay = max(worst_decay, float(np.max(np.abs(traj.final))))
-
-    passed = worst_fixed < 1e-6 and worst_pair < 1e-6 and worst_decay < 1e-8
-    return _result("6-stationary-states", started, passed,
-                   f"fixed dev {worst_fixed:.2e} (< 1e-6), pair dev {worst_pair:.2e} (< 1e-6), "
-                   f"decay {worst_decay:.2e} (< 1e-8), 150 draws")
+    worst_fixed, worst_pair, worst_decay = worst.values()  # in table order
+    return (worst_fixed < 1e-6 and worst_pair < 1e-6 and worst_decay < 1e-8,
+            f"fixed dev {worst_fixed:.2e} (< 1e-6), pair dev {worst_pair:.2e} (< 1e-6), "
+            f"decay {worst_decay:.2e} (< 1e-8), 150 draws")
 
 
-def _mixing_horizon(G: SignedGraph) -> int:
-    """Steps needed for the subdominant transition mode to fall below 1e-9, at most 20000."""
-    vals = _spectrum(G, _transition_edge_values(G)).eigenvalues
-    sub = sorted(np.abs(vals))[-2]
-    if sub >= 1.0 - 1e-12:
-        return 20000
-    return min(20000, int(np.ceil(np.log(1e-9) / np.log(sub))) + 2)
+def _horizon(G: SignedGraph, kind: StationaryKind) -> int:
+    """Steps for a walk to reach its ``kind`` of limit: until the whole walk
+    falls below 1e-10 when it decays, else until the subdominant transition
+    mode falls below 1e-9 (at most 20000, and even for the alternating pair)."""
+    moduli = np.sort(np.abs(_spectrum(G, _transition_edge_values(G)).eigenvalues))
+    if kind is StationaryKind.ZERO:
+        return int(np.ceil(10.0 / (-np.log10(moduli[-1]))))
+    sub = moduli[-2]
+    T = 20000 if sub >= 1.0 - 1e-12 else min(20000, int(np.ceil(np.log(1e-9) / np.log(sub))) + 2)
+    return T + T % 2 if kind is StationaryKind.ALTERNATING_PAIR else T
 
 
-def criterion_perturbation() -> CriterionResult:
-    """7: first-order d_b prediction within 15% on >= 90% of 30 single flips."""
-    started = time.perf_counter()
+@criterion("7-perturbation")
+def criterion_perturbation() -> tuple[bool, str]:
+    """7: first-order d_b prediction within 15% on >= 90% of 30 single flips
+    of balanced (eta = 0) draws."""
     hits = 0
     trials = 30
     for trial in range(trials):
         G = ssbm(SSBMParams(n1=30, n2=30, p_in=0.8, p_out=0.1, eta=0.0, alpha=0.1, seed=trial))
-        if not classify(G).is_balanced:
-            continue
         rng = np.random.default_rng(1000 + trial)
         k = int(rng.integers(0, G.num_edges))
         flip = [(G.i[k], G.j[k])]
-        est = perturbation_estimate(G, flip)
-        predicted_db = -est.delta_max
+        predicted_db = -perturbation_estimate(G, flip).delta_max
         measured_db = balance_measures(apply_flip_set(G, flip)).d_b
         if abs(measured_db - predicted_db) / measured_db < 0.15:
             hits += 1
-    passed = hits >= int(np.ceil(0.9 * trials))
-    return _result("7-perturbation", started, passed, f"{hits}/{trials} trials within 15% (need >= 27)")
+    return hits >= int(np.ceil(0.9 * trials)), f"{hits}/{trials} trials within 15% (need >= 27)"
 
 
-def criterion_elt_lattice() -> CriterionResult:
+@criterion("8-elt-lattice")
+def criterion_elt_lattice() -> tuple[bool, str]:
     """8: ELT ring-lattice behavior at n=40, dbar=4, alpha=0.1."""
-    started = time.perf_counter()
     n, dbar, alpha, horizon = 40, 4, 0.1, 30
     problems: list[str] = []
 
@@ -424,14 +420,14 @@ def criterion_elt_lattice() -> CriterionResult:
                 problems.append(f"flip-2 seed {seed} exceeded balanced count at t={t}")
                 break
 
-    return _result("8-elt-lattice", started, not problems,
-                   "spread iff theta_l <= dbar/2 at {1, 2, 2.5}; per-step counts, sign patterns, "
-                   "flip-2 bound all hold" if not problems else "; ".join(problems))
+    return (not problems,
+            "spread iff theta_l <= dbar/2 at {1, 2, 2.5}; per-step counts, sign patterns, "
+            "flip-2 bound all hold" if not problems else "; ".join(problems))
 
 
-def criterion_doubled_walk() -> CriterionResult:
+@criterion("9-doubled-walk")
+def criterion_doubled_walk() -> tuple[bool, str]:
     """9: two-species sum/difference match unsigned/signed walks to 1e-12."""
-    started = time.perf_counter()
     rng = np.random.default_rng(11)
     worst = 0.0
     corpus = random_connected_corpus(20, max_n=12, seed=77)
@@ -443,86 +439,53 @@ def criterion_doubled_walk() -> CriterionResult:
         unsigned = random_walk_simulate(unsigned_counterpart(G), xp + xm, 50)
         worst = max(worst, float(np.max(np.abs((plus.states - minus.states) - signed.states))))
         worst = max(worst, float(np.max(np.abs((plus.states + minus.states) - unsigned.states))))
-    return _result("9-doubled-walk", started, worst < 1e-12,
-                   f"max deviation {worst:.2e} (< 1e-12) over {len(corpus)} graphs, 50 steps")
+    return worst < 1e-12, f"max deviation {worst:.2e} (< 1e-12) over {len(corpus)} graphs, 50 steps"
 
 
-def criterion_figure_patterns() -> CriterionResult:
-    """10: qualitative sign patterns of the three dynamics across regimes."""
-    started = time.perf_counter()
+@criterion("10-figure-patterns")
+def criterion_figure_patterns() -> tuple[bool, str]:
+    """10: sign patterns of the three dynamics, exact from the certificate in the
+    pure regimes (eta 0, 1), over 90% from the planted blocks near them."""
+    steps = 10
     problems: list[str] = []
+    near: dict[float, str] = {}
 
-    def simulate_all(G, x0, steps):
+    def simulate_all(G, x0):
         lin = linear_adjacency_simulate(G, x0, steps).states
         rw = random_walk_simulate(G, x0, steps).states
         cfg = ELTConfig(theta_l=1.0, alpha=0.1, l0=1.0, horizon=steps)
         elt, _ = elt_simulate(G, x0, cfg)
         return {"linear": lin, "rw": rw, "elt": elt.states}
 
-    def agreement(states, pattern, steps):
-        agree = total = 0
-        for t in range(1, steps + 1):
-            target = pattern(t)
-            row = states[t]
-            nz = np.abs(row) > 0
-            agree += int(np.sum(np.sign(row[nz]) == target[nz]))
-            total += int(np.sum(nz))
-        return agree / total if total else 1.0
+    def agreement(states, target):
+        """Share of the nonzero states of steps 1.. whose sign is ``target``'s."""
+        signs = np.sign(states[1:])
+        nonzero = signs != 0
+        return float(np.mean(signs[nonzero] == target[nonzero])) if nonzero.any() else 1.0
 
-    steps = 10
-    G0 = ssbm_with_verdict(0.0, Verdict.BALANCED, 1, seed0=42, require_nonbipartite=True)[0]
-    s0 = classify(G0).balanced_partition.s.astype(float)
-    for model, states in simulate_all(G0, s0.copy(), steps).items():
-        frac = agreement(states, lambda t: s0, steps)
-        if frac != 1.0:
-            problems.append(f"eta=0 {model}: sign agreement {frac:.3f} != 1")
+    planted = REFERENCE.planted_signs().astype(float)
+    for eta, verdict in ((0.0, Verdict.BALANCED), (1.0, Verdict.ANTIBALANCED),
+                         (0.05, Verdict.STRICTLY_UNBALANCED), (0.95, Verdict.STRICTLY_UNBALANCED)):
+        pure = verdict is not Verdict.STRICTLY_UNBALANCED
+        G = ssbm_with_verdict(eta, verdict, 1, seed0=42, require_nonbipartite=pure)[0]
+        s = classify(G).certificate.s.astype(float) if pure else planted
+        alternation = -1.0 if eta > 0.5 else 1.0  # toward antibalance the signs alternate
+        target = np.power(alternation, np.arange(1, steps + 1))[:, None] * s
+        fracs = {model: agreement(states, target) for model, states in simulate_all(G, s).items()}
+        for model, frac in fracs.items():
+            if pure and frac != 1.0:
+                problems.append(f"eta={eta:g} {model}: sign agreement {frac:.3f} != 1")
+            elif not pure and frac <= 0.9:
+                problems.append(f"eta={eta:g} {model}: agreement {frac:.3f} <= 0.9")
+        near[eta] = ", ".join(f"{k}={v:.2f}" for k, v in fracs.items())
 
-    G1 = ssbm_with_verdict(1.0, Verdict.ANTIBALANCED, 1, seed0=42, require_nonbipartite=True)[0]
-    s1 = classify(G1).antibalanced_partition.s.astype(float)
-    for model, states in simulate_all(G1, s1.copy(), steps).items():
-        frac = agreement(states, lambda t: ((-1) ** t) * s1, steps)
-        if frac != 1.0:
-            problems.append(f"eta=1 {model}: sign agreement {frac:.3f} != 1")
-
-    G005 = ssbm_with_verdict(0.05, Verdict.STRICTLY_UNBALANCED, 1, seed0=42)[0]
-    planted = SSBMParams(n1=6, n2=10, p_in=0.8, p_out=0.1, eta=0.05, alpha=0.1).planted_signs().astype(float)
-    fracs_near_b = {}
-    for model, states in simulate_all(G005, planted.copy(), steps).items():
-        fracs_near_b[model] = agreement(states, lambda t: planted, steps)
-        if fracs_near_b[model] <= 0.9:
-            problems.append(f"eta=0.05 {model}: agreement {fracs_near_b[model]:.3f} <= 0.9")
-
-    G095 = ssbm_with_verdict(0.95, Verdict.STRICTLY_UNBALANCED, 1, seed0=42)[0]
-    fracs_near_a = {}
-    for model, states in simulate_all(G095, planted.copy(), steps).items():
-        fracs_near_a[model] = agreement(states, lambda t: ((-1) ** t) * planted, steps)
-        if fracs_near_a[model] <= 0.9:
-            problems.append(f"eta=0.95 {model}: agreement {fracs_near_a[model]:.3f} <= 0.9")
-
-    detail = ("pure regimes exact; near-balanced agreement "
-              + ", ".join(f"{k}={v:.2f}" for k, v in fracs_near_b.items())
-              + "; near-antibalanced "
-              + ", ".join(f"{k}={v:.2f}" for k, v in fracs_near_a.items()))
-    return _result("10-figure-patterns", started, not problems,
-                   detail if not problems else "; ".join(problems))
+    detail = f"pure regimes exact; near-balanced agreement {near[0.05]}; near-antibalanced {near[0.95]}"
+    return not problems, detail if not problems else "; ".join(problems)
 
 
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
-
-CRITERIA: dict[str, Callable[[], CriterionResult]] = {
-    "1-classification-oracle": criterion_classification_oracle,
-    "2-spectral-theorem": criterion_spectral_theorem,
-    "3-radius-contraction": criterion_radius_contraction,
-    "4-measures": criterion_measures,
-    "5-highland-tribes": criterion_highland_tribes,
-    "6-stationary-states": criterion_stationary_states,
-    "7-perturbation": criterion_perturbation,
-    "8-elt-lattice": criterion_elt_lattice,
-    "9-doubled-walk": criterion_doubled_walk,
-    "10-figure-patterns": criterion_figure_patterns,
-}
 
 SUITES: dict[str, list[str]] = {
     "spectra": ["1-classification-oracle", "2-spectral-theorem", "3-radius-contraction",

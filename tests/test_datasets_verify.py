@@ -8,7 +8,10 @@ import signednet as sn
 from signednet import datasets
 from signednet.cli import main
 from signednet.errors import EdgeListParseError
+from signednet.dynamics import StationaryKind, StationaryPrediction
 from signednet.verify import (
+    CRITERIA,
+    SUITES,
     CriterionResult,
     criterion_highland_tribes,
     cycle_sign_oracle,
@@ -134,3 +137,37 @@ class TestVerifyMachinery:
         assert main(["verify", "walks", "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert {r["criterion"] for r in doc} == {"6-stationary-states", "9-doubled-walk"}
+
+    def test_registry_lists_the_ten_criteria_in_order(self):
+        assert list(CRITERIA) == [
+            "1-classification-oracle", "2-spectral-theorem", "3-radius-contraction", "4-measures",
+            "5-highland-tribes", "6-stationary-states", "7-perturbation", "8-elt-lattice",
+            "9-doubled-walk", "10-figure-patterns",
+        ]
+        assert SUITES["all"] == list(CRITERIA)
+
+    def test_each_criterion_reports_its_registered_name(self):
+        for name, run in CRITERIA.items():
+            result = run()
+            assert isinstance(result, CriterionResult)
+            assert result.criterion == name
+            assert result.seconds >= 0
+
+    def test_suites_partition_all(self):
+        parts = [SUITES[s] for s in ("spectra", "walks", "elt")]
+        names = [name for part in parts for name in part]
+        assert sorted(names) == sorted(SUITES["all"])
+        assert len(names) == len(set(names))
+
+    def test_wrong_stationary_kind_fails_criterion_6(self, monkeypatch, capsys):
+        import signednet.verify as verify
+
+        def zero(G, x0):
+            return StationaryPrediction(StationaryKind.ZERO, (np.zeros(G.n),))
+
+        monkeypatch.setattr(verify, "predict_stationary", zero)
+        result = CRITERIA["6-stationary-states"]()
+        assert result.passed is False
+        assert "fixed dev inf" in result.detail and "pair dev inf" in result.detail
+        assert main(["verify", "walks"]) == 3
+        assert "FAIL 6-stationary-states" in capsys.readouterr().out
