@@ -9,9 +9,10 @@ spanning tree from node 0 (:class:`~signednet.core.SignedGraph`): the
 tree-path sign products are the balance candidate, those times the tree
 parity ``(-1)^depth`` the antibalance candidate and the parity alone the
 bipartite colouring.  A candidate certifies its structure exactly when
-every edge agrees with it (Harary 1953), which is checked in one array pass
-over the cached edge endpoints and signs, so the verdict is exact and no
-negated copy of the graph is built.
+every edge agrees with it (Harary 1953).  The graph caches which of the two
+candidates do (``SignedGraph._structure``, one array pass over the edge
+endpoints and signs), and :func:`classify` wraps that verdict, so it is
+exact and no negated copy of the graph is built.
 
 Two spectral consequences of balance are checked here, on the solves of
 :mod:`signednet.spectral`: the spectrum correspondence of W and |W|, and the
@@ -102,14 +103,18 @@ def _edge_holds(G: SignedGraph, s: np.ndarray, required) -> np.ndarray:
     return s[G.i] * s[G.j] == required
 
 
-def _certificate(G: SignedGraph, s: np.ndarray, required) -> Optional[Bipartition]:
-    """The candidate signs s as a bipartition if every edge agrees with them."""
-    return Bipartition(s) if _edge_holds(G, s, required).all() else None
-
-
 def negate(G: SignedGraph) -> SignedGraph:
     """Same topology with every edge sign flipped."""
     return G._reweighted(-G.w)
+
+
+def _target_signs(G: SignedGraph, target: FrustrationTarget) -> Optional[np.ndarray]:
+    """The certificate signs of the target structure, read off the cached
+    traversal with node 0 at +1, or None when the graph lacks the structure."""
+    tree = G._traversal
+    if target == "balanced":
+        return tree.sign if G._structure.balanced else None
+    return tree.sign * tree.parity if G._structure.antibalanced else None
 
 
 def classify(G: SignedGraph) -> BalanceClassification:
@@ -118,9 +123,8 @@ def classify(G: SignedGraph) -> BalanceClassification:
     Certificates are normalized so node 0 is in the first part (bipartitions
     are only defined up to global negation).
     """
-    tree, sign = G._traversal, G.sign
-    balanced = _certificate(G, tree.sign, sign)
-    antibalanced = _certificate(G, tree.sign * tree.parity, -sign)
+    signs = _target_signs(G, "balanced"), _target_signs(G, "antibalanced")
+    balanced, antibalanced = (None if s is None else Bipartition(s) for s in signs)
     if balanced is not None and antibalanced is not None:
         verdict = Verdict.BOTH
     elif balanced is not None:
@@ -146,7 +150,8 @@ def switch(G: SignedGraph, b: Bipartition) -> SignedGraph:
 
 def bipartite_partition(G: SignedGraph) -> Optional[Bipartition]:
     """Proper 2-coloring of the underlying topology, or None if non-bipartite."""
-    return _certificate(G, G._traversal.parity, -1)
+    parity = G._traversal.parity
+    return Bipartition(parity) if _edge_holds(G, parity, -1).all() else None
 
 
 # ---------------------------------------------------------------------------
@@ -187,35 +192,39 @@ def frustration(G: SignedGraph, target: FrustrationTarget = "balanced",
     Capped at 25 edges.  Heuristic mode reads the bipartition off the leading
     eigenvector of W (balanced) or of -W (antibalanced), the one end
     ``spectral._extremes`` solves for it, and reports the violation count as
-    an upper bound.  On a balanced (antibalanced) graph that eigenvector is
-    the certificate times the Perron vector of |W|, so its sign pattern is
-    the certificate (up to global sign) with no flips.
+    an upper bound.
+
+    A graph that already has the target structure needs neither: in either
+    mode it gets its :func:`classify` certificate (node 0 at +1) with no
+    flips, and ``exact`` still reports the mode.  That is also the answer
+    the eigenvector gives there (up to global sign), since it is the
+    certificate times the Perron vector of |W|.  The mode and the 25-edge
+    cap of exact mode are checked first, whatever the graph.
 
     Both the edge count and the total flipped absolute weight are reported.
     """
     if target not in ("balanced", "antibalanced"):
         raise ValueError(f"unknown target {target!r}")
-    if mode == "exact":
-        if G.num_edges > EXACT_FRUSTRATION_EDGE_CAP:
-            raise TooLargeError(
-                f"exact frustration is capped at {EXACT_FRUSTRATION_EDGE_CAP} edges; "
-                f"graph has {G.num_edges} (use mode='heuristic')"
-            )
+    if mode not in ("exact", "heuristic"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact" and G.num_edges > EXACT_FRUSTRATION_EDGE_CAP:
+        raise TooLargeError(
+            f"exact frustration is capped at {EXACT_FRUSTRATION_EDGE_CAP} edges; "
+            f"graph has {G.num_edges} (use mode='heuristic')"
+        )
+    s = _target_signs(G, target)  # a certificate violates no edge
+    if s is None and mode == "exact":
         s = _exact_min_violation_signs(G, target)
-        exact = True
-    elif mode == "heuristic":
+    elif s is None:
         top = _extremes(G, None if target == "balanced" else -G.w, ends="top", vectors=True)
         s = sign_pattern(top.eigenvectors[:, 0]).s
-        exact = False
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     flip = _violations(G, s, target)
     return FrustrationReport(
         target=target,
         flip_set=tuple(flip),
         flip_count=len(flip),
         flipped_weight=float(sum(abs(e.w) for e in flip)),
-        exact=exact,
+        exact=mode == "exact",
         partition=Bipartition(s),
     )
 

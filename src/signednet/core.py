@@ -4,10 +4,13 @@ A :class:`SignedGraph` is an undirected, connected, weighted graph whose edge
 weights carry a sign.  It stores its edges as read-only arrays in input
 order: endpoints ``i < j`` and weights ``w``.  All else is cached on first
 access: edge signs, the dense weight matrix, the ``edges`` tuple view, one
-CSR adjacency, which answers every neighbourhood question, and one
+CSR adjacency, which answers every neighbourhood question, one
 breadth-first spanning forest from node 0 over it, which decides connectivity
-and components here and balance, antibalance and bipartiteness in
-:mod:`signednet.balance`.
+and components here and bipartiteness in :mod:`signednet.balance`, and the
+structural verdict read off that forest (``_structure``: whether its balance
+and its antibalance candidate hold on every edge).  ``balance.classify``
+wraps the verdict, and :mod:`signednet.spectral` and ``balance.frustration``
+read it to skip every solve and search whose answer it fixes.
 Weights must be finite and nonzero.  A connected graph has n <= m + 1, and
 :func:`build_graph` checks that before it allocates anything of size n, so
 a far node id fails at once instead of allocating memory by id.
@@ -68,6 +71,17 @@ class _Traversal(NamedTuple):
     sign: np.ndarray
 
 
+class _Structure(NamedTuple):
+    """Whether each candidate of the traversal certifies its structure:
+    ``balanced`` when every edge agrees with the tree-path signs,
+    ``antibalanced`` when every edge of the negated graph agrees with those
+    signs times the tree parity.  Both hold on the "both" verdict, neither
+    on a strictly unbalanced graph."""
+
+    balanced: bool
+    antibalanced: bool
+
+
 class _Neighbours(NamedTuple):
     """CSR adjacency over both edge orientations: keys ``node * n + neighbour``
     in ascending order and a sentinel (int64 max) no key reaches, the edge
@@ -84,8 +98,10 @@ class SignedGraph:
 
     Edge k joins ``i[k] < j[k]`` with weight ``w[k]``.  Instances are
     immutable; every derived array is cached on first access and safe to
-    share across threads.  Use :func:`build_graph` to construct a validated
-    instance -- the constructor itself does not validate.
+    share across threads, and so is the structural verdict ``_structure``,
+    read off the cached traversal in one pass over the edges.  Use
+    :func:`build_graph` to construct a validated instance -- the
+    constructor itself does not validate.
     """
 
     n: int
@@ -159,6 +175,17 @@ class SignedGraph:
                         queue.append(v)
         return _Traversal(np.array(comp, dtype=np.intp), np.array(parity, dtype=np.int8),
                           np.array(sign, dtype=np.int8))
+
+    @cached_property
+    def _structure(self) -> _Structure:
+        """The structural verdict, in one array pass over the edges: edge k
+        agrees with the balance candidate t (tree-path signs) when
+        t_i t_j sign_k = +1, and with the antibalance candidate t * parity
+        when that product times parity_i parity_j is -1 (Harary 1953)."""
+        tree = self._traversal
+        agrees = tree.sign[self.i] * tree.sign[self.j] * self.sign
+        return _Structure(bool((agrees == 1).all()),
+                          bool((agrees == -tree.parity[self.i] * tree.parity[self.j]).all()))
 
     def _matrix(self, values: np.ndarray) -> np.ndarray:
         """The symmetric n x n matrix holding ``values[k]`` at (i_k, j_k) and

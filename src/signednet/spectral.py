@@ -15,15 +15,27 @@ n x n matrix.  Its convergence test takes the Ritz values from one
 O(k) recurrence for the last entry of its eigenvector of T
 (:func:`_last_entry`), and runs at the step where each open end's residual
 trend predicts convergence, so a value-only solve never computes an
-eigenvector of T.  Each caller solves only the ends it reports: ``d_b`` and
-``d_a`` both ends of P_sym (:func:`_distances`, all that CLI ``classify``
-prints), the radii both ends of W and the top of |W|, heuristic frustration
-the top of W or -W with its vector.  It is all numpy; no scipy is imported.
+eigenvector of T.  It is all numpy; no scipy is imported.
 
 The distance ``d_b``, the smallest eigenvalue of the random-walk Laplacian,
 is zero exactly on balanced graphs, and ``d_a``, the gap between 2 and its
 largest, exactly on antibalanced ones.  Both are invariant under switching
-and under uniform weight scaling.
+and under uniform weight scaling.  rho(W) = rho(|W|) unless the graph is
+strictly unbalanced.  The graph's cached structural verdict
+(``SignedGraph._structure``) says exactly which of these cases holds, so
+each caller solves only what it reports and the verdict leaves open:
+
+* :func:`_distances` (all that CLI ``classify`` prints) returns a distance
+  the verdict fixes as exactly 0.0 and solves the open one as the top of
+  P_sym (``d_b``) or of -P_sym (``d_a``); only a strictly unbalanced graph
+  takes both ends of P_sym, and a graph that is both takes no solve.
+* :func:`balance_measures` adds the top of |W|, and both ends of W only on a
+  strictly unbalanced graph; on any other graph rho(W) is rho(|W|) and the
+  contraction exactly 0.0.
+* Heuristic frustration takes the top of W or -W with its vector, and no
+  solve when the graph already has the target structure.
+
+The degree checks of P_sym run before any of this, on every graph.
 """
 
 from __future__ import annotations
@@ -253,7 +265,7 @@ class BalanceMeasures:
     """Distances from balance/antibalance plus the two spectral radii.
 
     ``contraction`` is rho(|W|) - rho(W), strictly positive exactly on
-    strictly unbalanced graphs.
+    strictly unbalanced graphs and exactly 0.0 on all others.
     """
 
     d_b: float
@@ -272,27 +284,42 @@ class _Distances(NamedTuple):
 
 
 def _distances(G: SignedGraph) -> _Distances:
-    """d_b = lambda_min(L_rw) and d_a = 2 - lambda_max(L_rw), from the two
-    ends of P_sym, the symmetric similarity of P (one solve)."""
-    p_vals = _extremes(G, _transition_edge_values(G)).eigenvalues
+    """d_b = lambda_min(L_rw) = 1 - lambda_max(P_sym) and d_a = 2 -
+    lambda_max(L_rw) = 1 + lambda_min(P_sym), P_sym being the symmetric
+    similarity of P.  A distance the verdict fixes is exactly 0.0: d_b on a
+    balanced graph, d_a on an antibalanced one.  One open distance is the
+    top of P_sym or of -P_sym (a top-only solve), two are both ends of P_sym
+    (one solve).  The degree checks of P_sym run first on every graph."""
+    p = _transition_edge_values(G)
+    balanced, antibalanced = G._structure
+    if balanced and antibalanced:
+        return _Distances(d_b=0.0, d_a=0.0)
+    if balanced:
+        return _Distances(d_b=0.0, d_a=float(1.0 - _extremes(G, -p, ends="top").eigenvalues[0]))
+    if antibalanced:
+        return _Distances(d_b=float(1.0 - _extremes(G, p, ends="top").eigenvalues[0]), d_a=0.0)
+    p_vals = _extremes(G, p).eigenvalues
     return _Distances(d_b=float(1.0 - p_vals[0]), d_a=float(1.0 + p_vals[-1]))
 
 
 def balance_measures(G: SignedGraph) -> BalanceMeasures:
     """d_b, d_a and the signed/unsigned spectral radii of W.
 
-    d_b and d_a come from :func:`_distances`.  rho(W) = max(lambda_max,
-    -lambda_min); |W| is nonnegative, so by Perron-Frobenius its spectral
-    radius is its largest eigenvalue.  Only the ends of the three spectra
-    are read, each from :func:`_extremes`: both ends of P_sym and W, the top
-    end of |W|, no eigenvectors.
+    d_b and d_a come from :func:`_distances`.  |W| is nonnegative, so by
+    Perron-Frobenius its spectral radius is its largest eigenvalue.  rho(W)
+    is rho(|W|) unless the graph is strictly unbalanced, and only then is it
+    solved, as max(lambda_max, -lambda_min); the contraction of any other
+    graph is exactly 0.0.  Only ends of spectra are read, each from
+    :func:`_extremes`, no eigenvectors: on a strictly unbalanced graph both
+    ends of P_sym, then of W, then the top of |W|.
     """
     d = _distances(G)
-    w_vals = _extremes(G).eigenvalues
-    rho_unsigned = _extremes(G, np.abs(G.w), ends="top").eigenvalues[0]
+    strictly_unbalanced = not any(G._structure)
+    w_vals = _extremes(G).eigenvalues if strictly_unbalanced else None
+    rho_unsigned = float(_extremes(G, np.abs(G.w), ends="top").eigenvalues[0])
     return BalanceMeasures(
         d_b=d.d_b,
         d_a=d.d_a,
-        spectral_radius_signed=float(max(w_vals[0], -w_vals[-1])),
-        spectral_radius_unsigned=float(rho_unsigned),
+        spectral_radius_signed=rho_unsigned if w_vals is None else float(max(w_vals[0], -w_vals[-1])),
+        spectral_radius_unsigned=rho_unsigned,
     )

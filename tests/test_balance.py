@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import signednet as sn
-from signednet import Verdict
+from signednet import Verdict, balance, spectral
 from signednet.balance import Bipartition, apply_flip_set, sign_pattern
 from signednet.errors import TooLargeError
 
@@ -229,6 +229,32 @@ class TestFrustration:
         assert G.num_edges == 28
         with pytest.raises(TooLargeError):
             sn.frustration(G, "balanced")
+
+    @pytest.mark.parametrize("G, target", [
+        (sn.build_graph(3, [(0, 1, -1.0), (0, 2, -1.0), (1, 2, 1.0)]), "balanced"),
+        (sn.build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, -1.0)]), "antibalanced"),
+        (sn.random_signed_tree(26, 0.5, seed=4), "balanced"),
+        (sn.random_signed_tree(26, 0.5, seed=4), "antibalanced"),
+        (sn.ring_lattice(sn.LatticeParams(n=300, dbar=4, alpha=0.7, sign_plan=sn.BalancedPlan("arc:150"))),
+         "balanced"),
+    ], ids=["balanced-triangle", "antibalanced-triangle", "tree-balanced", "tree-antibalanced", "balanced-lattice"])
+    def test_target_structure_is_answered_without_a_search(self, G, target, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph with the target structure was searched")
+
+        for module, name in ((spectral, "_extremes"), (balance, "_extremes"),
+                             (balance, "_exact_min_violation_signs")):
+            monkeypatch.setattr(module, name, refuse)
+        c = sn.classify(G)
+        certificate = c.balanced_partition if target == "balanced" else c.antibalanced_partition
+        modes = ["heuristic"] + (["exact"] if G.num_edges <= balance.EXACT_FRUSTRATION_EDGE_CAP else [])
+        for mode in modes:
+            rep = sn.frustration(G, target, mode=mode)
+            assert (rep.flip_set, rep.flip_count, rep.flipped_weight, rep.exact) == ((), 0, 0.0, mode == "exact")
+            assert np.array_equal(rep.partition.s, certificate.s)
+        if "exact" not in modes:  # past the cap, exact mode still refuses whatever the structure
+            with pytest.raises(TooLargeError):
+                sn.frustration(G, target)
 
     def test_sign_pattern_readoff_near_zero_goes_positive(self):
         b = sign_pattern(np.array([1e-12, -1.0, 0.5]))

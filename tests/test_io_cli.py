@@ -1142,6 +1142,22 @@ class TestMalformedConfigs:
             assert err.startswith("error: ") and err.endswith("\n") and not out.exists()
 
 
+class TestDegreeChecksComeFirst:
+    """A single node and a tree have every distance fixed by their verdict
+    ("both"), but the degree checks run before anything is returned."""
+
+    @pytest.mark.parametrize("text, error", [
+        ("n 1\n", "node 0 has zero degree; transition matrices are undefined"),
+        ("0 1 1e308\n0 2 1e308\n", "the weighted degree of node 0 exceeds the float range; rescale the weights"),
+    ], ids=["single-node", "overflowing-star"])
+    @pytest.mark.parametrize("command", ["classify", "measure"])
+    def test_in_process(self, tmp_path, capsys, text, error, command):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        assert main([command, "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 class TestWeightsNearFloatMax:
     """Weights near the float maximum give finite JSON with nothing on
     stderr, or one error line when a degree overflows."""

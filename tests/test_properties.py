@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import signednet as sn
-from signednet.balance import Bipartition, apply_flip_set
+from signednet.balance import Bipartition, _exact_min_violation_signs, _violations, apply_flip_set
 from signednet.core import SignedGraph, _checked_edges, _columns
 from signednet.errors import DisconnectedError, GraphConstructionError
 
@@ -298,6 +298,8 @@ def test_kernel_reduced_frustration_matches_both_references(G):
     for target in ("balanced", "antibalanced"):
         rep = sn.frustration(G, target)
         assert rep.flip_count == frustration_by_node_signings(G, target) == frustration_by_edge_subsets(G, target)
+        # the kernel search itself, also where the graph has the target structure and frustration skips it
+        assert len(_violations(G, _exact_min_violation_signs(G, target), target)) == rep.flip_count
         assert rep.partition.s[0] == 1
         fixed = sn.classify(apply_flip_set(G, [(e.i, e.j) for e in rep.flip_set]))
         assert fixed.is_balanced if target == "balanced" else fixed.is_antibalanced
@@ -332,6 +334,24 @@ def test_classify_matches_the_reference_traversal(G):
     verdicts = {(True, True): "both", (True, False): "balanced",
                 (False, True): "antibalanced", (False, False): "strictly_unbalanced"}
     assert c.verdict.value == verdicts[ref_b is not None, ref_a is not None]
+
+
+@given(planted_signed_graphs())
+@example(sn.ssbm(sn.SSBMParams(n1=150, n2=150, p_in=0.064, p_out=0.016, eta=0.0, alpha=0.1, seed=5)))
+@example(sn.build_graph(2, [(0, 1, -1.0)]))  # both
+def test_balance_measures_are_fixed_by_the_verdict_and_never_negative(G):
+    m, c = sn.balance_measures(G), sn.classify(G)
+    p_top, p_bottom = _extremes(G, _transition_edge_values(G)).eigenvalues
+    w_top, w_bottom = _extremes(G).eigenvalues
+    solved_unsigned = _extremes(G, np.abs(G.w), ends="top").eigenvalues[0]
+    assert min(m.d_b, m.d_a, m.contraction) >= 0.0
+    for value, fixed, solved in ((m.d_b, c.is_balanced, 1.0 - p_top), (m.d_a, c.is_antibalanced, 1.0 + p_bottom)):
+        assert value == 0.0 if fixed else abs(value - solved) <= 1e-12
+    assert abs(m.spectral_radius_unsigned - solved_unsigned) <= 1e-12
+    if c.verdict is sn.Verdict.STRICTLY_UNBALANCED:
+        assert abs(m.spectral_radius_signed - max(w_top, -w_bottom)) <= 1e-12
+    else:
+        assert m.spectral_radius_signed == m.spectral_radius_unsigned and m.contraction == 0.0
 
 
 @given(connected_signed_graphs())

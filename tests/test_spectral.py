@@ -8,7 +8,7 @@ import signednet as sn
 from signednet import Verdict
 from signednet.errors import EdgeNotPresentError, LanczosNotConvergedError, NotBalancedError, WrongVerdictError
 from signednet import spectral
-from signednet.balance import apply_flip_set
+from signednet.balance import apply_flip_set, sign_pattern
 from signednet.cli import main
 from signednet.core import _transition_edge_values
 from signednet.io import write_edge_list
@@ -134,10 +134,15 @@ class TestLeadingEigenpairPattern:
         assert report.flip_count == 0
         assert same_partition(report.partition, sn.classify(G).balanced_partition)
         assert same_partition(report.partition, sn.Bipartition(params.planted_signs()))
+        # the report takes the certificate without a solve; the eigenvector has it as its sign pattern
+        assert same_partition(sign_pattern(_extremes(G, ends="top", vectors=True).eigenvectors[:, 0]),
+                              report.partition)
 
     def test_all_negative_triangle_pattern_is_constant(self, triangle_negative):
         report = sn.frustration(triangle_negative, "antibalanced", mode="heuristic")
         assert np.array_equal(report.partition.s, [1, 1, 1])
+        top = _extremes(triangle_negative, -triangle_negative.w, ends="top", vectors=True)
+        assert np.array_equal(sign_pattern(top.eigenvectors[:, 0]).s, [1, 1, 1])
         assert report.flip_count == 0
         assert same_partition(report.partition, sn.classify(triangle_negative).antibalanced_partition)
 
@@ -214,17 +219,31 @@ class TestLanczosPath:
         sn.frustration(G, "balanced", mode="heuristic")
         assert "weight_matrix" not in G.__dict__
 
-    @pytest.mark.parametrize("argv, solves", [
-        (["classify"], [("both", False)]),  # P_sym only: classify prints d_b and d_a
-        (["classify", "--frustration", "balanced"], [("both", False), ("top", True)]),  # plus the top of W
-        (["classify", "--frustration", "antibalanced"], [("both", False), ("top", True)]),  # plus the top of -W
-        (["measure"], [("both", False), ("both", False), ("top", False)]),  # P_sym, W and |W|
-    ], ids=["classify", "classify-balanced", "classify-antibalanced", "measure"])
-    def test_each_command_solves_only_the_ends_it_prints(self, argv, solves, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize("make, argv, solves", [
+        # strictly unbalanced: every end is open
+        (lambda cls: cls.ssbm(0.05), ["classify"], [("both", False)]),  # P_sym only: classify prints d_b and d_a
+        (lambda cls: cls.ssbm(0.05), ["classify", "--frustration", "balanced"],
+         [("both", False), ("top", True)]),  # plus the top of W
+        (lambda cls: cls.ssbm(0.05), ["classify", "--frustration", "antibalanced"],
+         [("both", False), ("top", True)]),  # plus the top of -W
+        (lambda cls: cls.ssbm(0.05), ["measure"], [("both", False), ("both", False), ("top", False)]),  # P_sym, W, |W|
+        # balanced: d_b = 0 and rho(W) = rho(|W|), so the top of -P_sym (d_a) and of |W| are left
+        (lambda cls: cls.ssbm(0.0), ["measure"], [("top", False), ("top", False)]),
+        (lambda cls: cls.ssbm(0.0), ["classify", "--frustration", "balanced"], [("top", False)]),  # no flips
+        # antibalanced: d_a = 0, so the top of P_sym (d_b) and of |W|; the balanced target keeps its solve
+        (lambda cls: cls.ssbm(1.0), ["measure"], [("top", False), ("top", False)]),
+        (lambda cls: cls.ssbm(1.0), ["classify", "--frustration", "balanced"], [("top", False), ("top", True)]),
+        # a tree is both: only rho(|W|) is open
+        (lambda cls: sn.random_signed_tree(cls.N, 0.5, seed=2), ["measure"], [("top", False)]),
+        (lambda cls: sn.random_signed_tree(cls.N, 0.5, seed=2), ["classify", "--frustration", "balanced"], []),
+    ], ids=["classify", "classify-balanced", "classify-antibalanced", "measure", "eta0-measure",
+            "eta0-classify-balanced", "eta1-measure", "eta1-classify-balanced", "tree-measure",
+            "tree-classify-balanced"])
+    def test_each_command_solves_only_the_ends_it_prints(self, make, argv, solves, monkeypatch, tmp_path, capsys):
         made = []
         lanczos = spectral._lanczos_extremes
         monkeypatch.setattr(spectral, "_lanczos_extremes", lambda *a: made.append(a[2:]) or lanczos(*a))
-        write_edge_list(self.ssbm(0.05), tmp_path / "g.edges")
+        write_edge_list(make(type(self)), tmp_path / "g.edges")
         assert main([argv[0], "--input", str(tmp_path / "g.edges"), *argv[1:]]) == 0
         assert made == solves
 
@@ -287,6 +306,9 @@ class TestLanczosPath:
         assert report.flip_count == 0
         certificate = c.balanced_partition if target == "balanced" else c.antibalanced_partition
         assert same_partition(report.partition, certificate)
+        # the report takes the certificate without a solve; the Lanczos eigenvector has it as its sign pattern
+        top = _extremes(G, G.w if target == "balanced" else -G.w, ends="top", vectors=True)
+        assert same_partition(sign_pattern(top.eigenvectors[:, 0]), certificate)
 
     def test_perturbation_realized_shift_matches_dense_eigvalsh(self):
         G = self.ssbm(0.0, seed=3)
