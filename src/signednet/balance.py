@@ -11,8 +11,8 @@ parity ``(-1)^depth`` the antibalance candidate and the parity alone the
 bipartite colouring.  A candidate certifies its structure exactly when
 every edge agrees with it (Harary 1953).  The graph caches which of the two
 candidates do (``SignedGraph._structure``, one array pass over the edge
-endpoints and signs), and :func:`classify` wraps that verdict, so it is
-exact and no negated copy of the graph is built.
+endpoints and signs), and :func:`classify` maps that verdict through one
+table, so it is exact and no negated copy of the graph is built.
 
 Two spectral consequences of balance are checked here, on the solves of
 :mod:`signednet.spectral`: the spectrum correspondence of W and |W|, and the
@@ -97,12 +97,6 @@ class BalanceClassification:
         return self.antibalanced_partition if self.balanced_partition is None else self.balanced_partition
 
 
-def _edge_holds(G: SignedGraph, s: np.ndarray, required) -> np.ndarray:
-    """Per edge, whether its endpoint signs multiply to ``required``: the edge
-    sign for balance, its negation for antibalance, -1 for a 2-coloring."""
-    return s[G.i] * s[G.j] == required
-
-
 def negate(G: SignedGraph) -> SignedGraph:
     """Same topology with every edge sign flipped."""
     return G._reweighted(-G.w)
@@ -117,6 +111,11 @@ def _target_signs(G: SignedGraph, target: FrustrationTarget) -> Optional[np.ndar
     return tree.sign * tree.parity if G._structure.antibalanced else None
 
 
+#: the verdict of each ``SignedGraph._structure`` (balanced, antibalanced)
+_VERDICTS = {(True, True): Verdict.BOTH, (True, False): Verdict.BALANCED,
+             (False, True): Verdict.ANTIBALANCED, (False, False): Verdict.STRICTLY_UNBALANCED}
+
+
 def classify(G: SignedGraph) -> BalanceClassification:
     """Exact balance/antibalance verdict with certificate bipartitions.
 
@@ -125,15 +124,7 @@ def classify(G: SignedGraph) -> BalanceClassification:
     """
     signs = _target_signs(G, "balanced"), _target_signs(G, "antibalanced")
     balanced, antibalanced = (None if s is None else Bipartition(s) for s in signs)
-    if balanced is not None and antibalanced is not None:
-        verdict = Verdict.BOTH
-    elif balanced is not None:
-        verdict = Verdict.BALANCED
-    elif antibalanced is not None:
-        verdict = Verdict.ANTIBALANCED
-    else:
-        verdict = Verdict.STRICTLY_UNBALANCED
-    return BalanceClassification(verdict, balanced, antibalanced)
+    return BalanceClassification(_VERDICTS[G._structure], balanced, antibalanced)
 
 
 def switch(G: SignedGraph, b: Bipartition) -> SignedGraph:
@@ -151,7 +142,7 @@ def switch(G: SignedGraph, b: Bipartition) -> SignedGraph:
 def bipartite_partition(G: SignedGraph) -> Optional[Bipartition]:
     """Proper 2-coloring of the underlying topology, or None if non-bipartite."""
     parity = G._traversal.parity
-    return Bipartition(parity) if _edge_holds(G, parity, -1).all() else None
+    return Bipartition(parity) if (parity[G.i] != parity[G.j]).all() else None
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +166,7 @@ FrustrationTarget = Literal["balanced", "antibalanced"]
 
 
 def _violations(G: SignedGraph, s: np.ndarray, target: FrustrationTarget) -> list[Edge]:
-    broken = ~_edge_holds(G, s, G.sign if target == "balanced" else -G.sign)
+    broken = s[G.i] * s[G.j] != (G.sign if target == "balanced" else -G.sign)
     return list(map(Edge, G.i[broken].tolist(), G.j[broken].tolist(), G.w[broken].tolist()))
 
 
@@ -254,8 +245,7 @@ def _exact_min_violation_signs(G: SignedGraph, target: FrustrationTarget) -> np.
     n = G.n
     want = 1 if target == "balanced" else -1
     sigma = (want * G.sign).tolist()
-    keys, edge, start = G._csr
-    nbr, eid, start = (keys[:-1] % n).tolist(), edge[:-1].tolist(), start.tolist()
+    nbr, eid, start = (a.tolist() for a in G._csr)
     nbrs, eids = [nbr[a:b] for a, b in zip(start, start[1:])], [eid[a:b] for a, b in zip(start, start[1:])]
     deg = [len(a) for a in nbrs]
     peeled: list[tuple[int, int, int]] = []  # (leaf, neighbour, edge)
@@ -415,7 +405,7 @@ def perturbation_estimate(G_b: SignedGraph, flip_set) -> PerturbationEstimate:
     ``spectral._extremes``, so from ``spectral.LANCZOS_MIN_NODES`` nodes on
     no n x n matrix is built.
     """
-    if not classify(G_b).is_balanced:
+    if not G_b._structure.balanced:
         raise NotBalancedError("perturbation baseline must be a balanced graph")
     flipped, ks = _flipped(G_b, flip_set)
     flipped_weight = float(sum(np.abs(G_b.w[ks]).tolist()))  # in flip-set order, repeats included

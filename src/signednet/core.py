@@ -4,13 +4,15 @@ A :class:`SignedGraph` is an undirected, connected, weighted graph whose edge
 weights carry a sign.  It stores its edges as read-only arrays in input
 order: endpoints ``i < j`` and weights ``w``.  All else is cached on first
 access: edge signs, the dense weight matrix, the ``edges`` tuple view, one
-CSR adjacency, which answers every neighbourhood question, one
-breadth-first spanning forest from node 0 over it, which decides connectivity
-and components here and bipartiteness in :mod:`signednet.balance`, and the
-structural verdict read off that forest (``_structure``: whether its balance
-and its antibalance candidate hold on every edge).  ``balance.classify``
-wraps the verdict, and :mod:`signednet.spectral` and ``balance.frustration``
-read it to skip every solve and search whose answer it fixes.
+CSR adjacency, decoded (each entry's neighbour and edge, each node's run;
+only :meth:`SignedGraph._edge_ids` builds search keys), which answers every
+neighbourhood question, one breadth-first spanning forest from node 0 over
+it, which decides connectivity and components here and bipartiteness in
+:mod:`signednet.balance`, and the structural verdict read off that forest
+(``_structure``: whether its balance and its antibalance candidate hold on
+every edge).  ``balance.classify`` maps the verdict through one table, and
+:mod:`signednet.spectral` and ``balance.frustration`` read it to skip every
+solve and search whose answer it fixes.
 Weights must be finite and nonzero.  A connected graph has n <= m + 1, and
 :func:`build_graph` checks that before it allocates anything of size n, so
 a far node id fails at once instead of allocating memory by id.
@@ -19,7 +21,7 @@ A graph matrix is one value per edge at (i_k, j_k) and (j_k, i_k): ``w``
 for W, ``abs(w)`` for |W| and :func:`_transition_edge_values` for P_sym.
 Every product with one is :meth:`SignedGraph._operator`, one
 ``np.bincount`` over both edge orientations, cached once per graph beside
-the CSR keys derived from them: the degrees, every simulator step in
+the CSR sorted from them: the degrees, every simulator step in
 :mod:`signednet.dynamics` and every Lanczos matvec in
 :mod:`signednet.spectral`, none building an n x n matrix.  Every dense one
 (``weight_matrix`` and the full spectra of ``spectral._spectrum``) is its
@@ -83,11 +85,12 @@ class _Structure(NamedTuple):
 
 
 class _Neighbours(NamedTuple):
-    """CSR adjacency over both edge orientations: keys ``node * n + neighbour``
-    in ascending order and a sentinel (int64 max) no key reaches, the edge
-    index of each key (-1 at the sentinel), and the n + 1 run offsets."""
+    """CSR adjacency over both edge orientations, decoded: entries
+    ``start[v]:start[v + 1]`` are node v's, in ascending neighbour id, and
+    entry p holds the neighbour ``nbr[p]`` and the index ``edge[p]`` of the
+    edge joining them."""
 
-    keys: np.ndarray
+    nbr: np.ndarray
     edge: np.ndarray
     start: np.ndarray
 
@@ -147,16 +150,14 @@ class SignedGraph:
     @cached_property
     def _csr(self) -> _Neighbours:
         rows, cols = self._orientations
-        keys = rows * self.n + cols
-        order = np.argsort(keys)
-        keys = np.concatenate((keys[order], [_INT64.max]))
-        return _Neighbours(_readonly(keys), _readonly(np.concatenate((order % max(self.num_edges, 1), [-1]))),
-                           _readonly(np.searchsorted(keys, np.arange(0, (self.n + 1) * self.n, self.n))))
+        order = np.argsort(rows * self.n + cols)
+        return _Neighbours(_readonly(cols[order]), _readonly(order % max(self.num_edges, 1)),
+                           _readonly(np.searchsorted(rows[order], np.arange(self.n + 1))))
 
     @cached_property
     def _traversal(self) -> _Traversal:
-        n, (keys, edge, start) = self.n, self._csr
-        nbr, nbr_sign, start = (keys[:-1] % n).tolist(), self.sign[edge[:-1]].tolist(), start.tolist()
+        n, (nbr, edge, start) = self.n, self._csr
+        nbr, nbr_sign, start = nbr.tolist(), self.sign[edge].tolist(), start.tolist()
         comp, parity, sign = [-1] * n, [1] * n, [1] * n
         c = -1
         for root in range(n):
@@ -209,11 +210,13 @@ class SignedGraph:
         return len(self.w)
 
     def _edge_ids(self, a, b) -> np.ndarray:
-        """Index of the edge joining ``a[t]`` and ``b[t]`` (either order), -1 where there is none."""
-        a, b, (keys, edge, _) = _id_array(a), _id_array(b), self._csr
-        key = np.where((a >= 0) & (a < self.n) & (b >= 0) & (b < self.n), a * self.n + b, -1)
+        """Index of the edge joining ``a[t]`` and ``b[t]`` (either order), -1 where there is
+        none, searched in the CSR's ascending keys ``node * n + neighbour`` and a sentinel."""
+        a, b, (nbr, edge, start), n = _id_array(a), _id_array(b), self._csr, self.n
+        keys = np.append(np.repeat(np.arange(n) * n, np.diff(start)) + nbr, _INT64.max)
+        key = np.where((a >= 0) & (a < n) & (b >= 0) & (b < n), a * n + b, -1)
         pos = np.searchsorted(keys, key)
-        return np.where(keys[pos] == key, edge[pos], -1)
+        return np.where(keys[pos] == key, np.append(edge, -1)[pos], -1)
 
     def _reweighted(self, w: np.ndarray) -> "SignedGraph":
         """Same topology and labels with the float array ``w`` as weights (not

@@ -360,8 +360,7 @@ def ring_lattice_parameters(G: SignedGraph) -> tuple[int, float]:
     dbar = 2 * half
     if not (2 <= dbar < n):
         raise NotLatticeError(f"degree {dbar} is not a valid ring-lattice degree for n={n}")
-    i, j = circulant_pairs(n, half)
-    if not np.array_equal(np.sort(np.concatenate([i * n + j, j * n + i])), G._csr.keys[:-1]):
+    if (G._edge_ids(*circulant_pairs(n, half)) < 0).any():  # n * half distinct pairs, as many as the edges
         raise NotLatticeError("edge set is not a circulant nearest-neighbour ring")
     return dbar, alpha
 
@@ -379,10 +378,10 @@ def certain_propagation_check(G: SignedGraph, theta_l: float) -> bool:
 def _closed_neighbourhood(G: SignedGraph, center: int, orientation: int = 1) -> np.ndarray:
     """Closed-neighbourhood seed signs: +1 at the center, ``orientation`` times
     the connecting edge's sign at each neighbour, 0 elsewhere."""
-    keys, edge, start = G._csr
+    nbr, edge, start = G._csr
     run = slice(start[center], start[center + 1])
     seed = np.zeros(G.n, dtype=np.int64)
-    seed[keys[run] % G.n] = orientation * G.sign[edge[run]]
+    seed[nbr[run]] = orientation * G.sign[edge[run]]
     seed[center] = 1
     return seed
 

@@ -122,6 +122,7 @@ def parse_edge_list(text: str) -> SignedGraph:
     if edges is not None:
         return _connected_graph(*edges)
     declared_n: Optional[int] = None
+    header_line = 0  # the line of the 'n N' header, once read
     ids_i: list[int] = []
     ids_j: list[int] = []
     weights: list[float] = []
@@ -132,7 +133,7 @@ def parse_edge_list(text: str) -> SignedGraph:
         parts = line.split()
         if first and len(parts) == 2 and parts[0] == "n":
             try:
-                declared_n = int(parts[1])
+                declared_n, header_line = int(parts[1]), line_no
             except ValueError:
                 raise EdgeListParseError(line_no, f"invalid node count {parts[1]!r}")
             first = False
@@ -165,7 +166,7 @@ def parse_edge_list(text: str) -> SignedGraph:
     if labels is not None:
         label_table = list(labels)  # dicts keep insertion order, which is id order
         if declared_n is not None and declared_n != len(labels):
-            raise EdgeListParseError(1, f"declared n {declared_n} does not match {len(labels)} labels")
+            raise EdgeListParseError(header_line, f"declared n {declared_n} does not match {len(labels)} labels")
         n = len(labels)
     else:
         n = declared_n if declared_n is not None else 1 + max(max(ids_i), max(ids_j))
@@ -294,19 +295,12 @@ def activation_sets_to_json(activations) -> list[dict]:
 # JSON views of analysis results
 # ---------------------------------------------------------------------------
 
-def sign_vector_to_json(s: Optional[np.ndarray]) -> Optional[list[int]]:
-    return None if s is None else s.tolist()
-
-
 def classification_to_json(classification, measures=None) -> dict:
+    balanced, antibalanced = classification.balanced_partition, classification.antibalanced_partition
     doc = {
         "verdict": classification.verdict.value,
-        "balanced_partition": sign_vector_to_json(
-            None if classification.balanced_partition is None else classification.balanced_partition.s
-        ),
-        "antibalanced_partition": sign_vector_to_json(
-            None if classification.antibalanced_partition is None else classification.antibalanced_partition.s
-        ),
+        "balanced_partition": None if balanced is None else balanced.s.tolist(),
+        "antibalanced_partition": None if antibalanced is None else antibalanced.s.tolist(),
     }
     if measures is not None:
         doc["d_b"] = measures.d_b

@@ -35,7 +35,11 @@ each caller solves only what it reports and the verdict leaves open:
 * Heuristic frustration takes the top of W or -W with its vector, and no
   solve when the graph already has the target structure.
 
-The degree checks of P_sym run before any of this, on every graph.
+The degree checks of P_sym run before any of this, on every graph.  The
+raw solves, whatever the verdict, are :func:`_solved_distances` (both ends
+of P_sym) and :func:`_solved_radius` (both ends of W): the two functions
+above call them on strictly unbalanced graphs, and verification criteria 3
+and 4 on every graph, so that those test the theorems the skips rely on.
 """
 
 from __future__ import annotations
@@ -264,8 +268,10 @@ def _extremes(G: SignedGraph, values: Optional[np.ndarray] = None, ends: Literal
 class BalanceMeasures:
     """Distances from balance/antibalance plus the two spectral radii.
 
-    ``contraction`` is rho(|W|) - rho(W), strictly positive exactly on
-    strictly unbalanced graphs and exactly 0.0 on all others.
+    ``contraction`` is rho(|W|) - rho(W), never negative: exactly 0.0 on
+    graphs that are not strictly unbalanced, and positive on strictly
+    unbalanced ones unless the gap is below the rounding of the two solves,
+    where it is 0.0 too.
     """
 
     d_b: float
@@ -283,43 +289,52 @@ class _Distances(NamedTuple):
     d_a: float
 
 
-def _distances(G: SignedGraph) -> _Distances:
+def _solved_distances(G: SignedGraph) -> _Distances:
     """d_b = lambda_min(L_rw) = 1 - lambda_max(P_sym) and d_a = 2 -
     lambda_max(L_rw) = 1 + lambda_min(P_sym), P_sym being the symmetric
-    similarity of P.  A distance the verdict fixes is exactly 0.0: d_b on a
-    balanced graph, d_a on an antibalanced one.  One open distance is the
-    top of P_sym or of -P_sym (a top-only solve), two are both ends of P_sym
-    (one solve).  The degree checks of P_sym run first on every graph."""
-    p = _transition_edge_values(G)
+    similarity of P, from one solve of both ends of P_sym whatever the verdict."""
+    top, bottom = _extremes(G, _transition_edge_values(G)).eigenvalues
+    return _Distances(d_b=float(1.0 - top), d_a=float(1.0 + bottom))
+
+
+def _solved_radius(G: SignedGraph) -> float:
+    """rho(W) = max(lambda_max, -lambda_min), from both ends of W whatever the verdict."""
+    top, bottom = _extremes(G).eigenvalues
+    return float(max(top, -bottom))
+
+
+def _distances(G: SignedGraph) -> _Distances:
+    """d_b and d_a as :func:`_solved_distances` defines them, except that a
+    distance the verdict fixes is exactly 0.0: d_b on a balanced graph, d_a
+    on an antibalanced one.  One open distance is the top of P_sym or of
+    -P_sym (a top-only solve), two are :func:`_solved_distances`.  The degree
+    checks of P_sym run first on every graph."""
     balanced, antibalanced = G._structure
-    if balanced and antibalanced:
-        return _Distances(d_b=0.0, d_a=0.0)
-    if balanced:
-        return _Distances(d_b=0.0, d_a=float(1.0 - _extremes(G, -p, ends="top").eigenvalues[0]))
-    if antibalanced:
-        return _Distances(d_b=float(1.0 - _extremes(G, p, ends="top").eigenvalues[0]), d_a=0.0)
-    p_vals = _extremes(G, p).eigenvalues
-    return _Distances(d_b=float(1.0 - p_vals[0]), d_a=float(1.0 + p_vals[-1]))
+    if not (balanced or antibalanced):
+        return _solved_distances(G)
+    p = _transition_edge_values(G)
+    return _Distances(d_b=0.0 if balanced else float(1.0 - _extremes(G, p, ends="top").eigenvalues[0]),
+                      d_a=0.0 if antibalanced else float(1.0 - _extremes(G, -p, ends="top").eigenvalues[0]))
 
 
 def balance_measures(G: SignedGraph) -> BalanceMeasures:
     """d_b, d_a and the signed/unsigned spectral radii of W.
 
     d_b and d_a come from :func:`_distances`.  |W| is nonnegative, so by
-    Perron-Frobenius its spectral radius is its largest eigenvalue.  rho(W)
-    is rho(|W|) unless the graph is strictly unbalanced, and only then is it
-    solved, as max(lambda_max, -lambda_min); the contraction of any other
-    graph is exactly 0.0.  Only ends of spectra are read, each from
-    :func:`_extremes`, no eigenvectors: on a strictly unbalanced graph both
-    ends of P_sym, then of W, then the top of |W|.
+    Perron-Frobenius its spectral radius is its largest eigenvalue, and no
+    eigenvalue of W exceeds it in modulus.  rho(W) is rho(|W|) unless the
+    graph is strictly unbalanced, and only then is it solved, by
+    :func:`_solved_radius`, and capped at rho(|W|), so the contraction is
+    never negative and exactly 0.0 on any other graph.  Only ends of spectra
+    are read, each from :func:`_extremes`, no eigenvectors: on a strictly
+    unbalanced graph both ends of P_sym, then of W, then the top of |W|.
     """
     d = _distances(G)
-    strictly_unbalanced = not any(G._structure)
-    w_vals = _extremes(G).eigenvalues if strictly_unbalanced else None
+    rho_signed = math.inf if any(G._structure) else _solved_radius(G)
     rho_unsigned = float(_extremes(G, np.abs(G.w), ends="top").eigenvalues[0])
     return BalanceMeasures(
         d_b=d.d_b,
         d_a=d.d_a,
-        spectral_radius_signed=rho_unsigned if w_vals is None else float(max(w_vals[0], -w_vals[-1])),
+        spectral_radius_signed=min(rho_signed, rho_unsigned),
         spectral_radius_unsigned=rho_unsigned,
     )

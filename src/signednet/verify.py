@@ -40,7 +40,7 @@ from .dynamics import (
     random_walk_simulate,
 )
 from .generate import BalancedPlan, FlipKPlan, AntibalancedPlan, LatticeParams, SSBMParams, ring_lattice, ssbm
-from .spectral import _extremes, _spectrum, balance_measures
+from .spectral import _extremes, _solved_distances, _solved_radius, _spectrum, balance_measures
 
 
 @dataclass(frozen=True)
@@ -207,20 +207,6 @@ def criterion_spectral_theorem() -> tuple[bool, str]:
             f"max eigenvalue dev {worst_vals:.2e} (< 1e-9), max leading |u| dev {worst_lead:.2e} (< 1e-8)")
 
 
-def _solved_distances(G: SignedGraph) -> tuple[float, float]:
-    """d_b and d_a from both ends of P_sym, solved whatever the verdict (unlike
-    ``balance_measures``, which takes the distances the verdict fixes as 0)."""
-    top, bottom = _extremes(G, _transition_edge_values(G)).eigenvalues
-    return float(1.0 - top), float(1.0 + bottom)
-
-
-def _solved_radii(G: SignedGraph) -> tuple[float, float]:
-    """rho(W) from both ends of W and rho(|W|) from the top of |W|, solved
-    whatever the verdict."""
-    top, bottom = _extremes(G).eigenvalues
-    return float(max(top, -bottom)), float(_extremes(G, np.abs(G.w), ends="top").eigenvalues[0])
-
-
 @criterion("3-radius-contraction")
 def criterion_radius_contraction() -> tuple[bool, str]:
     """3: strictly unbalanced <=> rho(W) < rho(|W|) - 1e-9, both directions,
@@ -228,8 +214,7 @@ def criterion_radius_contraction() -> tuple[bool, str]:
     corpus = random_connected_corpus(500)
     exceptions = 0
     for G in corpus:
-        rho_signed, rho_unsigned = _solved_radii(G)
-        contracted = rho_signed < rho_unsigned - 1e-9
+        contracted = _solved_radius(G) < _extremes(G, np.abs(G.w), ends="top").eigenvalues[0] - 1e-9
         strictly = classify(G).verdict is Verdict.STRICTLY_UNBALANCED
         if contracted != strictly:
             exceptions += 1

@@ -194,10 +194,12 @@ class TestArrayParse:
         ("0 1 1e-400\n1 2 1\n0 2 1\n", (ZeroWeightError, "edge (0, 1) has weight 0.0; |w| must exceed 1e-15")),
         ("0 " + "0" * 1000 + "1 0." + "3" * 2000 + "\n1 2 1\n0 2 1\n", "0 1 0.3333333333333333\n1 2 1\n0 2 1\n"),
         ("# header only\nn 1\n", (1, None, [], [], [])),
+        ("# c\n# d\nn 5\na b 1\nb c -1\n", (EdgeListParseError, "line 3: declared n 5 does not match 3 labels")),
     ], ids=["underscore-id", "arabic-indic-weight", "form-feed-break", "bare-cr-break", "bare-cr-ends-a-comment",
             "vertical-tab-ends-a-comment", "record-separator-splits-an-edge", "hex-weight",
             "exponent-id", "float-id-is-a-label", "plus-and-zero-padded-ids", "20-digit-id", "inline-comment",
-            "nan-weight", "overflowing-weight", "underflowing-weight", "long-tokens", "header-only"])
+            "nan-weight", "overflowing-weight", "underflowing-weight", "long-tokens", "header-only",
+            "label-count-names-the-header-line"])
     def test_the_loops_reading_of_edge_cases(self, text, expected):
         if isinstance(expected, str):
             expected = parse_outcome(expected, loop=True)

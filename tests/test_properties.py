@@ -67,6 +67,17 @@ def connected_signed_graphs(draw, max_n=8):
     return sn.build_graph(n, triples)
 
 
+@given(connected_signed_graphs())
+def test_csr_runs_list_each_nodes_edges_by_ascending_neighbour(G):
+    nbr, edge, start = G._csr
+    assert start[0] == 0 and start[-1] == len(nbr) == len(edge) == 2 * G.num_edges
+    for v in range(G.n):
+        ks, nbrs = edge[start[v]:start[v + 1]], nbr[start[v]:start[v + 1]]
+        assert sorted(ks.tolist()) == np.flatnonzero((G.i == v) | (G.j == v)).tolist()
+        assert (np.diff(nbrs) > 0).all()
+        assert np.array_equal(G.i[ks] + G.j[ks] - v, nbrs)  # the other end of each edge
+
+
 @st.composite
 def graph_with_bipartition(draw):
     G = draw(connected_signed_graphs())

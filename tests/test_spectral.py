@@ -171,6 +171,16 @@ class TestBalanceMeasures:
             strictly = sn.classify(G).verdict is Verdict.STRICTLY_UNBALANCED
             assert (m.contraction > 1e-9) == strictly
 
+    @pytest.mark.parametrize("w", [-1e-15, -1e-14, -1e-13, -1e-12])
+    @pytest.mark.parametrize("n", range(8, 40, 2))
+    def test_contraction_is_never_negative(self, n, w):
+        # an even unit cycle closed by one barely negative edge is strictly unbalanced,
+        # with a radius gap below the rounding of the W and |W| solves
+        G = sn.build_graph(n, [(k, k + 1, 1.0) for k in range(n - 1)] + [(0, n - 1, w)])
+        m = sn.balance_measures(G)
+        assert sn.classify(G).verdict is Verdict.STRICTLY_UNBALANCED
+        assert m.spectral_radius_signed <= m.spectral_radius_unsigned and m.contraction >= 0.0
+
     def test_measures_invariant_under_switching(self, rng):
         for G in random_connected_corpus(20, seed=73):
             m = sn.balance_measures(G)
