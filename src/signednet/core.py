@@ -4,15 +4,16 @@ A :class:`SignedGraph` is an undirected, connected, weighted graph whose edge
 weights carry a sign.  It stores its edges as read-only arrays in input
 order: endpoints ``i < j`` and weights ``w``.  All else is cached on first
 access: edge signs, the dense weight matrix, the ``edges`` tuple view, one
-CSR adjacency, decoded (each entry's neighbour and edge, each node's run;
-only :meth:`SignedGraph._edge_ids` builds search keys), which answers every
-neighbourhood question, one breadth-first spanning forest from node 0 over
-it, which decides connectivity and components here and bipartiteness in
-:mod:`signednet.balance`, and the structural verdict read off that forest
-(``_structure``: whether its balance and its antibalance candidate hold on
-every edge).  ``balance.classify`` maps the verdict through one table, and
-:mod:`signednet.spectral` and ``balance.frustration`` read it to skip every
-solve and search whose answer it fixes.
+CSR adjacency, decoded (each entry's neighbour and edge, each node's run of
+ascending neighbours, which :meth:`SignedGraph._edge_ids` binary-searches),
+which answers every neighbourhood question, one breadth-first spanning
+forest from node 0 over it, which decides connectivity and components here
+and bipartiteness in :mod:`signednet.balance`, and the structural verdict
+read off that forest (``_structure``: whether its balance and its
+antibalance candidate hold on every edge).  ``balance.classify`` maps the
+verdict through one table, and :mod:`signednet.spectral` and
+``balance.frustration`` read it to skip every solve and search whose answer
+it fixes.
 Weights must be finite and nonzero.  A connected graph has n <= m + 1, and
 :func:`build_graph` checks that before it allocates anything of size n, so
 a far node id fails at once instead of allocating memory by id.
@@ -211,12 +212,22 @@ class SignedGraph:
 
     def _edge_ids(self, a, b) -> np.ndarray:
         """Index of the edge joining ``a[t]`` and ``b[t]`` (either order), -1 where there is
-        none, searched in the CSR's ascending keys ``node * n + neighbour`` and a sentinel."""
+        none: one vectorised binary search for ``b[t]`` in the CSR run of ``a[t]``, whose
+        neighbours ascend, in O(q log d) for q pairs and largest degree d, building no keys."""
         a, b, (nbr, edge, start), n = _id_array(a), _id_array(b), self._csr, self.n
-        keys = np.append(np.repeat(np.arange(n) * n, np.diff(start)) + nbr, _INT64.max)
-        key = np.where((a >= 0) & (a < n) & (b >= 0) & (b < n), a * n + b, -1)
-        pos = np.searchsorted(keys, key)
-        return np.where(keys[pos] == key, np.append(edge, -1)[pos], -1)
+        valid = (a >= 0) & (a < n) & (b >= 0) & (b < n)
+        a = np.where(valid, a, 0)
+        lo = start[a]
+        end = hi = np.where(valid, start[a + 1], lo)  # an out-of-range pair searches an empty run
+        for _ in range(int((hi - lo).max(initial=0)).bit_length()):  # lo = first entry of the run not below b
+            mid = (lo + hi) >> 1
+            below = (lo < hi) & (nbr[np.minimum(mid, len(nbr) - 1)] < b)
+            lo, hi = np.where(below, mid + 1, lo), np.where(below, hi, mid)  # mid = hi where lo = hi
+        hit = lo < end
+        hit[hit] = nbr[lo[hit]] == b[hit]
+        ids = np.full(len(a), -1, dtype=np.int64)
+        ids[hit] = edge[lo[hit]]
+        return ids
 
     def _reweighted(self, w: np.ndarray) -> "SignedGraph":
         """Same topology and labels with the float array ``w`` as weights (not

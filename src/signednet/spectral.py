@@ -10,12 +10,13 @@ measures, heuristic frustration, the perturbation shift) and is the one
 place that picks a solver: the end columns of :func:`_spectrum` below
 :data:`LANCZOS_MIN_NODES` nodes, else :func:`_lanczos_extremes`, a plain
 Lanczos recurrence on the edge arrays that stores no basis and builds no
-n x n matrix.  Its convergence test takes the Ritz values from one
-``eigvalsh`` of the k x k tridiagonal T and each open end's residual from an
-O(k) recurrence for the last entry of its eigenvector of T
-(:func:`_last_entry`), and runs at the step where each open end's residual
-trend predicts convergence, so a value-only solve never computes an
-eigenvector of T.  It is all numpy; no scipy is imported.
+n x n matrix.  Its convergence test never builds the k x k tridiagonal T
+of the recurrence: each open end's Ritz value comes from Newton's method on
+the LDL^T pivots of T - lambda (:func:`_top_ritz_value`), and its residual,
+and for a vector solve its eigenvector of T, from one backward recurrence
+(:func:`_ritz_column`), each in O(k) time and memory, so no dense LAPACK
+routine sees T.  The test runs at the step where each open end's residual
+trend predicts convergence.  It is all numpy; no scipy is imported.
 
 The distance ``d_b``, the smallest eigenvalue of the random-walk Laplacian,
 is zero exactly on balanced graphs, and ``d_a``, the gap between 2 and its
@@ -135,30 +136,91 @@ def _lanczos_vectors(matvec: Callable[[np.ndarray], np.ndarray], n: int, alpha: 
         q, q_prev = r / beta[k], q
 
 
-def _last_entry(alpha: list[float], beta: list[float], theta: float) -> float:
-    """|s|, the magnitude of the last entry of the unit eigenvector of the
-    k x k tridiagonal T (diagonal ``alpha``, off-diagonal ``beta[:k-1]``)
-    for its eigenvalue ``theta``, in O(k) time and memory.
+def _newton_step(alpha: list[float], beta: list[float], lam: float) -> Optional[float]:
+    """Newton's step lam - lam' for det(lam - T) at ``lam`` when ``lam`` lies
+    above every eigenvalue of the tridiagonal T (diagonal ``alpha``,
+    off-diagonal ``beta[:k-1]``), else None; one O(k) pass.
+
+    The pass runs the pivots of T - lam = L D L^T, d_1 = alpha_1 - lam and
+    d_i = alpha_i - lam - beta_{i-1}**2 / d_{i-1}, and stops at the first
+    that is not negative: by Sylvester's law of inertia lam lies above every
+    eigenvalue exactly when all k are.  det(T - lam) is their product, so
+    the log-derivative of det(lam - T), sum_j 1 / (lam - theta_j), is the sum
+    of d_i' / d_i, carried along with d_i' = -1 + beta_{i-1}**2 d_{i-1}' /
+    d_{i-1}**2; the step is its reciprocal.
+    """
+    d = alpha[0] - lam
+    if d >= 0.0:
+        return None
+    g = -1.0 / d  # d_i' / d_i
+    total = g
+    for a, b in zip(alpha[1:], beta):
+        t = b * b / d
+        d = a - lam - t
+        if d >= 0.0:
+            return None
+        g = (t * g - 1.0) / d
+        total += g
+    return 1.0 / total
+
+
+def _top_ritz_value(alpha: list[float], beta: list[float], start: float, step: float) -> float:
+    """The largest eigenvalue of the tridiagonal T (diagonal ``alpha``,
+    off-diagonal ``beta[:k-1]``) in a few O(k) passes of :func:`_newton_step`.
+
+    ``start`` is the end's Ritz value at an earlier step, at most the one
+    sought by interlacing, and ``step`` that step's residual, about as far as
+    the Ritz value has usually moved since.  start + step, the step doubled
+    until a pass certifies it, is an upper bound; above its largest root
+    det(lam - T) is increasing and convex, so Newton's iterates from the
+    bound descend monotonically to that root, quadratically once they are
+    nearer to it than to the next one.  The descent stops when a step no
+    longer lowers lam, or when a pass meets a pivot that is not negative:
+    that iterate is the root to within rounding, and it is returned.
+    """
+    step = max(step, 2.0 ** -52 * max(1.0, abs(start)))  # a zero step would double forever
+    while (delta := _newton_step(alpha, beta, start + step)) is None:
+        step *= 2.0
+    lam = start + step
+    while True:
+        below = lam - delta
+        if below >= lam:
+            return lam
+        if (delta := _newton_step(alpha, beta, below)) is None:
+            return below
+        lam = below
+
+
+def _ritz_column(alpha: list[float], beta: list[float], theta: float) -> np.ndarray:
+    """The unit eigenvector y of the tridiagonal T (diagonal ``alpha``,
+    off-diagonal ``beta[:k-1]``) for its eigenvalue ``theta``, last entry
+    positive, in O(k) time and memory.
 
     Rows k, k-1, ..., 2 of (T - theta) y = 0 give y_{k-1}, ..., y_1 from
     y_k = 1 by a backward three-term recurrence (row 1 holds up to the
-    rounding of theta), and s = y_k / ||y||.  The ratios y_{i-1} / y_i are
-    the pivots of the factorisation T - theta = U D U^T from the last row
-    up.  For an end of the spectrum T - theta is semidefinite, so the pivots
-    keep one sign and do not grow, as in a Cholesky factorisation.  Only a
-    near-duplicate of theta (a ghost copy, which forms after the end has
-    converged) makes y as ill-conditioned as eigh's column itself.  y is
-    rescaled by a power of two whenever it passes 2**400, so neither it nor
-    its sum of squares overflows.  The off-diagonal is nonzero: a beta below
-    ``LANCZOS_TOLERANCE / 2`` ends the solve.
+    rounding of theta).  The ratios y_{i-1} / y_i are the pivots of the
+    factorisation T - theta = U D U^T from the last row up.  For an end of
+    the spectrum T - theta is semidefinite, so the pivots keep one sign and
+    do not grow, as in a Cholesky factorisation.  Only a near-duplicate of
+    theta (a ghost copy, which forms after the end has converged) makes y as
+    ill-conditioned as a column of a dense eigensolver.  The entries are
+    rescaled by a power of two whenever one passes 2**400, so neither they
+    nor their sum of squares overflow.  The off-diagonal is nonzero: a beta
+    below ``LANCZOS_TOLERANCE / 2`` ends the solve.
     """
-    y, y_next, last, norm2 = 1.0, 0.0, 1.0, 1.0
+    y, y_next, norm2 = 1.0, 0.0, 1.0
+    ys, rescaled = [1.0], []  # y_k, y_{k-1}, ...; the lengths of ys at each rescaling
     for i in range(len(alpha) - 1, 0, -1):
         y, y_next = -((alpha[i] - theta) * y + beta[i] * y_next) / beta[i - 1], y
         if abs(y) > 2.0 ** 400:
-            y, y_next, last, norm2 = y * 2.0 ** -400, y_next * 2.0 ** -400, last * 2.0 ** -400, norm2 * 2.0 ** -800
+            y, y_next, norm2 = y * 2.0 ** -400, y_next * 2.0 ** -400, norm2 * 2.0 ** -800
+            rescaled.append(len(ys))
         norm2 += y * y
-    return last / math.sqrt(norm2)
+        ys.append(y)
+    column = np.array(ys[::-1])
+    for length in rescaled:
+        column[len(column) - length:] *= 2.0 ** -400
+    return column / math.sqrt(norm2)
 
 
 def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", "top"] = "both",
@@ -178,58 +240,54 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", 
 
     An end e has converged when its Ritz residual beta_k |s_e| is at most
     ``LANCZOS_TOLERANCE * max(1, |theta_e|)``, where s_e is the last entry
-    of theta_e's unit eigenvector of the k x k tridiagonal T.  A test is one
-    ``eigvalsh(T)`` for the Ritz values and one O(k) :func:`_last_entry`
-    recurrence per open end, so no eigenvector of T is computed for it.  The
-    test runs at k = 2 and then at the first step where an open end's
-    residual, extrapolated geometrically from its last two tests, meets its
-    bound, but never more than about 25 % more steps on.  It also runs on an
-    exact breakdown (a beta that meets every end's test) and at the step
-    cap, past which :class:`~signednet.errors.LanczosNotConvergedError` is
-    raised.
+    of theta_e's unit eigenvector y_e of the k x k tridiagonal T.  A test
+    never builds T.  For each open end it takes theta_e as
+    :func:`_top_ritz_value` of T (the top) or of -T (the bottom), searched
+    from the end's Ritz value and residual at its last test (at the first,
+    from alpha_1 and beta_1, the Ritz pair of step 1), and y_e from
+    :func:`_ritz_column`, so it costs O(k) time and memory.  The test runs
+    at k = 2 and then at the first step where an open end's residual,
+    extrapolated geometrically from its last two tests, meets its bound, but
+    never more than about 25 % more steps on.  It also runs on an exact
+    breakdown (a beta that meets every end's test) and at the step cap, past
+    which :class:`~signednet.errors.LanczosNotConvergedError` is raised.
 
-    With ``vectors``, each accepted end takes its column of ``eigh(T)`` at
-    the step it was accepted, and its Ritz vector is rebuilt by replaying the
-    recurrence with the stored coefficients up to that step, unit normalised
-    and signed like :func:`_spectrum`.  Returns eigenvalues ``[top, bottom]``
-    or ``[top]`` with matching columns.
+    With ``vectors``, each accepted end keeps y_e from the step it was
+    accepted, and its Ritz vector is rebuilt by replaying the recurrence with
+    the stored coefficients up to that step, unit normalised and signed like
+    :func:`_spectrum`.  Returns eigenvalues ``[top, bottom]`` or ``[top]``
+    with matching columns.
     """
     n = G.n
     scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(values)))[1]))
     matvec = G._operator(values / scale)
-    tested = [-1, 0] if ends == "both" else [-1]  # columns of the ascending eigvalsh output
+    tested = [1, -1] if ends == "both" else [1]  # the top of T, then the top of -T
     cap = _lanczos_step_cap(n)
 
     alpha: list[float] = []
     beta: list[float] = []
-    found: dict[int, tuple[float, Optional[np.ndarray]]] = {}  # end -> (Ritz value, its column of S or None)
-    last_test: dict[int, tuple[int, float]] = {}  # open end -> (step, residual) at its last test
+    found: dict[int, tuple[float, Optional[np.ndarray]]] = {}  # end -> (Ritz value, its eigenvector of T or None)
+    last_test: dict[int, tuple[int, float, float]] = {}  # open end -> (step, residual, Ritz value) at its last test
     check = 2
     for k, _ in enumerate(_lanczos_vectors(matvec, n, alpha, beta), start=1):
         b = beta[-1]
         if k >= check or k == cap or b <= LANCZOS_TOLERANCE / 2:  # a beta that small meets every end's test
-            T = np.diag(alpha)
-            T.flat[1::k + 1] = T.flat[k::k + 1] = beta[:-1]
-            theta = np.linalg.eigvalsh(T).tolist()
-            accepted = []
             check = max(k + 1, int(k * 1.25))
             for e in tested:
                 if e in found:
                     continue
-                r = b * _last_entry(alpha, beta, theta[e])
-                target = LANCZOS_TOLERANCE * max(1.0, abs(theta[e]))
+                k_prev, r_prev, top_prev = last_test.get(e, (k, beta[0], e * alpha[0]))  # or the step-1 pair
+                theta = e * _top_ritz_value(alpha if e > 0 else [-a for a in alpha], beta, top_prev, r_prev)
+                column = _ritz_column(alpha, beta, theta)
+                r = b * float(column[-1])  # a Python float: numpy scalars would slow the next test several-fold
+                target = LANCZOS_TOLERANCE * max(1.0, abs(theta))
                 if r <= target:
-                    accepted.append(e)
+                    found[e] = (theta, column if vectors else None)
                     continue
-                k_prev, r_prev = last_test.get(e, (k, r))
-                if r < r_prev:  # test again at the step j where r * (r / r_prev) ** ((j - k) / (k - k_prev)) = target
+                if e in last_test and r < r_prev:  # test again at the step j where r * (r / r_prev) ** ((j - k) / (k - k_prev)) = target
                     steps = math.ceil(math.log(target / r) / math.log(r / r_prev) * (k - k_prev))
                     check = min(check, k + max(1, steps))
-                last_test[e] = (k, r)
-            if accepted:
-                S = np.linalg.eigh(T)[1] if vectors else None
-                for e in accepted:
-                    found[e] = (theta[e], None if S is None else S[:, e])
+                last_test[e] = (k, r, e * theta)
             if len(found) == len(tested):
                 break
             if k == cap:

@@ -107,6 +107,19 @@ class TestDegrees:
         # the doubled values take 16m bytes; rebuilt row and column indices would add 32m more
         assert peak < 24 * m
 
+    def test_edge_lookup_builds_nothing_of_size_m(self):
+        G = sn.ring_lattice(sn.LatticeParams(n=100000, dbar=10, alpha=0.5, sign_plan=sn.BalancedPlan()))
+        G._csr
+        tracemalloc.start()
+        try:
+            ids = G._edge_ids([7], [3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (G.i[ids[0]], G.j[ids[0]]) == (3, 7)
+        assert G._edge_ids([3, 3, -1], [9, 100000, 7]).tolist() == [-1, -1, -1]  # too far apart, out of range
+        assert peak < 2**20  # the 2m search keys of a sorted-key lookup take 8 MB
+
 
 class TestUnsignedAndSignAdjacency:
     def test_all_negative_becomes_all_positive(self, triangle_negative):

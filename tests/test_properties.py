@@ -18,8 +18,9 @@ from signednet.spectral import (
     _extremes,
     _lanczos_extremes,
     _lanczos_vectors,
-    _last_entry,
+    _ritz_column,
     _spectrum,
+    _top_ritz_value,
     _transition_edge_values,
 )
 
@@ -528,14 +529,27 @@ def test_lanczos_extremes_match_dense_eigvalsh(case):
         assert abs(1.0 + ends["P_sym"][1]) <= 1e-12
 
 
-def test_last_entry_matches_eigh_on_real_lanczos_tridiagonals():
-    """The O(k) last entry |s| of an end's unit eigenvector of T agrees with
-    ``abs(eigh(T)[1][-1, e])`` at every step of real Lanczos runs, to within
-    16 eps (1 + ||T|| / gap), the conditioning of eigh's column when the
-    nearest other Ritz value is gap away.  The runs go on past convergence,
-    so the comparison covers converged ends (|s| < 1e-12) and ends with ghost
+def test_ritz_values_and_columns_match_eigh_on_real_lanczos_tridiagonals():
+    """At every step of real Lanczos runs, each end's Ritz value from
+    :func:`_top_ritz_value`, searched from that end's value and residual one
+    step earlier as a convergence test searches, agrees with ``eigh(T)``'s
+    to within 32 eps ||T|| (the dense solver's own error reaches about 14 eps
+    ||T|| on these runs) and is bracketed to within 8 eps ||T|| by the
+    inertia of T - lam (about 3 eps ||T|| is seen in clusters of ghost
+    copies).  Its column from :func:`_ritz_column` agrees with eigh's up to
+    sign, and so does its last entry |s|, to within 16 eps (1 + ||T|| /
+    gap), the conditioning of eigh's column when the nearest other Ritz
+    value is gap away.  The runs go on past convergence, so the
+    comparison covers converged ends (|s| < 1e-12) and ends with ghost
     copies: a neighbouring Ritz value beyond the matrix's second eigenvalue
     from that end, which interlacing forbids while the basis is orthogonal."""
+    def count_below(diagonal, beta, x):  # eigenvalues of T below x: the negative LDL^T pivots of T - x
+        d, count = 1.0, 0
+        for a, b in zip(diagonal, [0.0] + beta):
+            d = a - x - b * b / d
+            count += d < 0
+        return count
+
     eps = float(np.finfo(float).eps)
     ssbm = sn.ssbm(sn.SSBMParams(n1=250, n2=250, p_in=10 / 250, p_out=2 / 250, eta=0.05, alpha=0.1, seed=0))
     star = sn.build_graph(300, [(0, k, (-1.0) ** k) for k in range(1, 300)])
@@ -545,19 +559,28 @@ def test_last_entry_matches_eigh_on_real_lanczos_tridiagonals():
         for values, M in ((_transition_edge_values(G), symmetrized_transition(G)), (G.w, G.weight_matrix)):
             dense = np.linalg.eigvalsh(M)
             alpha, beta = [], []
+            previous = {}  # end -> (its Ritz value in the frame of end * T, its residual) one step earlier
             for k, _ in enumerate(_lanczos_vectors(G._operator(values), G.n, alpha, beta), start=1):
                 T = np.diag(alpha)
                 T.flat[1::k + 1] = T.flat[k::k + 1] = beta[:-1]
                 theta, S = np.linalg.eigh(T)
                 norm = float(max(-theta[0], theta[-1]))
-                for e, neighbour, second, outward in ((-1, -2, dense[-2], 1.0), (0, 1, dense[1], -1.0)):
-                    s_ref = abs(float(S[-1, e]))
+                for end, e, neighbour, second in ((1.0, -1, -2, dense[-2]), (-1.0, 0, 1, dense[1])):
+                    diagonal = [end * a for a in alpha]
+                    value = end * _top_ritz_value(diagonal, beta, *previous.get(end, (diagonal[0], beta[0])))
+                    column = _ritz_column(alpha, beta, value)
                     gap = abs(float(theta[e] - theta[neighbour])) if k > 1 else math.inf
                     bound = 16 * eps * (1 + norm / gap) if gap else math.inf  # exact duplicates: any column
-                    assert abs(_last_entry(alpha, beta, float(theta[e])) - s_ref) <= bound
+                    if k > 1:  # the 1 x 1 T's norm leaves out beta_1, the scale of the search's first step
+                        assert abs(value - theta[e]) <= 32 * eps * norm
+                        assert count_below(diagonal, beta, end * value - 8 * eps * norm) < k
+                        assert count_below(diagonal, beta, end * value + 8 * eps * norm) == k
+                    assert min(np.max(np.abs(column - S[:, e])), np.max(np.abs(column + S[:, e]))) <= bound
+                    assert abs(column[-1] - abs(S[-1, e])) <= bound
                     if gap > 1e4 * eps * norm:  # eigh's column is determined to 1e-3 or better
-                        seen["converged"] += s_ref < 1e-12
-                        seen["ghost"] += k > 1 and (theta[neighbour] - second) * outward > 1e-9 * norm
+                        seen["converged"] += column[-1] < 1e-12
+                        seen["ghost"] += k > 1 and (theta[neighbour] - second) * end > 1e-9 * norm
+                    previous[end] = (end * value, beta[-1] * float(column[-1]))
                 if beta[-1] <= LANCZOS_TOLERANCE / 2 or k == steps:
                     break
     assert seen["converged"] and seen["ghost"], seen

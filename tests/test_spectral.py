@@ -12,7 +12,7 @@ from signednet.balance import apply_flip_set, sign_pattern
 from signednet.cli import main
 from signednet.core import _transition_edge_values
 from signednet.io import write_edge_list
-from signednet.spectral import LANCZOS_MIN_NODES, _extremes, _last_entry, _sign_normalised, _spectrum
+from signednet.spectral import LANCZOS_MIN_NODES, _extremes, _ritz_column, _sign_normalised, _spectrum
 
 from helpers import (
     doubled_transition,
@@ -364,14 +364,36 @@ class TestLanczosPath:
         assert 0 < top[1] - top[0] <= 1e-8
 
     def test_value_only_solves_compute_no_eigenvectors_of_t(self, monkeypatch):
-        def eigh(*args, **kwargs):
-            raise AssertionError("eigh called")
+        """No solve on the Lanczos path hands T to a dense LAPACK routine,
+        neither for values nor for the columns of a vector solve."""
+        def dense(*args, **kwargs):
+            raise AssertionError("dense eigensolver called")
 
-        G = self.ssbm(0.0, seed=3)
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        m = sn.balance_measures(G)
-        assert (m.d_b, m.d_a) == spectral._distances(G)
-        assert sn.perturbation_estimate(G, [(G.i[0], G.j[0])]).realized_shift_max < 0
+        unbalanced, balanced = self.ssbm(0.05, seed=3), self.ssbm(0.0, seed=3)
+        monkeypatch.setattr(np.linalg, "eigh", dense)
+        monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+        for G in (unbalanced, balanced):
+            m = sn.balance_measures(G)
+            assert (m.d_b, m.d_a) == spectral._distances(G)
+        for target in ("balanced", "antibalanced"):  # the top of W, then of -W, each with its vector
+            assert sn.frustration(unbalanced, target, mode="heuristic").flip_count > 0
+        assert sn.perturbation_estimate(balanced, [(balanced.i[0], balanced.j[0])]).realized_shift_max < 0
+
+    def test_clustered_path_solves_in_little_memory(self):
+        """The top of |W| on a long path is a cluster of Ritz values that
+        takes thousands of steps; each convergence test costs O(k) memory, so
+        the traced peak stays a few arrays of n (a dense k x k T at the last
+        test would be tens of megabytes)."""
+        G = signed_path(3000, 1)
+        G.degrees
+        tracemalloc.start()
+        try:
+            m = sn.balance_measures(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(m.spectral_radius_unsigned - 2 * math.cos(math.pi / 3001)) <= 1e-12
+        assert peak < 5 * 2**20
 
     def test_last_entry_rescales_instead_of_overflowing(self):
         # T = tridiag(1, [a, 0, ..., 0], 1) has the top eigenvalue theta = t + 1/t, and rows 2..k of
@@ -382,8 +404,10 @@ class TestLanczosPath:
         log_u = [(m + 1) * math.log(t) + math.log1p(-t ** (-2 * (m + 1))) - math.log(t - 1 / t) for m in range(k)]
         expected = math.exp(-0.5 * (2 * log_u[-1] + math.log(sum(math.exp(2 * (u - log_u[-1])) for u in log_u))))
         alpha = [theta - 1 / t] + [0.0] * (k - 1)
-        assert math.isclose(_last_entry(alpha, [1.0] * k, theta), expected, rel_tol=1e-12)
+        column = _ritz_column(alpha, [1.0] * k, theta)
+        assert math.isclose(column[-1], expected, rel_tol=1e-12)
         assert 0.0 < expected < 2.0 ** -890
+        assert math.isclose(np.linalg.norm(column), 1.0, rel_tol=1e-12)
 
     def test_power_of_two_rescaling_is_exact(self):
         G = self.ssbm(0.05)
