@@ -2,7 +2,8 @@
 
 Every generator is a deterministic function of its parameters and seed: the
 same inputs produce the same edge list, element for element.  Each draws its
-edges as arrays, the SSBM one row of node pairs at a time (O(n + m) memory).
+edges as arrays, the SSBM visiting only the pairs it keeps (O(n + m) time and
+memory).
 A graph of more than ``MAX_GENERATED`` nodes or (expected) edges is
 refused before anything is allocated.
 """
@@ -89,7 +90,14 @@ class SSBMParams:
 
 def ssbm(params: SSBMParams) -> SignedGraph:
     """Draw a connected SSBM instance; resamples up to 100 times for
-    connectivity before giving up."""
+    connectivity before giving up.  A draw takes O(n + m) time and memory
+    (see :func:`_ssbm_once`).  A configuration that no draw can connect, two
+    nonempty blocks with ``p_out = 0`` or a single block with ``p_in = 0``,
+    is refused before anything is drawn."""
+    if params.p_out == 0.0 and params.n1 and params.n2:
+        raise GaveUpConnectivityError("p_out = 0 leaves the two blocks without a cross edge: no draw is connected")
+    if params.p_in == 0.0 and not (params.n1 and params.n2):
+        raise GaveUpConnectivityError("p_in = 0 leaves the single block without an edge: no draw is connected")
     rng = seeded_rng(params.seed)
     for _ in range(CONNECTIVITY_RETRIES):
         try:
@@ -103,17 +111,60 @@ def ssbm(params: SSBMParams) -> SignedGraph:
 
 
 def _ssbm_once(params: SSBMParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge arrays of one draw, row by row: row i draws its pairs (i, j > i)
-    with one ``rng.random(n - 1 - i)``, then their sign flips with one more."""
-    n, first = params.n, np.arange(params.n) < params.n1
-    cols, weights = [], []
-    for i in range(n - 1):
-        same = first[i + 1:] == first[i]
-        j = np.flatnonzero(rng.random(n - 1 - i) < np.where(same, params.p_in, params.p_out))
-        sign = np.where(same[j], params.alpha, -params.alpha)
-        cols.append(i + 1 + j)
-        weights.append(np.where(rng.random(len(j)) < params.eta, -sign, sign))
-    return np.repeat(np.arange(n - 1), [len(j) for j in cols]), np.concatenate(cols), np.concatenate(weights)
+    """Edge arrays of one draw, sorted by (i, j), in O(n + m) time and memory.
+
+    The pairs fall into three ranges, drawn in this order: block 1's upper
+    triangle and block 2's, each pair kept with ``p_in``, then the n1 x n2
+    cross rectangle, each pair kept with ``p_out``.  Each range visits only
+    its kept pairs (:func:`_kept_positions`); one ``rng.random(m)`` then
+    draws the m sign flips."""
+    n1, n2, alpha = params.n1, params.n2, params.alpha
+    i1, j1 = _triangle_pairs(_kept_positions(n1 * (n1 - 1) // 2, params.p_in, rng), n1)
+    i2, j2 = _triangle_pairs(_kept_positions(n2 * (n2 - 1) // 2, params.p_in, rng), n2)
+    ix, jx = np.divmod(_kept_positions(n1 * n2, params.p_out, rng), n2)
+    # a row below n1 lists block 1's pairs, then its cross pairs: a stable sort
+    # of the rows merges the two sorted runs (timsort, numpy's stable sort of
+    # int64, merges two runs in linear time)
+    rows = np.concatenate([i1, ix])
+    order = np.argsort(rows, kind="stable")
+    i = np.concatenate([rows[order], n1 + i2])
+    j = np.concatenate([np.concatenate([j1, n1 + jx])[order], n1 + j2])
+    sign = np.concatenate([np.where(order < len(i1), alpha, -alpha), np.full(len(i2), alpha)])
+    return i, j, np.where(rng.random(len(i)) < params.eta, -sign, sign)
+
+
+def _kept_positions(count: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Increasing positions in ``range(count)``, each kept independently with
+    probability ``p``, in O(1 + count * p) time: the gaps between kept
+    positions are geometric, drawn by inversion as
+    ``floor(log(1 - U) / log1p(-p)) + 1`` from ``rng.random`` chunks
+    (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005)."""
+    if count == 0 or p == 0.0:
+        return np.empty(0, dtype=np.int64)
+    if p == 1.0:
+        return np.arange(count, dtype=np.int64)
+    log_q, mean = math.log1p(-p), count * p
+    size = int(mean + 4 * math.sqrt(mean)) + 16  # one chunk almost always reaches past the range
+    chunks, last = [], -1
+    while last < count:
+        # a gap capped at count + 1 still leaves the range, and the sum of a chunk stays far below 2**63
+        gaps = np.minimum(np.floor(np.log1p(-rng.random(size)) / log_q) + 1, count + 1).astype(np.int64)
+        chunks.append(last + np.cumsum(gaps))
+        last = int(chunks[-1][-1])
+    positions = np.concatenate(chunks)
+    return positions[:np.searchsorted(positions, count)]
+
+
+def _triangle_pairs(k: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), i < j < b, at positions ``k`` of the row-major upper
+    triangle of a b-node block: the row from a float square root, then
+    corrected in exact integers."""
+    back = b * (b - 1) // 2 - 1 - k  # the position counted from the last pair
+    # the last r rows hold 1 + 2 + ... + r pairs: r is the largest with r (r + 1) / 2 <= back
+    r = ((np.sqrt(8 * back + 1) - 1) // 2).astype(np.int64)
+    r -= r * (r + 1) // 2 > back
+    r += (r + 1) * (r + 2) // 2 <= back
+    return b - 2 - r, b - 1 - (back - r * (r + 1) // 2)
 
 
 # ---------------------------------------------------------------------------

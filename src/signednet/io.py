@@ -336,10 +336,18 @@ _CONTAINERS = (dict, list, tuple, np.ndarray)
 
 @functools.cache
 def _encoder(depth: int):
-    """``encode`` of a C JSON encoder whose item separator starts the next
-    item at ``depth``, as ``json.dumps(indent=2)`` does inside a container
-    at ``depth - 1``; built once per depth."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=False, check_circular=False).encode
+    """The JSON text of a value, from a C JSON encoder whose item separator
+    starts the next item at ``depth``, as ``json.dumps(indent=2)`` does
+    inside a container at ``depth - 1``.  The C encoder is built once per
+    depth and called as ``JSONEncoder.encode`` calls it, which builds one on
+    every call; ``encode`` itself where ``json`` has no C encoder."""
+    options = json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=False, check_circular=False)
+    if json.encoder.c_make_encoder is None:
+        return options.encode
+    encode = json.encoder.c_make_encoder(None, options.default, json.encoder.encode_basestring_ascii, options.indent,
+                                         options.key_separator, options.item_separator, options.sort_keys,
+                                         options.skipkeys, options.allow_nan)
+    return lambda value: "".join(encode(value, 0))
 
 
 def _texts(values) -> list[str]:

@@ -1,13 +1,23 @@
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import signednet as sn
-from signednet import Verdict
+from signednet import Verdict, generate
 from signednet.balance import apply_flip_set
 from signednet.errors import GaveUpConnectivityError, ParamOutOfRangeError
-from signednet.generate import config_field, resolve_partition_rule, seeded_rng, sign_plan_from_json
+from signednet.generate import (
+    _kept_positions,
+    _ssbm_once,
+    _triangle_pairs,
+    config_field,
+    resolve_partition_rule,
+    seeded_rng,
+    sign_plan_from_json,
+)
 from signednet.io import format_edge_list
 
 from helpers import same_partition
@@ -64,7 +74,7 @@ class TestSSBM:
             assert abs(got - total * p) < 3 * se
 
     def test_peak_memory_grows_with_the_edges_not_the_pairs(self):
-        # 3000 nodes have 4.5e6 pairs, 36 MB as one float array; the draw holds one row of them at a time
+        # 3000 nodes have 4.5e6 pairs, 36 MB as one float array; the draw visits only the pairs it keeps
         params = sn.SSBMParams(n1=1500, n2=1500, p_in=8 / 1500, p_out=2 / 1500, eta=0.05, alpha=1.0, seed=0)
         tracemalloc.start()
         try:
@@ -104,6 +114,25 @@ class TestSSBM:
         with pytest.raises(GaveUpConnectivityError):
             sn.ssbm(sn.SSBMParams(n1=3, n2=3, p_in=0.01, p_out=0.0, eta=0.0, alpha=1.0, seed=0))
 
+    def test_a_config_that_can_connect_exhausts_the_retries(self, monkeypatch):
+        # six nodes need five of the fifteen pairs at 1 %: each draw is connected with probability below 1e-6
+        draw = mock.Mock(wraps=generate._ssbm_once)
+        monkeypatch.setattr(generate, "_ssbm_once", draw)
+        with pytest.raises(GaveUpConnectivityError, match="no connected draw within 100 attempts"):
+            sn.ssbm(sn.SSBMParams(n1=3, n2=3, p_in=0.01, p_out=0.01, eta=0.0, alpha=1.0, seed=0))
+        assert draw.call_count == generate.CONNECTIVITY_RETRIES
+
+    @pytest.mark.parametrize("n1, n2, p_in, p_out, reason", [
+        (2000, 2000, 0.01, 0.0, "p_out = 0 leaves the two blocks without a cross edge"),
+        (1, 1, 1.0, 0.0, "p_out = 0 leaves the two blocks without a cross edge"),
+        (3000, 0, 0.0, 0.5, "p_in = 0 leaves the single block without an edge"),
+        (0, 2, 0.0, 0.0, "p_in = 0 leaves the single block without an edge"),
+    ])
+    def test_a_config_no_draw_can_connect_is_refused_before_drawing(self, monkeypatch, n1, n2, p_in, p_out, reason):
+        monkeypatch.setattr(generate, "_ssbm_once", mock.Mock(side_effect=AssertionError("drew")))
+        with pytest.raises(GaveUpConnectivityError, match=f"{reason}: no draw is connected"):
+            sn.ssbm(sn.SSBMParams(n1=n1, n2=n2, p_in=p_in, p_out=p_out, eta=0.0, alpha=1.0, seed=0))
+
     def test_param_validation(self):
         with pytest.raises(ParamOutOfRangeError):
             sn.SSBMParams(n1=6, n2=10, p_in=1.2, p_out=0.1, eta=0.0)
@@ -118,6 +147,86 @@ class TestSSBM:
                 sn.SSBMParams(n1=n1, n2=n1, p_in=1.0, p_out=1.0, eta=0.0)
         sn.SSBMParams(n1=1448, n2=1448, p_in=1.0, p_out=1.0, eta=0.0)  # 4191960 expected edges pass
         sn.SSBMParams(n1=10**4, n2=10**4, p_in=0.02, p_out=0.02, eta=0.0)  # 3999800 pass
+
+
+class TestSSBMSampler:
+    """The O(n + m) draw: kept positions by geometric skips, mapped back to pairs in closed form."""
+
+    def test_triangle_pairs_match_triu_indices(self):
+        for b in range(61):
+            i, j = _triangle_pairs(np.arange(b * (b - 1) // 2), b)
+            expected = np.triu_indices(b, 1)
+            assert np.array_equal(i, expected[0]) and np.array_equal(j, expected[1]), b
+
+    # from about 2**28 nodes the float square root lands in a neighbouring row at some row starts: the integer
+    # correction mends it
+    @pytest.mark.parametrize("b", [2, 3, 61, 1000, 2**20 + 7, 2**22 - 1, 2**22, 2**28 + 3])
+    def test_triangle_pairs_match_an_integer_reference(self, b):
+        def reference(k):  # row i starts at position i (2b - i - 1) / 2; isqrt finds the row counted from the end
+            back = b * (b - 1) // 2 - 1 - k
+            r = (math.isqrt(8 * back + 1) - 1) // 2
+            return b - 2 - r, b - 1 - (back - r * (r + 1) // 2)
+
+        rng, pairs = np.random.default_rng(b), b * (b - 1) // 2
+        rows = rng.integers(0, b - 1, 1000)
+        starts = rows * (2 * b - rows - 1) // 2
+        k = np.concatenate([rng.integers(0, pairs, 3000), starts, np.maximum(starts - 1, 0), [pairs - 1]])
+        i, j = _triangle_pairs(k, b)
+        assert list(zip(i.tolist(), j.tolist())) == [reference(x) for x in k.tolist()]
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
+    def test_each_position_and_pair_of_positions_is_kept_independently(self, p):
+        draws, count, rng = 4000, 6, np.random.default_rng(1)
+        kept, adjacent = np.zeros(count), 0
+        for _ in range(draws):
+            k = _kept_positions(count, p, rng)
+            kept[k] += 1
+            adjacent += k[:2].tolist() == [0, 1]
+        assert np.all(np.abs(kept - draws * p) < 4 * np.sqrt(draws * p * (1 - p)))
+        assert abs(adjacent - draws * p * p) < 4 * np.sqrt(draws * p * p * (1 - p * p))
+
+    def test_kept_positions_are_increasing_and_in_range(self):
+        rng = np.random.default_rng(0)
+        for count, p in [(1, 0.5), (10, 0.999), (10**6, 1e-6), (10**12, 1e-9), (5000, 0.3)]:
+            k = _kept_positions(count, p, rng)
+            assert np.all(np.diff(k) > 0) and (len(k) == 0 or 0 <= k[0] and k[-1] < count)
+        assert np.array_equal(_kept_positions(7, 1.0, rng), np.arange(7))
+        assert len(_kept_positions(7, 0.0, rng)) == len(_kept_positions(0, 0.5, rng)) == 0
+
+    @pytest.mark.parametrize("n1, n2, p_in, p_out", [
+        (0, 12, 0.5, 0.3), (12, 0, 0.5, 0.0),  # a single block, p_out = 0 included
+        (7, 5, 1.0, 1.0),  # complete
+        (6, 9, 0.0, 0.6),  # bipartite
+        (9, 11, 1.0, 0.2), (40, 25, 0.2, 0.05),
+    ])
+    def test_edges_are_sorted_pairs_signed_by_their_blocks(self, n1, n2, p_in, p_out):
+        params = sn.SSBMParams(n1=n1, n2=n2, p_in=p_in, p_out=p_out, eta=0.0, alpha=0.5, seed=3)
+        G = sn.ssbm(params)
+        keys = G.i * G.n + G.j
+        assert np.all(G.i < G.j) and np.all(np.diff(keys) > 0)  # the (i, j) row order, no pair twice
+        s = params.planted_signs()
+        assert np.array_equal(G.w, 0.5 * s[G.i] * s[G.j])
+        inside = s[G.i] == s[G.j]
+        if p_in == 1.0:
+            assert np.sum(inside) == (n1 * (n1 - 1) + n2 * (n2 - 1)) // 2
+        if p_out == 1.0:
+            assert np.sum(~inside) == n1 * n2
+        if p_in == 0.0:
+            assert not inside.any()
+        if 0 in (n1, n2):
+            assert inside.all()
+
+    def test_sparse_draw_memory_grows_with_the_edges(self):
+        # 10^5 nodes have 5e9 pairs; mean degree 12 keeps about 6e5 of them
+        params = sn.SSBMParams(n1=50000, n2=50000, p_in=10 / 50000, p_out=2 / 50000, eta=0.05, alpha=1.0, seed=0)
+        tracemalloc.start()
+        try:
+            i, j, w = _ssbm_once(params, seeded_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 5.9e5 < len(w) < 6.1e5
+        assert peak < 120 * len(w)
 
 
 class TestRingLattice:

@@ -475,6 +475,28 @@ class TestDumpJSON:
         assert dump_json(doc) == json.dumps(doc, indent=2)
         assert calls == [1, 150]  # the dict's one item, then every value of the table
 
+    def test_c_encoders_are_built_once_per_depth(self, monkeypatch):
+        built, make = [], json.encoder.c_make_encoder
+        monkeypatch.setattr(json.encoder, "c_make_encoder", lambda *args: built.append(args[5]) or make(*args))
+        doc = {"verdict": "balanced", "partition": [1, -1, 1], "flip_set": [[0, 1, -0.1]], "more": {"x": [0.5]}}
+        sio._encoder.cache_clear()
+        try:
+            first = dump_json(doc)
+            depths = len(built)
+            assert dump_json(doc) == first == json.dumps(doc, indent=2)
+        finally:
+            sio._encoder.cache_clear()
+        assert depths == len(set(built)) == len(built)  # no second call builds one
+
+    def test_without_a_c_encoder_the_text_is_the_same(self, monkeypatch):
+        doc = {"states": np.array([[0.5, -0.0]]), "flip_set": [[0, 1, -0.1]], "more": {"x": [0.5, "é"]}}
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        sio._encoder.cache_clear()
+        try:
+            assert dump_json(doc) == json.dumps(_as_lists(doc), indent=2)
+        finally:
+            sio._encoder.cache_clear()
+
     def test_file_output_ends_in_a_line_break(self, tmp_path):
         doc = {"x": np.array([1.0, 2.5])}
         assert dump_json(doc, tmp_path / "doc.json") == dump_json(doc)
