@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import Edge, SignedGraph, _transition_edge_values
 from .errors import EdgeNotPresentError, NotBalancedError, TooLargeError, WrongVerdictError
-from .spectral import _extremes, _spectrum
+from .spectral import _extremes, _spectrum, _transition_end_vector
 
 #: eigenvector entries below this magnitude are assigned to the +1 side when a
 #: sign pattern is read off a vector (deterministic tie rule)
@@ -165,9 +165,21 @@ class FrustrationReport:
 FrustrationTarget = Literal["balanced", "antibalanced"]
 
 
-def _violations(G: SignedGraph, s: np.ndarray, target: FrustrationTarget) -> list[Edge]:
-    broken = s[G.i] * s[G.j] != (G.sign if target == "balanced" else -G.sign)
-    return list(map(Edge, G.i[broken].tolist(), G.j[broken].tolist(), G.w[broken].tolist()))
+def _violations(G: SignedGraph, s: np.ndarray, target: FrustrationTarget) -> np.ndarray:
+    """Ids of the edges that the node signs ``s`` violate under the target, ascending."""
+    return np.flatnonzero(s[G.i] * s[G.j] != (G.sign if target == "balanced" else -G.sign))
+
+
+def _cost(G: SignedGraph, ks: np.ndarray) -> tuple[int, float]:
+    """Count and total absolute weight of the edges ``ks``, summed in their order."""
+    return len(ks), float(sum(np.abs(G.w[ks]).tolist()))
+
+
+def _spectral_signs(G: SignedGraph, target: FrustrationTarget) -> np.ndarray:
+    """The sign pattern, node 0 at +1, of P_sym's top eigenvector (balanced)
+    or its bottom one (antibalanced)."""
+    s = sign_pattern(_transition_end_vector(G, 1 if target == "balanced" else -1)).s
+    return s if s[0] > 0 else -s
 
 
 def frustration(G: SignedGraph, target: FrustrationTarget = "balanced",
@@ -180,17 +192,24 @@ def frustration(G: SignedGraph, target: FrustrationTarget = "balanced",
     leaves and contracts degree-2 chains first, then scans every signing of
     the remaining kernel, whose nodes all have degree >= 3 (at most 16 nodes
     under the 25-edge cap).  A violated chain is flipped at its lightest edge.
-    Capped at 25 edges.  Heuristic mode reads the bipartition off the leading
-    eigenvector of W (balanced) or of -W (antibalanced), the one end
-    ``spectral._extremes`` solves for it, and reports the violation count as
-    an upper bound.
+    Capped at 25 edges.
+
+    Heuristic mode reads a bipartition off the top eigenvector of P_sym =
+    D^-1/2 W D^-1/2 (balanced) or its bottom one (antibalanced), the end
+    that ``spectral._distances`` already solves for ``d_b`` (``d_a``) and
+    keeps per graph, so after it only that end's vector is replayed.  Unlike
+    the top of W, which localises on high-degree nodes, it is normalised by
+    degree (Kunegis et al., SDM 2010).  It reports the better of that
+    bipartition and the trivial all +1 one, count first and then weight,
+    with node 0 at +1, so the violation count is an upper bound never above
+    the number of negative (positive) edges.
 
     A graph that already has the target structure needs neither: in either
     mode it gets its :func:`classify` certificate (node 0 at +1) with no
     flips, and ``exact`` still reports the mode.  That is also the answer
     the eigenvector gives there (up to global sign), since it is the
-    certificate times the Perron vector of |W|.  The mode and the 25-edge
-    cap of exact mode are checked first, whatever the graph.
+    certificate times the Perron vector of |P_sym|.  The mode and the
+    25-edge cap of exact mode are checked first, whatever the graph.
 
     Both the edge count and the total flipped absolute weight are reported.
     """
@@ -206,15 +225,17 @@ def frustration(G: SignedGraph, target: FrustrationTarget = "balanced",
     s = _target_signs(G, target)  # a certificate violates no edge
     if s is None and mode == "exact":
         s = _exact_min_violation_signs(G, target)
-    elif s is None:
-        top = _extremes(G, None if target == "balanced" else -G.w, ends="top", vectors=True)
-        s = sign_pattern(top.eigenvectors[:, 0]).s
-    flip = _violations(G, s, target)
+    # heuristic mode weighs the spectral signing against the trivial all +1 one, keeping the first on a tie
+    candidates = [s] if s is not None else [_spectral_signs(G, target), np.ones(G.n, dtype=np.int8)]
+    flips = [_violations(G, c, target) for c in candidates]
+    costs = [_cost(G, ks) for ks in flips]
+    best = costs.index(min(costs))
+    s, ks, (flip_count, flipped_weight) = candidates[best], flips[best], costs[best]
     return FrustrationReport(
         target=target,
-        flip_set=tuple(flip),
-        flip_count=len(flip),
-        flipped_weight=float(sum(abs(e.w) for e in flip)),
+        flip_set=tuple(map(Edge, G.i[ks].tolist(), G.j[ks].tolist(), G.w[ks].tolist())),
+        flip_count=flip_count,
+        flipped_weight=flipped_weight,
         exact=mode == "exact",
         partition=Bipartition(s),
     )

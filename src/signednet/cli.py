@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--input", required=True, help="edge-list file")
     p_classify.add_argument("--output", help="write JSON here instead of stdout")
     p_classify.add_argument("--frustration", choices=["balanced", "antibalanced"],
-                            help="also report the edges disturbing this structure "
-                                 "(exact up to 25 edges, eigenvector heuristic beyond)")
+                            help="also report the edges disturbing this structure (exact up to 25 "
+                                 "edges; beyond, the better of the signs of the P_sym end and all +1)")
 
     p_measure = sub.add_parser("measure", help="d_b, d_a and spectral radii")
     p_measure.add_argument("--input", required=True)

@@ -13,7 +13,9 @@ read off that forest (``_structure``: whether its balance and its
 antibalance candidate hold on every edge).  ``balance.classify`` maps the
 verdict through one table, and :mod:`signednet.spectral` and
 ``balance.frustration`` read it to skip every solve and search whose answer
-it fixes.
+it fixes.  The graph also keeps the spectrum ends that
+:mod:`signednet.spectral` solves on it (``_spectral_memo``), as plain data
+that refers to nothing holding the graph.
 Weights must be finite and nonzero.  A connected graph has n <= m + 1, and
 :func:`build_graph` checks that before it allocates anything of size n, so
 a far node id fails at once instead of allocating memory by id.
@@ -188,6 +190,14 @@ class SignedGraph:
         agrees = tree.sign[self.i] * tree.sign[self.j] * self.sign
         return _Structure(bool((agrees == 1).all()),
                           bool((agrees == -tree.parity[self.i] * tree.parity[self.j]).all()))
+
+    @cached_property
+    def _spectral_memo(self) -> dict:
+        """Spectrum ends that :mod:`signednet.spectral` has solved on this
+        graph, filled and read by that module alone.  It holds plain numbers
+        and arrays, nothing that refers back to the graph, so the graph is
+        freed by reference counting as soon as it is unreferenced."""
+        return {}
 
     def _matrix(self, values: np.ndarray) -> np.ndarray:
         """The symmetric n x n matrix holding ``values[k]`` at (i_k, j_k) and

@@ -12,11 +12,14 @@ place that picks a solver: the end columns of :func:`_spectrum` below
 Lanczos recurrence on the edge arrays that stores no basis and builds no
 n x n matrix.  Its convergence test never builds the k x k tridiagonal T
 of the recurrence: each open end's Ritz value comes from Newton's method on
-the LDL^T pivots of T - lambda (:func:`_top_ritz_value`), and its residual,
-and for a vector solve its eigenvector of T, from one backward recurrence
-(:func:`_ritz_column`), each in O(k) time and memory, so no dense LAPACK
-routine sees T.  The test runs at the step where each open end's residual
-trend predicts convergence.  It is all numpy; no scipy is imported.
+the LDL^T pivots of T - lambda (:func:`_top_ritz_value`), and its residual
+and its eigenvector of T from one backward recurrence (:func:`_ritz_column`),
+each in O(k) time and memory, so no dense LAPACK routine sees T.  The test
+runs at the step where each open end's residual trend predicts
+convergence.  An accepted end is kept as plain data, O(k) numbers
+(:class:`_RitzEnd`), from which :func:`_ritz_vector` rebuilds its Ritz
+vector on request by replaying the recurrence to that end's step.  It is
+all numpy; no scipy is imported.
 
 The distance ``d_b``, the smallest eigenvalue of the random-walk Laplacian,
 is zero exactly on balanced graphs, and ``d_a``, the gap between 2 and its
@@ -29,18 +32,24 @@ each caller solves only what it reports and the verdict leaves open:
 * :func:`_distances` (all that CLI ``classify`` prints) returns a distance
   the verdict fixes as exactly 0.0 and solves the open one as the top of
   P_sym (``d_b``) or of -P_sym (``d_a``); only a strictly unbalanced graph
-  takes both ends of P_sym, and a graph that is both takes no solve.
+  takes both ends of P_sym, and a graph that is both takes no solve.  The
+  open ends are solved once per graph and kept on it
+  (:func:`_transition_ends`).
 * :func:`balance_measures` adds the top of |W|, and both ends of W only on a
   strictly unbalanced graph; on any other graph rho(W) is rho(|W|) and the
   contraction exactly 0.0.
-* Heuristic frustration takes the top of W or -W with its vector, and no
-  solve when the graph already has the target structure.
+* Heuristic frustration reads the top (balanced target) or the bottom
+  (antibalanced) eigenvector of P_sym, an end that the verdict leaves open
+  whenever the graph lacks the target structure, so it takes the kept end
+  and replays that end's vector alone (:func:`_transition_end_vector`); it
+  solves nothing when the graph already has the target structure.
 
 The degree checks of P_sym run before any of this, on every graph.  The
 raw solves, whatever the verdict, are :func:`_solved_distances` (both ends
-of P_sym) and :func:`_solved_radius` (both ends of W): the two functions
-above call them on strictly unbalanced graphs, and verification criteria 3
-and 4 on every graph, so that those test the theorems the skips rely on.
+of P_sym) and :func:`_solved_radius` (both ends of W): the second serves
+:func:`balance_measures` on strictly unbalanced graphs, and both serve
+verification criteria 3 and 4 on every graph, so that those test the
+theorems the skips rely on.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Literal, NamedTuple, Optional
+from typing import Callable, Iterator, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,11 +67,12 @@ from .errors import LanczosNotConvergedError
 #: graphs with at least this many nodes take the ends of a spectrum from
 #: Lanczos, smaller ones from dense solves (read only by :func:`_extremes`).
 #: On two-block SSBMs of mean degree 12 (eta = 0.05) with one BLAS thread,
-#: Lanczos overtakes dense near n = 190 for ``classify --frustration`` (P_sym,
-#: then the top of W with its vector), near n = 275 for ``measure`` (P_sym, W,
-#: |W|) and near n = 370 for ``classify`` (P_sym alone); 250 sits between the
-#: first two.  Below a few hundred nodes a solve costs its per-step overhead,
-#: not the basis it no longer stores, so the crossover barely moved.
+#: Lanczos overtakes dense near n = 120 for ``classify --frustration`` (P_sym,
+#: then the replay of one of its ends; dense takes eigvalsh and one eigh),
+#: near n = 275 for ``measure`` (P_sym, W, |W|) and near n = 370 for
+#: ``classify`` (P_sym alone); 250 sits between the first two.  Below a few
+#: hundred nodes a solve costs its per-step overhead, not the basis it no
+#: longer stores, so the crossover barely moved.
 LANCZOS_MIN_NODES = 250
 #: a Lanczos end has converged when its residual is at most this times
 #: max(1, |theta|), on the matrix scaled by a power of two to a largest
@@ -77,10 +87,12 @@ _LANCZOS_SEED = 0
 class Spectrum:
     """Eigenvalues in descending order and their orthonormal eigenvectors,
     column k for ``eigenvalues[k]`` and signed by :func:`_sign_normalised`
-    (None when only eigenvalues were solved)."""
+    (None when only eigenvalues were solved); a Lanczos solve also keeps
+    each end's :class:`_RitzEnd` in ``ritz``."""
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray]
+    ritz: tuple[_RitzEnd, ...] = ()
 
 
 def _sign_normalised(vecs: np.ndarray) -> np.ndarray:
@@ -111,16 +123,16 @@ def _lanczos_step_cap(n: int) -> int:
     return 4 * n + 200
 
 
-def _lanczos_vectors(matvec: Callable[[np.ndarray], np.ndarray], n: int, alpha: list[float],
-                     beta: list[float]) -> Iterator[np.ndarray]:
+def _lanczos_vectors(matvec: Callable[[np.ndarray], np.ndarray], n: int, alpha: Sequence[float],
+                     beta: Sequence[float]) -> Iterator[np.ndarray]:
     """The Lanczos vectors q_1, q_2, ... of the plain three-term recurrence
     from the fixed seeded start vector, keeping only q and q_prev.
 
-    Step k reads alpha[k-1] and beta[k-1] when the lists already hold them,
-    and else computes and appends them, so a second pass with the lists of a
-    first replays its vectors bit for bit.  Both coefficients of step k are
-    in the lists when q_k is yielded; the next vector r / beta[k-1] is formed
-    only when the caller asks for it.
+    Step k reads alpha[k-1] and beta[k-1] when the sequences already hold
+    them, and else computes and appends them (to lists), so a second pass
+    with the coefficients of a first replays its vectors bit for bit.  Both
+    coefficients of step k are in the sequences when q_k is yielded; the
+    next vector r / beta[k-1] is formed only when the caller asks for it.
     """
     start = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
     q, q_prev = start / np.linalg.norm(start), np.zeros(n)
@@ -223,9 +235,23 @@ def _ritz_column(alpha: list[float], beta: list[float], theta: float) -> np.ndar
     return column / math.sqrt(norm2)
 
 
-def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", "top"] = "both",
-                      vectors: bool = True) -> Spectrum:
-    """The largest and the smallest eigenpair (``"both"``), or the largest
+class _RitzEnd(NamedTuple):
+    """One end of a Lanczos solve, accepted at step k, as plain data: O(k)
+    numbers and no reference to the graph or its operator.  ``value`` is the
+    end's eigenvalue, ``scale`` the power of two the matrix was divided by,
+    ``alpha`` and ``beta`` the recurrence coefficients alpha_1..alpha_k and
+    beta_1..beta_k, and ``column`` the end's unit eigenvector of the k x k
+    tridiagonal T, from which :func:`_ritz_vector` rebuilds its Ritz vector."""
+
+    value: float
+    scale: float
+    alpha: tuple[float, ...]
+    beta: tuple[float, ...]
+    column: np.ndarray
+
+
+def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", "top"] = "both") -> Spectrum:
+    """The largest and the smallest eigenvalue (``"both"``), or the largest
     alone (``"top"``), of the symmetric n x n matrix holding ``values[k]`` at
     (i_k, j_k) and (j_k, i_k) and zero elsewhere.
 
@@ -252,11 +278,9 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", 
     breakdown (a beta that meets every end's test) and at the step cap, past
     which :class:`~signednet.errors.LanczosNotConvergedError` is raised.
 
-    With ``vectors``, each accepted end keeps y_e from the step it was
-    accepted, and its Ritz vector is rebuilt by replaying the recurrence with
-    the stored coefficients up to that step, unit normalised and signed like
-    :func:`_spectrum`.  Returns eigenvalues ``[top, bottom]`` or ``[top]``
-    with matching columns.
+    Returns eigenvalues ``[top, bottom]`` or ``[top]``, no eigenvectors, and
+    in ``ritz`` each end as a :class:`_RitzEnd` of the step it was accepted
+    at, whose vector :func:`_ritz_vector` rebuilds on request.
     """
     n = G.n
     scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(values)))[1]))
@@ -266,7 +290,7 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", 
 
     alpha: list[float] = []
     beta: list[float] = []
-    found: dict[int, tuple[float, Optional[np.ndarray]]] = {}  # end -> (Ritz value, its eigenvector of T or None)
+    found: dict[int, _RitzEnd] = {}
     last_test: dict[int, tuple[int, float, float]] = {}  # open end -> (step, residual, Ritz value) at its last test
     check = 2
     for k, _ in enumerate(_lanczos_vectors(matvec, n, alpha, beta), start=1):
@@ -282,7 +306,7 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", 
                 r = b * float(column[-1])  # a Python float: numpy scalars would slow the next test several-fold
                 target = LANCZOS_TOLERANCE * max(1.0, abs(theta))
                 if r <= target:
-                    found[e] = (theta, column if vectors else None)
+                    found[e] = _RitzEnd(float(theta * scale), float(scale), tuple(alpha), tuple(beta), column)
                     continue
                 if e in last_test and r < r_prev:  # test again at the step j where r * (r / r_prev) ** ((j - k) / (k - k_prev)) = target
                     steps = math.ceil(math.log(target / r) / math.log(r / r_prev) * (k - k_prev))
@@ -293,29 +317,33 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", 
             if k == cap:
                 raise LanczosNotConvergedError(f"Lanczos did not converge on the {n} x {n} matrix within {cap} steps")
 
-    eigenvalues = np.array([found[e][0] for e in tested]) * scale
-    if not vectors:
-        return Spectrum(eigenvalues=eigenvalues, eigenvectors=None)
-    S = np.zeros((max(len(found[e][1]) for e in tested), len(tested)))  # each end's column, zero past its step
-    for c, e in enumerate(tested):
-        S[:len(found[e][1]), c] = found[e][1]
-    ritz = np.zeros((n, len(tested)))
-    for s, q in zip(S, _lanczos_vectors(matvec, n, alpha, beta)):
-        ritz += np.outer(q, s)
-    return Spectrum(eigenvalues=eigenvalues, eigenvectors=_sign_normalised(ritz / np.linalg.norm(ritz, axis=0)))
+    ritz = tuple(found[e] for e in tested)
+    return Spectrum(eigenvalues=np.array([end.value for end in ritz]), eigenvectors=None, ritz=ritz)
 
 
-def _extremes(G: SignedGraph, values: Optional[np.ndarray] = None, ends: Literal["both", "top"] = "both",
-              vectors: bool = False) -> Spectrum:
-    """Eigenpairs ``[top, bottom]`` (``"both"``) or ``[top]`` (``"top"``) of
+def _ritz_vector(G: SignedGraph, values: np.ndarray, end: _RitzEnd) -> np.ndarray:
+    """The unit Ritz vector of ``end``, an end of the Lanczos solve of the
+    matrix holding ``values`` on the edges, up to sign: the sum of y_i q_i
+    over its column y, the Lanczos vectors q_i replayed with its stored
+    coefficients to the step k it was accepted at, bit for bit those of the
+    solve.  That is k matvecs, and q and q_prev are the only vectors kept."""
+    ritz = np.zeros(G.n)
+    for y, q in zip(end.column, _lanczos_vectors(G._operator(values / end.scale), G.n, end.alpha, end.beta)):
+        ritz += y * q
+    return ritz / np.linalg.norm(ritz)
+
+
+def _extremes(G: SignedGraph, values: Optional[np.ndarray] = None, ends: Literal["both", "top"] = "both") -> Spectrum:
+    """Eigenvalues ``[top, bottom]`` (``"both"``) or ``[top]`` (``"top"``) of
     the matrix holding ``values`` on the edges (W when None): from
-    :data:`LANCZOS_MIN_NODES` nodes on by :func:`_lanczos_extremes`, below as
-    the end columns of :func:`_spectrum`, with vectors only if ``vectors``.
-    Only the requested ends are returned, so no caller reads an end that was
-    never tested for convergence."""
+    :data:`LANCZOS_MIN_NODES` nodes on by :func:`_lanczos_extremes`, with
+    each end's :class:`_RitzEnd` in ``ritz``, below as the end values of
+    :func:`_spectrum`, with ``ritz`` empty.  Only the requested ends are
+    returned, so no caller reads an end that was never tested for
+    convergence."""
     if G.n >= LANCZOS_MIN_NODES:
-        return _lanczos_extremes(G, G.w if values is None else values, ends, vectors)
-    return _spectrum(G, values, vectors, columns=[0, -1] if ends == "both" else [0])
+        return _lanczos_extremes(G, G.w if values is None else values, ends)
+    return _spectrum(G, values, columns=[0, -1] if ends == "both" else [0])
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +389,62 @@ def _solved_radius(G: SignedGraph) -> float:
     return float(max(top, -bottom))
 
 
+#: per verdict ``SignedGraph._structure`` (balanced, antibalanced): the sign of
+#: the matrix (P_sym or -P_sym) whose solve gives the ends of P_sym that the
+#: verdict leaves open, and those ends (1 the top, -1 the bottom) in the order
+#: the solve returns them
+_OPEN_ENDS = {(False, False): (1.0, (1, -1)), (True, False): (-1.0, (-1,)), (False, True): (1.0, (1,)),
+              (True, True): (1.0, ())}
+
+
+def _transition_ends(G: SignedGraph) -> dict[int, tuple[float, Optional[_RitzEnd]]]:
+    """The ends of P_sym that the verdict leaves open, each mapped to its
+    eigenvalue and, from a Lanczos solve, its :class:`_RitzEnd` (else None).
+
+    A strictly unbalanced graph solves both ends of P_sym, a balanced one
+    the top of -P_sym (the bottom of P_sym), an antibalanced one the top of
+    P_sym, and a graph that is both none; the degree checks of P_sym run
+    first on every graph.  The ends are solved once per graph and kept in
+    ``SignedGraph._spectral_memo`` as plain data, so whichever of
+    :func:`_distances` and :func:`_transition_end_vector` runs first solves
+    them for the other, and the graph is still freed by reference counting.
+    The solve is deterministic, so two threads that both miss the memo store
+    equal ends.
+    """
+    memo = G._spectral_memo
+    if "P_sym" not in memo:
+        sign, opened = _OPEN_ENDS[G._structure]
+        p = _transition_edge_values(G)
+        ends = {}
+        if opened:
+            spec = _extremes(G, sign * p, ends="both" if len(opened) == 2 else "top")
+            ritz = spec.ritz or (None,) * len(opened)  # a dense solve keeps no Ritz data
+            ends = {e: (float(sign * value), r) for e, value, r in zip(opened, spec.eigenvalues, ritz)}
+        memo["P_sym"] = ends
+    return memo["P_sym"]
+
+
+def _transition_end_vector(G: SignedGraph, end: Literal[1, -1]) -> np.ndarray:
+    """A unit eigenvector of P_sym at its top (``end`` 1) or bottom (-1), an
+    end that the verdict leaves open, up to sign: from a Lanczos solve, its
+    Ritz vector replayed from the cached end of :func:`_transition_ends` to
+    the step it was accepted at, no other end and no further; below
+    :data:`LANCZOS_MIN_NODES` nodes one ``eigh`` of P_sym."""
+    _, ritz = _transition_ends(G)[end]
+    p = _transition_edge_values(G)
+    if ritz is None:
+        return _spectrum(G, p, vectors=True, columns=[0 if end > 0 else -1]).eigenvectors[:, 0]
+    return _ritz_vector(G, _OPEN_ENDS[G._structure][0] * p, ritz)
+
+
 def _distances(G: SignedGraph) -> _Distances:
     """d_b and d_a as :func:`_solved_distances` defines them, except that a
     distance the verdict fixes is exactly 0.0: d_b on a balanced graph, d_a
-    on an antibalanced one.  One open distance is the top of P_sym or of
-    -P_sym (a top-only solve), two are :func:`_solved_distances`.  The degree
-    checks of P_sym run first on every graph."""
-    balanced, antibalanced = G._structure
-    if not (balanced or antibalanced):
-        return _solved_distances(G)
-    p = _transition_edge_values(G)
-    return _Distances(d_b=0.0 if balanced else float(1.0 - _extremes(G, p, ends="top").eigenvalues[0]),
-                      d_a=0.0 if antibalanced else float(1.0 - _extremes(G, -p, ends="top").eigenvalues[0]))
+    on an antibalanced one.  The open ones come from
+    :func:`_transition_ends`."""
+    ends = _transition_ends(G)
+    return _Distances(d_b=float(1.0 - ends[1][0]) if 1 in ends else 0.0,
+                      d_a=float(1.0 + ends[-1][0]) if -1 in ends else 0.0)
 
 
 def balance_measures(G: SignedGraph) -> BalanceMeasures:

@@ -275,6 +275,21 @@ def signed_path(n: int, seed: int) -> SignedGraph:
     return build_graph(n, [(k, k + 1, s) for k, s in enumerate(signs.tolist())])
 
 
+def tree_plus_pairs(n: int, m: int, negative: float, seed: int) -> SignedGraph:
+    """A random recursive tree on n nodes (each node joins a uniform earlier
+    one) plus uniform random pairs up to m edges, |w| uniform in [0.5, 1.5]
+    and each edge negative with probability ``negative``.  Its degrees are
+    uneven, so the top eigenvectors of W and of P_sym differ in sign pattern."""
+    rng = np.random.default_rng(seed)
+    pairs = {(int(rng.integers(0, child)), child) for child in range(1, n)}
+    while len(pairs) < m:
+        a, b = sorted(rng.integers(0, n, 2).tolist())
+        if a != b:
+            pairs.add((a, b))
+    return build_graph(n, [(a, b, float(rng.uniform(0.5, 1.5)) * (-1.0 if rng.random() < negative else 1.0))
+                           for a, b in sorted(pairs)])
+
+
 def signed_ring(n: int, seed: int) -> SignedGraph:
     """The cycle on n nodes with unit weights of random sign."""
     signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=n)

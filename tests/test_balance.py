@@ -202,6 +202,30 @@ class TestFrustration:
             assert not heuristic.exact
             assert heuristic.flip_count >= exact
 
+    @pytest.mark.parametrize("edges, lighter", [
+        ([(0, 1, 1.1), (0, 3, 0.9), (0, 6, 1.3), (0, 15, 1.3), (1, 2, 0.6), (1, 6, 0.5), (1, 7, 0.6), (1, 8, 0.9),
+          (1, 9, 0.7), (1, 17, 1.4), (2, 9, 1.1), (2, 13, 1.0), (2, 18, 1.4), (3, 4, 0.7), (3, 11, 1.4),
+          (4, 5, 1.3), (5, 9, -1.4), (5, 10, 1.4), (5, 12, 0.9), (5, 14, 1.1), (6, 17, 0.8), (7, 8, -1.3),
+          (8, 18, 0.9), (9, 10, 1.4), (9, 16, 0.7), (10, 15, -1.2), (10, 16, 0.7), (13, 14, 0.6), (13, 18, 0.8),
+          (14, 18, 0.6), (17, 18, 1.2), (17, 19, 1.1)], "spectral"),  # 3 edges of weight 3.2 against 3.9
+        ([(0, 1, 0.5), (0, 2, 0.8), (0, 5, 1.3), (0, 7, 1.4), (0, 14, 1.4), (1, 4, 0.7), (1, 6, 1.0), (1, 9, 0.9),
+          (1, 10, 0.6), (1, 12, 1.0), (1, 18, 1.2), (2, 3, -0.9), (2, 10, 1.0), (2, 18, 0.9), (3, 5, 0.8),
+          (3, 6, 0.7), (3, 9, 0.8), (3, 15, 0.9), (3, 16, 1.1), (3, 17, 1.3), (4, 8, -0.6), (5, 10, 1.2),
+          (5, 13, 0.7), (6, 13, 0.8), (6, 14, 0.8), (7, 11, -1.0), (7, 12, 1.2), (8, 13, 0.9), (9, 15, 1.5),
+          (11, 13, 1.2), (13, 19, 1.2), (17, 18, -1.5)], "trivial"),  # 4 edges of weight 4.3 against 4.0
+    ], ids=["spectral-lighter", "trivial-lighter"])
+    def test_heuristic_breaks_a_count_tie_by_weight(self, edges, lighter):
+        """Here the P_sym signing violates as many edges as the all +1 one,
+        which violates the negative edges; the lighter set is reported."""
+        G = sn.build_graph(20, edges)
+        rep = sn.frustration(G, "balanced", mode="heuristic")
+        negative = tuple(e for e in G.edges if e.w < 0)
+        assert rep.flip_count == len(negative)
+        if lighter == "trivial":
+            assert rep.flip_set == negative and np.all(rep.partition.s == 1)
+        else:
+            assert rep.flipped_weight < sum(abs(e.w) for e in negative) and np.any(rep.partition.s == -1)
+
     def test_worst_case_tree_and_cycle_are_fast(self):
         tree = sn.random_signed_tree(26, 0.5, seed=4)
         cycle = sn.build_graph(25, [(i, (i + 1) % 25, -1.0 if i % 4 == 0 else 1.5) for i in range(25)])

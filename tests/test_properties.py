@@ -19,6 +19,7 @@ from signednet.spectral import (
     _lanczos_extremes,
     _lanczos_vectors,
     _ritz_column,
+    _ritz_vector,
     _spectrum,
     _top_ritz_value,
     _transition_edge_values,
@@ -321,6 +322,29 @@ def test_kernel_reduced_frustration_matches_both_references(G):
 # the cached traversal against slow references
 # ---------------------------------------------------------------------------
 
+@given(connected_signed_graphs(max_n=20), st.sampled_from(["balanced", "antibalanced"]))
+@example(sn.build_graph(20, [(0, 1, 1.2), (0, 2, 0.8), (0, 6, 1.5), (0, 15, 0.6), (1, 3, 1.3), (1, 5, -1.4),
+                             (1, 7, 1.0), (2, 6, 0.6), (2, 9, 1.4), (2, 10, 0.8), (2, 19, 1.0), (3, 4, -1.3),
+                             (3, 11, 1.3), (3, 14, 1.3), (4, 5, 1.3), (4, 16, 0.6), (4, 18, 1.4), (5, 10, 1.0),
+                             (5, 13, 0.5), (6, 8, 1.2), (6, 16, 0.8), (6, 17, 1.1), (7, 8, 1.5), (8, 9, 1.0),
+                             (9, 15, 0.9), (10, 12, 0.5), (10, 16, 1.4), (10, 19, 1.4), (11, 18, 0.7), (12, 15, 0.7),
+                             (14, 19, 0.6), (15, 17, 0.7)]), "balanced")  # the P_sym signs flip 3, all +1 flips 2
+@example(sn.ssbm(sn.SSBMParams(n1=150, n2=150, p_in=0.064, p_out=0.016, eta=0.05, alpha=0.1, seed=1)), "balanced")
+@example(sn.ssbm(sn.SSBMParams(n1=150, n2=150, p_in=0.064, p_out=0.016, eta=0.05, alpha=0.1, seed=1)),
+         "antibalanced")
+@settings(max_examples=150, deadline=None)
+def test_heuristic_flips_restore_the_target_and_never_exceed_the_trivial_signing(G, target):
+    """The trivial all +1 signing violates the negative edges (balanced) or
+    the positive ones (antibalanced); the heuristic reports at most that many."""
+    rep = sn.frustration(G, target, mode="heuristic")
+    trivial = int(np.sum(G.w < 0 if target == "balanced" else G.w > 0))
+    assert rep.flip_count == len(rep.flip_set) <= trivial
+    assert rep.partition.s[0] == 1
+    assert [(e.i, e.j) for e in rep.flip_set] == [(G.i[k], G.j[k]) for k in _violations(G, rep.partition.s, target)]
+    fixed = sn.classify(apply_flip_set(G, [(e.i, e.j) for e in rep.flip_set]))
+    assert fixed.is_balanced if target == "balanced" else fixed.is_antibalanced
+
+
 @st.composite
 def planted_signed_graphs(draw):
     """A connected graph whose signs are kept, or re-planted from a node
@@ -511,18 +535,16 @@ def test_lanczos_extremes_match_dense_eigvalsh(case):
         ends[name] = spec.eigenvalues
         dense = np.linalg.eigvalsh(M)
         assert np.max(np.abs(spec.eigenvalues - dense[[-1, 0]])) <= 1e-10, name
-        # the Ritz vectors are unit eigenvectors, largest-magnitude entry positive
-        for vec, value in zip(spec.eigenvectors.T, spec.eigenvalues):
+        # no vectors are built; each end's Ritz vector, replayed from its plain data, is a unit eigenvector
+        assert spec.eigenvectors is None
+        for end, value in zip(spec.ritz, spec.eigenvalues):
+            assert end.value == value and len(end.alpha) == len(end.beta) == len(end.column)
+            vec = _ritz_vector(G, values, end)
             assert abs(np.linalg.norm(vec) - 1.0) <= 1e-10
             assert np.linalg.norm(M @ vec - value * vec) <= 1e-9 * max(1.0, abs(value)), name
-            assert vec[np.argmax(np.abs(vec))] > 0
-        top_only = _lanczos_extremes(G, values, ends="top").eigenvalues[0]
-        assert abs(top_only - dense[-1]) <= 1e-10, name
-        # every classify and measure solve is value-only: same values, no vectors
-        values_only = _lanczos_extremes(G, values, vectors=False)
-        assert values_only.eigenvectors is None
-        assert np.max(np.abs(values_only.eigenvalues - dense[[-1, 0]])) <= 1e-10, name
-        assert np.array_equal(values_only.eigenvalues, spec.eigenvalues), name
+        top_only = _lanczos_extremes(G, values, ends="top")
+        assert abs(top_only.eigenvalues[0] - dense[-1]) <= 1e-10, name
+        assert len(top_only.ritz) == 1
     if kind.startswith("balanced"):  # d_b = 0
         assert abs(1.0 - ends["P_sym"][0]) <= 1e-12
     if kind in ("tree", "balanced_bipartite"):  # also antibalanced, so d_a = 0
@@ -586,20 +608,17 @@ def test_ritz_values_and_columns_match_eigh_on_real_lanczos_tridiagonals():
     assert seen["converged"] and seen["ghost"], seen
 
 
-@given(lanczos_graphs(), st.sampled_from(["both", "top"]), st.booleans())
+@given(lanczos_graphs(), st.sampled_from(["both", "top"]))
 @settings(max_examples=150, deadline=None)
-def test_dense_extremes_are_the_end_columns_of_the_full_spectrum(case, ends, vectors):
+def test_dense_extremes_are_the_end_columns_of_the_full_spectrum(case, ends):
     _, G = case
     assert G.n < LANCZOS_MIN_NODES
     columns = [0, -1] if ends == "both" else [0]
     for values, M in ((None, G.weight_matrix), (np.abs(G.w), np.abs(G.weight_matrix)),
                       (_transition_edge_values(G), transition_matrix(G))):  # P_sym is similar to P
-        full, got = _spectrum(G, values, vectors), _extremes(G, values, ends, vectors)
+        full, got = _spectrum(G, values), _extremes(G, values, ends)
         assert np.array_equal(got.eigenvalues, full.eigenvalues[columns])
-        if vectors:
-            assert np.array_equal(got.eigenvectors, full.eigenvectors[:, columns])
-        else:
-            assert got.eigenvectors is None and full.eigenvectors is None
+        assert got.eigenvectors is None and got.ritz == ()
         assert np.max(np.abs(full.eigenvalues - nonsymmetric_eigenvalues(M))) <= 1e-10
 
 

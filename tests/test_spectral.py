@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,14 @@ from signednet.balance import apply_flip_set, sign_pattern
 from signednet.cli import main
 from signednet.core import _transition_edge_values
 from signednet.io import write_edge_list
-from signednet.spectral import LANCZOS_MIN_NODES, _extremes, _ritz_column, _sign_normalised, _spectrum
+from signednet.spectral import (
+    LANCZOS_MIN_NODES,
+    _extremes,
+    _ritz_column,
+    _ritz_vector,
+    _sign_normalised,
+    _spectrum,
+)
 
 from helpers import (
     doubled_transition,
@@ -22,6 +31,7 @@ from helpers import (
     signed_ring,
     symmetrized_transition,
     transition_matrix,
+    tree_plus_pairs,
     two_block_graph,
 )
 
@@ -123,8 +133,8 @@ class TestSpectralTheorem:
 
 
 class TestLeadingEigenpairPattern:
-    """Heuristic frustration reads the sign pattern of W's leading (balanced)
-    or trailing (antibalanced) eigenvector; on a balanced or antibalanced
+    """Heuristic frustration reads the sign pattern of P_sym's top (balanced)
+    or bottom (antibalanced) eigenvector; on a balanced or antibalanced
     graph that pattern is the certificate."""
 
     def test_balanced_ssbm_recovers_planted_partition(self):
@@ -135,14 +145,14 @@ class TestLeadingEigenpairPattern:
         assert same_partition(report.partition, sn.classify(G).balanced_partition)
         assert same_partition(report.partition, sn.Bipartition(params.planted_signs()))
         # the report takes the certificate without a solve; the eigenvector has it as its sign pattern
-        assert same_partition(sign_pattern(_extremes(G, ends="top", vectors=True).eigenvectors[:, 0]),
-                              report.partition)
+        top = _spectrum(G, _transition_edge_values(G), vectors=True, columns=[0])
+        assert same_partition(sign_pattern(top.eigenvectors[:, 0]), report.partition)
 
     def test_all_negative_triangle_pattern_is_constant(self, triangle_negative):
         report = sn.frustration(triangle_negative, "antibalanced", mode="heuristic")
         assert np.array_equal(report.partition.s, [1, 1, 1])
-        top = _extremes(triangle_negative, -triangle_negative.w, ends="top", vectors=True)
-        assert np.array_equal(sign_pattern(top.eigenvectors[:, 0]).s, [1, 1, 1])
+        bottom = _spectrum(triangle_negative, _transition_edge_values(triangle_negative), vectors=True, columns=[-1])
+        assert np.array_equal(sign_pattern(bottom.eigenvectors[:, 0]).s, [1, 1, 1])
         assert report.flip_count == 0
         assert same_partition(report.partition, sn.classify(triangle_negative).antibalanced_partition)
 
@@ -231,24 +241,25 @@ class TestLanczosPath:
 
     @pytest.mark.parametrize("make, argv, solves", [
         # strictly unbalanced: every end is open
-        (lambda cls: cls.ssbm(0.05), ["classify"], [("both", False)]),  # P_sym only: classify prints d_b and d_a
-        (lambda cls: cls.ssbm(0.05), ["classify", "--frustration", "balanced"],
-         [("both", False), ("top", True)]),  # plus the top of W
-        (lambda cls: cls.ssbm(0.05), ["classify", "--frustration", "antibalanced"],
-         [("both", False), ("top", True)]),  # plus the top of -W
-        (lambda cls: cls.ssbm(0.05), ["measure"], [("both", False), ("both", False), ("top", False)]),  # P_sym, W, |W|
+        (lambda cls: cls.ssbm(0.05), ["classify"], [("both",)]),  # P_sym only: classify prints d_b and d_a
+        # heuristic frustration replays the top (bottom) of that same P_sym solve: no solve of its own
+        (lambda cls: cls.ssbm(0.05), ["classify", "--frustration", "balanced"], [("both",)]),
+        (lambda cls: cls.ssbm(0.05), ["classify", "--frustration", "antibalanced"], [("both",)]),
+        (lambda cls: cls.ssbm(0.05), ["measure"], [("both",), ("both",), ("top",)]),  # P_sym, W, |W|
         # balanced: d_b = 0 and rho(W) = rho(|W|), so the top of -P_sym (d_a) and of |W| are left
-        (lambda cls: cls.ssbm(0.0), ["measure"], [("top", False), ("top", False)]),
-        (lambda cls: cls.ssbm(0.0), ["classify", "--frustration", "balanced"], [("top", False)]),  # no flips
-        # antibalanced: d_a = 0, so the top of P_sym (d_b) and of |W|; the balanced target keeps its solve
-        (lambda cls: cls.ssbm(1.0), ["measure"], [("top", False), ("top", False)]),
-        (lambda cls: cls.ssbm(1.0), ["classify", "--frustration", "balanced"], [("top", False), ("top", True)]),
+        (lambda cls: cls.ssbm(0.0), ["measure"], [("top",), ("top",)]),
+        (lambda cls: cls.ssbm(0.0), ["classify", "--frustration", "balanced"], [("top",)]),  # no flips
+        (lambda cls: cls.ssbm(0.0), ["classify", "--frustration", "antibalanced"], [("top",)]),  # reads the d_a end
+        # antibalanced: d_a = 0, so the top of P_sym (d_b) and of |W|; the balanced target reads the d_b end
+        (lambda cls: cls.ssbm(1.0), ["measure"], [("top",), ("top",)]),
+        (lambda cls: cls.ssbm(1.0), ["classify", "--frustration", "balanced"], [("top",)]),
+        (lambda cls: cls.ssbm(1.0), ["classify", "--frustration", "antibalanced"], [("top",)]),  # no flips
         # a tree is both: only rho(|W|) is open
-        (lambda cls: sn.random_signed_tree(cls.N, 0.5, seed=2), ["measure"], [("top", False)]),
+        (lambda cls: sn.random_signed_tree(cls.N, 0.5, seed=2), ["measure"], [("top",)]),
         (lambda cls: sn.random_signed_tree(cls.N, 0.5, seed=2), ["classify", "--frustration", "balanced"], []),
     ], ids=["classify", "classify-balanced", "classify-antibalanced", "measure", "eta0-measure",
-            "eta0-classify-balanced", "eta1-measure", "eta1-classify-balanced", "tree-measure",
-            "tree-classify-balanced"])
+            "eta0-classify-balanced", "eta0-classify-antibalanced", "eta1-measure", "eta1-classify-balanced",
+            "eta1-classify-antibalanced", "tree-measure", "tree-classify-balanced"])
     def test_each_command_solves_only_the_ends_it_prints(self, make, argv, solves, monkeypatch, tmp_path, capsys):
         made = []
         lanczos = spectral._lanczos_extremes
@@ -256,6 +267,64 @@ class TestLanczosPath:
         write_edge_list(make(type(self)), tmp_path / "g.edges")
         assert main([argv[0], "--input", str(tmp_path / "g.edges"), *argv[1:]]) == 0
         assert made == solves
+
+    @pytest.mark.parametrize("eta, target", [(0.05, "balanced"), (0.05, "antibalanced"), (0.0, "antibalanced"),
+                                             (1.0, "balanced")])
+    def test_heuristic_replays_one_end_to_its_accepted_step(self, eta, target, monkeypatch):
+        """After the classify solve, heuristic frustration solves nothing and
+        replays only its end of P_sym, one matvec per step up to the step
+        that end was accepted at."""
+        G = self.ssbm(eta)
+        spectral._distances(G)
+        ends = G._spectral_memo["P_sym"]
+        end = 1 if target == "balanced" else -1
+        products = []
+        operator = sn.SignedGraph._operator
+
+        def counted(graph, values):
+            product = operator(graph, values)
+            return lambda x: products.append(1) or product(x)
+
+        monkeypatch.setattr(sn.SignedGraph, "_operator", counted)
+        monkeypatch.setattr(spectral, "_lanczos_extremes", None)  # any further solve fails
+        assert sn.frustration(G, target, mode="heuristic").flip_count > 0
+        assert len(products) == len(ends[end][1].column)
+        for _, ritz in ends.values():  # each end keeps the coefficients of its own accepted step, no more
+            assert len(ritz.alpha) == len(ritz.beta) == len(ritz.column)
+
+    @pytest.mark.parametrize("make, target, column", [
+        (lambda cls: cls.ssbm(0.05, seed=3), "balanced", 0),
+        (lambda cls: cls.ssbm(0.95, seed=3), "antibalanced", -1),
+        # uneven degrees: the top of W has another sign pattern, which flips 118 edges here against 99
+        (lambda cls: tree_plus_pairs(300, 900, 0.1, seed=5), "balanced", 0),
+    ], ids=["ssbm-balanced", "ssbm-antibalanced", "tree-plus-pairs"])
+    def test_heuristic_signs_are_the_dense_transition_end_pattern(self, make, target, column):
+        """The Lanczos path reads the same signs as the dense top (bottom) of P_sym."""
+        G = make(type(self))
+        assert G.n >= LANCZOS_MIN_NODES
+        report = sn.frustration(G, target, mode="heuristic")
+        dense = _spectrum(G, _transition_edge_values(G), vectors=True, columns=[column]).eigenvectors[:, 0]
+        assert 0 < report.flip_count < np.sum(G.w < 0 if target == "balanced" else G.w > 0)  # not the trivial one
+        assert same_partition(report.partition, sign_pattern(dense))
+        assert report.partition.s[0] == 1
+
+    @pytest.mark.parametrize("eta", [0.0, 0.05, 1.0])
+    def test_graph_is_freed_without_the_cycle_collector(self, eta):
+        """The solved ends kept on the graph refer to nothing that refers back
+        to it, so reference counting frees it after classify and frustration."""
+        G = self.ssbm(eta)
+        ref = weakref.ref(G)
+        gc.disable()
+        try:
+            sn.classify(G)
+            spectral._distances(G)
+            for target in ("balanced", "antibalanced"):
+                sn.frustration(G, target, mode="heuristic")
+            assert G._spectral_memo["P_sym"]
+            del G
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_top_only_solve_returns_one_converged_value(self):
         G = self.ssbm(0.05)
@@ -275,7 +344,7 @@ class TestLanczosPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 9.2 MiB measured; a stored basis at the 293 steps of the W solve is 293 * N * 8 bytes = 44.7 MiB
+        # 8.3 MiB measured; a stored basis at the 336 steps of the P_sym solve is 336 * N * 8 bytes = 51.3 MiB
         assert peak < 20 * 2**20
 
     def test_step_cap_raises_a_named_error(self, monkeypatch, tmp_path, capsys):
@@ -299,7 +368,8 @@ class TestLanczosPath:
             spec = spectral._lanczos_extremes(G, values)
             dense = np.linalg.eigvalsh(M)
             assert np.max(np.abs(spec.eigenvalues - dense[[-1, 0]])) <= 1e-12 * max(1.0, dense[-1])
-            for vec, value in zip(spec.eigenvectors.T, spec.eigenvalues):
+            for end, value in zip(spec.ritz, spec.eigenvalues):
+                vec = _ritz_vector(G, values, end)
                 assert np.linalg.norm(M @ vec - value * vec) <= 1e-9 * max(1.0, abs(value))
 
     @pytest.mark.parametrize("target, make", [
@@ -316,9 +386,11 @@ class TestLanczosPath:
         assert report.flip_count == 0
         certificate = c.balanced_partition if target == "balanced" else c.antibalanced_partition
         assert same_partition(report.partition, certificate)
-        # the report takes the certificate without a solve; the Lanczos eigenvector has it as its sign pattern
-        top = _extremes(G, G.w if target == "balanced" else -G.w, ends="top", vectors=True)
-        assert same_partition(sign_pattern(top.eigenvectors[:, 0]), certificate)
+        # the report takes the certificate without a solve; the Lanczos eigenvector of the top of P_sym
+        # (balanced) or of -P_sym (antibalanced) has it as its sign pattern
+        p = _transition_edge_values(G) * (1.0 if target == "balanced" else -1.0)
+        top = spectral._lanczos_extremes(G, p, ends="top")
+        assert same_partition(sign_pattern(_ritz_vector(G, p, top.ritz[0])), certificate)
 
     def test_perturbation_realized_shift_matches_dense_eigvalsh(self):
         G = self.ssbm(0.0, seed=3)
@@ -375,7 +447,7 @@ class TestLanczosPath:
         for G in (unbalanced, balanced):
             m = sn.balance_measures(G)
             assert (m.d_b, m.d_a) == spectral._distances(G)
-        for target in ("balanced", "antibalanced"):  # the top of W, then of -W, each with its vector
+        for target in ("balanced", "antibalanced"):  # the top, then the bottom of P_sym, each with its vector
             assert sn.frustration(unbalanced, target, mode="heuristic").flip_count > 0
         assert sn.perturbation_estimate(balanced, [(balanced.i[0], balanced.j[0])]).realized_shift_max < 0
 
@@ -419,12 +491,6 @@ class TestLanczosPath:
 
 class TestExtremesBelowLanczos:
     """Below LANCZOS_MIN_NODES nodes the ends of a spectrum are those of the dense solve."""
-
-    def test_vectors_are_the_dense_end_columns_bit_for_bit(self):
-        for G in random_connected_corpus(40, max_n=30, seed=101):
-            ends, full = _extremes(G, vectors=True), _spectrum(G, vectors=True)
-            assert np.array_equal(ends.eigenvalues, full.eigenvalues[[0, -1]])
-            assert np.array_equal(ends.eigenvectors, full.eigenvectors[:, [0, -1]])
 
     def test_values_only_solve_computes_no_eigenvectors(self):
         G = random_connected_corpus(1, max_n=30, seed=103)[0]
