@@ -27,7 +27,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .core import Edge, SignedGraph, _transition_edge_values
+from .core import Edge, SignedGraph
 from .errors import EdgeNotPresentError, NotBalancedError, TooLargeError, WrongVerdictError
 from .spectral import _extremes, _spectrum, _transition_end_vector
 
@@ -375,7 +375,7 @@ def verify_spectral_theorem(G: SignedGraph, c: BalanceClassification) -> Spectra
     """
     if c.verdict == Verdict.STRICTLY_UNBALANCED:
         raise WrongVerdictError("spectrum correspondence only holds for balanced or antibalanced graphs")
-    signed = _spectrum(G, vectors=True)
+    signed = _spectrum(G, G.w, vectors=True)
     unsigned = _spectrum(G, np.abs(G.w), vectors=True)
 
     s = c.certificate.s.astype(float)
@@ -432,7 +432,7 @@ def perturbation_estimate(G_b: SignedGraph, flip_set) -> PerturbationEstimate:
     flipped_weight = float(sum(np.abs(G_b.w[ks]).tolist()))  # in flip-set order, repeats included
     m = float(G_b.degrees.sum()) / 2.0
     delta = -2.0 * flipped_weight / m
-    realized = float(_extremes(flipped, _transition_edge_values(flipped), ends="top").eigenvalues[0] - 1.0)
+    realized = _extremes(flipped, "P_sym", (1,))[0] - 1.0
     return PerturbationEstimate(
         delta_max=delta,
         delta_min=-delta,

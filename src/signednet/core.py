@@ -13,9 +13,11 @@ read off that forest (``_structure``: whether its balance and its
 antibalance candidate hold on every edge).  ``balance.classify`` maps the
 verdict through one table, and :mod:`signednet.spectral` and
 ``balance.frustration`` read it to skip every solve and search whose answer
-it fixes.  The graph also keeps the spectrum ends that
-:mod:`signednet.spectral` solves on it (``_spectral_memo``), as plain data
-that refers to nothing holding the graph.
+it fixes.  The graph also keeps each spectrum end that
+``spectral._extremes`` solves on it (``_spectral_memo``), by the name of
+its matrix ("W", "|W|" or "P_sym") and its side (1 the top, -1 the bottom),
+as plain data that refers to nothing holding the graph: whichever caller
+names an end first solves it for every later one.
 Weights must be finite and nonzero.  A connected graph has n <= m + 1, and
 :func:`build_graph` checks that before it allocates anything of size n, so
 a far node id fails at once instead of allocating memory by id.
@@ -193,10 +195,11 @@ class SignedGraph:
 
     @cached_property
     def _spectral_memo(self) -> dict:
-        """Spectrum ends that :mod:`signednet.spectral` has solved on this
-        graph, filled and read by that module alone.  It holds plain numbers
-        and arrays, nothing that refers back to the graph, so the graph is
-        freed by reference counting as soon as it is unreferenced."""
+        """Spectrum ends solved on this graph, ``{matrix: {end: (value, Ritz
+        data or None)}}``, filled by ``spectral._extremes`` and read by
+        :mod:`signednet.spectral` alone.  It holds plain numbers and arrays,
+        nothing that refers back to the graph, so the graph is freed by
+        reference counting as soon as it is unreferenced."""
         return {}
 
     def _matrix(self, values: np.ndarray) -> np.ndarray:

@@ -1,25 +1,28 @@
 """Symmetric eigensolves and the spectral balance measures.
 
-Every solve takes a graph and one value per edge: ``w`` for W (the
-default), ``abs(w)`` for |W| and :func:`~signednet.core._transition_edge_values`
-for P_sym = D^-1/2 W D^-1/2, the symmetric similarity of the transition
-matrix P, so no nonsymmetric solver is ever used.  :func:`_spectrum` returns
-a full dense spectrum (the spectrum correspondence and the walk horizons of
+Every solve takes a graph and one value per edge: ``w`` for W, ``abs(w)``
+for |W| and :func:`~signednet.core._transition_edge_values` for P_sym =
+D^-1/2 W D^-1/2, the symmetric similarity of the transition matrix P, so no
+nonsymmetric solver is ever used.  :func:`_spectrum` returns a full dense
+spectrum (the spectrum correspondence and the walk horizons of
 verification).  :func:`_extremes` returns only its ends (the balance
-measures, heuristic frustration, the perturbation shift) and is the one
-place that picks a solver: the end columns of :func:`_spectrum` below
-:data:`LANCZOS_MIN_NODES` nodes, else :func:`_lanczos_extremes`, a plain
-Lanczos recurrence on the edge arrays that stores no basis and builds no
-n x n matrix.  Its convergence test never builds the k x k tridiagonal T
-of the recurrence: each open end's Ritz value comes from Newton's method on
-the LDL^T pivots of T - lambda (:func:`_top_ritz_value`), and its residual
-and its eigenvector of T from one backward recurrence (:func:`_ritz_column`),
-each in O(k) time and memory, so no dense LAPACK routine sees T.  The test
-runs at the step where each open end's residual trend predicts
-convergence.  An accepted end is kept as plain data, O(k) numbers
-(:class:`_RitzEnd`), from which :func:`_ritz_vector` rebuilds its Ritz
-vector on request by replaying the recurrence to that end's step.  It is
-all numpy; no scipy is imported.
+measures, heuristic frustration, the perturbation shift): each caller names
+the matrix, ``"W"``, ``"|W|"`` or ``"P_sym"``, and the ends it needs, 1 for
+the top and -1 for the bottom.  It is the one place that picks a solver:
+one ``eigvalsh`` below :data:`LANCZOS_MIN_NODES` nodes, else
+:func:`_lanczos_extremes`, a plain Lanczos recurrence on the edge arrays
+that stores no basis and builds no n x n matrix.  Its convergence test
+never builds the k x k tridiagonal T of the recurrence: each open end's
+Ritz value comes from Newton's method on the LDL^T pivots of T - lambda
+(:func:`_top_ritz_value`), and its residual and its eigenvector of T from
+one backward recurrence (:func:`_ritz_column`), each in O(k) time and
+memory, so no dense LAPACK routine sees T.  The test runs at the step where
+each open end's residual trend predicts convergence.  :func:`_extremes`
+keeps every end it solves on the graph (``SignedGraph._spectral_memo``), so
+each end of each matrix is solved at most once per graph; a Lanczos end is
+kept as plain data, O(k) numbers (:class:`_RitzEnd`), from which
+:func:`_ritz_vector` rebuilds its Ritz vector on request by replaying the
+recurrence to that end's step.  It is all numpy; no scipy is imported.
 
 The distance ``d_b``, the smallest eigenvalue of the random-walk Laplacian,
 is zero exactly on balanced graphs, and ``d_a``, the gap between 2 and its
@@ -27,29 +30,29 @@ largest, exactly on antibalanced ones.  Both are invariant under switching
 and under uniform weight scaling.  rho(W) = rho(|W|) unless the graph is
 strictly unbalanced.  The graph's cached structural verdict
 (``SignedGraph._structure``) says exactly which of these cases holds, so
-each caller solves only what it reports and the verdict leaves open:
+each caller names only the ends it reports and the verdict leaves open:
 
-* :func:`_distances` (all that CLI ``classify`` prints) returns a distance
-  the verdict fixes as exactly 0.0 and solves the open one as the top of
-  P_sym (``d_b``) or of -P_sym (``d_a``); only a strictly unbalanced graph
-  takes both ends of P_sym, and a graph that is both takes no solve.  The
-  open ends are solved once per graph and kept on it
-  (:func:`_transition_ends`).
+* :func:`_distances` (all that CLI ``classify`` prints) names both ends of
+  P_sym on a strictly unbalanced graph, the bottom (``d_a``) on a balanced
+  one, the top (``d_b``) on an antibalanced one and none on a graph that is
+  both, and reports a distance the verdict fixes as exactly 0.0.
 * :func:`balance_measures` adds the top of |W|, and both ends of W only on a
   strictly unbalanced graph; on any other graph rho(W) is rho(|W|) and the
   contraction exactly 0.0.
-* Heuristic frustration reads the top (balanced target) or the bottom
-  (antibalanced) eigenvector of P_sym, an end that the verdict leaves open
-  whenever the graph lacks the target structure, so it takes the kept end
-  and replays that end's vector alone (:func:`_transition_end_vector`); it
-  solves nothing when the graph already has the target structure.
+* Heuristic frustration names the top (balanced target) or the bottom
+  (antibalanced) of P_sym, an end that the verdict leaves open whenever the
+  graph lacks the target structure, so it finds the end that
+  :func:`_distances` kept and replays that end's vector alone
+  (:func:`_transition_end_vector`); it names none when the graph already
+  has the target structure.
 
 The degree checks of P_sym run before any of this, on every graph.  The
-raw solves, whatever the verdict, are :func:`_solved_distances` (both ends
-of P_sym) and :func:`_solved_radius` (both ends of W): the second serves
+raw solves name both ends whatever the verdict: :func:`_solved_distances`
+(P_sym) and :func:`_solved_radius` (W).  The second serves
 :func:`balance_measures` on strictly unbalanced graphs, and both serve
-verification criteria 3 and 4 on every graph, so that those test the
-theorems the skips rely on.
+verification criteria 3 and 4 on every graph.  The memo holds solved ends
+only, never a value the verdict fixes, so those criteria test the theorems
+the skips rely on.
 """
 
 from __future__ import annotations
@@ -87,12 +90,10 @@ _LANCZOS_SEED = 0
 class Spectrum:
     """Eigenvalues in descending order and their orthonormal eigenvectors,
     column k for ``eigenvalues[k]`` and signed by :func:`_sign_normalised`
-    (None when only eigenvalues were solved); a Lanczos solve also keeps
-    each end's :class:`_RitzEnd` in ``ritz``."""
+    (None when only eigenvalues were solved)."""
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray]
-    ritz: tuple[_RitzEnd, ...] = ()
 
 
 def _sign_normalised(vecs: np.ndarray) -> np.ndarray:
@@ -104,18 +105,16 @@ def _sign_normalised(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _spectrum(G: SignedGraph, values: Optional[np.ndarray] = None, vectors: bool = False,
-              columns: slice | list[int] = slice(None)) -> Spectrum:
-    """The full spectrum of the matrix holding ``values`` on the edges (W
-    when None), built dense: eigenvalues in descending order by ``eigvalsh``,
-    or by ``eigh`` with sign-normalised eigenvectors if ``vectors``; only the
-    ``columns`` (positions in descending order) are kept, and only their
-    vectors normalised.  The full-spectrum twin of :func:`_extremes`."""
-    M = G.weight_matrix if values is None else G._matrix(values)
+def _spectrum(G: SignedGraph, values: np.ndarray, vectors: bool = False) -> Spectrum:
+    """The full spectrum of the matrix holding ``values`` on the edges, built
+    dense: eigenvalues in descending order by ``eigvalsh``, or by ``eigh``
+    with sign-normalised eigenvectors if ``vectors``.  The full-spectrum
+    twin of :func:`_extremes`."""
+    M = G._matrix(values)
     if not vectors:
-        return Spectrum(eigenvalues=np.linalg.eigvalsh(M)[::-1][columns], eigenvectors=None)
+        return Spectrum(eigenvalues=np.linalg.eigvalsh(M)[::-1], eigenvectors=None)
     vals, vecs = np.linalg.eigh(M)
-    return Spectrum(eigenvalues=vals[::-1][columns], eigenvectors=_sign_normalised(vecs[:, ::-1][:, columns]))
+    return Spectrum(eigenvalues=vals[::-1], eigenvectors=_sign_normalised(vecs[:, ::-1]))
 
 
 def _lanczos_step_cap(n: int) -> int:
@@ -250,10 +249,11 @@ class _RitzEnd(NamedTuple):
     column: np.ndarray
 
 
-def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", "top"] = "both") -> Spectrum:
-    """The largest and the smallest eigenvalue (``"both"``), or the largest
-    alone (``"top"``), of the symmetric n x n matrix holding ``values[k]`` at
-    (i_k, j_k) and (j_k, i_k) and zero elsewhere.
+def _lanczos_extremes(G: SignedGraph, values: np.ndarray,
+                      ends: Sequence[Literal[1, -1]] = (1, -1)) -> tuple[_RitzEnd, ...]:
+    """The ``ends`` (1 the largest eigenvalue, -1 the smallest) of the
+    symmetric n x n matrix holding ``values[k]`` at (i_k, j_k) and (j_k, i_k)
+    and zero elsewhere.
 
     Plain three-term Lanczos from a fixed seeded start vector, with no stored
     basis and no reorthogonalisation: lost orthogonality only adds copies of
@@ -278,14 +278,13 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", 
     breakdown (a beta that meets every end's test) and at the step cap, past
     which :class:`~signednet.errors.LanczosNotConvergedError` is raised.
 
-    Returns eigenvalues ``[top, bottom]`` or ``[top]``, no eigenvectors, and
-    in ``ritz`` each end as a :class:`_RitzEnd` of the step it was accepted
-    at, whose vector :func:`_ritz_vector` rebuilds on request.
+    Returns each end, in the order of ``ends``, as the :class:`_RitzEnd` of
+    the step it was accepted at, whose vector :func:`_ritz_vector` rebuilds
+    on request.
     """
     n = G.n
     scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(values)))[1]))
     matvec = G._operator(values / scale)
-    tested = [1, -1] if ends == "both" else [1]  # the top of T, then the top of -T
     cap = _lanczos_step_cap(n)
 
     alpha: list[float] = []
@@ -297,7 +296,7 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", 
         b = beta[-1]
         if k >= check or k == cap or b <= LANCZOS_TOLERANCE / 2:  # a beta that small meets every end's test
             check = max(k + 1, int(k * 1.25))
-            for e in tested:
+            for e in ends:  # 1: the top of T, -1: the top of -T
                 if e in found:
                     continue
                 k_prev, r_prev, top_prev = last_test.get(e, (k, beta[0], e * alpha[0]))  # or the step-1 pair
@@ -312,13 +311,12 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray, ends: Literal["both", 
                     steps = math.ceil(math.log(target / r) / math.log(r / r_prev) * (k - k_prev))
                     check = min(check, k + max(1, steps))
                 last_test[e] = (k, r, e * theta)
-            if len(found) == len(tested):
+            if len(found) == len(ends):
                 break
             if k == cap:
                 raise LanczosNotConvergedError(f"Lanczos did not converge on the {n} x {n} matrix within {cap} steps")
 
-    ritz = tuple(found[e] for e in tested)
-    return Spectrum(eigenvalues=np.array([end.value for end in ritz]), eigenvectors=None, ritz=ritz)
+    return tuple(found[e] for e in ends)
 
 
 def _ritz_vector(G: SignedGraph, values: np.ndarray, end: _RitzEnd) -> np.ndarray:
@@ -333,17 +331,33 @@ def _ritz_vector(G: SignedGraph, values: np.ndarray, end: _RitzEnd) -> np.ndarra
     return ritz / np.linalg.norm(ritz)
 
 
-def _extremes(G: SignedGraph, values: Optional[np.ndarray] = None, ends: Literal["both", "top"] = "both") -> Spectrum:
-    """Eigenvalues ``[top, bottom]`` (``"both"``) or ``[top]`` (``"top"``) of
-    the matrix holding ``values`` on the edges (W when None): from
-    :data:`LANCZOS_MIN_NODES` nodes on by :func:`_lanczos_extremes`, with
-    each end's :class:`_RitzEnd` in ``ritz``, below as the end values of
-    :func:`_spectrum`, with ``ritz`` empty.  Only the requested ends are
-    returned, so no caller reads an end that was never tested for
-    convergence."""
-    if G.n >= LANCZOS_MIN_NODES:
-        return _lanczos_extremes(G, G.w if values is None else values, ends)
-    return _spectrum(G, values, columns=[0, -1] if ends == "both" else [0])
+def _extremes(G: SignedGraph, matrix: Literal["W", "|W|", "P_sym"],
+              ends: Sequence[Literal[1, -1]] = (1, -1)) -> tuple[float, ...]:
+    """The ``ends`` (1 the largest eigenvalue, -1 the smallest) of W, |W| or
+    P_sym, as ``matrix`` names it, in the order of ``ends``.
+
+    The ends not yet kept for that graph and matrix are solved together:
+    from :data:`LANCZOS_MIN_NODES` nodes on by one :func:`_lanczos_extremes`
+    run that tests exactly those ends, below by one ``eigvalsh``.  Each is
+    kept in ``SignedGraph._spectral_memo`` as its value and, from a Lanczos
+    solve, its :class:`_RitzEnd` (else None): plain data, so the graph is
+    still freed by reference counting.  Only solved ends are kept, never a
+    value that the verdict fixes.  An end solved alone and one solved with
+    the other end may differ in the last bits, so when two threads both
+    solve an end the first to keep it wins, and every caller reads that one.
+    """
+    kept = G._spectral_memo.setdefault(matrix, {})
+    missing = tuple(e for e in ends if e not in kept)
+    if missing:
+        values = G.w if matrix == "W" else np.abs(G.w) if matrix == "|W|" else _transition_edge_values(G)
+        if G.n >= LANCZOS_MIN_NODES:
+            solved = [(end.value, end) for end in _lanczos_extremes(G, values, missing)]
+        else:
+            spectrum = np.linalg.eigvalsh(G._matrix(values))
+            solved = [(float(spectrum[-1 if e > 0 else 0]), None) for e in missing]
+        for e, entry in zip(missing, solved):
+            kept.setdefault(e, entry)
+    return tuple(kept[e][0] for e in ends)
 
 
 # ---------------------------------------------------------------------------
@@ -378,73 +392,47 @@ class _Distances(NamedTuple):
 def _solved_distances(G: SignedGraph) -> _Distances:
     """d_b = lambda_min(L_rw) = 1 - lambda_max(P_sym) and d_a = 2 -
     lambda_max(L_rw) = 1 + lambda_min(P_sym), P_sym being the symmetric
-    similarity of P, from one solve of both ends of P_sym whatever the verdict."""
-    top, bottom = _extremes(G, _transition_edge_values(G)).eigenvalues
-    return _Distances(d_b=float(1.0 - top), d_a=float(1.0 + bottom))
+    similarity of P, from both ends of P_sym whatever the verdict."""
+    top, bottom = _extremes(G, "P_sym")
+    return _Distances(d_b=1.0 - top, d_a=1.0 + bottom)
 
 
 def _solved_radius(G: SignedGraph) -> float:
     """rho(W) = max(lambda_max, -lambda_min), from both ends of W whatever the verdict."""
-    top, bottom = _extremes(G).eigenvalues
-    return float(max(top, -bottom))
+    top, bottom = _extremes(G, "W")
+    return max(top, -bottom)
 
 
-#: per verdict ``SignedGraph._structure`` (balanced, antibalanced): the sign of
-#: the matrix (P_sym or -P_sym) whose solve gives the ends of P_sym that the
-#: verdict leaves open, and those ends (1 the top, -1 the bottom) in the order
-#: the solve returns them
-_OPEN_ENDS = {(False, False): (1.0, (1, -1)), (True, False): (-1.0, (-1,)), (False, True): (1.0, (1,)),
-              (True, True): (1.0, ())}
-
-
-def _transition_ends(G: SignedGraph) -> dict[int, tuple[float, Optional[_RitzEnd]]]:
-    """The ends of P_sym that the verdict leaves open, each mapped to its
-    eigenvalue and, from a Lanczos solve, its :class:`_RitzEnd` (else None).
-
-    A strictly unbalanced graph solves both ends of P_sym, a balanced one
-    the top of -P_sym (the bottom of P_sym), an antibalanced one the top of
-    P_sym, and a graph that is both none; the degree checks of P_sym run
-    first on every graph.  The ends are solved once per graph and kept in
-    ``SignedGraph._spectral_memo`` as plain data, so whichever of
-    :func:`_distances` and :func:`_transition_end_vector` runs first solves
-    them for the other, and the graph is still freed by reference counting.
-    The solve is deterministic, so two threads that both miss the memo store
-    equal ends.
-    """
-    memo = G._spectral_memo
-    if "P_sym" not in memo:
-        sign, opened = _OPEN_ENDS[G._structure]
-        p = _transition_edge_values(G)
-        ends = {}
-        if opened:
-            spec = _extremes(G, sign * p, ends="both" if len(opened) == 2 else "top")
-            ritz = spec.ritz or (None,) * len(opened)  # a dense solve keeps no Ritz data
-            ends = {e: (float(sign * value), r) for e, value, r in zip(opened, spec.eigenvalues, ritz)}
-        memo["P_sym"] = ends
-    return memo["P_sym"]
+#: per verdict ``SignedGraph._structure`` (balanced, antibalanced): the ends
+#: of P_sym that it leaves open, 1 the top (d_b) and -1 the bottom (d_a)
+_OPEN_ENDS = {(False, False): (1, -1), (True, False): (-1,), (False, True): (1,), (True, True): ()}
 
 
 def _transition_end_vector(G: SignedGraph, end: Literal[1, -1]) -> np.ndarray:
     """A unit eigenvector of P_sym at its top (``end`` 1) or bottom (-1), an
     end that the verdict leaves open, up to sign: from a Lanczos solve, its
-    Ritz vector replayed from the cached end of :func:`_transition_ends` to
-    the step it was accepted at, no other end and no further; below
-    :data:`LANCZOS_MIN_NODES` nodes one ``eigh`` of P_sym."""
-    _, ritz = _transition_ends(G)[end]
+    Ritz vector replayed from the kept end to the step it was accepted at,
+    no other end and no further; below :data:`LANCZOS_MIN_NODES` nodes one
+    ``eigh`` of P_sym."""
+    _extremes(G, "P_sym", (end,))
+    _, ritz = G._spectral_memo["P_sym"][end]
     p = _transition_edge_values(G)
     if ritz is None:
-        return _spectrum(G, p, vectors=True, columns=[0 if end > 0 else -1]).eigenvectors[:, 0]
-    return _ritz_vector(G, _OPEN_ENDS[G._structure][0] * p, ritz)
+        return _spectrum(G, p, vectors=True).eigenvectors[:, 0 if end > 0 else -1]
+    return _ritz_vector(G, p, ritz)
 
 
 def _distances(G: SignedGraph) -> _Distances:
     """d_b and d_a as :func:`_solved_distances` defines them, except that a
-    distance the verdict fixes is exactly 0.0: d_b on a balanced graph, d_a
-    on an antibalanced one.  The open ones come from
-    :func:`_transition_ends`."""
-    ends = _transition_ends(G)
-    return _Distances(d_b=float(1.0 - ends[1][0]) if 1 in ends else 0.0,
-                      d_a=float(1.0 + ends[-1][0]) if -1 in ends else 0.0)
+    distance the verdict fixes is exactly 0.0: the top of P_sym is exactly 1
+    on a balanced graph, its bottom exactly -1 on an antibalanced one.  Only
+    the ends the verdict leaves open are solved; on a graph that is both
+    only the degree checks run."""
+    opened = _OPEN_ENDS[G._structure]
+    if not opened:
+        _transition_edge_values(G)  # the degree checks of P_sym run on every graph
+    ends = dict(zip(opened, _extremes(G, "P_sym", opened)))
+    return _Distances(d_b=1.0 - ends.get(1, 1.0), d_a=1.0 + ends.get(-1, -1.0))
 
 
 def balance_measures(G: SignedGraph) -> BalanceMeasures:
@@ -461,7 +449,7 @@ def balance_measures(G: SignedGraph) -> BalanceMeasures:
     """
     d = _distances(G)
     rho_signed = math.inf if any(G._structure) else _solved_radius(G)
-    rho_unsigned = float(_extremes(G, np.abs(G.w), ends="top").eigenvalues[0])
+    (rho_unsigned,) = _extremes(G, "|W|", (1,))
     return BalanceMeasures(
         d_b=d.d_b,
         d_a=d.d_a,

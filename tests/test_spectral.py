@@ -1,5 +1,7 @@
 import gc
 import math
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -47,11 +49,12 @@ def random_weighted_graph(rng, n):
 
 class TestSpectrum:
     def test_two_by_two_exchange(self):
-        spec = _spectrum(sn.build_graph(2, [(0, 1, 1.0)]), vectors=True)
+        G = sn.build_graph(2, [(0, 1, 1.0)])
+        spec = _spectrum(G, G.w, vectors=True)
         assert np.allclose(spec.eigenvalues, [1, -1])
 
     def test_triangle_adjacency_spectrum(self, triangle_positive):
-        spec = _spectrum(triangle_positive, vectors=True)
+        spec = _spectrum(triangle_positive, triangle_positive.w, vectors=True)
         assert np.allclose(spec.eigenvalues, [2, -1, -1])
 
     def test_identity(self):
@@ -64,7 +67,7 @@ class TestSpectrum:
         for _ in range(1000):
             n = int(rng.integers(2, 65))
             G = random_weighted_graph(rng, n)
-            spec = _spectrum(G, vectors=True)
+            spec = _spectrum(G, G.w, vectors=True)
             W = G.weight_matrix
             reconstructed = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T
             assert np.linalg.norm(W - reconstructed) <= 1e-9 * np.linalg.norm(W)
@@ -73,8 +76,8 @@ class TestSpectrum:
 
     def test_sign_convention_is_deterministic(self, rng):
         G = random_weighted_graph(rng, 8)
-        a = _spectrum(G, vectors=True)
-        b = _spectrum(G._reweighted(G.w.copy()), vectors=True)
+        a = _spectrum(G, G.w, vectors=True)
+        b = _spectrum(G._reweighted(G.w.copy()), G.w.copy(), vectors=True)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
         for k in range(8):
             col = a.eigenvectors[:, k]
@@ -88,7 +91,7 @@ class TestSpectrum:
     def test_sign_convention_matches_per_column_rule(self, rng):
         for _ in range(50):
             G = random_weighted_graph(rng, int(rng.integers(1, 40)))
-            spec = _spectrum(G, vectors=True)
+            spec = _spectrum(G, G.w, vectors=True)
             _, raw = np.linalg.eigh(G.weight_matrix)
             for k, col in enumerate(raw[:, ::-1].T):
                 expected = -col if col[int(np.argmax(np.abs(col)))] < 0 else col
@@ -97,8 +100,8 @@ class TestSpectrum:
     def test_values_only_solve_matches_full_decomposition(self, rng):
         for _ in range(200):
             G = random_weighted_graph(rng, int(rng.integers(1, 65)))
-            spec = _spectrum(G)
-            full = _spectrum(G, vectors=True).eigenvalues
+            spec = _spectrum(G, G.w)
+            full = _spectrum(G, G.w, vectors=True).eigenvalues
             assert spec.eigenvectors is None
             assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
             assert np.max(np.abs(spec.eigenvalues - full)) <= 1e-12 * max(1.0, np.abs(full).max())
@@ -112,7 +115,7 @@ class TestSpectralTheorem:
         assert report.leading_magnitude_dev < 1e-8
 
     def test_antibalanced_graph_matches_reversed_negation(self, triangle_negative):
-        spec = _spectrum(triangle_negative)
+        spec = _spectrum(triangle_negative, triangle_negative.w)
         assert np.allclose(spec.eigenvalues, [1, 1, -2])
         report = sn.verify_spectral_theorem(triangle_negative, sn.classify(triangle_negative))
         assert report.eigenvalue_max_dev < 1e-9
@@ -145,14 +148,15 @@ class TestLeadingEigenpairPattern:
         assert same_partition(report.partition, sn.classify(G).balanced_partition)
         assert same_partition(report.partition, sn.Bipartition(params.planted_signs()))
         # the report takes the certificate without a solve; the eigenvector has it as its sign pattern
-        top = _spectrum(G, _transition_edge_values(G), vectors=True, columns=[0])
-        assert same_partition(sign_pattern(top.eigenvectors[:, 0]), report.partition)
+        top = _spectrum(G, _transition_edge_values(G), vectors=True).eigenvectors[:, 0]
+        assert same_partition(sign_pattern(top), report.partition)
 
     def test_all_negative_triangle_pattern_is_constant(self, triangle_negative):
         report = sn.frustration(triangle_negative, "antibalanced", mode="heuristic")
         assert np.array_equal(report.partition.s, [1, 1, 1])
-        bottom = _spectrum(triangle_negative, _transition_edge_values(triangle_negative), vectors=True, columns=[-1])
-        assert np.array_equal(sign_pattern(bottom.eigenvectors[:, 0]).s, [1, 1, 1])
+        p = _transition_edge_values(triangle_negative)
+        bottom = _spectrum(triangle_negative, p, vectors=True).eigenvectors[:, -1]
+        assert np.array_equal(sign_pattern(bottom).s, [1, 1, 1])
         assert report.flip_count == 0
         assert same_partition(report.partition, sn.classify(triangle_negative).antibalanced_partition)
 
@@ -241,21 +245,21 @@ class TestLanczosPath:
 
     @pytest.mark.parametrize("make, argv, solves", [
         # strictly unbalanced: every end is open
-        (lambda cls: cls.ssbm(0.05), ["classify"], [("both",)]),  # P_sym only: classify prints d_b and d_a
+        (lambda cls: cls.ssbm(0.05), ["classify"], [((1, -1),)]),  # P_sym only: classify prints d_b and d_a
         # heuristic frustration replays the top (bottom) of that same P_sym solve: no solve of its own
-        (lambda cls: cls.ssbm(0.05), ["classify", "--frustration", "balanced"], [("both",)]),
-        (lambda cls: cls.ssbm(0.05), ["classify", "--frustration", "antibalanced"], [("both",)]),
-        (lambda cls: cls.ssbm(0.05), ["measure"], [("both",), ("both",), ("top",)]),  # P_sym, W, |W|
-        # balanced: d_b = 0 and rho(W) = rho(|W|), so the top of -P_sym (d_a) and of |W| are left
-        (lambda cls: cls.ssbm(0.0), ["measure"], [("top",), ("top",)]),
-        (lambda cls: cls.ssbm(0.0), ["classify", "--frustration", "balanced"], [("top",)]),  # no flips
-        (lambda cls: cls.ssbm(0.0), ["classify", "--frustration", "antibalanced"], [("top",)]),  # reads the d_a end
+        (lambda cls: cls.ssbm(0.05), ["classify", "--frustration", "balanced"], [((1, -1),)]),
+        (lambda cls: cls.ssbm(0.05), ["classify", "--frustration", "antibalanced"], [((1, -1),)]),
+        (lambda cls: cls.ssbm(0.05), ["measure"], [((1, -1),), ((1, -1),), ((1,),)]),  # P_sym, W, |W|
+        # balanced: d_b = 0 and rho(W) = rho(|W|), so the bottom of P_sym (d_a) and the top of |W| are left
+        (lambda cls: cls.ssbm(0.0), ["measure"], [((-1,),), ((1,),)]),
+        (lambda cls: cls.ssbm(0.0), ["classify", "--frustration", "balanced"], [((-1,),)]),  # no flips
+        (lambda cls: cls.ssbm(0.0), ["classify", "--frustration", "antibalanced"], [((-1,),)]),  # reads the d_a end
         # antibalanced: d_a = 0, so the top of P_sym (d_b) and of |W|; the balanced target reads the d_b end
-        (lambda cls: cls.ssbm(1.0), ["measure"], [("top",), ("top",)]),
-        (lambda cls: cls.ssbm(1.0), ["classify", "--frustration", "balanced"], [("top",)]),
-        (lambda cls: cls.ssbm(1.0), ["classify", "--frustration", "antibalanced"], [("top",)]),  # no flips
+        (lambda cls: cls.ssbm(1.0), ["measure"], [((1,),), ((1,),)]),
+        (lambda cls: cls.ssbm(1.0), ["classify", "--frustration", "balanced"], [((1,),)]),
+        (lambda cls: cls.ssbm(1.0), ["classify", "--frustration", "antibalanced"], [((1,),)]),  # no flips
         # a tree is both: only rho(|W|) is open
-        (lambda cls: sn.random_signed_tree(cls.N, 0.5, seed=2), ["measure"], [("top",)]),
+        (lambda cls: sn.random_signed_tree(cls.N, 0.5, seed=2), ["measure"], [((1,),)]),
         (lambda cls: sn.random_signed_tree(cls.N, 0.5, seed=2), ["classify", "--frustration", "balanced"], []),
     ], ids=["classify", "classify-balanced", "classify-antibalanced", "measure", "eta0-measure",
             "eta0-classify-balanced", "eta0-classify-antibalanced", "eta1-measure", "eta1-classify-balanced",
@@ -303,7 +307,7 @@ class TestLanczosPath:
         G = make(type(self))
         assert G.n >= LANCZOS_MIN_NODES
         report = sn.frustration(G, target, mode="heuristic")
-        dense = _spectrum(G, _transition_edge_values(G), vectors=True, columns=[column]).eigenvectors[:, 0]
+        dense = _spectrum(G, _transition_edge_values(G), vectors=True).eigenvectors[:, column]
         assert 0 < report.flip_count < np.sum(G.w < 0 if target == "balanced" else G.w > 0)  # not the trivial one
         assert same_partition(report.partition, sign_pattern(dense))
         assert report.partition.s[0] == 1
@@ -326,11 +330,62 @@ class TestLanczosPath:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("eta", [0.0, 0.05])
+    def test_lone_bottom_is_the_negated_top_of_the_negated_matrix(self, eta):
+        """The bottom of P_sym solved alone is, bit for bit, minus the top of
+        -P_sym: Lanczos on -M from the same start has coefficients -alpha and
+        beta, and Lanczos vectors that differ from those of M only in sign."""
+        G = self.ssbm(eta)
+        (top,) = spectral._lanczos_extremes(G, -_transition_edge_values(G), (1,))
+        assert _extremes(G, "P_sym", (-1,)) == (-top.value,)
+
+    @pytest.mark.parametrize("matrix", ["P_sym", "W", "|W|"])
+    def test_kept_ends_are_not_solved_again(self, matrix, monkeypatch):
+        """Each end is solved once per graph and matrix: a later call solves
+        only the ends it names that no earlier call solved."""
+        G = self.ssbm(0.05)
+        made = []
+        lanczos = spectral._lanczos_extremes
+        monkeypatch.setattr(spectral, "_lanczos_extremes", lambda *a: made.append(a[2]) or lanczos(*a))
+        (top,) = _extremes(G, matrix, (1,))
+        top_again, bottom = _extremes(G, matrix)
+        assert _extremes(G, matrix, (-1, 1)) == (bottom, top) and top_again == top
+        assert made == [(1,), (-1,)]
+
+    def test_threads_solving_one_end_read_one_value(self):
+        """On this graph the bottom of P_sym solved alone and solved with the
+        top differ in the last bit.  Threads that solve it at once, some
+        alone and some with the top, all read the value kept first."""
+        base = self.ssbm(0.05)
+        p = _transition_edge_values(base)
+        assert spectral._lanczos_extremes(base, p)[1].value != spectral._lanczos_extremes(base, p, (-1,))[0].value
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                G = base._reweighted(base.w.copy())
+                ends = [(-1,), (1, -1), (-1,), (1, -1)]  # more threads than cores
+                bottoms = [None] * len(ends)
+                barrier = threading.Barrier(len(ends))
+
+                def solve(k):
+                    barrier.wait(timeout=10)
+                    bottoms[k] = _extremes(G, "P_sym", ends[k])[-1]
+
+                threads = [threading.Thread(target=solve, args=(k,)) for k in range(len(ends))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert set(bottoms) == {G._spectral_memo["P_sym"][-1][0]}
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_top_only_solve_returns_one_converged_value(self):
         G = self.ssbm(0.05)
-        ends = _extremes(G, np.abs(G.w), ends="top")
-        assert ends.eigenvectors is None and ends.eigenvalues.shape == (1,)
-        assert abs(ends.eigenvalues[0] - np.linalg.eigvalsh(np.abs(G.weight_matrix))[-1]) <= 1e-12
+        (top,) = _extremes(G, "|W|", (1,))
+        assert abs(top - np.linalg.eigvalsh(np.abs(G.weight_matrix))[-1]) <= 1e-12
 
     def test_memory_stays_below_a_stored_basis(self):
         N = 20000
@@ -365,12 +420,12 @@ class TestLanczosPath:
         monkeypatch.setattr(spectral, "_lanczos_step_cap", lambda n: 4)  # the breakdown exit comes first
         for values, M in ((_transition_edge_values(G), symmetrized_transition(G)), (G.w, G.weight_matrix),
                           (np.abs(G.w), np.abs(G.weight_matrix))):
-            spec = spectral._lanczos_extremes(G, values)
+            ends = spectral._lanczos_extremes(G, values)
             dense = np.linalg.eigvalsh(M)
-            assert np.max(np.abs(spec.eigenvalues - dense[[-1, 0]])) <= 1e-12 * max(1.0, dense[-1])
-            for end, value in zip(spec.ritz, spec.eigenvalues):
+            assert np.max(np.abs([end.value for end in ends] - dense[[-1, 0]])) <= 1e-12 * max(1.0, dense[-1])
+            for end in ends:
                 vec = _ritz_vector(G, values, end)
-                assert np.linalg.norm(M @ vec - value * vec) <= 1e-9 * max(1.0, abs(value))
+                assert np.linalg.norm(M @ vec - end.value * vec) <= 1e-9 * max(1.0, abs(end.value))
 
     @pytest.mark.parametrize("target, make", [
         ("balanced", lambda cls: cls.ssbm(0.0)),
@@ -387,10 +442,10 @@ class TestLanczosPath:
         certificate = c.balanced_partition if target == "balanced" else c.antibalanced_partition
         assert same_partition(report.partition, certificate)
         # the report takes the certificate without a solve; the Lanczos eigenvector of the top of P_sym
-        # (balanced) or of -P_sym (antibalanced) has it as its sign pattern
-        p = _transition_edge_values(G) * (1.0 if target == "balanced" else -1.0)
-        top = spectral._lanczos_extremes(G, p, ends="top")
-        assert same_partition(sign_pattern(_ritz_vector(G, p, top.ritz[0])), certificate)
+        # (balanced) or of its bottom (antibalanced) has it as its sign pattern
+        p = _transition_edge_values(G)
+        (end,) = spectral._lanczos_extremes(G, p, (1 if target == "balanced" else -1,))
+        assert same_partition(sign_pattern(_ritz_vector(G, p, end)), certificate)
 
     def test_perturbation_realized_shift_matches_dense_eigvalsh(self):
         G = self.ssbm(0.0, seed=3)
@@ -426,10 +481,10 @@ class TestLanczosPath:
         within 2e-16."""
         G = make()
         assert G.n >= LANCZOS_MIN_NODES
-        for values, M in ((_transition_edge_values(G), symmetrized_transition(G)), (G.w, G.weight_matrix),
-                          (np.abs(G.w), np.abs(G.weight_matrix))):
+        for matrix, M in (("P_sym", symmetrized_transition(G)), ("W", G.weight_matrix),
+                          ("|W|", np.abs(G.weight_matrix))):
             dense = np.linalg.eigvalsh(M)
-            assert np.max(np.abs(_extremes(G, values).eigenvalues - dense[[-1, 0]])) <= 1e-12
+            assert np.max(np.abs(np.array(_extremes(G, matrix)) - dense[[-1, 0]])) <= 1e-12
 
     def test_two_block_graph_has_a_near_degenerate_top(self):
         top = np.linalg.eigvalsh(symmetrized_transition(two_block_graph()))[-2:]
@@ -492,11 +547,17 @@ class TestLanczosPath:
 class TestExtremesBelowLanczos:
     """Below LANCZOS_MIN_NODES nodes the ends of a spectrum are those of the dense solve."""
 
-    def test_values_only_solve_computes_no_eigenvectors(self):
+    def test_values_only_solve_computes_no_eigenvectors(self, monkeypatch):
         G = random_connected_corpus(1, max_n=30, seed=103)[0]
-        ends = _extremes(G, np.abs(G.w), ends="top")
-        assert ends.eigenvectors is None
-        assert np.array_equal(ends.eigenvalues, np.linalg.eigvalsh(np.abs(G.weight_matrix))[[-1]])
+        expected = np.linalg.eigvalsh(np.abs(G.weight_matrix))[-1]
+        monkeypatch.setattr(np.linalg, "eigh", None)  # any eigenvector solve fails
+        assert _extremes(G, "|W|", (1,)) == (expected,)
+
+    def test_kept_ends_are_not_solved_again(self, monkeypatch):
+        G = random_connected_corpus(1, max_n=30, seed=103)[0]
+        first = _extremes(G, "P_sym")
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # any further solve fails
+        assert _extremes(G, "P_sym", (-1,)) + _extremes(G, "P_sym", (1,)) == first[::-1]
 
 
 class TestPerronVectorsBalanced:
