@@ -6,28 +6,28 @@ order: endpoints ``i < j`` and weights ``w``.  All else is cached on first
 access: edge signs, the dense weight matrix, the ``edges`` tuple view, one
 CSR adjacency, decoded (each entry's neighbour and edge, each node's run of
 ascending neighbours, which :meth:`SignedGraph._edge_ids` binary-searches),
-which answers every neighbourhood question, one breadth-first spanning
-forest from node 0 over it, which decides connectivity and components here
-and bipartiteness in :mod:`signednet.balance`, and the structural verdict
-read off that forest (``_structure``: whether its balance and its
-antibalance candidate hold on every edge).  ``balance.classify`` maps the
-verdict through one table, and :mod:`signednet.spectral` and
-``balance.frustration`` read it to skip every solve and search whose answer
-it fixes.  The graph also keeps each spectrum end that
-``spectral._extremes`` solves on it (``_spectral_memo``), by the name of
-its matrix ("W", "|W|" or "P_sym") and its side (1 the top, -1 the bottom),
-as plain data that refers to nothing holding the graph: whichever caller
-names an end first solves it for every later one.
-Weights must be finite and nonzero.  A connected graph has n <= m + 1, and
-:func:`build_graph` checks that before it allocates anything of size n, so
-a far node id fails at once instead of allocating memory by id.
+which answers every neighbourhood question and carries every matrix product,
+one breadth-first spanning forest from node 0 over it, which decides
+connectivity and components here and bipartiteness in
+:mod:`signednet.balance`, and the structural verdict read off that forest
+(``_structure``: whether its balance and its antibalance candidate hold on
+every edge).  ``balance.classify`` maps the verdict through one table, and
+:mod:`signednet.spectral` and ``balance.frustration`` read it to skip every
+solve and search whose answer it fixes.  The graph also keeps each spectrum
+end that ``spectral._extremes`` solves on it (``_spectral_memo``), by the
+name of its matrix ("W", "|W|" or "P_sym") and its side (1 the top, -1 the
+bottom), as plain data that refers to nothing holding the graph: whichever
+caller names an end first solves it for every later one.  Weights must be
+finite and nonzero.  A connected graph has n <= m + 1, and
+:func:`build_graph` checks that before it allocates anything of size n, so a
+far node id fails at once instead of allocating memory by id.
 
-A graph matrix is one value per edge at (i_k, j_k) and (j_k, i_k): ``w``
-for W, ``abs(w)`` for |W| and :func:`_transition_edge_values` for P_sym.
-Every product with one is :meth:`SignedGraph._operator`, one
-``np.bincount`` over both edge orientations, cached once per graph beside
-the CSR sorted from them: the degrees, every simulator step in
-:mod:`signednet.dynamics` and every Lanczos matvec in
+A graph matrix is one value per edge at (i_k, j_k) and (j_k, i_k): ``w`` for
+W, ``abs(w)`` for |W| and :func:`_transition_edge_values` for P_sym.  Every
+product with one is :meth:`SignedGraph._operator` on the CSR, the only edge
+layout besides the input arrays (the values gathered into CSR order once,
+then one ``np.add.reduceat`` over the runs per product): the degrees, every
+simulator step in :mod:`signednet.dynamics` and every Lanczos matvec in
 :mod:`signednet.spectral`, none building an n x n matrix.  Every dense one
 (``weight_matrix`` and the full spectra of ``spectral._spectrum``) is its
 twin :meth:`SignedGraph._matrix`.
@@ -141,20 +141,16 @@ class SignedGraph:
     def degrees(self) -> np.ndarray:
         """Absolute-weight degree of every node, d = |W| 1 by :meth:`_operator`;
         one beyond the float range is a :class:`NonFiniteWeightError`."""
-        d = self._operator(np.abs(self.w))(np.ones(self.n))
+        with np.errstate(over="ignore"):  # an overflow is named below, not warned about
+            d = self._operator(np.abs(self.w))(np.ones(self.n))
         if not np.isfinite(d).all():
             raise NonFiniteWeightError(f"the weighted degree of node {np.argmin(np.isfinite(d))} exceeds "
                                        f"the float range; rescale the weights")
         return _readonly(d)
 
     @cached_property
-    def _orientations(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every edge in both orientations: rows ``[i, j]`` and columns ``[j, i]``."""
-        return _readonly(np.concatenate([self.i, self.j])), _readonly(np.concatenate([self.j, self.i]))
-
-    @cached_property
     def _csr(self) -> _Neighbours:
-        rows, cols = self._orientations
+        rows, cols = np.concatenate([self.i, self.j]), np.concatenate([self.j, self.i])
         order = np.argsort(rows * self.n + cols)
         return _Neighbours(_readonly(cols[order]), _readonly(order % max(self.num_edges, 1)),
                            _readonly(np.searchsorted(rows[order], np.arange(self.n + 1))))
@@ -212,12 +208,16 @@ class SignedGraph:
 
     def _operator(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """``x -> x @ M`` for the symmetric n x n matrix M holding ``values[k]``
-        at (i_k, j_k) and (j_k, i_k), never built: each product is one
-        ``np.bincount`` over both edge orientations, so entry c sums the
-        edges with i_k = c, then those with j_k = c, each in edge order."""
-        (rows, cols), n = self._orientations, self.n
-        entries = np.concatenate([values, values])
-        return lambda x: np.bincount(rows, weights=entries * x[cols], minlength=n)
+        at (i_k, j_k) and (j_k, i_k), never built: ``values`` in CSR order,
+        gathered once, then one ``np.add.reduceat`` over the runs per product,
+        so entry c is the first term of c's run plus the pairwise sum of the
+        rest in ascending neighbour id, or 0 if c has no entry."""
+        (nbr, edge, start), n = self._csr, self.n
+        entries, heads = values[edge], start[:-1]
+        if (heads < start[1:]).all():  # reduceat would read an empty run as the next run's first term
+            return lambda x: np.add.reduceat(entries * x[nbr], heads)
+        filled = np.flatnonzero(heads < start[1:])
+        return lambda x: np.bincount(filled, np.add.reduceat(entries * x[nbr], heads[filled]), minlength=n)
 
     @property
     def num_edges(self) -> int:

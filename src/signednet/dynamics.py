@@ -3,12 +3,12 @@ extended linear threshold (ELT) model, with closed-form stationary states.
 
 All simulators use row vectors and left multiplication: one step maps x to
 ``x @ M``, computed by the graph's edge-array operator
-(:meth:`~signednet.core.SignedGraph._operator`) as one pass over the 2m
-edge entries, with no n x n matrix.  Linear dynamics and ELT apply W; the
-signed walk applies P = D^-1 W as W to x / d; the two-species walk is the
-random walk on the unsigned doubled graph with 2n nodes; the lattice ELT
-applies the edge signs as floats, so its neighbour counts stay exact
-integers.  States are never renormalized.  Trajectories are immutable
+(:meth:`~signednet.core.SignedGraph._operator`) as one ``np.add.reduceat``
+over the 2m CSR entries, with no n x n matrix.  Linear dynamics and ELT
+apply W; the signed walk applies P = D^-1 W as W to x / d; the two-species
+walk is the random walk on the unsigned doubled graph with 2n nodes; the
+lattice ELT applies the edge signs as floats, so its neighbour counts stay
+exact integers.  States are never renormalized.  Trajectories are immutable
 records of every visited state including the initial one.  Every simulator
 steps through :func:`_run`, one loop filling one array, which refuses a run
 storing more than :data:`MAX_STORED_VALUES` values and is handed to the

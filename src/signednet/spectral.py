@@ -8,21 +8,21 @@ spectrum (the spectrum correspondence and the walk horizons of
 verification).  :func:`_extremes` returns only its ends (the balance
 measures, heuristic frustration, the perturbation shift): each caller names
 the matrix, ``"W"``, ``"|W|"`` or ``"P_sym"``, and the ends it needs, 1 for
-the top and -1 for the bottom.  It is the one place that picks a solver:
-one ``eigvalsh`` below :data:`LANCZOS_MIN_NODES` nodes, else
+the top and -1 for the bottom.  It is the one place that picks a solver: one
+``eigvalsh`` below :data:`LANCZOS_MIN_NODES` nodes, else
 :func:`_lanczos_extremes`, a plain Lanczos recurrence on the edge arrays
-that stores no basis and builds no n x n matrix.  Its convergence test
-never builds the k x k tridiagonal T of the recurrence: each open end's
-Ritz value comes from Newton's method on the LDL^T pivots of T - lambda
-(:func:`_top_ritz_value`), and its residual and its eigenvector of T from
-one backward recurrence (:func:`_ritz_column`), each in O(k) time and
-memory, so no dense LAPACK routine sees T.  The test runs at the step where
-each open end's residual trend predicts convergence.  :func:`_extremes`
-keeps every end it solves on the graph (``SignedGraph._spectral_memo``), so
-each end of each matrix is solved at most once per graph; a Lanczos end is
-kept as plain data, O(k) numbers (:class:`_RitzEnd`), from which
-:func:`_ritz_vector` rebuilds its Ritz vector on request by replaying the
-recurrence to that end's step.  It is all numpy; no scipy is imported.
+that stores no basis and builds no n x n matrix.  Its convergence test, at
+the step where each open end's residual trend predicts convergence, never
+builds the k x k tridiagonal T: an end's Ritz value comes from Newton's
+method on the LDL^T pivots of T - lambda, started above its last value by
+its estimated move (:func:`_top_ritz_value`), and its residual and
+eigenvector of T from one backward recurrence (:func:`_ritz_column`), each
+in O(k) time and memory.  :func:`_extremes` keeps every end it solves on the
+graph (``SignedGraph._spectral_memo``), so each end of each matrix is solved
+at most once per graph; a Lanczos end is kept as plain data, O(k) numbers
+(:class:`_RitzEnd`), from which :func:`_ritz_vector` rebuilds its Ritz
+vector on request by replaying the recurrence to that end's step.  It is all
+numpy; no scipy is imported.
 
 The distance ``d_b``, the smallest eigenvalue of the random-walk Laplacian,
 is zero exactly on balanced graphs, and ``d_a``, the gap between 2 and its
@@ -32,10 +32,9 @@ strictly unbalanced.  The graph's cached structural verdict
 (``SignedGraph._structure``) says exactly which of these cases holds, so
 each caller names only the ends it reports and the verdict leaves open:
 
-* :func:`_distances` (all that CLI ``classify`` prints) names both ends of
-  P_sym on a strictly unbalanced graph, the bottom (``d_a``) on a balanced
-  one, the top (``d_b``) on an antibalanced one and none on a graph that is
-  both, and reports a distance the verdict fixes as exactly 0.0.
+* :func:`_distances` (all that CLI ``classify`` prints) names the ends of
+  P_sym that ``_OPEN_ENDS`` lists for the verdict, and reports a distance
+  the verdict fixes as exactly 0.0.
 * :func:`balance_measures` adds the top of |W|, and both ends of W only on a
   strictly unbalanced graph; on any other graph rho(W) is rho(|W|) and the
   contraction exactly 0.0.
@@ -69,13 +68,9 @@ from .errors import LanczosNotConvergedError
 
 #: graphs with at least this many nodes take the ends of a spectrum from
 #: Lanczos, smaller ones from dense solves (read only by :func:`_extremes`).
-#: On two-block SSBMs of mean degree 12 (eta = 0.05) with one BLAS thread,
-#: Lanczos overtakes dense near n = 120 for ``classify --frustration`` (P_sym,
-#: then the replay of one of its ends; dense takes eigvalsh and one eigh),
-#: near n = 275 for ``measure`` (P_sym, W, |W|) and near n = 370 for
-#: ``classify`` (P_sym alone); 250 sits between the first two.  Below a few
-#: hundred nodes a solve costs its per-step overhead, not the basis it no
-#: longer stores, so the crossover barely moved.
+#: Timing the solves alone on two-block SSBMs of mean degree 12 (eta = 0.05,
+#: one BLAS thread), Lanczos overtakes dense near n = 110 for ``classify
+#: --frustration``, 165 for ``measure`` and 195 for ``classify``.
 LANCZOS_MIN_NODES = 250
 #: a Lanczos end has converged when its residual is at most this times
 #: max(1, |theta|), on the matrix scaled by a power of two to a largest
@@ -97,11 +92,17 @@ class Spectrum:
 
 
 def _sign_normalised(vecs: np.ndarray) -> np.ndarray:
-    """``vecs`` with each column negated where needed so that its
-    largest-magnitude entry is positive (the first such entry on exact ties)."""
+    """``vecs`` with each column negated where needed so that its entries sum
+    to a positive number, a sign no relabelling of nodes changes, or, where
+    that sum is within rounding of zero, so that its first entry within
+    rounding of the largest magnitude is positive (exact ties, as on paths)."""
     if vecs.size:
-        lead = np.argmax(np.abs(vecs), axis=0)  # argmax picks the first entry on exact ties
-        vecs *= np.where(vecs[lead, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
+        mags = np.abs(vecs)
+        top, sums = mags.max(axis=0), vecs.sum(axis=0)
+        tied = np.abs(sums) <= 2.0 ** -26 * top  # "within rounding", relative to the largest magnitude
+        if tied.any():
+            sums[tied] = vecs[np.argmax(mags[:, tied] >= top[tied] * (1 - 2.0 ** -26), axis=0), np.flatnonzero(tied)]
+        vecs *= np.where(sums < 0, -1.0, 1.0)
     return vecs
 
 
@@ -180,14 +181,13 @@ def _top_ritz_value(alpha: list[float], beta: list[float], start: float, step: f
     off-diagonal ``beta[:k-1]``) in a few O(k) passes of :func:`_newton_step`.
 
     ``start`` is the end's Ritz value at an earlier step, at most the one
-    sought by interlacing, and ``step`` that step's residual, about as far as
-    the Ritz value has usually moved since.  start + step, the step doubled
-    until a pass certifies it, is an upper bound; above its largest root
-    det(lam - T) is increasing and convex, so Newton's iterates from the
-    bound descend monotonically to that root, quadratically once they are
-    nearer to it than to the next one.  The descent stops when a step no
-    longer lowers lam, or when a pass meets a pivot that is not negative:
-    that iterate is the root to within rounding, and it is returned.
+    sought by interlacing, and ``step`` an estimate of how far it has moved
+    since.  start + step, the step doubled until a pass certifies it, is an
+    upper bound; above its largest root det(lam - T) is increasing and convex,
+    so Newton's iterates from the bound descend monotonically to that root,
+    quadratically once nearer to it than to the next one.  The descent stops
+    when a step no longer lowers lam, or when a pass meets a pivot that is
+    not negative: that iterate, the root to within rounding, is returned.
     """
     step = max(step, 2.0 ** -52 * max(1.0, abs(start)))  # a zero step would double forever
     while (delta := _newton_step(alpha, beta, start + step)) is None:
@@ -265,18 +265,18 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray,
     [0.5, 1), so huge or tiny weights neither overflow nor loosen the test.
 
     An end e has converged when its Ritz residual beta_k |s_e| is at most
-    ``LANCZOS_TOLERANCE * max(1, |theta_e|)``, where s_e is the last entry
-    of theta_e's unit eigenvector y_e of the k x k tridiagonal T.  A test
-    never builds T.  For each open end it takes theta_e as
-    :func:`_top_ritz_value` of T (the top) or of -T (the bottom), searched
-    from the end's Ritz value and residual at its last test (at the first,
-    from alpha_1 and beta_1, the Ritz pair of step 1), and y_e from
-    :func:`_ritz_column`, so it costs O(k) time and memory.  The test runs
-    at k = 2 and then at the first step where an open end's residual,
-    extrapolated geometrically from its last two tests, meets its bound, but
-    never more than about 25 % more steps on.  It also runs on an exact
-    breakdown (a beta that meets every end's test) and at the step cap, past
-    which :class:`~signednet.errors.LanczosNotConvergedError` is raised.
+    ``LANCZOS_TOLERANCE * max(1, |theta_e|)``, where s_e is the last entry of
+    theta_e's unit eigenvector y_e of the k x k tridiagonal T.  A test never
+    builds T.  For each open end it takes theta_e as :func:`_top_ritz_value`
+    of T (the top) or of -T (the bottom), searched up from the end's value at
+    its last test by its last move times the squared ratio of its last two
+    residuals (at the first test, from the Ritz pair of step 1, alpha_1 and
+    beta_1), and y_e from :func:`_ritz_column`, each in O(k) time and memory.
+    The test runs at k = 2 and then at the first step where an open end's
+    residual, extrapolated geometrically from its last two tests, meets its
+    bound, but never more than about 25 % more steps on.  It also runs on an
+    exact breakdown (a beta that meets every end's test) and at the step cap,
+    past which :class:`~signednet.errors.LanczosNotConvergedError` is raised.
 
     Returns each end, in the order of ``ends``, as the :class:`_RitzEnd` of
     the step it was accepted at, whose vector :func:`_ritz_vector` rebuilds
@@ -290,7 +290,7 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray,
     alpha: list[float] = []
     beta: list[float] = []
     found: dict[int, _RitzEnd] = {}
-    last_test: dict[int, tuple[int, float, float]] = {}  # open end -> (step, residual, Ritz value) at its last test
+    last_test: dict[int, tuple[int, float, float, float]] = {}  # open end -> (step, residual, Ritz value, estimated next move) at its last test
     check = 2
     for k, _ in enumerate(_lanczos_vectors(matvec, n, alpha, beta), start=1):
         b = beta[-1]
@@ -299,8 +299,8 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray,
             for e in ends:  # 1: the top of T, -1: the top of -T
                 if e in found:
                     continue
-                k_prev, r_prev, top_prev = last_test.get(e, (k, beta[0], e * alpha[0]))  # or the step-1 pair
-                theta = e * _top_ritz_value(alpha if e > 0 else [-a for a in alpha], beta, top_prev, r_prev)
+                k_prev, r_prev, top_prev, move = last_test.get(e, (k, beta[0], e * alpha[0], beta[0]))  # or the step-1 pair
+                theta = e * _top_ritz_value(alpha if e > 0 else [-a for a in alpha], beta, top_prev, move)
                 column = _ritz_column(alpha, beta, theta)
                 r = b * float(column[-1])  # a Python float: numpy scalars would slow the next test several-fold
                 target = LANCZOS_TOLERANCE * max(1.0, abs(theta))
@@ -310,7 +310,7 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray,
                 if e in last_test and r < r_prev:  # test again at the step j where r * (r / r_prev) ** ((j - k) / (k - k_prev)) = target
                     steps = math.ceil(math.log(target / r) / math.log(r / r_prev) * (k - k_prev))
                     check = min(check, k + max(1, steps))
-                last_test[e] = (k, r, e * theta)
+                last_test[e] = (k, r, e * theta, (e * theta - top_prev) * (r / r_prev) ** 2)  # theta's error is about r**2 / gap
             if len(found) == len(ends):
                 break
             if k == cap:

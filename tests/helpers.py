@@ -400,14 +400,18 @@ def rank1_approximation(G: SignedGraph, t: int) -> np.ndarray:
 
 def edge_product_reference(n: int, i, j, values, x: np.ndarray) -> np.ndarray:
     """x @ M for the symmetric M holding ``values[k]`` at (i_k, j_k) and
-    (j_k, i_k), one edge at a time: ``out[i_k] += v_k * x[j_k]`` over every
-    edge, then ``out[j_k] += v_k * x[i_k]`` over every edge, the order in which
-    ``np.bincount`` sums over both orientations."""
+    (j_k, i_k), one node at a time: node v's terms ``values[k] * x[u]``, over
+    the edges k joining v to a neighbour u, in ascending u, summed as the first
+    term plus ``np.add.reduce`` of the rest, the order in which
+    ``np.add.reduceat`` sums each CSR run; 0 for a node with no edge."""
+    i, j, values, x = np.asarray(i), np.asarray(j), np.asarray(values, dtype=float), np.asarray(x)
     out = np.zeros(n)
-    for r, c, v in zip(i, j, values):
-        out[r] += v * x[c]
-    for r, c, v in zip(j, i, values):
-        out[r] += v * x[c]
+    for v in range(n):
+        nbrs = np.concatenate([j[i == v], i[j == v]])
+        terms = np.concatenate([values[i == v], values[j == v]]) * x[nbrs]
+        terms = terms[np.argsort(nbrs)]
+        if len(terms):
+            out[v] = terms[0] + np.add.reduce(terms[1:])
     return out
 
 

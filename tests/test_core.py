@@ -17,6 +17,7 @@ from signednet.errors import (
 from helpers import (
     doubled_adjacency,
     doubled_transition,
+    edge_product_reference,
     nonsymmetric_eigenvalues,
     random_connected_corpus,
     random_walk_laplacian,
@@ -92,20 +93,31 @@ class TestDegrees:
         G.degrees
         assert "weight_matrix" not in G.__dict__
 
-    def test_operator_reuses_the_cached_edge_orientations(self):
+    def test_operator_gathers_its_values_over_the_cached_csr(self):
         G = sn.ring_lattice(sn.LatticeParams(n=20000, dbar=10, alpha=0.5, sign_plan=sn.BalancedPlan()))
         m = G.num_edges
-        G.degrees  # one product: caches both edge orientations
-        rows, cols = G._orientations
-        assert np.array_equal(G._csr.nbr, cols[np.lexsort((cols, rows))])  # the orientations in (row, column) order
+        G.degrees  # one product: caches the CSR, the graph's only edge layout
+        csr = G._csr
         tracemalloc.start()
         try:
             G._operator(G.w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the doubled values take 16m bytes; rebuilt row and column indices would add 32m more
+        assert G._csr is csr and not hasattr(G, "_orientations")
+        # the values in CSR order take 16m bytes; a rebuilt CSR or orientation arrays would add 32m more
         assert peak < 24 * m
+
+    def test_operator_sums_each_run_in_the_reference_order(self):
+        # node 0 has degree 299, past the blocks of 8 and 128 of numpy's pairwise summation
+        rng = np.random.default_rng(4)
+        n = 300
+        extra = {tuple(sorted(p)) for p in rng.integers(1, n, (400, 2)).tolist() if p[0] != p[1]}
+        pairs = [(0, v) for v in range(1, n)] + sorted(extra)
+        G = sn.build_graph(n, [(i, j, w) for (i, j), w in zip(pairs, rng.uniform(-1e3, 1e3, len(pairs)))])
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)
+        for values in (G.w, np.abs(G.w)):
+            assert np.array_equal(G._operator(values)(x), edge_product_reference(n, G.i, G.j, values, x))
 
     def test_edge_lookup_builds_nothing_of_size_m(self):
         G = sn.ring_lattice(sn.LatticeParams(n=100000, dbar=10, alpha=0.5, sign_plan=sn.BalancedPlan()))

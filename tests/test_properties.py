@@ -83,6 +83,39 @@ def test_csr_runs_list_each_nodes_edges_by_ascending_neighbour(G):
 
 
 @st.composite
+def hub_edge_sets(draw, max_n=30):
+    """Node count plus edges in any order in which node 0 has degree above 8
+    whenever n allows, where pairwise summation engages in a CSR run; other
+    nodes are often isolated or apart from node 0."""
+    n = draw(st.integers(1, max_n))
+    spokes = draw(st.sets(st.integers(1, n - 1), min_size=min(9, n - 1), max_size=n - 1)) if n > 1 else set()
+    pairs = {(0, v) for v in spokes}
+    pairs |= {(min(a, b), max(a, b)) for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                                                 max_size=n)) if a != b}
+    weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(pairs), max_size=len(pairs)))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(pairs), max_size=len(pairs)))
+    return n, draw(st.permutations([(i, j, s * w) for (i, j), w, s in zip(sorted(pairs), weights, signs)]))
+
+
+@given(hub_edge_sets(), st.integers(0, 2**32 - 1))
+@example((1, []), 0)
+@example((200, [(0, v, (-1.0) ** v * (1.0 + v / 7)) for v in range(1, 200)]), 1)
+def test_operator_matches_the_dense_matrix(case, seed):
+    """Each product is ``x @ _matrix(values)`` to 1e-12 of the sum of the
+    absolute terms, on the whole input built unvalidated (isolated nodes
+    have empty CSR runs, anywhere in the id range) and on each of its
+    ``components()`` pieces (a lone node has no edge at all)."""
+    n, edges = case
+    whole = SignedGraph(n, *_checked_edges(n, *_columns(edges)))
+    x = np.random.default_rng(seed).standard_normal(n)
+    for G, ids in [(whole, list(range(n)))] + sn.components(n, edges):
+        y = x[ids]
+        for values in (G.w, np.abs(G.w)):
+            M = G._matrix(values)
+            assert np.all(np.abs(G._operator(values)(y) - y @ M) <= 1e-12 * (np.abs(y) @ np.abs(M)))
+
+
+@st.composite
 def graph_with_bipartition(draw):
     G = draw(connected_signed_graphs())
     s = draw(st.lists(st.sampled_from([-1, 1]), min_size=G.n, max_size=G.n))
