@@ -31,16 +31,21 @@ Float encoding: every float an edge list, a trajectory CSV or a JSON
 document holds is ``repr`` of the value as a Python float, the shortest
 text that reads back to the same double, ``-0.0`` included; ``nan`` and
 ``inf`` are written only to the CSV, since JSON output refuses them with
-``ValueError``.  A float64 array is encoded by :func:`_float_texts`,
-one ``repr`` per distinct bit pattern, so a trajectory of few distinct
-states costs few calls.
+``ValueError``.  A float64 array (trajectory states, JSON arrays, edge
+weights) is encoded without calling ``repr``: :func:`_float_chars` turns
+each distinct bit pattern into the same text by uint64 array arithmetic
+(Schubfach's shortest digits, then ``repr``'s layout) in blocks of
+:data:`_FLOAT_BLOCK` values, so a trajectory of few distinct states costs
+little.  The CSV rows are assembled as bytes from those text rows;
+:func:`_float_texts` gives the texts as Python strings.
 
 JSON: :func:`dump_json` writes exactly the text of ``json.dumps(doc,
 indent=2, allow_nan=False)``, with arrays written as the lists of their
 values.  Each list of non-container values is one call of a C
 encoder (``json.JSONEncoder`` without indent, its item separator the line
-break and indent of that depth), each list of such lists one call over
-all its values, and only the nesting is laid out in Python.
+break and indent of that depth), each block of :data:`_TABLE_ROWS` rows of
+a list of such lists one call over all their values, and only the nesting
+is laid out in Python.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ import itertools
 import json
 import warnings
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -184,17 +189,243 @@ def load_graph(path: PathLike) -> SignedGraph:
     return parse_edge_list(text)
 
 
-_EDGE_BLOCK = 2**16  # edges formatted per block; bounds the text held at once
+# ---------------------------------------------------------------------------
+# float text: shortest round-trip digits by uint64 array arithmetic
+# ---------------------------------------------------------------------------
+
+_FLOAT_BLOCK = 2048  # doubles formatted per block; bounds the temporaries near half a megabyte
+_TEXT_WIDTH = 24  # the longest text, "-1.2345678901234567e-308"
+_BIAS = 400  # decimal exponents are stored plus _BIAS, so that every operand is a uint64
+
+
+def _u64(value: int) -> np.ndarray:
+    return np.array(value, np.uint64)  # a 0-d array: cheaper in a ufunc call than a numpy scalar
+
+
+_SIGN, _MANTISSA, _INF = _u64(2**63), _u64(2**52 - 1), _u64(0x7FF << 52)
+_LOW32, _32, _E4, _E8 = _u64(2**32 - 1), _u64(32), _u64(10**4), _u64(10**8)
+_1, _2, _3, _4, _7, _10, _40, _51, _EXPONENT = map(_u64, (1, 2, 3, 4, 7, 10, 40, 51, 0xFFE))
+_ROUND_UP = _u64(0b11001000)  # bit j set when vb & 7 == j rounds s up: past the midpoint, or on it with s odd
+
+
+class _FloatTables(NamedTuple):
+    #: by binary index: the column of ``scaling`` and of ``powers``
+    scaling_of: np.ndarray
+    powers_of: np.ndarray
+    #: rows: the hidden bit, the shift h + 2, and the offsets of the lower and
+    #: upper bounds from the scaled value (the lower one as its two's
+    #: complement); one column per distinct set
+    scaling: np.ndarray
+    #: rows: the four 32-bit limbs of the 128-bit power of ten g, low first,
+    #: and the biased decimal exponent k of the result; one column per k
+    powers: np.ndarray
+    tens: np.ndarray  # 10^0 to 10^17
+    normalize: np.ndarray  # by digit count: 10^(17 - count)
+    #: by the biased decimal point position x (the digits of d 10^e fill x
+    #: - _BIAS places before the point): 10^(4 - zeros after "0."), the
+    #: index of the last digit before the point, the shortest text length
+    #: (point + 3 in positional layout, 0 in scientific), whether scientific
+    scale: np.ndarray
+    point: np.ndarray
+    lowest: np.ndarray
+    scientific: np.ndarray
+    suffix: np.ndarray  # (5, 1024) by x: "e+XX" or "e-XXX" in scientific layout
+    groups: np.ndarray  # the four ASCII digits of each of 0000 to 9999 as one uint32
+
+
+@functools.cache
+def _float_tables() -> _FloatTables:
+    """The tables of :func:`_float_chars`, built once; each g from Python
+    integers.  A double with biased binary exponent ``be`` and significand
+    bits ``m`` has binary index ``be << 1 | (m == 0)``.  Exponent 0 shares the
+    entries of exponent 1, ``m == 0`` marks the uneven spacing below a power
+    of two only from exponent 2 on, and inf and nan get finite garbage."""
+    index = np.arange(4096)
+    be = np.clip(index >> 1, 1, 2046)
+    uneven = (index & 1) * (be > 1)
+    q = be - 1075  # the double is c 2^q
+    k = (q * 1262611 - 524031 * uneven) >> 22  # floor(log10(2^q)), of 3/4 2^q when uneven
+    r = (-k * 1741647) >> 19  # floor(log2(10^-k))
+    h = q + r + 1  # 1 <= h <= 4
+    ks, first, powers_of = np.unique(k, return_index=True, return_inverse=True)
+    g = [((10**-kk if kk <= 0 else 1) << max(127 - rr, 0)) // ((1 if kk <= 0 else 10**kk) << max(rr - 127, 0)) + 1
+         for kk, rr in zip(ks.tolist(), r[first].tolist())]  # floor(10^-k 2^(127 - r)) + 1, in [2^127, 2^128)
+    powers = np.array([[v >> (32 * limb) & 0xFFFFFFFF for v in g] for limb in range(4)] + [(ks + _BIAS).tolist()],
+                      np.uint64)
+    _, first, scaling_of = np.unique((index > 1) * 16 + h * 2 + uneven, return_index=True, return_inverse=True)
+    scaling = np.array([(index > 1) << 52, h + 2, -((2 - uneven) << h), 2 << h])[:, first].astype(np.uint64)
+    x = np.arange(1024) - _BIAS  # repr's decimal point position
+    positional = (-4 < x) & (x <= 16)
+    point = np.where(positional, np.maximum(x - 1, 0), 0)
+    suffix = np.zeros((5, 1024), np.uint8)
+    suffix[:, ~positional] = np.array([b"e%+03d" % (e - 1) for e in x[~positional].tolist()], "S5").view(np.uint8).reshape(-1, 5).T
+    tens = 10 ** np.arange(18, dtype=np.uint64)
+    digits = np.arange(10000, dtype=np.uint16)[:, None] // tens[3::-1].astype(np.uint16) % np.uint16(10) + np.uint16(48)
+    return _FloatTables(scaling_of.ravel().astype(np.uint8), powers_of.ravel().astype(np.uint16),
+                        scaling, powers, tens,
+                        tens[np.maximum(17 - np.arange(19), 0)], tens[np.where(positional, np.minimum(x + 3, 4), 4)],
+                        point.astype(np.uint8), ((point + 3) * positional).astype(np.uint8), ~positional, suffix,
+                        digits.astype(np.uint8).view(np.uint32).ravel())
+
+
+def _round_to_odd(cp: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """floor(g cp / 2^128) of each cp < 2^60, its last bit set when bits 65
+    to 127 of g cp are not all zero, for the 128-bit g given as four rows of
+    32-bit limbs: the exact product in 32-bit limbs, computed in place in cp
+    and five buffers like it."""
+    a0 = cp & _LOW32
+    a1 = np.right_shift(cp, _32, out=cp)
+    b, c, x = a0 * g[1], a1 * g[0], a0 * g[0]  # x = floor(cp (g mod 2^64) / 2^64), by columns
+    x >>= _32
+    tmp = b & _LOW32
+    x += tmp
+    x += np.bitwise_and(c, _LOW32, out=tmp)
+    x >>= _32
+    x += np.right_shift(b, _32, out=b)
+    x += np.right_shift(c, _32, out=c)
+    x += np.multiply(a1, g[1], out=tmp)
+    low, mid, high = np.multiply(a0, g[2], out=b), np.multiply(a0, g[3], out=c), np.multiply(a1, g[2], out=a0)
+    top = np.multiply(a1, g[3], out=a1)  # top 2^128 + y1 2^96 + y0 2^64 = cp (g >> 64) 2^64 + x 2^64
+    y0 = np.bitwise_and(low, _LOW32, out=tmp)
+    y0 += x  # its low half is that of y0, its high half that of x plus y0's carry
+    y1 = np.right_shift(low, _32, out=low)
+    y1 += np.bitwise_and(mid, _LOW32, out=x)
+    y1 += np.bitwise_and(high, _LOW32, out=x)
+    y1 += np.right_shift(y0, _32, out=x)
+    top += np.right_shift(mid, _32, out=mid)
+    top += np.right_shift(high, _32, out=high)
+    top += np.right_shift(y1, _32, out=x)
+    y1 &= _LOW32
+    y0 &= _LOW32
+    y1 |= np.right_shift(y0, _1, out=y0)
+    top |= y1 != 0
+    return top
+
+
+def _shortest(bits: np.ndarray, t: _FloatTables) -> tuple[np.ndarray, np.ndarray]:
+    """``(d, e)`` for each finite nonzero double (uint64 bit patterns, sign
+    ignored): d 10^(e - _BIAS) is the decimal with the fewest digits that reads
+    back as the double, the closest such, and of two as close the one with an
+    even last digit.  This is Giulietti's Schubfach without Java's two-digit
+    minimum: the value and the ends of its rounding interval scaled by
+    10^-k, with k from the binary exponent, decide between the one-digit-shorter
+    multiples of 10^(k+1) and the two multiples of 10^k around the value."""
+    m = bits & _MANTISSA
+    index = ((bits >> _51) & _EXPONENT) | (m == 0)
+    scaling = t.scaling.take(t.scaling_of.take(index), axis=1)
+    c = m | scaling[0]
+    cp = np.empty((3, len(bits)), np.uint64)
+    np.left_shift(c, scaling[1], out=cp[0])
+    np.add(cp[0], scaling[2:], out=cp[1:])
+    del m, scaling
+    g = t.powers.take(t.powers_of.take(index), axis=1)
+    del index
+    vb, lower, upper = _round_to_odd(cp, g)
+    odd = c & _1  # an even significand reads back from the ends of its interval too
+    lower += odd
+    upper -= odd
+    s = vb >> _2
+    s10 = s // _10
+    s40 = s10 * _40
+    u10 = lower <= s40
+    w10 = (s40 + _40) <= upper
+    shorter = (u10 != w10) & (s >= _10)  # exactly one multiple of 10^(k+1) is inside
+    s4 = vb - (vb & _3)
+    w_in = (s4 + _4) <= upper
+    up = np.where((lower <= s4) != w_in, w_in, (_ROUND_UP >> (vb & _7)) & _1)  # else the closer
+    return np.where(shorter, s10 + w10, s + up), g[4] + shorter
+
+
+_ROWS = np.arange(_TEXT_WIDTH, dtype=np.uint8)[:, None]
+_DIGIT_ROWS = np.arange(1, 22, dtype=np.uint8)[:, None]
+
+
+def _float_block(bits: np.ndarray, t: _FloatTables) -> np.ndarray:
+    """The ``repr`` text of each double in ``bits`` as a column of a
+    (_TEXT_WIDTH, len(bits)) uint8 array, padded with NUL bytes."""
+    n = len(bits)
+    d, e = _shortest(bits, t)
+    count = np.searchsorted(t.tens, d, side="right").astype(np.uint64)  # the digits of d
+    x = e + count
+    # the digit stream as 21 digits in three words: the zeros after "0.", the
+    # digits of d, zeros; the words split into groups of four digits
+    hi, lo = np.divmod(d * t.normalize.take(count), _E8)
+    del d, e, count
+    scale = t.scale.take(x)
+    lo *= scale
+    hi *= scale
+    words = np.empty((3, n), np.uint64)
+    hi += np.divmod(lo, _E8, out=(lo, words[2]))[0]
+    np.divmod(hi, _E8, out=(words[0], words[1]))
+    del hi, lo, scale
+    groups = np.empty((3, 2, n), np.uint64)
+    np.divmod(words, _E4, out=(groups[:, 0], groups[:, 1]))
+    chars = t.groups.take(groups.reshape(6, n), mode="clip").view(np.uint8).reshape(6, n, 4)
+    del words, groups
+    field = np.zeros((_TEXT_WIDTH + 3, n), np.uint8)  # "000" and the stream, then three NUL rows
+    field[:24].reshape(6, 4, n)[...] = chars.transpose(0, 2, 1)
+    del chars
+    stream, shifted = field[3:], field[2:-1]
+    last = ((stream[:21] != 48) * _DIGIT_ROWS).max(axis=0)  # one past the last nonzero digit
+    point = t.point.take(x)
+    end = np.maximum(t.lowest.take(x), last + 1)
+    sci = t.scientific.take(x)
+    any_sci = sci.any()
+    if any_sci:
+        end -= sci & (last == 1)  # one digit: no point
+    after = _ROWS < end
+    text = stream * (_ROWS <= point)
+    point += 1
+    text += shifted * ((_ROWS > point) & after)
+    text += np.uint8(46) * ((_ROWS == point) & after)
+    if any_sci:  # the suffix at rows end to end + 4: row end + j starts row j of a padded mask
+        starts = np.zeros((_TEXT_WIDTH + 4, n), bool)
+        np.equal(_ROWS, end, out=starts[4:])
+        for j, chars in enumerate(t.suffix[:, x]):
+            text += starts[4 - j:4 - j + _TEXT_WIDTH] * chars
+    magnitude = bits & ~_SIGN
+    if ((magnitude == 0) | (magnitude >= _INF)).any():
+        for word, mask in ((b"0.0", magnitude == 0), (b"inf", magnitude == _INF), (b"nan", magnitude > _INF)):
+            text[:, mask] = np.frombuffer(word.ljust(_TEXT_WIDTH, b"\0"), np.uint8)[:, None]
+    negative = (bits - _SIGN) <= _INF  # nan is written without its sign
+    if negative.any():  # shifted down a row, "-" in row 0
+        text[1:] += negative * (text[:-1] - text[1:])
+        text[0] += negative * (np.uint8(45) - text[0])
+    return text
+
+
+def _float_chars(bits: np.ndarray) -> np.ndarray:
+    """The ``repr`` text of each double in ``bits`` (uint64 bit patterns) as a
+    row of an (len(bits), _TEXT_WIDTH) uint8 array, padded with NUL bytes:
+    Schubfach digits and ``repr``'s layout, in blocks of _FLOAT_BLOCK."""
+    t = _float_tables()
+    out = np.empty((len(bits), _TEXT_WIDTH), np.uint8)
+    for start in range(0, len(bits), _FLOAT_BLOCK):
+        out[start:start + _FLOAT_BLOCK] = _float_block(bits[start:start + _FLOAT_BLOCK], t).T
+    return out
+
+
+def _distinct_float_chars(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(chars, inverse)``: the ``_float_chars`` row of each distinct bit
+    pattern of ``values`` (float equality would merge ``-0.0`` with ``0.0``),
+    and the row of each value, in C order."""
+    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64).ravel(),
+                              return_inverse=True)
+    return _float_chars(bits.view(np.uint64)), inverse.ravel()
 
 
 def _float_texts(values: np.ndarray) -> list[str]:
-    """``repr`` of each value of ``values`` as a Python float, in C order, with
-    one ``repr`` call per distinct bit pattern (float equality would merge
-    ``-0.0`` with ``0.0``): the shortest text that reads back to the double."""
-    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64).ravel(),
-                              return_inverse=True)
-    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    """``repr`` of each value of ``values`` as a Python float, in C order: the
+    shortest text that reads back to the double, from one ``_float_chars`` row
+    per distinct bit pattern."""
+    chars, inverse = _distinct_float_chars(values)
+    lines = np.zeros((len(chars), _TEXT_WIDTH + 1), np.uint8)
+    lines[:, :-1], lines[:, -1] = chars, 10
+    texts = np.array(lines[lines != 0].tobytes().decode("ascii").split("\n")[:-1], dtype=object)
     return texts[inverse].tolist()
+
+
+_EDGE_BLOCK = 2**16  # edges formatted per block; bounds the text held at once
 
 
 def _node_names(G: SignedGraph) -> Optional[np.ndarray]:
@@ -261,25 +492,38 @@ def write_edge_list(G: SignedGraph, path: PathLike, header: Optional[str] = None
 # trajectory CSV and activation JSON
 # ---------------------------------------------------------------------------
 
-_BLOCK_VALUES = 2048  # values formatted per block; bounds the extra memory
-_T = "<t>"  # step placeholder in the row template
+_BLOCK_VALUES = 4096  # values written per block; bounds the extra memory
+
+
+def _byte_texts(values) -> np.ndarray:
+    """The ASCII text of each value as a fixed-width bytes array."""
+    texts = [str(v).encode("ascii") for v in values]
+    return np.array(texts, dtype=f"S{max(map(len, texts), default=1)}")
 
 
 def write_trajectory_csv(states: np.ndarray, path: PathLike) -> None:
-    """Write a (T+1, n) state array as CSV rows ``t,node,value``."""
+    """Write a (T+1, n) state array as CSV rows ``t,node,value``.  A block of
+    whole steps is one fixed-width record per row (the step, ``,node,``, the
+    value's text row, CRLF, each padded with NUL bytes), written as the
+    record bytes without the NULs."""
     states = np.asarray(states)
     n = states.shape[1]
-    template = "".join(f"{_T},{node},%s\r\n" for node in range(n))
+    nodes = _byte_texts(f",{node}," for node in range(n))
+    record = np.dtype([("t", _byte_texts([states.shape[0]]).dtype), ("node", nodes.dtype),
+                       ("value", f"S{_TEXT_WIDTH}"), ("end", "S2")])
     step = max(1, _BLOCK_VALUES // max(n, 1))
-    with open(path, "w", newline="") as fh:
-        fh.write("t,node,value\r\n")
+    with open(path, "wb") as fh:
+        fh.write(b"t,node,value\r\n")
         for start in range(0, states.shape[0], step):
             block = states[start:start + step]
-            values = _float_texts(block)
-            fh.write("".join(
-                template.replace(_T, str(start + r)) % tuple(values[r * n:(r + 1) * n])
-                for r in range(block.shape[0])
-            ))
+            chars, inverse = _distinct_float_chars(block)
+            rows = np.empty(block.shape, record)
+            rows["t"] = _byte_texts(range(start, start + len(block)))[:, None]
+            rows["node"] = nodes
+            # mode "clip" writes straight into the field; the default mode would buffer the whole take
+            np.take(chars.view(record["value"]).ravel(), inverse, out=rows["value"].reshape(-1), mode="clip")
+            rows["end"] = b"\r\n"
+            fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def activation_sets_to_json(activations) -> list[dict]:
@@ -369,6 +613,22 @@ def _holds_no_container(values) -> bool:
     return not any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
 
 
+_TABLE_ROWS = 4096  # table rows encoded per block; bounds the texts held at once
+
+
+def _table_rows(rows: list, depth: int) -> str:
+    """The rows of a table at ``depth``, each laid out as ``_layout`` lays it
+    out, joined by the item separator: rows of non-container values from one
+    C call over all their values."""
+    flat = list(itertools.chain.from_iterable(rows))
+    if not _holds_no_container(flat):
+        return (",\n" + "  " * depth).join(_layout(row, depth) for row in rows)
+    texts, pad = _texts(flat), "\n" + "  " * (depth + 1)
+    opening, sep, closing = "[" + pad, "," + pad, "\n" + "  " * depth + "]"
+    return (",\n" + "  " * depth).join([opening + sep.join(texts[end - len(row):end]) + closing if row else "[]"
+                                         for row, end in zip(rows, itertools.accumulate(map(len, rows)))])
+
+
 def _layout(value, depth: int) -> str:
     """``json.dumps(value, indent=2, allow_nan=False)`` for a value at
     ``depth``, with arrays written as the lists of their values."""
@@ -392,13 +652,9 @@ def _layout(value, depth: int) -> str:
             return "[]"
         if _holds_no_container(value):  # one C call lays the list out
             return "[\n" + "  " * (depth + 1) + _encoder(depth + 1)(value)[1:-1] + "\n" + "  " * depth + "]"
-        if all(isinstance(v, (list, tuple)) for v in value):  # one C call encodes every value of a table
-            flat = list(itertools.chain.from_iterable(value))
-            if _holds_no_container(flat):
-                texts, pad = _texts(flat), "\n" + "  " * (depth + 2)
-                opening, sep, closing = "[" + pad, "," + pad, "\n" + "  " * (depth + 1) + "]"
-                return _block([opening + sep.join(texts[end - len(row):end]) + closing if row else "[]"
-                               for row, end in zip(value, itertools.accumulate(map(len, value)))], depth)
+        if all(isinstance(v, (list, tuple)) for v in value):  # a table, such as a flip set
+            return _block([_table_rows(value[start:start + _TABLE_ROWS], depth + 1)
+                           for start in range(0, len(value), _TABLE_ROWS)], depth)
         scalars = iter(_texts([v for v in value if not isinstance(v, _CONTAINERS)]))
         return _block([_layout(v, depth + 1) if isinstance(v, _CONTAINERS) else next(scalars) for v in value], depth)
     return _texts([value])[0]

@@ -399,6 +399,38 @@ class TestTrajectoryCSV:
             assert sio._float_texts(array) == [repr(v) for v in array.ravel().tolist()]
 
 
+def _with_neighbours(values) -> np.ndarray:
+    """Each double of ``values``, its neighbours one ulp below and above, and
+    the negatives of all three."""
+    bits = np.array(values, dtype=np.float64).view(np.uint64)
+    near = np.concatenate([bits - 1, bits, bits + 1]).view(np.float64)
+    return np.concatenate([near, -near])
+
+
+class TestFloatTexts:
+    """``_float_texts`` is ``repr`` of each value, with ``repr`` as the oracle."""
+
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+    @example([0, 1, 2**63, 2**63 + 1, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF0000000000001,
+              0xFFF8000000000123, 0x000FFFFFFFFFFFFF, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF])
+    @settings(max_examples=500, deadline=None)
+    def test_raw_bit_patterns_match_repr(self, patterns):
+        # every pattern occurs: subnormals, nan of every sign and payload, -0.0, inf
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            texts = sio._float_texts(values)
+        assert texts == [repr(v) for v in values.tolist()]
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_powers_and_layout_switches_match_repr(self, monkeypatch, block):
+        if block is not None:  # many blocks, the last one short
+            monkeypatch.setattr(sio, "_FLOAT_BLOCK", block)
+        powers = [2.0**e for e in range(-1074, 1024)] + [float(f"1e{e}") for e in range(-323, 309)]
+        values = _with_neighbours(powers + [1e-5, 1e-4, 1e15, 1e16, 2.0**53, 0.1 + 0.2, 1.5e-300])
+        assert sio._float_texts(values) == [repr(v) for v in values.tolist()]
+
+
 def _as_lists(doc):
     """``doc`` with every array replaced by its nested lists of Python numbers."""
     if isinstance(doc, np.ndarray):
@@ -474,6 +506,15 @@ class TestDumpJSON:
         doc = {"flip_set": [[k, k + 1, -0.1] for k in range(50)]}
         assert dump_json(doc) == json.dumps(doc, indent=2)
         assert calls == [1, 150]  # the dict's one item, then every value of the table
+
+    @pytest.mark.parametrize("table", [
+        [[k, k + 1, -0.1 * k] for k in range(7)],
+        [[0, 1, 0.5], [], [1, 2, -0.5], [2, 3, [4]], [3, 4, {"a": 1}], (5, 6, 7.5), [6, 7, None]],
+    ], ids=["values", "containers-in-one-block"])
+    def test_a_table_is_laid_out_in_blocks_of_rows(self, monkeypatch, table):
+        monkeypatch.setattr(sio, "_TABLE_ROWS", 2)
+        doc = {"flip_set": table, "more": [table]}
+        assert dump_json(doc) == json.dumps(doc, indent=2)
 
     def test_c_encoders_are_built_once_per_depth(self, monkeypatch):
         built, make = [], json.encoder.c_make_encoder
