@@ -204,7 +204,8 @@ def _u64(value: int) -> np.ndarray:
 
 _SIGN, _MANTISSA, _INF = _u64(2**63), _u64(2**52 - 1), _u64(0x7FF << 52)
 _LOW32, _32, _E4, _E8 = _u64(2**32 - 1), _u64(32), _u64(10**4), _u64(10**8)
-_1, _2, _3, _4, _7, _10, _40, _51, _EXPONENT = map(_u64, (1, 2, 3, 4, 7, 10, 40, 51, 0xFFE))
+_1, _2, _3, _4, _7, _10, _40, _51, _63, _EXPONENT = map(_u64, (1, 2, 3, 4, 7, 10, 40, 51, 63, 0xFFE))
+_NONZERO = _u64(2**63 - 1)
 _ROUND_UP = _u64(0b11001000)  # bit j set when vb & 7 == j rounds s up: past the midpoint, or on it with s odd
 
 
@@ -298,7 +299,8 @@ def _round_to_odd(cp: np.ndarray, g: np.ndarray) -> np.ndarray:
     y1 &= _LOW32
     y0 &= _LOW32
     y1 |= np.right_shift(y0, _1, out=y0)
-    top |= y1 != 0
+    y1 += _NONZERO  # bit 63 set when y1 is not zero
+    top |= np.right_shift(y1, _63, out=y1)
     return top
 
 
@@ -349,17 +351,24 @@ def _float_block(bits: np.ndarray, t: _FloatTables) -> np.ndarray:
     x = e + count
     # the digit stream as 21 digits in three words: the zeros after "0.", the
     # digits of d, zeros; the words split into groups of four digits
-    hi, lo = np.divmod(d * t.normalize.take(count), _E8)
+    # (floor_divide and a multiply-subtract: np.divmod is several times slower)
+    lo = d * t.normalize.take(count)
+    hi = lo // _E8
+    lo -= hi * _E8
     del d, e, count
     scale = t.scale.take(x)
     lo *= scale
     hi *= scale
     words = np.empty((3, n), np.uint64)
-    hi += np.divmod(lo, _E8, out=(lo, words[2]))[0]
-    np.divmod(hi, _E8, out=(words[0], words[1]))
-    del hi, lo, scale
+    carry = lo // _E8
+    np.subtract(lo, carry * _E8, out=words[2])
+    hi += carry
+    np.floor_divide(hi, _E8, out=words[0])
+    np.subtract(hi, words[0] * _E8, out=words[1])
+    del hi, lo, carry, scale
     groups = np.empty((3, 2, n), np.uint64)
-    np.divmod(words, _E4, out=(groups[:, 0], groups[:, 1]))
+    np.floor_divide(words, _E4, out=groups[:, 0])
+    np.subtract(words, groups[:, 0] * _E4, out=groups[:, 1])
     chars = t.groups.take(groups.reshape(6, n), mode="clip").view(np.uint8).reshape(6, n, 4)
     del words, groups
     field = np.zeros((_TEXT_WIDTH + 3, n), np.uint8)  # "000" and the stream, then three NUL rows
@@ -379,10 +388,11 @@ def _float_block(bits: np.ndarray, t: _FloatTables) -> np.ndarray:
     text += shifted * ((_ROWS > point) & after)
     text += np.uint8(46) * ((_ROWS == point) & after)
     if any_sci:  # the suffix at rows end to end + 4: row end + j starts row j of a padded mask
-        starts = np.zeros((_TEXT_WIDTH + 4, n), bool)
-        np.equal(_ROWS, end, out=starts[4:])
-        for j, chars in enumerate(t.suffix[:, x]):
-            text += starts[4 - j:4 - j + _TEXT_WIDTH] * chars
+        starts = np.zeros((_TEXT_WIDTH + 4, n), np.uint8)
+        np.equal(_ROWS, end, out=starts[4:].view(bool))
+        for j, chars in enumerate(t.suffix.take(x, axis=1)):
+            if j < 4 or chars.any():  # a fifth character only for a three-digit exponent
+                text += starts[4 - j:4 - j + _TEXT_WIDTH] * chars
     magnitude = bits & ~_SIGN
     if ((magnitude == 0) | (magnitude >= _INF)).any():
         for word, mask in ((b"0.0", magnitude == 0), (b"inf", magnitude == _INF), (b"nan", magnitude > _INF)):
