@@ -259,7 +259,8 @@ def _float_tables() -> _FloatTables:
     positional = (-4 < x) & (x <= 16)
     point = np.where(positional, np.maximum(x - 1, 0), 0)
     suffix = np.zeros((5, 1024), np.uint8)
-    suffix[:, ~positional] = np.array([b"e%+03d" % (e - 1) for e in x[~positional].tolist()], "S5").view(np.uint8).reshape(-1, 5).T
+    exponents = [b"e%+03d" % (e - 1) for e in x[~positional].tolist()]
+    suffix[:, ~positional] = np.array(exponents, "S5").view(np.uint8).reshape(-1, 5).T
     tens = 10 ** np.arange(18, dtype=np.uint64)
     digits = np.arange(10000, dtype=np.uint16)[:, None] // tens[3::-1].astype(np.uint16) % np.uint16(10) + np.uint16(48)
     return _FloatTables(scaling_of.ravel().astype(np.uint8), powers_of.ravel().astype(np.uint16),
