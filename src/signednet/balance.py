@@ -197,7 +197,8 @@ def frustration(G: SignedGraph, target: FrustrationTarget = "balanced",
     Heuristic mode reads a bipartition off the top eigenvector of P_sym =
     D^-1/2 W D^-1/2 (balanced) or its bottom one (antibalanced), the end
     that ``spectral._distances`` already solves for ``d_b`` (``d_a``) and
-    keeps per graph, so after it only that end's vector is replayed.  Unlike
+    keeps per graph, so after it only that end's vector is computed, from
+    the kept end (``spectral._transition_end_vector``).  Unlike
     the top of W, which localises on high-degree nodes, it is normalised by
     degree (Kunegis et al., SDM 2010).  It reports the better of that
     bipartition and the trivial all +1 one, count first and then weight,

@@ -48,6 +48,7 @@ from .generate import (
     ssbm,
 )
 from .io import (
+    _joined_json,
     activation_sets_to_json,
     classification_to_json,
     dump_json,
@@ -298,12 +299,12 @@ def _cmd_simulate(args) -> int:
         step = int(np.argmin(finite))
         raise NonFiniteStateError(f"simulate {args.model}: the state is not finite from step {step} "
                                   f"of {traj.horizon}; lower the horizon or rescale the weights")
-    if args.format == "json":
-        doc = {"states": traj.states, **summary}
-        dump_json(doc, args.output)
+    text = dump_json(summary)
+    if args.format == "json":  # the document holds the states, then the summary's members
+        Path(args.output).write_text(_joined_json(dump_json({"states": traj.states}), text) + "\n")
     else:
         write_trajectory_csv(traj.states, args.output)
-    print(dump_json(summary))
+    print(text)
     return 0
 
 

@@ -59,6 +59,8 @@ from .errors import (
 WEIGHT_TOLERANCE = 1e-15
 
 _INT64 = np.iinfo(np.int64)
+#: the most nodes whose pair keys lo * n + hi, at most n * n - 1, fit in int64
+_KEY_MAX_NODES = math.isqrt(_INT64.max)
 
 
 class Edge(NamedTuple):
@@ -284,16 +286,28 @@ def _edge_error(n: int, i, j, w) -> GraphConstructionError:
 def _checked_edges(n: int, i: Sequence, j: Sequence, w: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated edge arrays ``(lo, hi, w)`` in input order, with ``lo < hi``.
 
-    Every check runs as an array mask, repeated pairs through a stable
-    lexicographic sort (no key that could overflow); the first bad edge in
-    input order raises the error an edge-by-edge pass would.
+    Every check runs as an array mask, repeated pairs through one unstable
+    sort of the int64 key lo * n + hi, which flags every edge of a repeated
+    pair but the first in input order.  Out-of-range ids, flagged already,
+    take the key of (0, 0), and when n * n would overflow int64 the ids are
+    first numbered by their distinct values.  The first bad edge in input
+    order raises the error an edge-by-edge pass would.
     """
     a, b, weights = _id_array(i), _id_array(j), np.array(w, dtype=float)
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    bad = (lo < 0) | (hi >= n) | (lo == hi) | ~np.isfinite(weights) | (np.abs(weights) < WEIGHT_TOLERANCE)
-    order = np.lexsort((hi, lo))
-    lo_s, hi_s = lo[order], hi[order]
-    bad[order[1:]] |= (lo_s[1:] == lo_s[:-1]) & (hi_s[1:] == hi_s[:-1])
+    in_range = (lo >= 0) & (hi < n)
+    bad = ~in_range | (lo == hi) | ~np.isfinite(weights) | (np.abs(weights) < WEIGHT_TOLERANCE)
+    key_lo, key_hi, base = np.where(in_range, lo, 0), np.where(in_range, hi, 0), n
+    if n > _KEY_MAX_NODES:
+        ids, inverse = np.unique(np.concatenate([key_lo, key_hi]), return_inverse=True)
+        key_lo, key_hi, base = inverse[:len(lo)], inverse[len(lo):], len(ids)
+    key = key_lo * base + key_hi
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.concatenate(([True], key[1:] != key[:-1]))  # each sorted run of a key is one pair, in any order
+    if not starts.all():
+        first = np.minimum.reduceat(order, np.flatnonzero(starts))[np.cumsum(starts) - 1]
+        bad[order] |= order != first
     if bad.any():
         k = int(np.argmax(bad))
         raise _edge_error(n, i[k], j[k], w[k])

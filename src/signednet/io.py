@@ -671,6 +671,13 @@ def _layout(value, depth: int) -> str:
     return _texts([value])[0]
 
 
+def _joined_json(*texts: str) -> str:
+    """The layout of one object holding, in order, the members of the
+    nonempty objects that :func:`dump_json` laid out as ``texts``: their
+    members sit at the same depth, so each text is reused as it stands."""
+    return "{\n" + ",\n".join(t[2:-2] for t in texts) + "\n}"
+
+
 def dump_json(doc, path: Optional[PathLike] = None) -> str:
     """``json.dumps(doc, indent=2, allow_nan=False)``, with arrays written as
     the lists of their values; written to ``path`` with a final line break

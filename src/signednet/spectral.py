@@ -41,9 +41,10 @@ each caller names only the ends it reports and the verdict leaves open:
 * Heuristic frustration names the top (balanced target) or the bottom
   (antibalanced) of P_sym, an end that the verdict leaves open whenever the
   graph lacks the target structure, so it finds the end that
-  :func:`_distances` kept and replays that end's vector alone
-  (:func:`_transition_end_vector`); it names none when the graph already
-  has the target structure.
+  :func:`_distances` kept and computes that end's vector alone from it
+  (:func:`_transition_end_vector`: a Lanczos end's replay, or one inverse
+  iteration solve from a dense end's value); it names none when the graph
+  already has the target structure.
 
 The degree checks of P_sym run before any of this, on every graph.  The
 raw solves name both ends whatever the verdict: :func:`_solved_distances`
@@ -69,13 +70,19 @@ from .errors import LanczosNotConvergedError
 #: graphs with at least this many nodes take the ends of a spectrum from
 #: Lanczos, smaller ones from dense solves (read only by :func:`_extremes`).
 #: Timing the solves alone on two-block SSBMs of mean degree 12 (eta = 0.05,
-#: one BLAS thread), Lanczos overtakes dense near n = 110 for ``classify
-#: --frustration``, 165 for ``measure`` and 195 for ``classify``.
+#: one BLAS thread), Lanczos overtakes dense near n = 185 for ``measure``,
+#: 200 for ``classify --frustration`` and 215 for ``classify``.
 LANCZOS_MIN_NODES = 250
 #: a Lanczos end has converged when its residual is at most this times
 #: max(1, |theta|), on the matrix scaled by a power of two to a largest
 #: entry in [0.5, 1)
 LANCZOS_TOLERANCE = 1e-11
+#: distance beyond a dense end of P_sym (whose spectrum lies in [-1, 1]) at
+#: which :func:`_transition_end_vector` shifts for inverse iteration: 5.7e-14,
+#: over 20 times the largest error of an ``eigvalsh`` end seen on random graphs
+#: of 12-248 nodes (2.4e-15), and small enough that one solve meets
+#: ``LANCZOS_TOLERANCE`` for about 97 % of their ends
+_INVERSE_SHIFT = 2.0 ** -44
 #: seed of the fixed Lanczos start vector (a vector of ones can be orthogonal
 #: to the wanted eigenvector, e.g. s * sqrt(d) on a balanced graph with equal blocks)
 _LANCZOS_SEED = 0
@@ -412,14 +419,33 @@ def _transition_end_vector(G: SignedGraph, end: Literal[1, -1]) -> np.ndarray:
     """A unit eigenvector of P_sym at its top (``end`` 1) or bottom (-1), an
     end that the verdict leaves open, up to sign: from a Lanczos solve, its
     Ritz vector replayed from the kept end to the step it was accepted at,
-    no other end and no further; below :data:`LANCZOS_MIN_NODES` nodes one
-    ``eigh`` of P_sym."""
-    _extremes(G, "P_sym", (end,))
+    no other end and no further; below :data:`LANCZOS_MIN_NODES` nodes by
+    inverse iteration from the kept end's value lambda (Ipsen 1997).
+
+    The dense step solves (P_sym - mu) x = b for the fixed seeded vector b,
+    with mu = lambda + end * ``_INVERSE_SHIFT``, just beyond the end and far
+    above lambda's rounding, so P_sym - mu is definite.  Each solve shrinks
+    every other eigenvector's share of x by the ratio of the shift to that
+    eigenvalue's distance from mu, so one solve leaves a residual of about
+    the shift times the ratio of b's other components to its component
+    along the end; a second solve from x runs only when the residual
+    |P_sym x - lambda x| exceeds ``LANCZOS_TOLERANCE``.  The dense vector is
+    signed as :func:`_sign_normalised` signs a column of :func:`_spectrum`."""
+    (value,) = _extremes(G, "P_sym", (end,))
     _, ritz = G._spectral_memo["P_sym"][end]
     p = _transition_edge_values(G)
-    if ritz is None:
-        return _spectrum(G, p, vectors=True).eigenvectors[:, 0 if end > 0 else -1]
-    return _ritz_vector(G, p, ritz)
+    if ritz is not None:
+        return _ritz_vector(G, p, ritz)
+    shift = end * _INVERSE_SHIFT
+    M = G._matrix(p)
+    M.flat[::G.n + 1] = -(value + shift)  # P_sym has a zero diagonal
+    x = np.random.default_rng(_LANCZOS_SEED).standard_normal(G.n)
+    for _ in range(2):
+        x = np.linalg.solve(M, x)
+        x /= np.linalg.norm(x)
+        if np.linalg.norm(M @ x + shift * x) <= LANCZOS_TOLERANCE:
+            break
+    return _sign_normalised(x[:, None])[:, 0]
 
 
 def _distances(G: SignedGraph) -> _Distances:

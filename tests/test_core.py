@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from helpers import (
     doubled_transition,
     edge_product_reference,
     nonsymmetric_eigenvalues,
+    normalize_edges_reference,
     random_connected_corpus,
     random_walk_laplacian,
     signed_laplacian,
@@ -42,6 +44,27 @@ class TestBuildGraph:
     def test_duplicate_pair_rejected_either_orientation(self):
         with pytest.raises(DuplicateEdgeError, match=r"\(0, 1\)"):
             sn.build_graph(2, [(0, 1, 1.0), (1, 0, -1.0)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_pair_before_another_bad_edge_in_shuffled_order(self, seed):
+        """Three copies of one pair among 3000 edges in shuffled order and
+        orientation, and a self-loop after or before the second copy: the
+        first bad edge in input order raises the edge-by-edge reference's
+        error, whatever order the sort leaves the copies in."""
+        rng = np.random.default_rng(seed)
+        n = 1000
+        pairs = [(k, (k + step) % n) for step in (1, 7, 31) for k in range(n)]
+        shuffled = (pairs[k] for k in rng.permutation(3000))
+        edges = [(a, b, 1.0) if rng.random() < 0.5 else (b, a, -1.0) for a, b in shuffled]
+        a, b, _ = edges[1234]
+        for position in sorted(rng.choice(np.arange(1235, 2500), size=2, replace=False), reverse=True):
+            edges.insert(position, (b, a, 0.5))
+        edges.insert(2700, (5, 5, 1.0))
+        for case, error in ((edges, DuplicateEdgeError), (edges[:1235] + [(5, 5, 1.0)] + edges[1235:], SelfLoopError)):
+            with pytest.raises(error) as expected:
+                normalize_edges_reference(n, case)
+            with pytest.raises(error, match=re.escape(str(expected.value))):
+                sn.build_graph(n, case)
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ZeroWeightError):

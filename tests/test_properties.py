@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import signednet as sn
-from signednet.balance import Bipartition, _exact_min_violation_signs, _violations, apply_flip_set
+from signednet.balance import DEGENERACY_GAP, Bipartition, _exact_min_violation_signs, _violations, apply_flip_set
 from signednet.core import SignedGraph, _checked_edges, _columns
 from signednet.errors import DisconnectedError, GraphConstructionError
 
@@ -25,6 +25,7 @@ from signednet.spectral import (
     _spectrum,
     _top_ritz_value,
     _transition_edge_values,
+    _transition_end_vector,
 )
 
 from helpers import (
@@ -600,6 +601,42 @@ def test_lanczos_extremes_match_dense_eigvalsh(case):
         assert abs(1.0 - ends["P_sym"][0]) <= 1e-12
     if kind in ("tree", "balanced_bipartite"):  # also antibalanced, so d_a = 0
         assert abs(1.0 + ends["P_sym"][1]) <= 1e-12
+
+
+@st.composite
+def dense_path_graphs(draw):
+    """A connected signed graph below LANCZOS_MIN_NODES nodes: one of
+    :func:`lanczos_graphs`, or a seeded random tree plus random pairs with up
+    to LANCZOS_MIN_NODES - 1 nodes and unit, 0.1-rounded or uniform weights."""
+    if draw(st.booleans()):
+        return draw(lanczos_graphs())[1]
+    n = draw(st.integers(2, LANCZOS_MIN_NODES - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = {(int(rng.integers(child)), child) for child in range(1, n)}
+    extra = rng.integers(n, size=(draw(st.integers(0, 3 * n)), 2)).tolist()
+    pairs |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    magnitude = {"unit": np.ones(len(pairs)), "tenths": rng.integers(1, 11, len(pairs)) / 10,
+                 "uniform": rng.uniform(0.1, 1.0, len(pairs))}[draw(st.sampled_from(["unit", "tenths", "uniform"]))]
+    w = magnitude * np.where(rng.random(len(pairs)) < draw(st.floats(0.0, 1.0)), -1.0, 1.0)
+    return sn.build_graph(n, [(i, j, float(x)) for (i, j), x in zip(sorted(pairs), w)])
+
+
+@given(dense_path_graphs())
+@settings(max_examples=100, deadline=None)
+def test_dense_end_vectors_are_the_eigh_columns(G):
+    """Below LANCZOS_MIN_NODES each end's vector of P_sym, taken by inverse
+    iteration from the kept end, is a unit eigenvector, and wherever that end
+    is separated from its neighbour it is the ``eigh`` column up to sign."""
+    M = symmetrized_transition(G)
+    spectrum = _spectrum(G, _transition_edge_values(G), vectors=True)
+    for end, column, neighbour in ((1, 0, 1), (-1, -1, -2)):
+        x = _transition_end_vector(G, end)
+        (value,) = _extremes(G, "P_sym", (end,))
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+        assert np.linalg.norm(M @ x - value * x) <= 1e-10
+        if abs(spectrum.eigenvalues[column] - spectrum.eigenvalues[neighbour]) > DEGENERACY_GAP:
+            v = spectrum.eigenvectors[:, column]
+            assert min(np.abs(x - v).max(), np.abs(x + v).max()) <= 1e-8
 
 
 def test_ritz_values_and_columns_match_eigh_on_real_lanczos_tridiagonals():

@@ -598,6 +598,21 @@ class TestExtremesBelowLanczos:
         monkeypatch.setattr(np.linalg, "eigvalsh", None)  # any further solve fails
         assert _extremes(G, "P_sym", (-1,)) + _extremes(G, "P_sym", (1,)) == first[::-1]
 
+    @pytest.mark.parametrize("target, column", [("balanced", 0), ("antibalanced", -1)])
+    def test_heuristic_frustration_computes_no_eigendecomposition(self, target, column, monkeypatch):
+        """The end's vector comes from the value ``eigvalsh`` kept, by
+        inverse iteration, with the signs of the ``eigh`` column."""
+        def dense(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        G = sn.ssbm(sn.SSBMParams(n1=60, n2=60, p_in=0.16, p_out=0.04, eta=0.05, alpha=0.1, seed=3))
+        assert G.n < LANCZOS_MIN_NODES and not any(G._structure)
+        expected = sign_pattern(_spectrum(G, _transition_edge_values(G), vectors=True).eigenvectors[:, column])
+        monkeypatch.setattr(np.linalg, "eigh", dense)
+        report = sn.frustration(G, target, mode="heuristic")
+        assert 0 < report.flip_count < np.sum(G.w < 0 if target == "balanced" else G.w > 0)  # not the trivial one
+        assert same_partition(report.partition, expected)
+
 
 class TestPerronVectorsBalanced:
     """On a balanced graph the certificate s and s * degrees are right and
