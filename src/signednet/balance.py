@@ -430,7 +430,7 @@ def perturbation_estimate(G_b: SignedGraph, flip_set) -> PerturbationEstimate:
     if not G_b._structure.balanced:
         raise NotBalancedError("perturbation baseline must be a balanced graph")
     flipped, ks = _flipped(G_b, flip_set)
-    flipped_weight = float(sum(np.abs(G_b.w[ks]).tolist()))  # in flip-set order, repeats included
+    flipped_weight = _cost(G_b, ks)[1]  # in flip-set order, repeats included
     m = float(G_b.degrees.sum()) / 2.0
     delta = -2.0 * flipped_weight / m
     realized = _extremes(flipped, "P_sym", (1,))[0] - 1.0

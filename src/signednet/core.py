@@ -18,9 +18,10 @@ end that ``spectral._extremes`` solves on it (``_spectral_memo``), by the
 name of its matrix ("W", "|W|" or "P_sym") and its side (1 the top, -1 the
 bottom), as plain data that refers to nothing holding the graph: whichever
 caller names an end first solves it for every later one.  Weights must be
-finite and nonzero.  A connected graph has n <= m + 1, and
-:func:`build_graph` checks that before it allocates anything of size n, so a
-far node id fails at once instead of allocating memory by id.
+finite and nonzero.  Validation and the CSR share one sort, and reweighted
+graphs share the CSR.  A connected graph has n <= m + 1, and
+:func:`build_graph` validates and searches a larger n on node 0 and the ids
+in use alone, so a far node id fails at once instead of allocating by id.
 
 A graph matrix is one value per edge at (i_k, j_k) and (j_k, i_k): ``w`` for
 W, ``abs(w)`` for |W| and :func:`_transition_edge_values` for P_sym.  Every
@@ -39,7 +40,7 @@ State convention: dynamics use row vectors and left multiplication,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -119,10 +120,13 @@ class SignedGraph:
     j: np.ndarray
     w: np.ndarray
     labels: Optional[tuple[str, ...]] = None
+    csr: InitVar[Optional[_Neighbours]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, csr):
         for a in (self.i, self.j, self.w):
             a.flags.writeable = False
+        if csr is not None:  # the CSR of these edges, kept where the cached property keeps it
+            self.__dict__["_csr"] = csr
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -152,10 +156,7 @@ class SignedGraph:
 
     @cached_property
     def _csr(self) -> _Neighbours:
-        rows, cols = np.concatenate([self.i, self.j]), np.concatenate([self.j, self.i])
-        order = np.argsort(rows * self.n + cols)
-        return _Neighbours(_readonly(cols[order]), _readonly(order % max(self.num_edges, 1)),
-                           _readonly(np.searchsorted(rows[order], np.arange(self.n + 1))))
+        return _adjacency(self.n, self.i, self.j)[0]
 
     @cached_property
     def _traversal(self) -> _Traversal:
@@ -245,15 +246,20 @@ class SignedGraph:
         return ids
 
     def _reweighted(self, w: np.ndarray) -> "SignedGraph":
-        """Same topology and labels with the float array ``w`` as weights (not
-        validated; the new graph makes ``w`` read-only)."""
-        return SignedGraph(self.n, self.i, self.j, w, self.labels)
+        """Same topology, labels and CSR with the float array ``w`` as weights
+        (not validated; the new graph makes ``w`` read-only)."""
+        return SignedGraph(self.n, self.i, self.j, w, self.labels, self._csr)
 
     def with_weights(self, new_weights: Sequence[float]) -> "SignedGraph":
-        """Same topology with replaced weights (still validated for zeros)."""
+        """Same topology with replaced weights, each checked to be finite and nonzero."""
         if len(new_weights) != self.num_edges:
             raise ValueError("expected one weight per edge")
-        return self._reweighted(_checked_edges(self.n, self.i, self.j, new_weights)[2])
+        w = np.array(new_weights, dtype=float)
+        bad = _bad_weights(w)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise _edge_error(self.n, self.i[k], self.j[k], w[k])
+        return self._reweighted(w)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -270,7 +276,7 @@ def _id_array(ids) -> np.ndarray:
 
 
 def _edge_error(n: int, i, j, w) -> GraphConstructionError:
-    """The error of one invalid edge, checked in the same order as :func:`_checked_edges`."""
+    """The error of one invalid edge, checked in the same order as :func:`_checked_graph`."""
     i, j, w = int(i), int(j), float(w)
     if not (0 <= i < n and 0 <= j < n):
         return IdOutOfRangeError(f"edge ({i}, {j}) uses a node id outside [0, {n})")
@@ -283,35 +289,51 @@ def _edge_error(n: int, i, j, w) -> GraphConstructionError:
     return DuplicateEdgeError(f"unordered pair ({min(i, j)}, {max(i, j)}) appears more than once")
 
 
-def _checked_edges(n: int, i: Sequence, j: Sequence, w: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated edge arrays ``(lo, hi, w)`` in input order, with ``lo < hi``.
+def _bad_weights(w: np.ndarray) -> np.ndarray:
+    return ~np.isfinite(w) | (np.abs(w) < WEIGHT_TOLERANCE)
 
-    Every check runs as an array mask, repeated pairs through one unstable
-    sort of the int64 key lo * n + hi, which flags every edge of a repeated
-    pair but the first in input order.  Out-of-range ids, flagged already,
-    take the key of (0, 0), and when n * n would overflow int64 the ids are
-    first numbered by their distinct values.  The first bad edge in input
-    order raises the error an edge-by-edge pass would.
-    """
-    a, b, weights = _id_array(i), _id_array(j), np.array(w, dtype=float)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    in_range = (lo >= 0) & (hi < n)
-    bad = ~in_range | (lo == hi) | ~np.isfinite(weights) | (np.abs(weights) < WEIGHT_TOLERANCE)
-    key_lo, key_hi, base = np.where(in_range, lo, 0), np.where(in_range, hi, 0), n
-    if n > _KEY_MAX_NODES:
-        ids, inverse = np.unique(np.concatenate([key_lo, key_hi]), return_inverse=True)
-        key_lo, key_hi, base = inverse[:len(lo)], inverse[len(lo):], len(ids)
-    key = key_lo * base + key_hi
-    order = np.argsort(key)
-    key = key[order]
-    starts = np.concatenate(([True], key[1:] != key[:-1]))  # each sorted run of a key is one pair, in any order
+
+def _adjacency(n: int, a: np.ndarray, b: np.ndarray) -> tuple[_Neighbours, np.ndarray]:
+    """The CSR adjacency of the edges (a_k, b_k) on n nodes, and which edges
+    repeat the pair of an earlier one, from one argsort of the orientation
+    keys row * n + col (n * n must fit in int64): entry p < m is edge p, entry
+    p >= m edge p - m reversed, and the entries of a pair form runs of equal keys."""
+    m = len(a)
+    keys = np.concatenate([a, b])  # built in place: the 2m keys are the largest temporary
+    keys *= n
+    keys[:m] += b
+    keys[m:] += a
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.concatenate(([True], keys[1:] != keys[:-1]))
+    repeated = np.zeros(m, dtype=bool)
     if not starts.all():
         first = np.minimum.reduceat(order, np.flatnonzero(starts))[np.cumsum(starts) - 1]
-        bad[order] |= order != first
+        repeated[order % m] = order != first
+    start = np.searchsorted(keys, np.arange(n + 1) * n)  # node v's run starts at its first key from v * n
+    np.remainder(keys, max(n, 1), out=keys)  # each key, in place, to its neighbour
+    np.remainder(order, max(m, 1), out=order)
+    return _Neighbours(_readonly(keys), _readonly(order), _readonly(start)), repeated
+
+
+def _checked_graph(n: int, i: Sequence, j: Sequence, w: Sequence, ids: Optional[np.ndarray] = None,
+                   labels: Optional[tuple[str, ...]] = None) -> SignedGraph:
+    """The graph of the edges ``(i, j, w)`` with its CSR, or the error an
+    edge-by-edge pass would raise: the edges before the first that fails a mask
+    check are valid, and :func:`_adjacency` flags their repeats.  Given ``ids``,
+    ascending and holding every id in range, a node is its position in it."""
+    lo, hi, weights = _id_array(i), _id_array(j), np.array(w, dtype=float)
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    bad = (lo < 0) | (hi >= n) | (lo == hi) | _bad_weights(weights)
+    valid = int(np.argmax(bad)) if bad.any() else len(weights)
+    if ids is not None:
+        lo, hi = np.searchsorted(ids, lo), np.searchsorted(ids, hi)
+    nodes = n if ids is None else len(ids)
+    csr, bad[:valid] = _adjacency(nodes, lo[:valid], hi[:valid])
     if bad.any():
         k = int(np.argmax(bad))
         raise _edge_error(n, i[k], j[k], w[k])
-    return lo, hi, weights
+    return SignedGraph(nodes, lo, hi, weights, labels, csr)
 
 
 def _columns(edges: Iterable[tuple]) -> tuple[list, list, list]:
@@ -338,14 +360,10 @@ def _connected_graph(n: int, i: Sequence, j: Sequence, w: Sequence,
         raise IdOutOfRangeError(f"node count must be positive, got {n}")
     if n > _INT64.max:
         raise IdOutOfRangeError(f"node ids must be below {_INT64.max}, got a node count of {n}")
-    lo, hi, w = _checked_edges(n, i, j, w)
-    G = SignedGraph(n, lo, hi, w, None if labels is None else tuple(str(x) for x in labels))
-    if n <= len(w) + 1:
-        ids, searched = np.arange(n), G
-    else:  # too few edges to connect n nodes: search node 0 and the ids in use only
-        ids, compact = np.unique(np.concatenate(([0], lo, hi)), return_inverse=True)
-        searched = SignedGraph(len(ids), compact[1:len(w) + 1], compact[len(w) + 1:], w)
-    reached = ids[searched._traversal.component == 0]
+    # too few edges to connect n nodes: validate and search node 0 and the ids in use only
+    ids = np.unique(np.concatenate(([0], _id_array(i), _id_array(j)))) if n > len(w) + 1 else None
+    G = _checked_graph(n, i, j, w, ids, None if labels is None else tuple(str(x) for x in labels))
+    reached = (np.arange(n) if ids is None else ids)[G._traversal.component == 0]
     if len(reached) < n:
         gaps = np.flatnonzero(reached != np.arange(len(reached)))
         node = gaps[0] if gaps.size else len(reached)
@@ -360,10 +378,13 @@ def components(n: int, edges: Iterable[tuple]) -> list[tuple[SignedGraph, list[i
 
     Returns one ``(graph, original_ids)`` pair per connected component, where
     ``original_ids[k]`` is the input id of the component's node ``k``.
-    Components are ordered by their smallest original node id.
+    Components are ordered by their smallest original node id.  Pair keys
+    need n * n to fit in int64; a larger ``n`` raises :class:`IdOutOfRangeError`.
     """
-    lo, hi, w = _checked_edges(n, *_columns(edges))
-    comp = SignedGraph(n, lo, hi, w)._traversal.component
+    if n > _KEY_MAX_NODES:
+        raise IdOutOfRangeError(f"components() splits at most {_KEY_MAX_NODES} nodes, got a node count of {n}")
+    G = _checked_graph(n, *_columns(edges))
+    lo, hi, w, comp = G.i, G.j, G.w, G._traversal.component
     sizes = np.bincount(comp)
     nodes = np.argsort(comp, kind="stable")  # grouped by component, ascending within each
     local = np.empty(n, dtype=np.int64)

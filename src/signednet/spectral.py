@@ -296,18 +296,20 @@ def _lanczos_extremes(G: SignedGraph, values: np.ndarray,
 
     alpha: list[float] = []
     beta: list[float] = []
+    negated: list[float] = []  # -alpha, the diagonal of -T, grown beside it
     found: dict[int, _RitzEnd] = {}
     last_test: dict[int, tuple[int, float, float, float]] = {}  # open end -> (step, residual, Ritz value, estimated next move) at its last test
     check = 2
     for k, _ in enumerate(_lanczos_vectors(matvec, n, alpha, beta), start=1):
         b = beta[-1]
+        negated.append(-alpha[-1])
         if k >= check or k == cap or b <= LANCZOS_TOLERANCE / 2:  # a beta that small meets every end's test
             check = max(k + 1, int(k * 1.25))
             for e in ends:  # 1: the top of T, -1: the top of -T
                 if e in found:
                     continue
                 k_prev, r_prev, top_prev, move = last_test.get(e, (k, beta[0], e * alpha[0], beta[0]))  # or the step-1 pair
-                theta = e * _top_ritz_value(alpha if e > 0 else [-a for a in alpha], beta, top_prev, move)
+                theta = e * _top_ritz_value(alpha if e > 0 else negated, beta, top_prev, move)
                 column = _ritz_column(alpha, beta, theta)
                 r = b * float(column[-1])  # a Python float: numpy scalars would slow the next test several-fold
                 target = LANCZOS_TOLERANCE * max(1.0, abs(theta))

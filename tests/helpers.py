@@ -6,6 +6,7 @@ traversal with its own adjacency lists, certificates are checked one edge at
 a time, frustration by exhausting edge subsets or all node signings,
 components by union-find, spectra come from numpy's
 nonsymmetric solver, edge validation from one Python pass over the edges,
+CSR adjacency from sorted (node, neighbour, edge) triples,
 trajectory CSV from one ``csv.writer`` row per value (read back by a strict
 ``csv`` reader), edge-list text from one join over all lines, activation JSON from sorted node sets, ring lattices from Python loops over the circulant pairs,
 and trajectories from one hand-written loop per simulator.
@@ -48,6 +49,7 @@ __all__ = [
     "frustration_by_node_signings",
     "nonsymmetric_eigenvalues",
     "normalize_edges_reference",
+    "csr_reference",
     "read_trajectory_csv",
     "write_trajectory_reference",
     "ring_lattice_reference",
@@ -239,6 +241,18 @@ def normalize_edges_reference(n: int, edges: Iterable[tuple]) -> list[Edge]:
         seen.add(key)
         out.append(Edge(key[0], key[1], w))
     return out
+
+
+def csr_reference(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(nbr, edge, start)`` of the CSR adjacency on n nodes: both orientations
+    of every edge k as (node, neighbour, k) triples, sorted, and node v's run
+    starting at its first triple."""
+    entries = sorted([(a, b, k) for k, (a, b) in enumerate(zip(i.tolist(), j.tolist()))]
+                     + [(b, a, k) for k, (a, b) in enumerate(zip(i.tolist(), j.tolist()))])
+    rows = [e[0] for e in entries]
+    start = [sum(r < v for r in rows) for v in range(n + 1)]
+    return (np.array([e[1] for e in entries], dtype=np.int64), np.array([e[2] for e in entries], dtype=np.int64),
+            np.array(start, dtype=np.int64))
 
 
 def ring_lattice_reference(params) -> SignedGraph:

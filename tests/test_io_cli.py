@@ -18,8 +18,10 @@ from hypothesis import example, given, settings, strategies as st
 import signednet as sn
 import signednet.io as sio
 from signednet.cli import _cmd_simulate, build_parser, initial_state, main
+from signednet.core import _KEY_MAX_NODES
 from signednet.errors import (
     DisconnectedError,
+    DuplicateEdgeError,
     EdgeListParseError,
     IdOutOfRangeError,
     NonFiniteStateError,
@@ -826,6 +828,35 @@ class TestFarNodeIds:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+    @pytest.mark.parametrize("n, edges, error, message", [
+        (10**15, [(0, 1, 1.0), (1, 0, 1.0)], DuplicateEdgeError, "unordered pair (0, 1) appears more than once"),
+        (10**15, [(0, 1, 1.0), (1, 10**15 - 1, -1.0)], DisconnectedError,
+         "graph is disconnected: node 2 is not reachable from node 0"),
+        (2**63 - 1, [(0, 1, 1.0), (5, 2**62, 1.0)], DisconnectedError,
+         "graph is disconnected: node 2 is not reachable from node 0"),
+    ])
+    def test_far_ids_are_validated_and_searched_on_the_ids_in_use(self, n, edges, error, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(error) as got:
+                sn.build_graph(n, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(got.value) == message
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [_KEY_MAX_NODES + 1, 2**63, 10**20])
+    def test_components_refuses_node_counts_beyond_the_pair_key_range(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(IdOutOfRangeError, match=f"components\\(\\) splits at most {_KEY_MAX_NODES} nodes"):
+                sn.components(n, [(0, 1, 1.0), (1, 2, -1.0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_ids_beyond_int64_are_out_of_range(self):
         with pytest.raises(IdOutOfRangeError, match=r"edge \(0, 100000000000000000000\) uses a node id outside"):

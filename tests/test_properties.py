@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import signednet as sn
 from signednet.balance import DEGENERACY_GAP, Bipartition, _exact_min_violation_signs, _violations, apply_flip_set
-from signednet.core import SignedGraph, _checked_edges, _columns
+from signednet.core import _checked_graph, _columns
 from signednet.errors import DisconnectedError, GraphConstructionError
 
 from signednet.io import format_edge_list
@@ -30,6 +30,7 @@ from signednet.spectral import (
 
 from helpers import (
     components_by_union_find,
+    csr_reference,
     doubled_edges_reference,
     doubled_transition,
     elt_lattice_reference,
@@ -103,11 +104,11 @@ def hub_edge_sets(draw, max_n=30):
 @example((200, [(0, v, (-1.0) ** v * (1.0 + v / 7)) for v in range(1, 200)]), 1)
 def test_operator_matches_the_dense_matrix(case, seed):
     """Each product is ``x @ _matrix(values)`` to 1e-12 of the sum of the
-    absolute terms, on the whole input built unvalidated (isolated nodes
-    have empty CSR runs, anywhere in the id range) and on each of its
-    ``components()`` pieces (a lone node has no edge at all)."""
+    absolute terms, on the whole input built without the connectivity check
+    (isolated nodes have empty CSR runs, anywhere in the id range) and on each
+    of its ``components()`` pieces (a lone node has no edge at all)."""
     n, edges = case
-    whole = SignedGraph(n, *_checked_edges(n, *_columns(edges)))
+    whole = _checked_graph(n, *_columns(edges))
     x = np.random.default_rng(seed).standard_normal(n)
     for G, ids in [(whole, list(range(n)))] + sn.components(n, edges):
         y = x[ids]
@@ -497,17 +498,17 @@ _SPECIAL_WEIGHTS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-16, -1e-16, 1e-
 
 
 @st.composite
-def raw_edge_lists(draw):
-    """Node count plus valid triples with up to two bad ones inserted: ids
-    below 0, at or above n and beyond int64, self-loops, non-finite and
+def raw_edge_lists(draw, max_n=6, max_edges=8, max_bad=2):
+    """Node count plus valid triples with up to ``max_bad`` bad ones inserted:
+    ids below 0, at or above n and beyond int64, self-loops, non-finite and
     near-zero weights, and repeated pairs in either orientation."""
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, max_n))
     node = st.integers(0, n - 1)
     pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
     weight = st.floats(-4.0, 4.0).filter(lambda w: abs(w) >= 1e-15)
-    edges = draw(st.lists(st.tuples(pair, weight).map(lambda e: (*e[0], e[1])), max_size=8,
+    edges = draw(st.lists(st.tuples(pair, weight).map(lambda e: (*e[0], e[1])), max_size=max_edges,
                           unique_by=lambda e: (min(e[:2]), max(e[:2]))))
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, max_bad))):
         far = st.sampled_from([-1, n, *_FAR_IDS])
         bad = draw(st.one_of(
             st.tuples(far, node, weight),
@@ -515,6 +516,7 @@ def raw_edge_lists(draw):
             st.tuples(node, weight).map(lambda e: (e[0], e[0], e[1])),
             st.tuples(pair, st.sampled_from(_SPECIAL_WEIGHTS)).map(lambda e: (*e[0], e[1])),
             st.sampled_from(edges).map(lambda e: (e[1], e[0], e[2])) if edges else st.nothing(),
+            st.sampled_from(edges).map(lambda e: (e[0], e[1], -e[2])) if edges else st.nothing(),
         ))
         edges.insert(draw(st.integers(0, len(edges))), bad)
     return n, edges
@@ -534,16 +536,76 @@ def test_validation_and_lookup_match_the_edge_by_edge_reference(case):
         expected = normalize_edges_reference(n, edges)
     except GraphConstructionError as exc:
         with pytest.raises(GraphConstructionError) as got:
-            _checked_edges(n, *_columns(edges))
+            _checked_graph(n, *_columns(edges))
         assert (type(got.value), str(got.value)) == (type(exc), str(exc))
         return
-    G = SignedGraph(n, *_checked_edges(n, *_columns(edges)))
+    G = _checked_graph(n, *_columns(edges))
     assert list(G.edges) == expected
     lookup = {(e.i, e.j): k for k, e in enumerate(G.edges)}
     # ids past n would alias real keys without the range check
     pairs = [(a, b) for a in range(-1, 2 * n + 1) for b in range(a, 2 * n + 1)]
     a, b = [p[0] for p in pairs], [p[1] for p in pairs]
     assert G._edge_ids(a, b).tolist() == G._edge_ids(b, a).tolist() == [lookup.get(p, -1) for p in pairs]
+
+
+def assert_csr_matches_the_reference(G):
+    assert all(np.array_equal(got, want) and got.dtype == want.dtype
+               for got, want in zip(G._csr, csr_reference(G.n, G.i, G.j)))
+
+
+@given(raw_edge_lists(max_n=30, max_edges=45, max_bad=3))
+@example((3, [(0, 1, 1.0), (0, 1, -1.0), (2, 2, 1.0)]))  # same-orientation repeat before a self-loop
+@example((4, [(0, 1, 1.0), (2, 3, 1.0), (3, 2, 1.0), (1, 0, 1.0)]))  # the later pair repeats first
+@example((30, [(0, 29, 1.0), (29, 0, 1.0)]))  # n > m + 1: the repeat is found on the ids in use
+@example((30, [(3, 7, 1.0), (7, 31, 1.0), (7, 3, 1.0)]))  # n > m + 1: an id past n before a repeat
+@settings(max_examples=300)
+def test_build_graph_and_components_raise_the_reference_error_and_sort_the_reference_csr(case):
+    """``build_graph`` and ``components`` raise the edge-by-edge reference's
+    error, type and message, on planted bad edges at any position.  On valid
+    input every graph ``components`` returns, and the connected graph
+    ``build_graph`` returns, holds the CSR of the sorted pairs."""
+    n, edges = case
+    try:
+        normalize_edges_reference(n, edges)
+    except GraphConstructionError as exc:
+        for build in (sn.build_graph, sn.components):
+            with pytest.raises(GraphConstructionError) as got:
+                build(n, edges)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    parts = sn.components(n, edges)
+    for G, _ in parts:
+        assert_csr_matches_the_reference(G)
+    if len(parts) == 1:
+        assert_csr_matches_the_reference(sn.build_graph(n, edges))
+
+
+@given(connected_signed_graphs(max_n=30), st.data())
+def test_reweighted_graphs_share_the_reference_csr(G, data):
+    """``negate``, ``switch``, ``unsigned_counterpart``, ``apply_flip_set``
+    and ``with_weights`` replace the weights only: each new graph holds the
+    very CSR of its parent, which is that of the sorted pairs."""
+    assert_csr_matches_the_reference(G)
+    s = Bipartition(np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=G.n, max_size=G.n))))
+    k = data.draw(st.integers(0, G.num_edges - 1))
+    for H in (sn.negate(G), sn.switch(G, s), sn.unsigned_counterpart(G), apply_flip_set(G, [(G.i[k], G.j[k])]),
+              G.with_weights(2.0 * G.w)):
+        assert H._csr is G._csr
+
+
+@given(connected_signed_graphs(max_n=30), st.data())
+def test_with_weights_raises_the_reference_error_on_planted_bad_weights(G, data):
+    weights = G.w.tolist()
+    for _ in range(data.draw(st.integers(1, 3))):
+        weights[data.draw(st.integers(0, G.num_edges - 1))] = data.draw(st.sampled_from(_SPECIAL_WEIGHTS))
+    try:
+        normalize_edges_reference(G.n, zip(G.i.tolist(), G.j.tolist(), weights))
+    except GraphConstructionError as exc:
+        with pytest.raises(GraphConstructionError) as got:
+            G.with_weights(weights)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    assert G.with_weights(weights).w.tolist() == weights
 
 
 # ---------------------------------------------------------------------------
