@@ -18,8 +18,9 @@ end that ``spectral._extremes`` solves on it (``_spectral_memo``), by the
 name of its matrix ("W", "|W|" or "P_sym") and its side (1 the top, -1 the
 bottom), as plain data that refers to nothing holding the graph: whichever
 caller names an end first solves it for every later one.  Weights must be
-finite and nonzero.  Validation and the CSR share one sort, and reweighted
-graphs share the CSR.  A connected graph has n <= m + 1, and
+finite and nonzero.  Validation and the CSR share one sort, reweighted
+graphs share the CSR, and each piece :func:`components` returns holds its
+slice of the input's CSR.  A connected graph has n <= m + 1, and
 :func:`build_graph` validates and searches a larger n on node 0 and the ids
 in use alone, so a far node id fails at once instead of allocating by id.
 
@@ -378,21 +379,37 @@ def components(n: int, edges: Iterable[tuple]) -> list[tuple[SignedGraph, list[i
 
     Returns one ``(graph, original_ids)`` pair per connected component, where
     ``original_ids[k]`` is the input id of the component's node ``k``.
-    Components are ordered by their smallest original node id.  Pair keys
-    need n * n to fit in int64; a larger ``n`` raises :class:`IdOutOfRangeError`.
+    Components are ordered by their smallest original node id, and each holds
+    its slice of the input's CSR.  ``n`` must be positive, and pair keys need
+    n * n to fit in int64; any other ``n`` raises :class:`IdOutOfRangeError`.
     """
+    if n < 1:
+        raise IdOutOfRangeError(f"node count must be positive, got {n}")
     if n > _KEY_MAX_NODES:
         raise IdOutOfRangeError(f"components() splits at most {_KEY_MAX_NODES} nodes, got a node count of {n}")
     G = _checked_graph(n, *_columns(edges))
-    lo, hi, w, comp = G.i, G.j, G.w, G._traversal.component
+    lo, hi, w, comp, (nbr, edge, start) = G.i, G.j, G.w, G._traversal.component, G._csr
     sizes = np.bincount(comp)
+    ends = np.cumsum(sizes)
     nodes = np.argsort(comp, kind="stable")  # grouped by component, ascending within each
     local = np.empty(n, dtype=np.int64)
-    local[nodes] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    local[nodes] = np.arange(n) - np.repeat(ends - sizes, sizes)
     by_comp = np.argsort(comp[lo], kind="stable")  # edges grouped the same way, in input order
-    edge_ends = np.cumsum(np.bincount(comp[lo], minlength=len(sizes)))
-    return [(SignedGraph(len(ids), local[lo[ks]], local[hi[ks]], w[ks]), ids.tolist())
-            for ids, ks in zip(np.split(nodes, np.cumsum(sizes))[:-1], np.split(by_comp, edge_ends))]
+    edge_counts = np.bincount(comp[lo], minlength=len(sizes))
+    edge_ends = np.cumsum(edge_counts)
+    position = np.empty(len(w), dtype=np.int64)  # each edge's id in its component
+    position[by_comp] = np.arange(len(w)) - np.repeat(edge_ends - edge_counts, edge_counts)
+    # the CSR runs of the nodes in component order, renumbered: each component's entries in turn
+    degree = np.diff(start)[nodes]
+    runs = np.concatenate(([0], np.cumsum(degree)))
+    entries = np.arange(runs[-1]) + np.repeat(start[nodes] - runs[:-1], degree)
+    csr_nbr, csr_edge = _readonly(local[nbr[entries]]), _readonly(position[edge[entries]])
+    pieces = []
+    for ids, ks, first, last in zip(np.split(nodes, ends)[:-1], np.split(by_comp, edge_ends), ends - sizes, ends):
+        a, b = runs[first], runs[last]
+        csr = _Neighbours(csr_nbr[a:b], csr_edge[a:b], _readonly(runs[first:last + 1] - a))
+        pieces.append((SignedGraph(len(ids), local[lo[ks]], local[hi[ks]], w[ks], None, csr), ids.tolist()))
+    return pieces
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,14 @@ document holds is ``repr`` of the value as a Python float, the shortest
 text that reads back to the same double, ``-0.0`` included; ``nan`` and
 ``inf`` are written only to the CSV, since JSON output refuses them with
 ``ValueError``.  A float64 array (trajectory states, JSON arrays, edge
-weights) is encoded without calling ``repr``: :func:`_float_chars` turns
+weights) is encoded without calling ``repr``: :func:`_float_block` turns
 each distinct bit pattern into the same text by uint64 array arithmetic
-(Schubfach's shortest digits, then ``repr``'s layout) in blocks of
-:data:`_FLOAT_BLOCK` values, so a trajectory of few distinct states costs
-little.  The CSV rows are assembled as bytes from those text rows;
-:func:`_float_texts` gives the texts as Python strings.
+(Schubfach's shortest digits, then ``repr``'s layout), one call per
+:data:`_BLOCK_VALUES` distinct values, so a trajectory of few distinct
+states costs little.  The CSV is written in blocks of whole steps of at
+most :data:`_BLOCK_VALUES` values (or one step), each block's distinct
+values formatted together and its byte rows filled from the formatter's
+columns; :func:`_float_texts` gives the texts as Python strings.
 
 JSON: :func:`dump_json` writes exactly the text of ``json.dumps(doc,
 indent=2, allow_nan=False)``, with arrays written as the lists of their
@@ -193,7 +195,7 @@ def load_graph(path: PathLike) -> SignedGraph:
 # float text: shortest round-trip digits by uint64 array arithmetic
 # ---------------------------------------------------------------------------
 
-_FLOAT_BLOCK = 2048  # doubles formatted per block; bounds the temporaries near half a megabyte
+_BLOCK_VALUES = 5120  # doubles per formatter call and values per CSV block; bounds the temporaries near 1.1 MB
 _TEXT_WIDTH = 24  # the longest text, "-1.2345678901234567e-308"
 _BIAS = 400  # decimal exponents are stored plus _BIAS, so that every operand is a uint64
 
@@ -405,33 +407,31 @@ def _float_block(bits: np.ndarray, t: _FloatTables) -> np.ndarray:
     return text
 
 
-def _float_chars(bits: np.ndarray) -> np.ndarray:
-    """The ``repr`` text of each double in ``bits`` (uint64 bit patterns) as a
-    row of an (len(bits), _TEXT_WIDTH) uint8 array, padded with NUL bytes:
-    Schubfach digits and ``repr``'s layout, in blocks of _FLOAT_BLOCK."""
+def _float_columns(bits: np.ndarray) -> np.ndarray:
+    """The ``_float_block`` columns of ``bits``, one call per _BLOCK_VALUES."""
     t = _float_tables()
-    out = np.empty((len(bits), _TEXT_WIDTH), np.uint8)
-    for start in range(0, len(bits), _FLOAT_BLOCK):
-        out[start:start + _FLOAT_BLOCK] = _float_block(bits[start:start + _FLOAT_BLOCK], t).T
-    return out
+    if len(bits) <= _BLOCK_VALUES:
+        return _float_block(bits, t)
+    return np.concatenate([_float_block(bits[start:start + _BLOCK_VALUES], t)
+                           for start in range(0, len(bits), _BLOCK_VALUES)], axis=1)
 
 
-def _distinct_float_chars(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(chars, inverse)``: the ``_float_chars`` row of each distinct bit
-    pattern of ``values`` (float equality would merge ``-0.0`` with ``0.0``),
-    and the row of each value, in C order."""
+def _distinct_bits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(bits, inverse)``: each distinct bit pattern of ``values`` as a uint64
+    (float equality would merge ``-0.0`` with ``0.0``), and the index of each
+    value's pattern, in C order."""
     bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64).ravel(),
                               return_inverse=True)
-    return _float_chars(bits.view(np.uint64)), inverse.ravel()
+    return bits.view(np.uint64), inverse.ravel()
 
 
 def _float_texts(values: np.ndarray) -> list[str]:
     """``repr`` of each value of ``values`` as a Python float, in C order: the
-    shortest text that reads back to the double, from one ``_float_chars`` row
-    per distinct bit pattern."""
-    chars, inverse = _distinct_float_chars(values)
-    lines = np.zeros((len(chars), _TEXT_WIDTH + 1), np.uint8)
-    lines[:, :-1], lines[:, -1] = chars, 10
+    shortest text that reads back to the double, from one ``_float_block``
+    column per distinct bit pattern."""
+    bits, inverse = _distinct_bits(values)
+    lines = np.zeros((len(bits), _TEXT_WIDTH + 1), np.uint8)
+    lines[:, :-1], lines[:, -1] = _float_columns(bits).T, 10
     texts = np.array(lines[lines != 0].tobytes().decode("ascii").split("\n")[:-1], dtype=object)
     return texts[inverse].tolist()
 
@@ -503,38 +503,35 @@ def write_edge_list(G: SignedGraph, path: PathLike, header: Optional[str] = None
 # trajectory CSV and activation JSON
 # ---------------------------------------------------------------------------
 
-_BLOCK_VALUES = 4096  # values written per block; bounds the extra memory
-
-
-def _byte_texts(values) -> np.ndarray:
-    """The ASCII text of each value as a fixed-width bytes array."""
-    texts = [str(v).encode("ascii") for v in values]
-    return np.array(texts, dtype=f"S{max(map(len, texts), default=1)}")
+def _byte_texts(values, width: int) -> np.ndarray:
+    """The ASCII text of each value as a row of ``width`` bytes, padded with NUL bytes."""
+    return np.array([str(v).encode("ascii") for v in values], f"S{width}").view(np.uint8).reshape(-1, width)
 
 
 def write_trajectory_csv(states: np.ndarray, path: PathLike) -> None:
     """Write a (T+1, n) state array as CSV rows ``t,node,value``.  A block of
-    whole steps is one fixed-width record per row (the step, ``,node,``, the
-    value's text row, CRLF, each padded with NUL bytes), written as the
-    record bytes without the NULs."""
+    whole steps (at most _BLOCK_VALUES values, or one step) is one byte row
+    per CSV row, the step, ``,node,``, the value's text and CRLF, each field
+    padded with NUL bytes, and is written without the NULs.  The ``,node,``
+    and CRLF fields are laid out once per write; a block fills its steps,
+    and its values from one ``_float_block`` column per distinct value."""
     states = np.asarray(states)
-    n = states.shape[1]
-    nodes = _byte_texts(f",{node}," for node in range(n))
-    record = np.dtype([("t", _byte_texts([states.shape[0]]).dtype), ("node", nodes.dtype),
-                       ("value", f"S{_TEXT_WIDTH}"), ("end", "S2")])
-    step = max(1, _BLOCK_VALUES // max(n, 1))
+    steps, n = states.shape
+    t_width, node_width = len(str(max(steps - 1, 0))), len(f",{max(n - 1, 0)},")
+    value = t_width + node_width  # the first byte of the value field
+    width = value + _TEXT_WIDTH + 2
+    per_block = max(1, _BLOCK_VALUES // max(n, 1))
+    rows = np.zeros((min(per_block, steps), n, width), np.uint8)
+    rows[:, :, t_width:value] = _byte_texts((f",{node}," for node in range(n)), node_width)
+    rows[:, :, -2:] = np.frombuffer(b"\r\n", np.uint8)
     with open(path, "wb") as fh:
         fh.write(b"t,node,value\r\n")
-        for start in range(0, states.shape[0], step):
-            block = states[start:start + step]
-            chars, inverse = _distinct_float_chars(block)
-            rows = np.empty(block.shape, record)
-            rows["t"] = _byte_texts(range(start, start + len(block)))[:, None]
-            rows["node"] = nodes
-            # mode "clip" writes straight into the field; the default mode would buffer the whole take
-            np.take(chars.view(record["value"]).ravel(), inverse, out=rows["value"].reshape(-1), mode="clip")
-            rows["end"] = b"\r\n"
-            fh.write(rows.tobytes().translate(None, b"\0"))
+        for start in range(0, steps, per_block):
+            block = rows[:min(per_block, steps - start)]
+            block[:, :, :t_width] = _byte_texts(range(start, start + len(block)), t_width)[:, None]
+            bits, inverse = _distinct_bits(states[start:start + len(block)])
+            block.reshape(-1, width)[:, value:-2] = _float_columns(bits).T[inverse]
+            fh.write(block.tobytes().translate(None, b"\0"))
 
 
 def activation_sets_to_json(activations) -> list[dict]:

@@ -89,6 +89,19 @@ class TestBuildGraph:
         ids = [orig for _, orig in parts]
         assert ids == [[0, 1], [2, 3, 4]]
 
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_components_refuses_a_node_count_below_one(self, n):
+        with pytest.raises(IdOutOfRangeError, match=f"^node count must be positive, got {n}$"):
+            sn.components(n, [])
+
+    def test_components_and_classify_on_every_piece_sort_once(self, monkeypatch):
+        calls = []
+        adjacency = sn.core._adjacency
+        monkeypatch.setattr(sn.core, "_adjacency", lambda *args: calls.append(args) or adjacency(*args))
+        parts = sn.components(6, [(0, 1, 1.0), (1, 2, -1.0), (3, 4, 1.0), (4, 5, 1.0)])
+        assert [sn.classify(G).verdict for G, _ in parts] == [sn.Verdict.BOTH, sn.Verdict.BOTH]
+        assert len(calls) == 1
+
 
 class TestDegrees:
     def test_triangle_degrees(self, triangle_positive):

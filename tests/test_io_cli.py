@@ -394,6 +394,20 @@ class TestTrajectoryCSV:
             write_trajectory_csv(states, path)
             assert_same_lines(path.read_bytes(), ref_path.read_bytes())
 
+    def test_each_block_is_one_formatter_call(self, tmp_path, monkeypatch):
+        n = 1000
+        steps = _BLOCK_VALUES // n  # whole steps per block
+        assert steps * n > 2048
+        states = np.random.default_rng(5).standard_normal((3 * steps, n))  # three blocks of distinct values
+        calls = []
+        float_block = sio._float_block
+        monkeypatch.setattr(sio, "_float_block", lambda bits, t: calls.append(len(bits)) or float_block(bits, t))
+        write_trajectory_csv(states, tmp_path / "traj.csv")
+        assert calls == [steps * n] * 3
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            write_trajectory_reference(states, fh)
+        assert_same_lines((tmp_path / "traj.csv").read_bytes(), (tmp_path / "ref.csv").read_bytes())
+
     @pytest.mark.parametrize("shape", [(0,), (7,), (3, 4), (4, 3)])
     def test_float_texts_are_one_repr_per_value(self, shape):
         values = np.array(_SPECIAL_VALUES)[np.random.default_rng(2).integers(len(_SPECIAL_VALUES), size=shape)]
@@ -427,7 +441,7 @@ class TestFloatTexts:
     @pytest.mark.parametrize("block", [None, 7])
     def test_powers_and_layout_switches_match_repr(self, monkeypatch, block):
         if block is not None:  # many blocks, the last one short
-            monkeypatch.setattr(sio, "_FLOAT_BLOCK", block)
+            monkeypatch.setattr(sio, "_BLOCK_VALUES", block)
         powers = [2.0**e for e in range(-1074, 1024)] + [float(f"1e{e}") for e in range(-323, 309)]
         values = _with_neighbours(powers + [1e-5, 1e-4, 1e15, 1e16, 2.0**53, 0.1 + 0.2, 1.5e-300])
         assert sio._float_texts(values) == [repr(v) for v in values.tolist()]
